@@ -50,6 +50,26 @@ use crate::factdb::{fact_id, FactId, Verdict};
 /// empty when `EngineConfig::provenance` is off.
 type ProvOut = Vec<(u32, Box<[FactId]>)>;
 
+/// One shard's share of a rule evaluation ([`Engine::eval_rule`]), in
+/// enumeration order.
+#[derive(Default)]
+struct ShardOut {
+    /// Head tuples the shard emitted itself.
+    heads: Vec<(String, Vec<Value>)>,
+    /// Provenance sidecar aligned with `heads`.
+    head_prov: ProvOut,
+    /// Bindings that survived the shard's step prefix (prefix assigns
+    /// applied) and still need the writer's order-sensitive suffix.
+    survivors: Vec<Vec<Option<Value>>>,
+    /// Provenance: body-atom-order parent fact ids per survivor, aligned
+    /// with `survivors`. Empty when provenance is off.
+    trails: Vec<Box<[FactId]>>,
+    /// Matches that survived the shard's step prefix.
+    survived: usize,
+    /// Complete body matches enumerated (pre-filter).
+    enumerated: usize,
+}
+
 // ---------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------
@@ -63,16 +83,19 @@ pub struct EngineConfig {
     pub max_facts: usize,
     /// Refuse to run programs that fail the wardedness check.
     pub require_warded: bool,
-    /// Worker threads for sharded rule evaluation. Defaults to the
-    /// `KGM_THREADS` environment variable (falling back to the machine's
-    /// parallelism); `1` forces the sequential path. Any value produces
-    /// bit-identical output — see the "Parallel evaluation" notes on
-    /// [`Engine::run`].
+    /// Worker threads. Every rule evaluation splits the outermost join
+    /// atom's scan range into shards and runs them through one path: `1`
+    /// keeps the whole range in one shard on the calling thread, larger
+    /// values spawn that many shard workers over ranges of at least
+    /// `min_parallel_batch` (and as many dedup partitions per insert
+    /// batch). Defaults to the `KGM_THREADS` environment variable (falling
+    /// back to the machine's parallelism). Any value produces bit-identical
+    /// output.
     pub threads: usize,
     /// Minimum scan-range size (tuples of the outermost join atom) before a
-    /// rule evaluation is sharded across workers; smaller ranges run inline
-    /// because thread spawn would dominate. Tests pin this to 1 to force the
-    /// parallel path on tiny inputs.
+    /// rule evaluation is split into several shards; smaller ranges stay
+    /// one shard on the calling thread because thread spawn would dominate.
+    /// Tests pin this to 1 to force spawned shards on tiny inputs.
     pub min_parallel_batch: usize,
     /// Wall-clock budget for the whole run in milliseconds (`None` =
     /// unbounded). `0` stops at the first governor check — useful to prove
@@ -228,8 +251,8 @@ pub struct ChaseProfile {
     /// One entry per program rule, indexed by rule number (rules that never
     /// ran keep zeroed counters).
     pub rules: Vec<RuleProfile>,
-    /// Shard workers spawned across all parallel rule evaluations (0 when
-    /// every evaluation ran sequentially).
+    /// Shard workers spawned across all rule evaluations (0 when every
+    /// evaluation ran as one shard on the calling thread).
     pub shards_spawned: usize,
     /// Candidate bindings shard workers handed to the merge writer.
     pub worker_candidates: usize,
@@ -404,7 +427,7 @@ impl Governor<'_> {
 }
 
 /// Shared interruption state polled cooperatively inside binding loops —
-/// both the sequential join and every shard worker poll the same instance
+/// the one-shard join and every spawned shard worker poll the same instance
 /// (all fields are atomics), so a cancel or deadline stops a parallel chase
 /// within one batch. Polling is counter-gated: the cancel token and the
 /// clock are consulted once every `POLL_MASK + 1` join steps. When nothing
@@ -1320,19 +1343,20 @@ impl Engine {
     /// Insert a batch of emitted head tuples into `db`, in emission order,
     /// returning how many were new.
     ///
-    /// Sequentially (one thread, or a batch under `min_parallel_batch`)
-    /// this is probe-and-insert per tuple. Otherwise deduplication runs
-    /// first as a *parallel* phase: candidates are hash-partitioned across
-    /// workers, each worker owning one slice of the tuple-hash space and
-    /// issuing an Insert/Dup verdict per candidate (frozen-store probe plus
-    /// first-occurrence-in-batch; equal tuples always share a partition).
-    /// The serial apply then walks the batch in the original order acting
-    /// on the verdicts. Verdicts are a pure function of the frozen store
-    /// and the batch — the partition count only divides the work — and the
-    /// apply loop visits every candidate in exactly the sequential order
+    /// One apply loop walks the batch in emission order and
+    /// probe-and-inserts each tuple. With more than one thread and a batch
+    /// of at least `min_parallel_batch`, deduplication first runs as a
+    /// *parallel* phase: candidates are hash-partitioned across workers,
+    /// each worker owning one slice of the tuple-hash space and issuing an
+    /// Insert/Dup verdict per candidate (frozen-store probe plus
+    /// first-occurrence-in-batch; equal tuples always share a partition),
+    /// and the loop skips the `Dup`s. Verdicts are a pure function of the
+    /// frozen store and the batch — the partition count only divides the
+    /// work — and the loop visits every candidate either way
     /// (fault-injection checkpoints included), so the insertion order, and
     /// therefore every downstream delta range, null OID and counter, is
-    /// bit-identical at any `KGM_THREADS`.
+    /// bit-identical at any `KGM_THREADS`. A verdict the authoritative
+    /// insert contradicts is an internal error.
     ///
     /// With `EngineConfig::provenance` on, `prov` is the sidecar aligned
     /// 1:1 with `out`; the entry of each tuple that actually inserts
@@ -1350,42 +1374,33 @@ impl Engine {
         let record = self.config.provenance;
         debug_assert!(!record || prov.len() == out.len(), "prov sidecar misaligned");
         let threads = self.config.threads;
+        let verdicts = (threads > 1 && out.len() >= self.config.min_parallel_batch.max(1))
+            .then(|| {
+                profile.merge_partitions += threads.min(out.len()).max(1);
+                db.insert_batch_verdicts(&out, threads)
+            });
         let mut inserted = 0usize;
-        if threads > 1 && out.len() >= self.config.min_parallel_batch.max(1) {
-            let verdicts = db.insert_batch_verdicts(&out, threads);
-            profile.merge_partitions += threads.min(out.len()).max(1);
-            for (i, (pred, tuple)) in out.into_iter().enumerate() {
-                if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
-                    return Err(KgmError::Internal(format!("{msg} ({pred})")));
-                }
-                if verdicts[i] == Verdict::Insert {
-                    let Some(id) = db.insert_id(&pred, &tuple)? else {
-                        return Err(KgmError::Internal(format!(
-                            "partitioned merge verdict diverged on `{pred}`"
-                        )));
-                    };
-                    db.mark_derived(id);
-                    if record {
-                        let (rule, parents) = &prov[i];
-                        db.record_prov(id, *rule, parents);
-                    }
-                    inserted += 1;
-                }
+        for (i, (pred, tuple)) in out.into_iter().enumerate() {
+            if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
+                return Err(KgmError::Internal(format!("{msg} ({pred})")));
             }
-        } else {
-            for (i, (pred, tuple)) in out.into_iter().enumerate() {
-                if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
-                    return Err(KgmError::Internal(format!("{msg} ({pred})")));
-                }
-                if let Some(id) = db.insert_id(&pred, &tuple)? {
-                    db.mark_derived(id);
-                    if record {
-                        let (rule, parents) = &prov[i];
-                        db.record_prov(id, *rule, parents);
-                    }
-                    inserted += 1;
-                }
+            if verdicts.as_ref().is_some_and(|v| v[i] != Verdict::Insert) {
+                continue;
             }
+            let Some(id) = db.insert_id(&pred, &tuple)? else {
+                if verdicts.is_some() {
+                    return Err(KgmError::Internal(format!(
+                        "partitioned merge verdict diverged on `{pred}`"
+                    )));
+                }
+                continue;
+            };
+            db.mark_derived(id);
+            if record {
+                let (rule, parents) = &prov[i];
+                db.record_prov(id, *rule, parents);
+            }
+            inserted += 1;
         }
         Ok(inserted)
     }
@@ -1396,10 +1411,29 @@ impl Engine {
 
     /// Evaluate one rule over `db`, appending emitted head tuples to `out`.
     ///
-    /// When the configured thread count allows it and the outermost join
-    /// atom's scan range is large enough, dispatches to
-    /// [`Engine::eval_rule_sharded`]; both paths enumerate matches in the
-    /// same order and produce identical `out` contents.
+    /// `delta` restricts one body atom to a row range; `None` is a full
+    /// pass, which is the delta pass over atom 0's complete range (with
+    /// nothing bound, `join_order` would pick atom 0 first anyway). That
+    /// outer scan range is split into shards: one when `threads == 1` or
+    /// the range is under `min_parallel_batch`, `split_range(range,
+    /// threads)` otherwise. Every shard runs the same per-match code
+    /// ([`Engine::eval_shard`]):
+    ///
+    /// - The **one shard** runs on the calling thread with the whole step
+    ///   list against the real null and aggregate tables, and emits
+    ///   straight into `out`.
+    /// - **Spawned workers** run only the pure step prefix
+    ///   (`RuleMeta::pure_steps`) against the frozen database. The single
+    ///   writer then replays their surviving bindings **in shard order** —
+    ///   concatenated, exactly the one-shard enumeration order — through
+    ///   the order-sensitive suffix (monotonic aggregate updates, Skolem
+    ///   minting) and the head emission (labelled-null minting). A rule
+    ///   with no suffix and no existentials has nothing to replay, so its
+    ///   workers emit the heads themselves.
+    ///
+    /// Output is therefore bit-identical at any thread count. Workers never
+    /// touch telemetry (spans are thread-local) nor shared mutable state;
+    /// errors surface in shard order, so the earliest failing match wins.
     #[allow(clippy::too_many_arguments)]
     fn eval_rule(
         &self,
@@ -1415,130 +1449,43 @@ impl Engine {
         profile: &mut ChaseProfile,
         interrupt: &InterruptState,
     ) -> Result<()> {
-        // A full pass is equivalent to a delta pass over atom 0's complete
-        // range: `join_order` always picks atom 0 first when nothing is
-        // bound, and the delta only restricts the outermost scan. That
-        // equivalence is what lets one sharding scheme cover both cases.
-        let (shard_atom, shard_range) = match &delta {
-            Some((ai, r)) => (*ai, r.clone()),
-            None => (
-                0,
-                0..rule
-                    .body
-                    .first()
-                    .map(|a| db.rows_of(&a.predicate))
-                    .unwrap_or(0),
-            ),
+        let t_rule = Instant::now();
+        let emitted_before = out.len();
+        let is_delta = delta.is_some();
+        let (atom, range) = delta.unwrap_or_else(|| {
+            let rows = rule.body.first().map_or(0, |a| db.rows_of(&a.predicate));
+            (0, 0..rows)
+        });
+        let order = join_order(rule, atom);
+        let threads = self.config.threads;
+        let one_shard = threads <= 1 || range.len() < self.config.min_parallel_batch.max(1);
+        let shards = if one_shard {
+            vec![range]
+        } else {
+            kgm_runtime::par::split_range(range, threads)
         };
-        if self.config.threads > 1
-            && !rule.body.is_empty()
-            && shard_range.len() >= self.config.min_parallel_batch.max(1)
-        {
-            return self.eval_rule_sharded(
-                db, ri, rule, shard_atom, shard_range, delta.is_some(), null_gen, nulls, mono,
-                out, prov_out, profile, interrupt,
-            );
-        }
-        let t_rule = Instant::now();
-        let emitted_before = out.len();
-        let mut bindings = 0usize;
-        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-        let mut trail: Vec<FactId> = Vec::new();
-        let order = join_order(rule, delta.as_ref().map(|(ai, _)| *ai));
-        let result = self.join(
-            db,
-            rule,
-            &order,
-            0,
-            &delta,
-            &mut binding,
-            &mut trail,
-            interrupt,
-            &mut |binding, trail| {
-                bindings += 1;
-                self.fire(
-                    db, ri, rule, binding, trail, &order, null_gen, nulls, mono, out, prov_out,
-                )
-            },
-        );
-        let prof = &mut profile.rules[ri];
-        prof.evaluations += 1;
-        if delta.is_some() {
-            prof.delta_evaluations += 1;
-        }
-        prof.bindings_enumerated += bindings;
-        prof.facts_emitted += out.len() - emitted_before;
-        prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
-        result
-    }
-
-    /// Parallel rule evaluation: shard the outermost atom's scan range
-    /// across workers, then merge in shard order.
-    ///
-    /// Each worker runs the join over its contiguous slice of `shard_range`
-    /// against the frozen database and applies the rule's *pure* step prefix
-    /// (`RuleMeta::pure_steps`), collecting surviving bindings locally. The
-    /// single writer then replays the shard outputs **in shard order** —
-    /// concatenated, that is exactly the sequential enumeration order —
-    /// running the order-sensitive suffix (monotonic aggregate updates,
-    /// Skolem minting) and `emit_heads` (labelled-null minting). Output is
-    /// therefore bit-identical to the sequential path for any thread count.
-    ///
-    /// Workers never touch telemetry (spans are thread-local) nor shared
-    /// mutable state; errors are surfaced in shard order, so the earliest
-    /// failing match wins, as it would sequentially.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_rule_sharded(
-        &self,
-        db: &FactDb,
-        ri: usize,
-        rule: &Rule,
-        shard_atom: usize,
-        shard_range: Range<usize>,
-        is_delta: bool,
-        null_gen: &OidGen,
-        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
-        mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
-        out: &mut Vec<(String, Vec<Value>)>,
-        prov_out: &mut ProvOut,
-        profile: &mut ChaseProfile,
-        interrupt: &InterruptState,
-    ) -> Result<()> {
-        struct ShardOut {
-            /// Bindings that completed the join and survived the pure step
-            /// prefix, in enumeration order (pure-prefix assigns applied).
-            /// Empty for fully pure rules, whose workers emit heads directly.
-            survivors: Vec<Vec<Option<Value>>>,
-            /// Provenance: body-atom-order parent fact ids per survivor,
-            /// aligned with `survivors`. Empty when provenance is off.
-            trails: Vec<Box<[FactId]>>,
-            /// Head tuples emitted by this worker (fully pure rules only),
-            /// in enumeration order.
-            heads: Vec<(String, Vec<Value>)>,
-            /// Provenance sidecar aligned with `heads` (fully pure rules
-            /// with provenance on only).
-            head_prov: ProvOut,
-            /// Matches that survived the pure step prefix.
-            survived: usize,
-            /// Complete body matches enumerated (pre-filter).
-            enumerated: usize,
-        }
-        let t_rule = Instant::now();
-        let emitted_before = out.len();
+        let all_steps = rule.steps.len();
         let pure_end = self.meta[ri].pure_steps;
-        // A rule whose every step is pure and whose head mints no labelled
-        // nulls has nothing left for the writer to replay: workers emit the
-        // head tuples themselves, and the merge is a shard-order
-        // concatenation (identical to the sequential emission order).
-        let fully_pure = pure_end == rule.steps.len() && self.meta[ri].existentials.is_empty();
-        let order = join_order(rule, Some(shard_atom));
-        let shards = kgm_runtime::par::split_range(shard_range, self.config.threads);
-        let span = kgm_runtime::span_debug!(
-            "chase.shard_eval",
-            "rule {ri}: {} shard(s)",
-            shards.len()
-        );
-        let results: Vec<Result<ShardOut>> =
+        let span = (!one_shard).then(|| {
+            kgm_runtime::span_debug!("chase.shard_eval", "rule {ri}: {} shard(s)", shards.len())
+        });
+        let results: Vec<Result<ShardOut>> = if one_shard {
+            // The shard emits straight into `out`, which moves into its head
+            // buffer and back: never copied, no survivors buffered.
+            let mut so = ShardOut {
+                heads: std::mem::take(out),
+                head_prov: std::mem::take(prov_out),
+                ..ShardOut::default()
+            };
+            let r = self.eval_shard(
+                db, ri, rule, &order, &shards[0], all_steps, true, null_gen, nulls, mono,
+                &mut so, interrupt,
+            );
+            *out = std::mem::take(&mut so.heads);
+            *prov_out = std::mem::take(&mut so.head_prov);
+            vec![r.map(|()| so)]
+        } else {
+            let emit = pure_end == all_steps && self.meta[ri].existentials.is_empty();
             kgm_runtime::par::par_map(&shards, shards.len(), |r| {
                 // A panicking worker must not abort the whole process via
                 // `map_shards`' join: catch it here and surface a structured
@@ -1548,86 +1495,14 @@ impl Engine {
                     if kgm_runtime::fault::should_inject("chase.shard") {
                         panic!("injected fault at chase.shard");
                     }
-                    let mut so = ShardOut {
-                        survivors: Vec::new(),
-                        trails: Vec::new(),
-                        heads: Vec::new(),
-                        head_prov: Vec::new(),
-                        survived: 0,
-                        enumerated: 0,
-                    };
-                    let prov = self.config.provenance;
-                    let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-                    let mut trail: Vec<FactId> = Vec::new();
-                    // The pure prefix stops before any Aggregate step, so this
-                    // map is never consulted; it only satisfies `run_steps`.
-                    let mut no_mono: FxHashMap<(usize, Vec<Value>), MonoState> =
-                        FxHashMap::default();
-                    // Likewise: `emit_heads` on a fully pure rule (no
-                    // existentials) never touches the null table.
-                    let mut no_nulls: FxHashMap<(usize, Var, Vec<Value>), Oid> =
-                        FxHashMap::default();
-                    let delta = Some((shard_atom, r.clone()));
-                    self.join(
-                        db,
-                        rule,
-                        &order,
-                        0,
-                        &delta,
-                        &mut binding,
-                        &mut trail,
+                    let mut so = ShardOut::default();
+                    // The pure prefix stops before any aggregate step, and
+                    // an emitting worker's rule mints no nulls: both tables
+                    // stay empty.
+                    self.eval_shard(
+                        db, ri, rule, &order, r, pure_end, emit, null_gen,
+                        &mut FxHashMap::default(), &mut FxHashMap::default(), &mut so,
                         interrupt,
-                        &mut |binding, trail| {
-                            so.enumerated += 1;
-                            // Reorder the join-order trail to body-atom
-                            // order: parent ids must not depend on which
-                            // atom carried the delta.
-                            let mut parents: Vec<FactId> = Vec::new();
-                            if prov {
-                                parents = vec![0; trail.len()];
-                                for (pos, &idx) in order.iter().enumerate() {
-                                    parents[idx] = trail[pos];
-                                }
-                            }
-                            let mut assigned: Vec<Var> = Vec::new();
-                            let keep = self.run_steps(
-                                db,
-                                ri,
-                                rule,
-                                0..pure_end,
-                                binding,
-                                &mut assigned,
-                                &mut no_mono,
-                                &mut parents,
-                            );
-                            let keep = match keep {
-                                Ok(k) => k,
-                                Err(e) => {
-                                    for v in &assigned {
-                                        binding[v.0 as usize] = None;
-                                    }
-                                    return Err(e);
-                                }
-                            };
-                            if keep {
-                                so.survived += 1;
-                                if fully_pure {
-                                    self.emit_heads(
-                                        ri, rule, binding, null_gen, &mut no_nulls,
-                                        &mut so.heads, &parents, &mut so.head_prov,
-                                    )?;
-                                } else {
-                                    so.survivors.push(binding.clone());
-                                    if prov {
-                                        so.trails.push(parents.into_boxed_slice());
-                                    }
-                                }
-                            }
-                            for v in assigned {
-                                binding[v.0 as usize] = None;
-                            }
-                            Ok(())
-                        },
                     )?;
                     Ok(so)
                 }))
@@ -1637,16 +1512,16 @@ impl Engine {
                         panic_message(&*payload)
                     )))
                 })
-            });
-        let shards_spawned = results.len();
+            })
+        };
         let mut enumerated = 0usize;
         let mut candidates = 0usize;
         for res in results {
             let so = res?;
             enumerated += so.enumerated;
             candidates += so.survived;
-            // Fully pure rules: shard-order concatenation of worker-emitted
-            // heads *is* the sequential emission order.
+            // Shard-order concatenation of emitted heads *is* the one-shard
+            // emission order.
             out.extend(so.heads);
             prov_out.extend(so.head_prov);
             let mut trails = so.trails.into_iter();
@@ -1654,37 +1529,31 @@ impl Engine {
                 // Owned binding: no undo needed between survivors.
                 let mut parents: Vec<FactId> =
                     trails.next().map(|t| t.into_vec()).unwrap_or_default();
-                let mut assigned: Vec<Var> = Vec::new();
                 let keep = self.run_steps(
-                    db,
-                    ri,
-                    rule,
-                    pure_end..rule.steps.len(),
-                    &mut binding,
-                    &mut assigned,
-                    mono,
+                    db, ri, rule, pure_end..all_steps, &mut binding, &mut Vec::new(), mono,
                     &mut parents,
                 )?;
                 if keep {
-                    self.emit_heads(
-                        ri, rule, &binding, null_gen, nulls, out, &parents, prov_out,
-                    )?;
+                    self.emit_heads(ri, rule, &binding, null_gen, nulls, out, &parents, prov_out)?;
                 }
             }
         }
-        let dedup_hits = out[emitted_before..]
-            .iter()
-            .filter(|(pred, tuple)| db.contains(pred, tuple))
-            .count();
-        profile.shards_spawned += shards_spawned;
-        profile.worker_candidates += candidates;
-        profile.merge_dedup_hits += dedup_hits;
-        if span.is_active() {
-            telemetry::record("shards", shards_spawned as i64);
-            telemetry::record("candidates", candidates as i64);
-            telemetry::record("dedup_hits", dedup_hits as i64);
+        if let Some(span) = span {
+            let shards_spawned = shards.len();
+            let dedup_hits = out[emitted_before..]
+                .iter()
+                .filter(|(pred, tuple)| db.contains(pred, tuple))
+                .count();
+            profile.shards_spawned += shards_spawned;
+            profile.worker_candidates += candidates;
+            profile.merge_dedup_hits += dedup_hits;
+            if span.is_active() {
+                telemetry::record("shards", shards_spawned as i64);
+                telemetry::record("candidates", candidates as i64);
+                telemetry::record("dedup_hits", dedup_hits as i64);
+            }
+            telemetry::counter_add("chase.shards_spawned", shards_spawned as i64);
         }
-        telemetry::counter_add("chase.shards_spawned", shards_spawned as i64);
         let prof = &mut profile.rules[ri];
         prof.evaluations += 1;
         if is_delta {
@@ -1694,6 +1563,82 @@ impl Engine {
         prof.facts_emitted += out.len() - emitted_before;
         prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
         Ok(())
+    }
+
+    /// One shard of [`Engine::eval_rule`]: join over `range` of the
+    /// outermost atom (`order[0]`), then run steps `0..steps_end` on every
+    /// match. A surviving match emits its heads into `so.heads` when `emit`
+    /// is set, and is otherwise buffered in `so.survivors` for the writer.
+    #[allow(clippy::too_many_arguments)]
+    fn eval_shard(
+        &self,
+        db: &FactDb,
+        ri: usize,
+        rule: &Rule,
+        order: &[usize],
+        range: &Range<usize>,
+        steps_end: usize,
+        emit: bool,
+        null_gen: &OidGen,
+        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
+        mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
+        so: &mut ShardOut,
+        interrupt: &InterruptState,
+    ) -> Result<()> {
+        let prov = self.config.provenance;
+        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+        let mut trail: Vec<FactId> = Vec::new();
+        let delta = order.first().map(|&ai| (ai, range.clone()));
+        self.join(
+            db,
+            rule,
+            order,
+            0,
+            &delta,
+            &mut binding,
+            &mut trail,
+            interrupt,
+            &mut |binding, trail| {
+                so.enumerated += 1;
+                // Reorder the join-order trail to body-atom order: parent ids
+                // must not depend on which atom carried the delta.
+                let mut parents: Vec<FactId> = Vec::new();
+                if prov {
+                    parents = vec![0; trail.len()];
+                    for (pos, &idx) in order.iter().enumerate() {
+                        parents[idx] = trail[pos];
+                    }
+                }
+                // Variables assigned by steps are undone before returning so
+                // sibling matches start clean.
+                let mut assigned: Vec<Var> = Vec::new();
+                let keep = self.run_steps(
+                    db, ri, rule, 0..steps_end, binding, &mut assigned, mono, &mut parents,
+                );
+                let result = match keep {
+                    Ok(true) => {
+                        so.survived += 1;
+                        if emit {
+                            self.emit_heads(
+                                ri, rule, binding, null_gen, nulls, &mut so.heads, &parents,
+                                &mut so.head_prov,
+                            )
+                        } else {
+                            so.survivors.push(binding.clone());
+                            if prov {
+                                so.trails.push(parents.into_boxed_slice());
+                            }
+                            Ok(())
+                        }
+                    }
+                    other => other.map(drop),
+                };
+                for v in assigned {
+                    binding[v.0 as usize] = None;
+                }
+                result
+            },
+        )
     }
 
     /// Join body atoms in `order[pos..]`, invoking `on_match` on full
@@ -1934,55 +1879,6 @@ impl Engine {
         Ok(true)
     }
 
-    /// Process steps and emit heads for one complete body match. `trail`
-    /// holds the matched facts' ids in join order (`order` maps them back
-    /// to body-atom positions); empty when provenance is off.
-    #[allow(clippy::too_many_arguments, clippy::ptr_arg)]
-    fn fire(
-        &self,
-        db: &FactDb,
-        ri: usize,
-        rule: &Rule,
-        binding: &mut Vec<Option<Value>>,
-        trail: &[FactId],
-        order: &[usize],
-        null_gen: &OidGen,
-        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
-        mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
-        out: &mut Vec<(String, Vec<Value>)>,
-        prov_out: &mut ProvOut,
-    ) -> Result<()> {
-        let mut parents: Vec<FactId> = Vec::new();
-        if self.config.provenance {
-            parents = vec![0; trail.len()];
-            for (pos, &idx) in order.iter().enumerate() {
-                parents[idx] = trail[pos];
-            }
-        }
-        // Variables assigned by steps must be undone before returning so
-        // sibling matches start clean.
-        let mut assigned: Vec<Var> = Vec::new();
-        let result = self.run_steps(
-            db, ri, rule, 0..rule.steps.len(), binding, &mut assigned, mono, &mut parents,
-        );
-        let emit = match result {
-            Ok(b) => b,
-            Err(e) => {
-                for v in &assigned {
-                    binding[v.0 as usize] = None;
-                }
-                return Err(e);
-            }
-        };
-        if emit {
-            self.emit_heads(ri, rule, binding, null_gen, nulls, out, &parents, prov_out)?;
-        }
-        for v in assigned {
-            binding[v.0 as usize] = None;
-        }
-        Ok(())
-    }
-
     /// Emit the rule's head tuples for one surviving binding. With
     /// provenance on, each emitted tuple gets a matching `(rule, parents)`
     /// entry in `prov_out` (all heads of one firing share the parents).
@@ -2071,50 +1967,16 @@ impl Engine {
         let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
         let mut trail: Vec<FactId> = Vec::new();
         let group_vars = meta.group_vars.clone();
-        let pre_steps = &rule.steps[..agg_step];
         // Natural atom order — so the trail is already in body-atom order.
         let order: Vec<usize> = (0..rule.body.len()).collect();
         self.join(db, rule, &order, 0, &None, &mut binding, &mut trail, interrupt, &mut |binding, trail| {
             let mut assigned: Vec<Var> = Vec::new();
-            let mut keep = true;
-            for step in pre_steps {
-                match step {
-                    RuleStep::Condition(e) => match eval(e, binding, &ctx)? {
-                        Value::Bool(true) => {}
-                        Value::Bool(false) => {
-                            keep = false;
-                            break;
-                        }
-                        other => {
-                            return Err(KgmError::Type(format!(
-                                "condition evaluated to non-bool {other:?}"
-                            )))
-                        }
-                    },
-                    RuleStep::Assign(v, e) => {
-                        let val = eval(e, binding, &ctx)?;
-                        binding[v.0 as usize] = Some(val);
-                        assigned.push(*v);
-                    }
-                    RuleStep::Negated(a) => {
-                        let tuple: Vec<Value> = a
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(v) => v.clone(),
-                                Term::Var(v) => {
-                                    binding[v.0 as usize].clone().expect("bound")
-                                }
-                            })
-                            .collect();
-                        if db.contains(&a.predicate, &tuple) {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    RuleStep::Aggregate(_) => unreachable!("pre-aggregate steps only"),
-                }
-            }
+            // Pre-aggregate steps never reach an aggregate, so the
+            // monotonic-aggregate table and edge parents stay untouched.
+            let keep = self.run_steps(
+                db, ri, rule, 0..agg_step, binding, &mut assigned, &mut FxHashMap::default(),
+                &mut Vec::new(),
+            )?;
             if keep {
                 let gk: Vec<Value> = group_vars
                     .iter()
@@ -2175,44 +2037,10 @@ impl Engine {
                 binding[v.0 as usize] = Some(val.clone());
             }
             binding[agg.target.0 as usize] = Some(acc);
-            let mut keep = true;
-            for step in &rule.steps[agg_step + 1..] {
-                match step {
-                    RuleStep::Condition(e) => match eval(e, &binding, &ctx)? {
-                        Value::Bool(true) => {}
-                        Value::Bool(false) => {
-                            keep = false;
-                            break;
-                        }
-                        other => {
-                            return Err(KgmError::Type(format!(
-                                "condition evaluated to non-bool {other:?}"
-                            )))
-                        }
-                    },
-                    RuleStep::Assign(v, e) => {
-                        let val = eval(e, &binding, &ctx)?;
-                        binding[v.0 as usize] = Some(val);
-                    }
-                    RuleStep::Negated(a) => {
-                        let tuple: Vec<Value> = a
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(v) => v.clone(),
-                                Term::Var(v) => {
-                                    binding[v.0 as usize].clone().expect("bound")
-                                }
-                            })
-                            .collect();
-                        if db.contains(&a.predicate, &tuple) {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    RuleStep::Aggregate(_) => unreachable!("single aggregate"),
-                }
-            }
+            let keep = self.run_steps(
+                db, ri, rule, agg_step + 1..rule.steps.len(), &mut binding, &mut Vec::new(),
+                &mut FxHashMap::default(), &mut Vec::new(),
+            )?;
             if keep {
                 self.emit_heads(
                     ri, rule, &binding, null_gen, nulls, &mut out, &group.parents,
@@ -2224,18 +2052,17 @@ impl Engine {
     }
 }
 
-/// Choose the atom evaluation order: the delta atom (if any) first, then
+/// Choose the atom evaluation order: the outermost (delta) atom first, then
 /// greedily the atom sharing the most already-bound variables (ties by
-/// written order). Constants count as bound.
-fn join_order(rule: &Rule, delta_atom: Option<usize>) -> Vec<usize> {
-    let n = rule.body.len();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining: Vec<usize> = (0..n).collect();
+/// written order). Constants count as bound. An empty body has an empty
+/// order.
+fn join_order(rule: &Rule, first: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = Vec::with_capacity(rule.body.len());
+    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&x| x != first).collect();
     let mut bound: FxHashSet<Var> = FxHashSet::default();
-    if let Some(ai) = delta_atom {
-        order.push(ai);
-        remaining.retain(|&x| x != ai);
-        bound.extend(rule.body[ai].vars());
+    if let Some(atom) = rule.body.get(first) {
+        order.push(first);
+        bound.extend(atom.vars());
     }
     while !remaining.is_empty() {
         let (pick_pos, &pick) = remaining
@@ -2268,19 +2095,17 @@ fn expr_has_skolem(e: &Expr) -> bool {
 }
 
 /// Statically enumerate every `(predicate, key positions)` pair the join of
-/// `rule` can probe, across the natural order (exact aggregates), the full
-/// pass order, and every delta order. At atom `p` of an order, the index
-/// key is the constant positions plus the positions of variables bound by
-/// atoms earlier in the order — repeated variables *within* an atom do not
-/// contribute (the runtime key is built before the tuple extends the
-/// binding), matching [`Engine::join`] exactly.
+/// `rule` can probe, across the natural order (exact aggregates) and every
+/// delta order (a full pass uses atom 0's). At atom `p` of an order, the
+/// index key is the constant positions plus the positions of variables
+/// bound by atoms earlier in the order — repeated variables *within* an
+/// atom do not contribute (the runtime key is built before the tuple
+/// extends the binding), matching [`Engine::join`] exactly.
 fn static_index_needs(rule: &Rule) -> Vec<(String, Vec<usize>)> {
     let mut needs: FxHashSet<(String, Vec<usize>)> = FxHashSet::default();
-    let mut orders: Vec<Vec<usize>> = vec![(0..rule.body.len()).collect(), join_order(rule, None)];
-    for ai in 0..rule.body.len() {
-        orders.push(join_order(rule, Some(ai)));
-    }
-    for order in orders {
+    let natural: Vec<usize> = (0..rule.body.len()).collect();
+    let deltas = (0..rule.body.len()).map(|ai| join_order(rule, ai));
+    for order in std::iter::once(natural).chain(deltas) {
         let mut bound: FxHashSet<Var> = FxHashSet::default();
         for &idx in &order {
             let atom = &rule.body[idx];
@@ -2759,6 +2584,142 @@ mod tests {
         let (_, seq_stats) = engine.run_with_facts(&inputs).unwrap();
         assert_eq!(seq_stats.profile.shards_spawned, 0);
         assert_eq!(seq_stats.derived_facts, stats.derived_facts);
+    }
+
+    /// Run counters that must not depend on the shard count: the totals
+    /// plus every rule's evaluation, binding and emission counts.
+    #[allow(clippy::type_complexity)]
+    fn shard_invariant_counters(
+        s: &RunStats,
+    ) -> (usize, usize, usize, usize, usize, Termination, Vec<[usize; 4]>) {
+        let rules = s.profile.rules.iter().map(|r| {
+            [r.evaluations, r.delta_evaluations, r.bindings_enumerated, r.facts_emitted]
+        });
+        (
+            s.strata,
+            s.iterations,
+            s.derived_facts,
+            s.nulls_created,
+            s.duplicates_rejected,
+            s.termination,
+            rules.collect(),
+        )
+    }
+
+    /// Run `src` as one shard (1 thread) and as spawned shards (4 threads,
+    /// `min_parallel_batch: 1`), require identical facts and counters, and
+    /// return the one-shard run.
+    fn run_one_and_many_shards(
+        src: &str,
+        inputs: &[(&str, Vec<Vec<Value>>)],
+    ) -> (FactDb, RunStats) {
+        let (db1, s1) = run_with_threads(src, inputs, 1);
+        let (db4, s4) = run_with_threads(src, inputs, 4);
+        assert_eq!(db_fingerprint(&db1), db_fingerprint(&db4), "{src}");
+        assert_eq!(shard_invariant_counters(&s1), shard_invariant_counters(&s4), "{src}");
+        (db1, s1)
+    }
+
+    #[test]
+    fn empty_body_rule_fires_exactly_once() {
+        // Rule 1's first delta pass over `p` is spawned at 4 threads.
+        let src = "X = 1, Y = X + 1 -> p(X, Y). p(X, Y), Z = Y * 10 -> q(Z).";
+        let (db, stats) = run_one_and_many_shards(src, &[]);
+        assert_eq!(db.facts("p"), ints(&[&[1, 2]]));
+        assert_eq!(db.facts("q"), ints(&[&[20]]));
+        let rp = &stats.profile.rules[0];
+        assert_eq!((rp.evaluations, rp.bindings_enumerated, rp.facts_emitted), (1, 1, 1));
+    }
+
+    #[test]
+    fn delta_over_an_empty_range_fires_zero_times() {
+        let mut counters = Vec::new();
+        for threads in [1, 4] {
+            let engine = Engine::with_config(
+                parse_program(TC_SRC).unwrap(),
+                EngineConfig {
+                    threads,
+                    min_parallel_batch: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let (db, _) = engine
+                .run_with_facts(&[("edge", ints(&[&[1, 2], &[2, 3]]))])
+                .unwrap();
+            let end = db.rows_of("path");
+            let mut profile = ChaseProfile {
+                rules: vec![RuleProfile::default(); 2],
+                ..Default::default()
+            };
+            let mut out = Vec::new();
+            engine
+                .eval_rule(
+                    &db,
+                    1,
+                    &engine.program.rules[1],
+                    Some((0, end..end)),
+                    &OidGen::new(OidSpace::Null),
+                    &mut FxHashMap::default(),
+                    &mut FxHashMap::default(),
+                    &mut out,
+                    &mut Vec::new(),
+                    &mut profile,
+                    &InterruptState::new(None, None),
+                )
+                .unwrap();
+            assert!(out.is_empty(), "threads={threads}");
+            assert_eq!(profile.shards_spawned, 0, "an empty range is one shard");
+            let rp = &profile.rules[1];
+            counters.push([
+                rp.evaluations,
+                rp.delta_evaluations,
+                rp.bindings_enumerated,
+                rp.facts_emitted,
+            ]);
+        }
+        assert_eq!(counters, vec![[1, 1, 0, 0]; 2]);
+    }
+
+    #[test]
+    fn exact_aggregate_runs_steps_around_the_aggregate() {
+        // Pre-aggregate negation and assign; post-aggregate condition and
+        // assign. Group 1: 9 is banned, (5+1) + (7+1) = 14. Group 2 sums
+        // to 9 and fails `S > 10`. Group 3: 21.
+        let src = "v(G, X), not banned(X), Y = X + 1, S = sum(Y, <X>), S > 10, \
+                   T = S * 2 -> total(G, S).";
+        let inputs = vec![
+            ("v", ints(&[&[1, 5], &[1, 7], &[1, 9], &[2, 3], &[2, 4], &[3, 20]])),
+            ("banned", ints(&[&[9]])),
+        ];
+        let (db, _) = run_one_and_many_shards(src, &inputs);
+        assert_eq!(db.len("total"), 2);
+        assert!(db.contains("total", &[Value::Int(1), Value::Int(14)]));
+        assert!(db.contains("total", &[Value::Int(3), Value::Int(21)]));
+    }
+
+    #[test]
+    fn non_bool_condition_is_the_same_type_error_at_any_shard_count() {
+        for (src, want) in [
+            ("p(X), X + 1 -> q(X).", "condition evaluated to non-bool 2"),
+            ("p(X), S = sum(X, <X>), S + 1 -> t(S).", "condition evaluated to non-bool 4"),
+        ] {
+            for threads in [1, 4] {
+                let engine = Engine::with_config(
+                    parse_program(src).unwrap(),
+                    EngineConfig {
+                        threads,
+                        min_parallel_batch: 1,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                match engine.run_with_facts(&[("p", ints(&[&[1], &[2]]))]).err() {
+                    Some(KgmError::Type(msg)) => assert_eq!(msg, want, "{src} threads={threads}"),
+                    other => panic!("{src} threads={threads}: want a type error, got {other:?}"),
+                }
+            }
+        }
     }
 
     fn run_prov_with_threads(

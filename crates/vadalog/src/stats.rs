@@ -29,6 +29,7 @@
 
 use crate::engine::{ChaseProfile, RuleProfile, RunStats, StratumProfile, Termination};
 use kgm_common::codec::{escape, unescape, CodecError};
+use std::ops::Range;
 
 impl RunStats {
     /// Serialize to the line-oriented text format.
@@ -107,14 +108,16 @@ impl RunStats {
             let bad =
                 |what: &str| CodecError::new(format!("line {}: {what}", lineno + 1));
             let fields: Vec<&str> = line.split('|').collect();
-            let nums = |from: usize, expect: usize| -> Result<Vec<usize>, CodecError> {
+            // Every record has a fixed field count; `counts` checks it and
+            // parses `fields[range]` as counters.
+            let counts = |expect: usize, range: Range<usize>| -> Result<Vec<usize>, CodecError> {
                 if fields.len() != expect {
                     return Err(bad(&format!(
                         "expected {expect} fields, got {}",
                         fields.len()
                     )));
                 }
-                fields[from..expect - 1]
+                fields[range]
                     .iter()
                     .map(|f| f.parse().map_err(|_| bad(&format!("bad number {f:?}"))))
                     .collect()
@@ -129,7 +132,7 @@ impl RunStats {
                     if stats.is_some() {
                         return Err(bad("duplicate run record"));
                     }
-                    let n = nums(1, 7)?;
+                    let n = counts(7, 1..6)?;
                     stats = Some(RunStats {
                         strata: n[0],
                         iterations: n[1],
@@ -141,76 +144,44 @@ impl RunStats {
                     });
                 }
                 "term" => {
-                    if fields.len() != 6 {
-                        return Err(bad(&format!(
-                            "expected 6 fields, got {}",
-                            fields.len()
-                        )));
-                    }
+                    let n = counts(6, 2..6)?;
                     let st = stats
                         .as_mut()
                         .ok_or_else(|| bad("term record before run record"))?;
                     st.termination = Termination::parse(fields[1])
                         .ok_or_else(|| bad(&format!("bad termination {:?}", fields[1])))?;
-                    let num = |f: &str| -> Result<usize, CodecError> {
-                        f.parse().map_err(|_| bad(&format!("bad number {f:?}")))
-                    };
-                    st.stopped_stratum = num(fields[2])?;
-                    st.stopped_iteration = num(fields[3])?;
-                    profile.cancel_polls = num(fields[4])?;
-                    profile.faults_injected = num(fields[5])?;
+                    st.stopped_stratum = n[0];
+                    st.stopped_iteration = n[1];
+                    profile.cancel_polls = n[2];
+                    profile.faults_injected = n[3];
                 }
                 "par" => {
-                    if fields.len() != 5 {
-                        return Err(bad(&format!(
-                            "expected 5 fields, got {}",
-                            fields.len()
-                        )));
-                    }
-                    let num = |f: &str| -> Result<usize, CodecError> {
-                        f.parse().map_err(|_| bad(&format!("bad number {f:?}")))
-                    };
-                    profile.shards_spawned = num(fields[1])?;
-                    profile.worker_candidates = num(fields[2])?;
-                    profile.merge_dedup_hits = num(fields[3])?;
-                    profile.merge_partitions = num(fields[4])?;
+                    let n = counts(5, 1..5)?;
+                    profile.shards_spawned = n[0];
+                    profile.worker_candidates = n[1];
+                    profile.merge_dedup_hits = n[2];
+                    profile.merge_partitions = n[3];
                 }
                 // Optional since its introduction: texts written before the
                 // provenance release have no `prov` line and parse with the
                 // counters left at zero.
                 "prov" => {
-                    if fields.len() != 3 {
-                        return Err(bad(&format!(
-                            "expected 3 fields, got {}",
-                            fields.len()
-                        )));
-                    }
-                    let num = |f: &str| -> Result<usize, CodecError> {
-                        f.parse().map_err(|_| bad(&format!("bad number {f:?}")))
-                    };
-                    profile.prov_edges = num(fields[1])?;
-                    profile.prov_parents = num(fields[2])?;
+                    let n = counts(3, 1..3)?;
+                    profile.prov_edges = n[0];
+                    profile.prov_parents = n[1];
                 }
                 // Also optional: texts written before incremental updates
                 // existed have no `upd` line and parse with zeroes.
                 "upd" => {
-                    if fields.len() != 6 {
-                        return Err(bad(&format!(
-                            "expected 6 fields, got {}",
-                            fields.len()
-                        )));
-                    }
-                    let num = |f: &str| -> Result<usize, CodecError> {
-                        f.parse().map_err(|_| bad(&format!("bad number {f:?}")))
-                    };
-                    profile.update_inserted = num(fields[1])?;
-                    profile.update_deleted = num(fields[2])?;
-                    profile.update_overdeleted = num(fields[3])?;
-                    profile.update_rederived = num(fields[4])?;
-                    profile.update_fallbacks = num(fields[5])?;
+                    let n = counts(6, 1..6)?;
+                    profile.update_inserted = n[0];
+                    profile.update_deleted = n[1];
+                    profile.update_overdeleted = n[2];
+                    profile.update_rederived = n[3];
+                    profile.update_fallbacks = n[4];
                 }
                 "stratum" => {
-                    let n = nums(1, 7)?;
+                    let n = counts(7, 1..6)?;
                     profile.strata.push(StratumProfile {
                         stratum: n[0],
                         iterations: n[1],
@@ -221,23 +192,15 @@ impl RunStats {
                     });
                 }
                 "rule" => {
-                    if fields.len() != 8 {
-                        return Err(bad(&format!(
-                            "expected 8 fields, got {}",
-                            fields.len()
-                        )));
-                    }
-                    let num = |f: &str| -> Result<usize, CodecError> {
-                        f.parse().map_err(|_| bad(&format!("bad number {f:?}")))
-                    };
+                    let n = counts(8, 3..7)?;
                     profile.rules.push(RuleProfile {
-                        rule: num(fields[1])?,
+                        rule: counts(8, 1..2)?[0],
                         head: unescape(fields[2])
                             .map_err(|e| bad(&e.to_string()))?,
-                        evaluations: num(fields[3])?,
-                        delta_evaluations: num(fields[4])?,
-                        bindings_enumerated: num(fields[5])?,
-                        facts_emitted: num(fields[6])?,
+                        evaluations: n[0],
+                        delta_evaluations: n[1],
+                        bindings_enumerated: n[2],
+                        facts_emitted: n[3],
                         elapsed_ms: ms(8)?,
                     });
                 }

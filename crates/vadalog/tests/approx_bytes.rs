@@ -12,6 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kgm_common::Value;
+use kgm_runtime::Mutex;
 use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb};
 
 /// System allocator wrapper tracking live (allocated minus freed) bytes.
@@ -50,8 +51,15 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// The allocator count is process-global and the test harness runs tests
+/// concurrently, so each test holds this lock while it measures — or it
+/// would also count the other tests' allocations. Non-poisoning, so a
+/// failing test does not cascade.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 #[test]
 fn approx_bytes_tracks_measured_allocation_within_2x() {
+    let _guard = MEASURING.lock();
     let before = live();
     let mut db = FactDb::new();
     for i in 0..40_000i64 {
@@ -83,6 +91,7 @@ fn approx_bytes_tracks_measured_allocation_within_2x() {
 /// governor's memory budget.
 #[test]
 fn approx_bytes_tracks_allocation_with_provenance_on() {
+    let _guard = MEASURING.lock();
     let program = parse_program(
         "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
     )
@@ -122,6 +131,7 @@ fn approx_bytes_tracks_allocation_with_provenance_on() {
 /// and dedup state through the engine's own insert path.
 #[test]
 fn approx_bytes_tracks_allocation_after_a_chase() {
+    let _guard = MEASURING.lock();
     let program = parse_program(
         "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
     )

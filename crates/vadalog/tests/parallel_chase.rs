@@ -148,7 +148,7 @@ fn thread_count_is_invisible_across_widths() {
     );
 }
 
-/// The merge loop in `eval_rule_sharded` joins every worker before touching
+/// The chase's shard merge loop joins every worker before touching
 /// the writer state; that is only sound because `map_shards` re-raises
 /// worker panics instead of returning partial output.
 #[test]
