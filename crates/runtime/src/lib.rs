@@ -12,7 +12,7 @@
 //! | [`prop`]  | `proptest`    | seeded property tests with shrinking, `prop_assert!` |
 //! | [`snapshot`] | `insta` | golden-file assertions with a `KGM_BLESS=1` bless workflow |
 //! | [`bench`] | `criterion`   | warmup/calibrated micro-benchmarks with JSON reports |
-//! | [`telemetry`] | `tracing` + `metrics` | hierarchical spans, counters/gauges/histograms, console + JSONL sinks |
+//! | [`telemetry`] | `tracing` + `metrics` | hierarchical spans, counters/histograms, console + JSONL sinks |
 //! | [`json`]  | `serde_json` (validation only) | JSON/JSONL well-formedness checks for emitted artefacts |
 //! | [`fault`] | — | deterministic fault injection (`KGM_FAULT=<site>:<prob>:<seed>`), off by default |
 //!

@@ -10,9 +10,9 @@
 //!   attached to the innermost open span ([`record`]) and fully-measured
 //!   leaf children can be appended ([`annotate_child`], used for per-rule
 //!   chase metrics whose time is accumulated rather than scoped).
-//! - **Metrics** — a global registry of monotonic counters, gauges and
-//!   log₂-bucketed histograms ([`counter_add`], [`gauge_set`],
-//!   [`histogram_record`]), snapshot-able for machine-readable reports.
+//! - **Metrics** — a global registry of monotonic counters and
+//!   log₂-bucketed histograms ([`counter_add`], [`histogram_record`]),
+//!   snapshot-able for machine-readable reports.
 //! - **Sinks** — controlled by the `KGM_LOG` environment variable
 //!   (`off|summary|span|debug`, default `off`):
 //!     - `summary`: one console line per finished root span;
@@ -598,7 +598,7 @@ impl Histogram {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= target.max(1) {
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
+                return bucket_bound(i);
             }
         }
         u64::MAX
@@ -610,15 +610,24 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { (1u64 << i.min(63)) - 1 }, c))
+            .map(|(i, &c)| (bucket_bound(i), c))
             .collect()
+    }
+}
+
+/// Inclusive upper bound of bucket `i`: the largest value of bit length `i`
+/// (`u64::MAX` for bucket 64).
+fn bucket_bound(i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - i)
     }
 }
 
 #[derive(Default)]
 struct MetricsInner {
     counters: BTreeMap<String, i64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -633,12 +642,6 @@ pub fn counter_add(name: &str, delta: i64) {
     *m.counters.entry(name.to_string()).or_insert(0) += delta;
 }
 
-/// Set the named gauge.
-pub fn gauge_set(name: &str, value: f64) {
-    let mut m = metrics().lock();
-    m.gauges.insert(name.to_string(), value);
-}
-
 /// Record one observation into the named log-scale histogram.
 pub fn histogram_record(name: &str, value: u64) {
     let mut m = metrics().lock();
@@ -650,8 +653,6 @@ pub fn histogram_record(name: &str, value: u64) {
 pub struct MetricsSnapshot {
     /// Counter name → accumulated value.
     pub counters: BTreeMap<String, i64>,
-    /// Gauge name → last value.
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram name → histogram.
     pub histograms: BTreeMap<String, Histogram>,
 }
@@ -665,13 +666,6 @@ impl MetricsSnapshot {
                 out.push_str(", ");
             }
             let _ = write!(out, "\"{}\": {v}", escape_json(k));
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {v:?}", escape_json(k));
         }
         out.push_str("}, \"histograms\": {");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -699,16 +693,14 @@ pub fn snapshot() -> MetricsSnapshot {
     let m = metrics().lock();
     MetricsSnapshot {
         counters: m.counters.clone(),
-        gauges: m.gauges.clone(),
         histograms: m.histograms.clone(),
     }
 }
 
-/// Clear every counter, gauge and histogram (tests, per-experiment reports).
+/// Clear every counter and histogram (tests, per-experiment reports).
 pub fn reset_metrics() {
     let mut m = metrics().lock();
     m.counters.clear();
-    m.gauges.clear();
     m.histograms.clear();
 }
 
@@ -805,13 +797,11 @@ mod tests {
         reset_metrics();
         counter_add("t.c", 4);
         counter_add("t.c", 1);
-        gauge_set("t.g", 2.5);
         for v in [0u64, 1, 1, 7, 1000] {
             histogram_record("t.h", v);
         }
         let s = snapshot();
         assert_eq!(s.counters["t.c"], 5);
-        assert_eq!(s.gauges["t.g"], 2.5);
         let h = &s.histograms["t.h"];
         assert_eq!(h.count(), 5);
         assert_eq!(h.max(), 1000);
@@ -838,6 +828,18 @@ mod tests {
         let bounds: Vec<u64> = buckets.iter().map(|(b, _)| *b).collect();
         assert_eq!(bounds, vec![0, 1, 3, 7, 15, (1 << 21) - 1]);
         assert_eq!(buckets[2].1, 2, "2 and 3 share a bucket");
+    }
+
+    #[test]
+    fn histogram_top_bucket_bounds_the_full_u64_range() {
+        let mut h = Histogram::default();
+        h.record(u64::MAX);
+        assert_eq!(h.quantile_bound(0.5), u64::MAX);
+        assert_eq!(h.nonzero_buckets(), vec![(u64::MAX, 1)]);
+        // Bucket 63 keeps its own bound below the top bucket's.
+        h.record((1 << 63) - 1);
+        assert_eq!(h.quantile_bound(0.5), (1 << 63) - 1);
+        assert_eq!(h.nonzero_buckets(), vec![((1 << 63) - 1, 1), (u64::MAX, 1)]);
     }
 
     #[test]

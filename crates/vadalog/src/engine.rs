@@ -176,8 +176,8 @@ pub enum Termination {
 }
 
 impl Termination {
-    /// Stable machine-readable name (used by the stats codec and the
-    /// `chase.termination.<name>` telemetry counters).
+    /// Stable machine-readable name (used by the `chase.termination.<name>`
+    /// telemetry counters).
     pub fn as_str(self) -> &'static str {
         match self {
             Termination::Complete => "complete",
@@ -187,19 +187,6 @@ impl Termination {
             Termination::Cancelled => "cancelled",
             Termination::MemoryBudget => "memory_budget",
         }
-    }
-
-    /// Inverse of [`Termination::as_str`].
-    pub fn parse(s: &str) -> Option<Termination> {
-        Some(match s {
-            "complete" => Termination::Complete,
-            "fact_cap" => Termination::FactCap,
-            "iteration_cap" => Termination::IterationCap,
-            "deadline" => Termination::Deadline,
-            "cancelled" => Termination::Cancelled,
-            "memory_budget" => Termination::MemoryBudget,
-            _ => return None,
-        })
     }
 
     /// Did the run reach every fixpoint?
@@ -214,7 +201,9 @@ impl std::fmt::Display for Termination {
     }
 }
 
-/// Statistics of one reasoning run.
+/// Statistics of one reasoning run. `iterations`, `derived_facts`,
+/// `duplicates_rejected` and `nulls_created` are the sums of the
+/// per-stratum counters in `profile.strata`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Number of strata executed.
@@ -256,11 +245,6 @@ pub struct ChaseProfile {
     pub shards_spawned: usize,
     /// Candidate bindings shard workers handed to the merge writer.
     pub worker_candidates: usize,
-    /// Head tuples the merge writer found already present in the database.
-    /// They still flow through the normal end-of-iteration insert (and are
-    /// counted in `duplicates_rejected`) so parallel and sequential runs
-    /// stay bit-identical; this counter just sizes the redundant work.
-    pub merge_dedup_hits: usize,
     /// Dedup partitions spawned by the hash-partitioned parallel merge
     /// across all insert batches (0 when every batch applied serially).
     pub merge_partitions: usize,
@@ -697,7 +681,9 @@ impl Engine {
                 .collect();
             db.insert(&f.predicate, tuple)?;
         }
-        self.run_inner(db, &root_span, None, None)
+        let stats = self.run_inner(db, None, None)?;
+        self.emit_telemetry(&stats, &root_span, false);
+        Ok(stats)
     }
 
     /// [`Engine::run`], then publish the result as the next serving epoch.
@@ -751,7 +737,6 @@ impl Engine {
     fn run_inner(
         &self,
         db: &mut FactDb,
-        root_span: &telemetry::SpanGuard,
         seed: Option<&FxHashMap<String, usize>>,
         resume: Option<ChaseState>,
     ) -> Result<RunStats> {
@@ -769,8 +754,8 @@ impl Engine {
         };
         let interrupt = InterruptState::new(self.config.cancel.clone(), deadline);
         let faults_before = kgm_runtime::fault::injected_total();
-        // Graceful-stop reason, set by `stop_run!` below; `None` means the
-        // run either completed or soft-stopped on the iteration cap.
+        // Graceful-stop reason, set when a stratum breaks out below; `None`
+        // means the run either completed or soft-stopped on the iteration cap.
         let mut stop: Option<Termination> = None;
         let mut stats = RunStats::default();
         stats.profile.rules = self
@@ -804,219 +789,226 @@ impl Engine {
                 FxHashMap::default(),
             ),
         };
-        let nulls_base = null_gen.count() as usize;
-
-        let strata = self.analysis.stratification.count;
-        stats.strata = strata;
-        'strata: for s in 0..strata {
+        for s in 0..self.analysis.stratification.count {
             let stratum_span = kgm_runtime::span!("chase.stratum", "{s}");
             let t_stratum = Instant::now();
-            let iters_before = stats.iterations;
-            let derived_before = stats.derived_facts;
-            let dups_before = stats.duplicates_rejected;
             let nulls_before = null_gen.count() as usize;
-            // Shared stop path for every governed budget. Strict mode keeps
-            // the historical erroring behavior; graceful mode records the
-            // termination and the stop watermark, closes this stratum's
-            // books, and leaves the partial `FactDb` exactly as of the last
-            // completed insert batch.
-            macro_rules! stop_run {
-                ($t:expr) => {{
-                    let t = $t;
-                    if self.config.strict {
-                        return Err(self.budget_error(t, db));
-                    }
-                    stop = Some(t);
-                    stats.stopped_stratum = s;
-                    stats.stopped_iteration = stats.iterations - iters_before;
-                    self.close_stratum(&mut stats, s, &stratum_span, t_stratum, iters_before,
-                        derived_before, dups_before, nulls_before, null_gen.count() as usize);
-                    // Tail expression (no semicolon): the macro has type `!`
-                    // so it can sit in expression position (match arms).
-                    break 'strata
-                }};
-            }
-            macro_rules! governed {
-                () => {
-                    if let Some(t) = governor.check(db, t_stratum) {
-                        stop_run!(t);
-                    }
-                };
-            }
-            // 1. Exact aggregate rules of this stratum (body is complete).
-            for (ri, rule) in self.program.rules.iter().enumerate() {
-                if self.meta[ri].stratum != s {
-                    continue;
-                }
-                if self.meta[ri].agg_mode == Some(AggMode::Exact) {
-                    governed!();
-                    let t_rule = Instant::now();
-                    for (pred, positions) in &self.meta[ri].index_needs {
-                        db.ensure_index(pred, positions);
-                    }
-                    let (new_facts, new_prov) = match self
-                        .eval_exact_agg_rule(db, ri, rule, &null_gen, &mut nulls, &interrupt)
-                    {
-                        Ok(v) => v,
-                        // Interrupted mid-join: the whole rule evaluation is
-                        // discarded (nothing was inserted yet), keeping the
-                        // database prefix-consistent. Genuine errors still
-                        // propagate.
-                        Err(e) => match interrupt.hit() {
-                            Some(t) => stop_run!(t),
-                            None => return Err(e),
-                        },
-                    };
-                    let emitted = new_facts.len();
-                    let inserted =
-                        self.insert_out(db, new_facts, new_prov, &mut stats.profile)?;
-                    stats.derived_facts += inserted;
-                    stats.duplicates_rejected += emitted - inserted;
-                    let prof = &mut stats.profile.rules[ri];
-                    prof.evaluations += 1;
-                    prof.facts_emitted += emitted;
-                    prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
-                }
-            }
-            // 2. Semi-naive fixpoint over the remaining rules of the stratum.
-            let rules: Vec<usize> = (0..self.program.rules.len())
-                .filter(|&ri| {
-                    self.meta[ri].stratum == s && self.meta[ri].agg_mode != Some(AggMode::Exact)
-                })
-                .collect();
-            if rules.is_empty() {
-                self.close_stratum(&mut stats, s, &stratum_span, t_stratum, iters_before,
-                    derived_before, dups_before, nulls_before, null_gen.count() as usize);
-                continue;
-            }
-            // Delta bookkeeping: predicate → physical row count before this
-            // iteration. A seeded run starts every stratum in delta mode:
-            // the seed watermarks (pre-update sizes) make "everything the
-            // update added or derived so far" the first delta.
-            let (mut first, mut watermark) = match seed {
-                None => (true, FxHashMap::default()),
-                Some(base) => (false, base.clone()),
+            // The open stratum's counters; the run totals are summed from
+            // them once the run ends.
+            let mut sp = StratumProfile {
+                stratum: s,
+                ..StratumProfile::default()
             };
-            let mut reached_fixpoint = false;
-            for _iter in 0..self.config.max_iterations {
-                governed!();
-                stats.iterations += 1;
-                // Freeze the database for this iteration: build every index
-                // any rule's join order can probe, so the evaluation phase
-                // (possibly running on shard workers) is strictly read-only.
-                for &ri in &rules {
-                    for (pred, positions) in &self.meta[ri].index_needs {
-                        db.ensure_index(pred, positions);
+            stop = 'stratum: {
+                // Shared stop path for every governed budget. Strict mode
+                // keeps the historical erroring behavior; graceful mode ends
+                // the stratum (and the run) with the termination, leaving
+                // the partial `FactDb` exactly as of the last completed
+                // insert batch.
+                macro_rules! stop_run {
+                    ($t:expr) => {{
+                        let t = $t;
+                        if self.config.strict {
+                            return Err(self.budget_error(t, db));
+                        }
+                        // Tail expression (no semicolon): the macro has type `!`
+                        // so it can sit in expression position (match arms).
+                        break 'stratum Some(t)
+                    }};
+                }
+                macro_rules! governed {
+                    () => {
+                        if let Some(t) = governor.check(db, t_stratum) {
+                            stop_run!(t);
+                        }
+                    };
+                }
+                // 1. Exact aggregate rules of this stratum (body is complete).
+                for (ri, rule) in self.program.rules.iter().enumerate() {
+                    if self.meta[ri].stratum != s {
+                        continue;
+                    }
+                    if self.meta[ri].agg_mode == Some(AggMode::Exact) {
+                        governed!();
+                        let t_rule = Instant::now();
+                        for (pred, positions) in &self.meta[ri].index_needs {
+                            db.ensure_index(pred, positions);
+                        }
+                        let (new_facts, new_prov) = match self
+                            .eval_exact_agg_rule(db, ri, rule, &null_gen, &mut nulls, &interrupt)
+                        {
+                            Ok(v) => v,
+                            // Interrupted mid-join: the whole rule evaluation is
+                            // discarded (nothing was inserted yet), keeping the
+                            // database prefix-consistent. Genuine errors still
+                            // propagate.
+                            Err(e) => match interrupt.hit() {
+                                Some(t) => stop_run!(t),
+                                None => return Err(e),
+                            },
+                        };
+                        let emitted = new_facts.len();
+                        let inserted =
+                            self.insert_out(db, new_facts, new_prov, &mut stats.profile)?;
+                        sp.derived_facts += inserted;
+                        sp.duplicates_rejected += emitted - inserted;
+                        let prof = &mut stats.profile.rules[ri];
+                        prof.evaluations += 1;
+                        prof.facts_emitted += emitted;
+                        prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
                     }
                 }
-                let mut out: Vec<(String, Vec<Value>)> = Vec::new();
-                let mut prov_out: ProvOut = Vec::new();
-                let mut hit: Option<Termination> = None;
-                for &ri in &rules {
-                    let rule = &self.program.rules[ri];
-                    let result = if first {
-                        self.eval_rule(
-                            db, ri, rule, None, &null_gen, &mut nulls, &mut mono, &mut out,
-                            &mut prov_out, &mut stats.profile, &interrupt,
-                        )
-                    } else {
-                        // Delta-restricted runs: one per body atom whose
-                        // predicate changed in the previous iteration.
-                        let mut r = Ok(());
-                        for (ai, atom) in rule.body.iter().enumerate() {
-                            let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
-                            let cur = db.rows_of(&atom.predicate);
-                            if cur > prev {
-                                r = self.eval_rule(
-                                    db,
-                                    ri,
-                                    rule,
-                                    Some((ai, prev..cur)),
-                                    &null_gen,
-                                    &mut nulls,
-                                    &mut mono,
-                                    &mut out,
-                                    &mut prov_out,
-                                    &mut stats.profile,
-                                    &interrupt,
-                                );
-                                if r.is_err() {
-                                    break;
+                // 2. Semi-naive fixpoint over the remaining rules of the stratum.
+                let rules: Vec<usize> = (0..self.program.rules.len())
+                    .filter(|&ri| {
+                        self.meta[ri].stratum == s && self.meta[ri].agg_mode != Some(AggMode::Exact)
+                    })
+                    .collect();
+                if rules.is_empty() {
+                    break 'stratum None;
+                }
+                // Delta bookkeeping: predicate → physical row count before this
+                // iteration. A seeded run starts every stratum in delta mode:
+                // the seed watermarks (pre-update sizes) make "everything the
+                // update added or derived so far" the first delta.
+                let (mut first, mut watermark) = match seed {
+                    None => (true, FxHashMap::default()),
+                    Some(base) => (false, base.clone()),
+                };
+                let mut reached_fixpoint = false;
+                for _iter in 0..self.config.max_iterations {
+                    governed!();
+                    sp.iterations += 1;
+                    // Freeze the database for this iteration: build every index
+                    // any rule's join order can probe, so the evaluation phase
+                    // (possibly running on shard workers) is strictly read-only.
+                    for &ri in &rules {
+                        for (pred, positions) in &self.meta[ri].index_needs {
+                            db.ensure_index(pred, positions);
+                        }
+                    }
+                    let mut out: Vec<(String, Vec<Value>)> = Vec::new();
+                    let mut prov_out: ProvOut = Vec::new();
+                    let mut hit: Option<Termination> = None;
+                    for &ri in &rules {
+                        let rule = &self.program.rules[ri];
+                        let result = if first {
+                            self.eval_rule(
+                                db, ri, rule, None, &null_gen, &mut nulls, &mut mono, &mut out,
+                                &mut prov_out, &mut stats.profile, &interrupt,
+                            )
+                        } else {
+                            // Delta-restricted runs: one per body atom whose
+                            // predicate changed in the previous iteration.
+                            let mut r = Ok(());
+                            for (ai, atom) in rule.body.iter().enumerate() {
+                                let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
+                                let cur = db.rows_of(&atom.predicate);
+                                if cur > prev {
+                                    r = self.eval_rule(
+                                        db,
+                                        ri,
+                                        rule,
+                                        Some((ai, prev..cur)),
+                                        &null_gen,
+                                        &mut nulls,
+                                        &mut mono,
+                                        &mut out,
+                                        &mut prov_out,
+                                        &mut stats.profile,
+                                        &interrupt,
+                                    );
+                                    if r.is_err() {
+                                        break;
+                                    }
                                 }
                             }
-                        }
-                        r
-                    };
-                    if let Err(e) = result {
-                        match interrupt.hit() {
-                            Some(t) => {
-                                hit = Some(t);
-                                break;
+                            r
+                        };
+                        if let Err(e) = result {
+                            match interrupt.hit() {
+                                Some(t) => {
+                                    hit = Some(t);
+                                    break;
+                                }
+                                None => return Err(e),
                             }
-                            None => return Err(e),
                         }
                     }
-                }
-                if let Some(t) = hit {
-                    // Interrupted mid-evaluation: discard this iteration's
-                    // partial `out` so the database stops exactly at the
-                    // previous insert batch — the prefix-consistency
-                    // guarantee of graceful degradation.
-                    drop(out);
-                    drop(prov_out);
-                    stop_run!(t);
-                }
-                // Advance watermarks to the lengths *before* inserting the
-                // new facts, so the next iteration's deltas cover them.
-                let mut preds: FxHashSet<&String> = FxHashSet::default();
-                for &ri in &rules {
-                    for a in &self.program.rules[ri].body {
-                        preds.insert(&a.predicate);
+                    if let Some(t) = hit {
+                        // Interrupted mid-evaluation: discard this iteration's
+                        // partial `out` so the database stops exactly at the
+                        // previous insert batch — the prefix-consistency
+                        // guarantee of graceful degradation.
+                        drop(out);
+                        drop(prov_out);
+                        stop_run!(t);
                     }
+                    // Advance watermarks to the lengths *before* inserting the
+                    // new facts, so the next iteration's deltas cover them.
+                    let mut preds: FxHashSet<&String> = FxHashSet::default();
+                    for &ri in &rules {
+                        for a in &self.program.rules[ri].body {
+                            preds.insert(&a.predicate);
+                        }
+                    }
+                    for p in preds {
+                        watermark.insert(p.clone(), db.rows_of(p));
+                    }
+                    let emitted = out.len();
+                    let inserted = self.insert_out(db, out, prov_out, &mut stats.profile)?;
+                    sp.derived_facts += inserted;
+                    sp.duplicates_rejected += emitted - inserted;
+                    // Post-insert check (the fact cap's historical timing): the
+                    // batch that crossed the cap is kept — still a prefix of the
+                    // unbounded run's insertion order.
+                    governed!();
+                    if inserted == 0 {
+                        reached_fixpoint = true;
+                        break;
+                    }
+                    first = false;
                 }
-                for p in preds {
-                    watermark.insert(p.clone(), db.rows_of(p));
+                if !reached_fixpoint {
+                    // The per-stratum iteration cap truncated this fixpoint: a
+                    // *soft* stop — record it but keep executing later strata,
+                    // preserving the long-standing `max_iterations` semantics.
+                    stats.termination = Termination::IterationCap;
+                    stats.stopped_stratum = s;
+                    stats.stopped_iteration = sp.iterations;
                 }
-                let emitted = out.len();
-                let inserted = self.insert_out(db, out, prov_out, &mut stats.profile)?;
-                stats.derived_facts += inserted;
-                stats.duplicates_rejected += emitted - inserted;
-                // Post-insert check (the fact cap's historical timing): the
-                // batch that crossed the cap is kept — still a prefix of the
-                // unbounded run's insertion order.
-                governed!();
-                if inserted == 0 {
-                    reached_fixpoint = true;
-                    break;
-                }
-                first = false;
+                None
+            };
+            sp.nulls_minted = null_gen.count() as usize - nulls_before;
+            sp.elapsed_ms = t_stratum.elapsed().as_secs_f64() * 1e3;
+            if stratum_span.is_active() {
+                telemetry::record("iterations", sp.iterations as i64);
+                telemetry::record("derived", sp.derived_facts as i64);
+                telemetry::record("duplicates", sp.duplicates_rejected as i64);
+                telemetry::record("nulls", sp.nulls_minted as i64);
             }
-            if !reached_fixpoint {
-                // The per-stratum iteration cap truncated this fixpoint: a
-                // *soft* stop — record it but keep executing later strata,
-                // preserving the long-standing `max_iterations` semantics.
-                stats.termination = Termination::IterationCap;
-                stats.stopped_stratum = s;
-                stats.stopped_iteration = stats.iterations - iters_before;
+            stats.profile.strata.push(sp);
+            if stop.is_some() {
+                break;
             }
-            self.close_stratum(&mut stats, s, &stratum_span, t_stratum, iters_before,
-                derived_before, dups_before, nulls_before, null_gen.count() as usize);
         }
-        stats.nulls_created = null_gen.count() as usize - nulls_base;
+        let strata = &stats.profile.strata;
+        stats.strata = strata.len();
+        stats.iterations = strata.iter().map(|sp| sp.iterations).sum();
+        stats.derived_facts = strata.iter().map(|sp| sp.derived_facts).sum();
+        stats.duplicates_rejected = strata.iter().map(|sp| sp.duplicates_rejected).sum();
+        stats.nulls_created = strata.iter().map(|sp| sp.nulls_minted).sum();
         stats.elapsed_ms = t_run.elapsed().as_secs_f64() * 1e3;
         if let Some(t) = stop {
-            // Hard stop: later strata never ran. Make `strata` honest and
-            // let the hard reason override any earlier soft IterationCap.
+            // A hard stop overrides any earlier soft IterationCap.
             stats.termination = t;
-            stats.strata = stats.profile.strata.len();
-        } else if stats.termination.is_complete() {
-            stats.stopped_stratum = strata.saturating_sub(1);
-            stats.stopped_iteration = stats
-                .profile
-                .strata
-                .last()
-                .map(|sp| sp.iterations)
-                .unwrap_or(0);
+        }
+        if stats.termination != Termination::IterationCap {
+            // Complete or hard-stopped: the run stopped in the last stratum
+            // it executed.
+            let last = strata.last();
+            stats.stopped_stratum = last.map_or(0, |sp| sp.stratum);
+            stats.stopped_iteration = last.map_or(0, |sp| sp.iterations);
         }
         stats.profile.cancel_polls = interrupt.polls.load(Ordering::Relaxed);
         stats.profile.faults_injected =
@@ -1032,11 +1024,21 @@ impl Engine {
             nulls,
             mono,
         });
+        Ok(stats)
+    }
+
+    /// Write a finished run's numbers to telemetry: the one place a chase
+    /// counter reaches the metrics registry or the run's root span, and
+    /// every value comes from `stats`. The root span (`chase.run`, or
+    /// `chase.update` when `update` is set) gets the `derived`,
+    /// `duplicates`, `nulls` and `shards` records and one `chase.rule` leaf
+    /// per evaluated rule; the registry gets the `chase.*` counters, the
+    /// `chase.update.*` ones for an update, and the
+    /// `chase.iterations_per_run` histogram.
+    fn emit_telemetry(&self, stats: &RunStats, root_span: &telemetry::SpanGuard, update: bool) {
+        let p = &stats.profile;
         if root_span.is_active() {
-            for rp in &stats.profile.rules {
-                if rp.evaluations == 0 {
-                    continue;
-                }
+            for rp in p.rules.iter().filter(|rp| rp.evaluations > 0) {
                 telemetry::annotate_child(
                     "chase.rule",
                     &rp.head,
@@ -1052,22 +1054,33 @@ impl Engine {
             telemetry::record("derived", stats.derived_facts as i64);
             telemetry::record("duplicates", stats.duplicates_rejected as i64);
             telemetry::record("nulls", stats.nulls_created as i64);
-            telemetry::record("shards", stats.profile.shards_spawned as i64);
+            telemetry::record("shards", p.shards_spawned as i64);
         }
         telemetry::counter_add("chase.runs", 1);
         telemetry::counter_add("chase.facts_derived", stats.derived_facts as i64);
         telemetry::counter_add("chase.duplicates_rejected", stats.duplicates_rejected as i64);
         telemetry::counter_add("chase.nulls_created", stats.nulls_created as i64);
-        if self.config.provenance {
-            telemetry::counter_add("chase.prov.edges", stats.profile.prov_edges as i64);
-            telemetry::counter_add("chase.prov.parents", stats.profile.prov_parents as i64);
+        // Event counters (shards, fallbacks) stay out of the registry until
+        // their event first happens.
+        if p.shards_spawned > 0 {
+            telemetry::counter_add("chase.shards_spawned", p.shards_spawned as i64);
         }
-        telemetry::counter_add(
-            &format!("chase.termination.{}", stats.termination.as_str()),
-            1,
-        );
+        if self.config.provenance {
+            telemetry::counter_add("chase.prov.edges", p.prov_edges as i64);
+            telemetry::counter_add("chase.prov.parents", p.prov_parents as i64);
+        }
+        telemetry::counter_add(&format!("chase.termination.{}", stats.termination), 1);
         telemetry::histogram_record("chase.iterations_per_run", stats.iterations as u64);
-        Ok(stats)
+        if update {
+            telemetry::counter_add("chase.update.runs", 1);
+            telemetry::counter_add("chase.update.inserted", p.update_inserted as i64);
+            telemetry::counter_add("chase.update.deleted", p.update_deleted as i64);
+            telemetry::counter_add("chase.update.overdeleted", p.update_overdeleted as i64);
+            telemetry::counter_add("chase.update.rederived", p.update_rederived as i64);
+            if p.update_fallbacks > 0 {
+                telemetry::counter_add("chase.update.fallbacks", p.update_fallbacks as i64);
+            }
+        }
     }
 
     /// The strict-mode error for a governed stop: the historical `Err`
@@ -1096,38 +1109,6 @@ impl Engine {
                 "budget_error called for a non-erroring termination".to_string(),
             ),
         }
-    }
-
-    /// Finish one stratum's bookkeeping: push its [`StratumProfile`] and
-    /// mirror the counters onto the open `chase.stratum` span.
-    #[allow(clippy::too_many_arguments)]
-    fn close_stratum(
-        &self,
-        stats: &mut RunStats,
-        s: usize,
-        span: &telemetry::SpanGuard,
-        t_stratum: Instant,
-        iters_before: usize,
-        derived_before: usize,
-        dups_before: usize,
-        nulls_before: usize,
-        nulls_now: usize,
-    ) {
-        let sp = StratumProfile {
-            stratum: s,
-            iterations: stats.iterations - iters_before,
-            derived_facts: stats.derived_facts - derived_before,
-            duplicates_rejected: stats.duplicates_rejected - dups_before,
-            nulls_minted: nulls_now - nulls_before,
-            elapsed_ms: t_stratum.elapsed().as_secs_f64() * 1e3,
-        };
-        if span.is_active() {
-            telemetry::record("iterations", sp.iterations as i64);
-            telemetry::record("derived", sp.derived_facts as i64);
-            telemetry::record("duplicates", sp.duplicates_rejected as i64);
-            telemetry::record("nulls", sp.nulls_minted as i64);
-        }
-        stats.profile.strata.push(sp);
     }
 
     /// Convenience: run over the given input facts and return the database.
@@ -1222,7 +1203,7 @@ impl Engine {
                 }
             }
             let resume = *state.take().expect("fallback covers the missing-state case");
-            stats = self.run_inner(db, &root_span, Some(&base), Some(resume))?;
+            stats = self.run_inner(db, Some(&base), Some(resume))?;
         } else if !fallback {
             // DRed over-deletion: resolve the requested deletions to live
             // rows, close downward over the recorded provenance edges (the
@@ -1292,7 +1273,7 @@ impl Engine {
                 nulls: st.nulls,
                 mono: FxHashMap::default(),
             };
-            stats = self.run_inner(db, &root_span, None, Some(resume))?;
+            stats = self.run_inner(db, None, Some(resume))?;
             rederived = closure_tuples
                 .iter()
                 .filter(|(p, t)| db.contains(p, t))
@@ -1322,21 +1303,14 @@ impl Engine {
                 nulls: FxHashMap::default(),
                 mono: FxHashMap::default(),
             };
-            stats = self.run_inner(db, &root_span, None, Some(resume))?;
+            stats = self.run_inner(db, None, Some(resume))?;
         }
         stats.profile.update_inserted = inserted_new;
         stats.profile.update_deleted = deleted;
         stats.profile.update_overdeleted = overdeleted;
         stats.profile.update_rederived = rederived;
         stats.profile.update_fallbacks = usize::from(fallback);
-        telemetry::counter_add("chase.update.runs", 1);
-        telemetry::counter_add("chase.update.inserted", inserted_new as i64);
-        telemetry::counter_add("chase.update.deleted", deleted as i64);
-        telemetry::counter_add("chase.update.overdeleted", overdeleted as i64);
-        telemetry::counter_add("chase.update.rederived", rederived as i64);
-        if fallback {
-            telemetry::counter_add("chase.update.fallbacks", 1);
-        }
+        self.emit_telemetry(&stats, &root_span, true);
         Ok(stats)
     }
 
@@ -1539,20 +1513,12 @@ impl Engine {
             }
         }
         if let Some(span) = span {
-            let shards_spawned = shards.len();
-            let dedup_hits = out[emitted_before..]
-                .iter()
-                .filter(|(pred, tuple)| db.contains(pred, tuple))
-                .count();
-            profile.shards_spawned += shards_spawned;
+            profile.shards_spawned += shards.len();
             profile.worker_candidates += candidates;
-            profile.merge_dedup_hits += dedup_hits;
             if span.is_active() {
-                telemetry::record("shards", shards_spawned as i64);
+                telemetry::record("shards", shards.len() as i64);
                 telemetry::record("candidates", candidates as i64);
-                telemetry::record("dedup_hits", dedup_hits as i64);
             }
-            telemetry::counter_add("chase.shards_spawned", shards_spawned as i64);
         }
         let prof = &mut profile.rules[ri];
         prof.evaluations += 1;
@@ -2564,9 +2530,6 @@ mod tests {
         let (_, stats) = run_with_threads(PARALLEL_MIX_SRC, &inputs, 4);
         assert!(stats.profile.shards_spawned > 0, "parallel run must shard");
         assert!(stats.profile.worker_candidates > 0);
-        // The semi-naive re-derivations of `controls(X, X)` & co. surface as
-        // merge dedup hits once the facts exist.
-        assert!(stats.profile.merge_dedup_hits > 0);
         // min_parallel_batch is 1, so insert batches took the partitioned
         // (hash-sliced) merge path.
         assert!(stats.profile.merge_partitions > 0);

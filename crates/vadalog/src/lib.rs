@@ -54,7 +54,6 @@ pub mod oracle;
 pub mod parser;
 pub mod printer;
 pub mod serving;
-pub mod stats;
 
 pub use analysis::{ProgramAnalysis, Stratification};
 pub use ast::{

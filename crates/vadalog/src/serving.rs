@@ -475,8 +475,13 @@ impl Plan {
                 let tuple = if inner.is_empty() {
                     Vec::new()
                 } else {
+                    // Split on the commas outside double-quoted strings.
+                    let mut quoted = false;
                     inner
-                        .split(',')
+                        .split(|c| {
+                            quoted ^= c == '"';
+                            c == ',' && !quoted
+                        })
                         .map(|t| parse_value(t.trim()))
                         .collect::<Result<Vec<Value>>>()?
                 };
@@ -824,6 +829,20 @@ mod tests {
         // Int/Float class equality carries into the snapshot index.
         let r = pin.query("point path(1.0, 4)").unwrap();
         assert_eq!(r.rows.len(), 1);
+    }
+
+    #[test]
+    fn point_queries_keep_commas_inside_strings() {
+        let mut db = FactDb::new();
+        db.add_facts("name", vec![vec![Value::str("Smith, John"), Value::Int(7)]])
+            .unwrap();
+        let layer = ServingLayer::new();
+        layer.publish(&db, Termination::Complete);
+        let pin = layer.pin();
+        let r = pin.query("point name(\"Smith, John\", 7)").unwrap();
+        assert_eq!(r.rows.len(), 1);
+        let r = pin.query("point name(\"Smith\", 7)").unwrap();
+        assert!(r.rows.is_empty());
     }
 
     #[test]

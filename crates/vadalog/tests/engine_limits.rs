@@ -169,18 +169,15 @@ fn chase_profile_reports_per_stratum_and_per_rule_counters() {
 }
 
 #[test]
-fn profile_survives_the_text_codec_round_trip() {
+fn stratum_null_counts_sum_to_the_run_total() {
     let engine = Engine::new(
         parse_program("b(X) -> c(X, N). c(X, N) -> d(N, X).").unwrap(),
     )
     .unwrap();
     let (_, stats) = engine.run_with_facts(&[("b", ints(&[&[1], &[2]]))]).unwrap();
     assert!(stats.nulls_created >= 2);
-    let parsed = kgm_vadalog::RunStats::from_text(&stats.to_text()).unwrap();
-    assert_eq!(parsed.nulls_created, stats.nulls_created);
-    assert_eq!(parsed.profile.strata.len(), stats.profile.strata.len());
     let nulls_by_stratum: usize =
-        parsed.profile.strata.iter().map(|s| s.nulls_minted).sum();
+        stats.profile.strata.iter().map(|s| s.nulls_minted).sum();
     assert_eq!(nulls_by_stratum, stats.nulls_created);
 }
 

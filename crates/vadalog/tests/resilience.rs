@@ -424,25 +424,6 @@ fn disarmed_faults_leave_runs_bit_identical() {
 }
 
 #[test]
-fn termination_survives_the_stats_text_codec() {
-    let _g = LOCK.lock();
-    fault::set(None);
-    let (_, stats) = run_chain(
-        1,
-        16,
-        EngineConfig {
-            deadline_ms: Some(0),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let parsed = RunStats::from_text(&stats.to_text()).unwrap();
-    assert_eq!(parsed.termination, Termination::Deadline);
-    assert_eq!(parsed.stopped_stratum, stats.stopped_stratum);
-    assert_eq!(parsed.stopped_iteration, stats.stopped_iteration);
-}
-
-#[test]
 fn cancel_polls_are_counted_only_when_configured() {
     let _g = LOCK.lock();
     fault::set(None);

@@ -331,7 +331,7 @@ KGM_LOG=summary KGM_THREADS=4 cargo run --release --offline -q -p kgm-bench \
     --bin paper-harness -- e7 150 --profile >/dev/null
 t4=$(derived)
 if [ -z "$t1" ] || [ -z "$t4" ]; then
-    echo "ERROR: run report lacks the chase.facts_derived counter" >&2
+    echo "ERROR: run report lacks the derived record of its first chase.run span" >&2
     exit 1
 fi
 if [ "$t1" != "$t4" ]; then
