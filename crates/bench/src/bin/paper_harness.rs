@@ -36,8 +36,8 @@
 //! paper-harness scale-smoke [nodes]   # registry-scale chase at 1 vs 8
 //!                                     # worker threads; exit non-zero if
 //!                                     # the outputs diverge (CI gate for
-//!                                     # the partitioned merge; default
-//!                                     # 100000 nodes)
+//!                                     # deterministic sharded evaluation;
+//!                                     # default 100000 nodes)
 //! paper-harness explain [nodes] [x y] # run company control with
 //!                                     # why-provenance on over the seeded
 //!                                     # registry and print the derivation
@@ -339,11 +339,11 @@ fn control_digest(pairs: &kgm_common::FxHashSet<(u64, u64)>) -> u64 {
         })
 }
 
-/// `scale-smoke [nodes]` — the CI gate for the partitioned merge: generate
-/// a registry-scale shareholding graph once, run the company-control chase
-/// at 1 and 8 worker threads, and require both runs to produce the same
-/// control relation (digest), derived-fact count, and null count. Exits
-/// non-zero on any divergence. Wall times are printed but not compared —
+/// `scale-smoke [nodes]` — the CI gate for deterministic sharded
+/// evaluation: generate a registry-scale shareholding graph once, run the
+/// company-control chase at 1 and 8 worker threads, and require both runs
+/// to produce the same control relation (digest), derived-fact count, and
+/// null count. Exits non-zero on any divergence. Wall times are printed but not compared —
 /// on a single-core runner t8 is expected to match t1, not beat it.
 fn run_scale_smoke(nodes: usize) -> Result<ExitCode> {
     let g = bench_graph(nodes);

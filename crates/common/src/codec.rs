@@ -1,35 +1,7 @@
-//! The shared plumbing of the hand-rolled text codecs.
+//! String escaping for line- and `|`-delimited text.
 //!
-//! `kgm-common` types serialize through explicit `to_text` / `from_text`
-//! pairs instead of serde derives: the formats are line-oriented, stable by
-//! construction (they are spelled out in code, not generated), and need no
-//! external crates — a requirement of the hermetic build. This module holds
-//! the error type and the string escaping every codec shares.
-
-use std::fmt;
-
-/// A malformed text encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
-    message: String,
-}
-
-impl CodecError {
-    /// Build an error with a human-readable message.
-    pub fn new(message: impl Into<String>) -> CodecError {
-        CodecError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "codec error: {}", self.message)
-    }
-}
-
-impl std::error::Error for CodecError {}
+//! [`crate::Value::to_text`] embeds strings through [`escape`], so a value's
+//! text never spans lines or contains the separator.
 
 /// Escape a string for embedding in a line- and `|`-delimited record:
 /// backslash, newline, carriage return and the pipe separator.
@@ -47,51 +19,13 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Invert [`escape`].
-pub fn unescape(s: &str) -> Result<String, CodecError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('p') => out.push('|'),
-            other => {
-                return Err(CodecError::new(format!(
-                    "bad escape sequence \\{} in {s:?}",
-                    other.map(String::from).unwrap_or_default()
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn escape_round_trips_awkward_strings() {
-        for s in ["", "plain", "a|b", "back\\slash", "line\nbreak\r", "\\n|\\p"] {
-            assert_eq!(unescape(&escape(s)).unwrap(), s, "{s:?}");
-        }
-    }
-
-    #[test]
     fn escaped_form_is_single_line_and_pipe_free() {
         let e = escape("a|b\nc");
         assert!(!e.contains('\n') && !e.contains('|'), "{e:?}");
-    }
-
-    #[test]
-    fn unescape_rejects_dangling_or_unknown_escapes() {
-        assert!(unescape("trailing\\").is_err());
-        assert!(unescape("\\q").is_err());
     }
 }

@@ -21,7 +21,6 @@ pub mod pool;
 pub mod skolem;
 pub mod value;
 
-pub use codec::CodecError;
 pub use error::{KgmError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Interner, Symbol};

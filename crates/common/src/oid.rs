@@ -10,7 +10,6 @@
 //! We realize the disjointness by tagging the two most significant bits of a
 //! 64-bit identifier with an [`OidSpace`].
 
-use crate::codec::CodecError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,8 +88,7 @@ impl Oid {
     }
 
     /// Compact ASCII encoding: a space letter (`G`/`N`/`K`) followed by the
-    /// decimal payload, e.g. `G7`, `N12`, `K3`. Round-trips through
-    /// [`Oid::from_text`].
+    /// decimal payload, e.g. `G7`, `N12`, `K3`.
     pub fn to_text(self) -> String {
         let tag = match self.space() {
             OidSpace::Ground => 'G',
@@ -98,25 +96,6 @@ impl Oid {
             OidSpace::Skolem => 'K',
         };
         format!("{tag}{}", self.payload())
-    }
-
-    /// Parse the [`Oid::to_text`] encoding.
-    pub fn from_text(text: &str) -> Result<Oid, CodecError> {
-        let mut chars = text.chars();
-        let space = match chars.next() {
-            Some('G') => OidSpace::Ground,
-            Some('N') => OidSpace::Null,
-            Some('K') => OidSpace::Skolem,
-            _ => return Err(CodecError::new(format!("bad OID space tag in {text:?}"))),
-        };
-        let payload: u64 = chars
-            .as_str()
-            .parse()
-            .map_err(|_| CodecError::new(format!("bad OID payload in {text:?}")))?;
-        if payload > PAYLOAD_MASK {
-            return Err(CodecError::new(format!("OID payload overflow in {text:?}")));
-        }
-        Ok(Oid::new(space, payload))
     }
 }
 
@@ -246,24 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn text_codec_round_trips_every_space() {
+    fn text_codec_distinguishes_every_space() {
+        // Equal payloads in different spaces must get distinct text.
+        let mut texts = std::collections::BTreeSet::new();
         for space in [OidSpace::Ground, OidSpace::Null, OidSpace::Skolem] {
             for payload in [0u64, 1, 42, PAYLOAD_MASK] {
-                let o = Oid::new(space, payload);
-                assert_eq!(Oid::from_text(&o.to_text()).unwrap(), o);
+                let text = Oid::new(space, payload).to_text();
+                assert!(text.is_ascii() && !text.contains('|'), "{text:?}");
+                assert!(texts.insert(text));
             }
         }
         assert_eq!(Oid::ground(7).to_text(), "G7");
-    }
-
-    #[test]
-    fn text_codec_rejects_malformed_input() {
-        assert!(Oid::from_text("").is_err());
-        assert!(Oid::from_text("X7").is_err());
-        assert!(Oid::from_text("G").is_err());
-        assert!(Oid::from_text("Gseven").is_err());
-        assert!(Oid::from_text("G-1").is_err());
-        assert!(Oid::from_text(&format!("G{}", u64::MAX)).is_err());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! because the functor id is part of the key and payloads are globally
 //! sequential.
 
-use crate::codec::{escape, unescape, CodecError};
 use crate::hash::FxHashMap;
 use crate::oid::{Oid, OidSpace};
 use crate::value::Value;
@@ -104,81 +103,6 @@ impl SkolemRegistry {
     pub fn minted(&self) -> u64 {
         self.next_payload.load(Ordering::Relaxed) - 1
     }
-
-    /// Dump the whole registry as line-oriented text: one `functor|<name>`
-    /// line per declared functor (in declaration order) and one
-    /// `value|<functor-index>|<oid>|<arg>|<arg>…` line per minted Skolem
-    /// value, sorted by OID so the output is deterministic. Restores through
-    /// [`SkolemRegistry::from_text`] with identical functor indices, OIDs
-    /// and future-mint behaviour.
-    pub fn to_text(&self) -> String {
-        let t = self.tables.lock();
-        let mut out = String::new();
-        for name in &t.names {
-            out.push_str("functor|");
-            out.push_str(&escape(name));
-            out.push('\n');
-        }
-        let mut rows: Vec<_> = t.values.iter().collect();
-        rows.sort_by_key(|(_, oid)| **oid);
-        for ((functor, args), oid) in rows {
-            out.push_str(&format!("value|{}|{}", functor.0, oid.to_text()));
-            for a in args {
-                out.push('|');
-                out.push_str(&escape(&a.to_text()));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Rebuild a registry from its [`SkolemRegistry::to_text`] dump.
-    pub fn from_text(text: &str) -> Result<SkolemRegistry, CodecError> {
-        let mut t = Tables::default();
-        let mut max_payload = 0u64;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let bad = |what: &str| CodecError::new(format!("line {}: {what}", lineno + 1));
-            let mut fields = line.split('|');
-            match fields.next() {
-                Some("functor") => {
-                    let name =
-                        unescape(fields.next().ok_or_else(|| bad("missing functor name"))?)?;
-                    let f = SkolemFunctor(
-                        u32::try_from(t.names.len()).map_err(|_| bad("too many functors"))?,
-                    );
-                    t.names.push(name.clone());
-                    t.by_name.insert(name, f);
-                }
-                Some("value") => {
-                    let idx: u32 = fields
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("bad functor index"))?;
-                    if idx as usize >= t.names.len() {
-                        return Err(bad("functor index out of range"));
-                    }
-                    let oid =
-                        Oid::from_text(fields.next().ok_or_else(|| bad("missing OID"))?)?;
-                    if oid.space() != OidSpace::Skolem {
-                        return Err(bad("OID outside the Skolem space"));
-                    }
-                    let args = fields
-                        .map(|f| Value::from_text(&unescape(f)?))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    t.values.insert((SkolemFunctor(idx), args), oid);
-                    max_payload = max_payload.max(oid.payload());
-                }
-                _ => return Err(bad("unknown record kind")),
-            }
-        }
-        Ok(SkolemRegistry {
-            tables: Mutex::new(t),
-            next_payload: AtomicU64::new(max_payload + 1),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -228,39 +152,6 @@ mod tests {
         let f = r.functor("skFR");
         assert_eq!(r.functor("skFR"), f);
         assert_eq!(r.name(f), "skFR");
-    }
-
-    #[test]
-    fn text_dump_round_trips_and_preserves_minting() {
-        let r = SkolemRegistry::new();
-        let f = r.functor("skA");
-        let g = r.functor("sk|weird\nname");
-        let a = r.apply(f, &[Value::Int(1), Value::str("x|y")]);
-        let b = r.apply(g, &[]);
-        let c = r.apply(g, &[Value::Float(0.5), Value::Bool(true)]);
-
-        let restored = SkolemRegistry::from_text(&r.to_text()).unwrap();
-        // Same functor indices and names.
-        assert_eq!(restored.functor("skA"), f);
-        assert_eq!(restored.name(g), "sk|weird\nname");
-        // Same stable values for known argument tuples.
-        assert_eq!(restored.apply(f, &[Value::Int(1), Value::str("x|y")]), a);
-        assert_eq!(restored.apply(g, &[]), b);
-        assert_eq!(restored.apply(g, &[Value::Float(0.5), Value::Bool(true)]), c);
-        assert_eq!(restored.minted(), r.minted());
-        // Fresh tuples keep minting past the restored watermark.
-        let fresh = restored.apply(f, &[Value::Int(2)]);
-        assert!(fresh.payload() > c.payload());
-    }
-
-    #[test]
-    fn from_text_rejects_malformed_dumps() {
-        assert!(SkolemRegistry::from_text("garbage|x").is_err());
-        assert!(SkolemRegistry::from_text("value|0|K1").is_err(), "index before functor");
-        assert!(SkolemRegistry::from_text("functor|f\nvalue|0|G1").is_err(), "non-Skolem OID");
-        assert!(SkolemRegistry::from_text("functor|f\nvalue|zero|K1").is_err());
-        // Empty dump is a valid empty registry.
-        assert_eq!(SkolemRegistry::from_text("").unwrap().minted(), 0);
     }
 
     #[test]

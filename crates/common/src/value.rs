@@ -5,7 +5,7 @@
 //! labelled nulls (`N`) and linker-Skolem values (`I`) can flow through rule
 //! evaluation as first-class terms.
 
-use crate::codec::{escape, unescape, CodecError};
+use crate::codec::escape;
 use crate::oid::Oid;
 use std::cmp::Ordering;
 use std::fmt;
@@ -156,34 +156,6 @@ impl Value {
             Value::Str(s) => format!("S:{}", escape(s)),
             Value::Date(d) => format!("D:{d}"),
             Value::Oid(o) => format!("O:{}", o.to_text()),
-        }
-    }
-
-    /// Parse the [`Value::to_text`] encoding.
-    pub fn from_text(text: &str) -> Result<Value, CodecError> {
-        let (tag, body) = text
-            .split_once(':')
-            .ok_or_else(|| CodecError::new(format!("missing type tag in {text:?}")))?;
-        let bad = |what: &str| CodecError::new(format!("bad {what} in {text:?}"));
-        match tag {
-            "B" => match body {
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                _ => Err(bad("bool")),
-            },
-            "I" => body.parse().map(Value::Int).map_err(|_| bad("int")),
-            "F" => {
-                let x: f64 = body.parse().map_err(|_| bad("float"))?;
-                if x.is_nan() {
-                    Err(bad("float (NaN is not a value)"))
-                } else {
-                    Ok(Value::Float(x))
-                }
-            }
-            "S" => Ok(Value::Str(Arc::from(unescape(body)?.as_str()))),
-            "D" => body.parse().map(Value::Date).map_err(|_| bad("date")),
-            "O" => Oid::from_text(body).map(Value::Oid),
-            _ => Err(bad("type tag")),
         }
     }
 
@@ -401,42 +373,30 @@ mod tests {
     }
 
     #[test]
-    fn text_codec_round_trips_every_variant() {
+    fn text_codec_distinguishes_look_alike_variants() {
+        // The oracle keys ground facts on `to_text`, so values that compare
+        // equal across types or print alike must still get distinct text.
         let vals = [
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Int(0),
-            Value::Int(i64::MIN),
-            Value::Int(i64::MAX),
-            Value::Float(0.5),
-            Value::Float(-1.0e300),
-            Value::Float(f64::INFINITY),
-            Value::Float(1.0 / 3.0), // needs shortest-round-trip formatting
-            Value::str(""),
-            Value::str("plain"),
-            Value::str("pipe|newline\nback\\slash"),
-            Value::Date(18_000),
-            Value::Date(-15_000),
-            Value::Oid(Oid::ground(7)),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::str("3"),
+            Value::Date(3),
+            Value::Oid(Oid::ground(3)),
             Value::Oid(Oid::new(OidSpace::Null, 3)),
-            Value::Oid(Oid::new(OidSpace::Skolem, 9)),
+            Value::Oid(Oid::new(OidSpace::Skolem, 3)),
+            Value::str("I:3"),
+            Value::str("G3"),
+            Value::Bool(true),
+            Value::str("true"),
+            Value::Float(f64::INFINITY),
+            Value::str("inf"),
+            Value::str(""),
         ];
-        for v in &vals {
-            let text = v.to_text();
+        let texts: std::collections::BTreeSet<String> = vals.iter().map(Value::to_text).collect();
+        assert_eq!(texts.len(), vals.len(), "{texts:?}");
+        for s in ["a|b", "line\nbreak", "pipe|newline\nback\\slash\r"] {
+            let text = Value::str(s).to_text();
             assert!(!text.contains('\n') && !text.contains('|'), "{text:?}");
-            let back = Value::from_text(&text).unwrap();
-            // Bitwise identity, stricter than PartialEq's 1 == 1.0.
-            assert_eq!(back.value_type(), v.value_type(), "{text}");
-            assert_eq!(&back, v, "{text}");
-        }
-    }
-
-    #[test]
-    fn text_codec_rejects_malformed_input() {
-        for bad in [
-            "", "B", "B:yes", "I:1.5", "F:abc", "F:NaN", "D:x", "O:Z1", "Q:1", "S:\\q",
-        ] {
-            assert!(Value::from_text(bad).is_err(), "{bad:?} must not parse");
         }
     }
 

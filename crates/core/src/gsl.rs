@@ -44,14 +44,13 @@ impl Lexer {
         let mut lx = Lexer { pos: 0, line: 1 };
         let mut out = Vec::new();
         let bytes = src.as_bytes();
-        while lx.pos < bytes.len() {
-            let c = bytes[lx.pos] as char;
+        while let Some(c) = src[lx.pos..].chars().next() {
             match c {
                 '\n' => {
                     lx.line += 1;
                     lx.pos += 1;
                 }
-                c if c.is_whitespace() => lx.pos += 1,
+                c if c.is_whitespace() => lx.pos += c.len_utf8(),
                 '%' | '#' => {
                     while lx.pos < bytes.len() && bytes[lx.pos] != b'\n' {
                         lx.pos += 1;
@@ -79,16 +78,12 @@ impl Lexer {
                     lx.pos += 1;
                 }
                 c if c.is_alphanumeric() || c == '_' => {
-                    let start = lx.pos;
-                    while lx.pos < bytes.len() {
-                        let c = bytes[lx.pos] as char;
-                        if c.is_alphanumeric() || c == '_' {
-                            lx.pos += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    out.push((Tok::Ident(src[start..lx.pos].to_string()), lx.line));
+                    let rest = &src[lx.pos..];
+                    let len = rest
+                        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .unwrap_or(rest.len());
+                    out.push((Tok::Ident(rest[..len].to_string()), lx.line));
+                    lx.pos += len;
                 }
                 '-' if bytes.get(lx.pos + 1) == Some(&b'>') => {
                     out.push((Tok::Arrow, lx.line));
@@ -558,6 +553,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.nodes.len(), 1);
+    }
+
+    #[test]
+    fn unicode_names_parse_and_other_characters_are_errors() {
+        let s = parse_gsl("schema S { node Società { id nome: string; } }").unwrap();
+        assert_eq!(s.node("Società").unwrap().attributes[0].name, "nome");
+        let s = parse_gsl("schema S { node Company { id città: string; } }").unwrap();
+        assert_eq!(s.node("Company").unwrap().attributes[0].name, "città");
+        let err = parse_gsl("schema S {\n  node A { id k: int; } « }").unwrap_err();
+        assert!(err.to_string().contains("line 2: unexpected `«`"), "{err}");
     }
 
     #[test]

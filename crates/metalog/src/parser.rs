@@ -15,247 +15,38 @@
 //!
 //! `-` is the postfix inverse, `.` concatenation, `|` alternation, `*` the
 //! Kleene star. Scalar body elements (conditions, assignments, aggregates)
-//! are kept as verbatim text and re-emitted into the generated Vadalog.
+//! are kept as verbatim text and re-emitted into the generated Vadalog; the
+//! tokens are those of [`kgm_vadalog::lexer`], so that text lexes the same
+//! in both languages.
 
 use crate::ast::{
     EdgeAtom, MetaBodyElem, MetaProgram, MetaRule, NodeAtom, PathPattern, PathRegex, TermLike,
 };
-use kgm_common::{KgmError, Result, Value};
+use kgm_common::{Result, Value};
+use kgm_vadalog::lexer::{Cursor, Tok};
+use std::ops::{Deref, DerefMut};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    Punct(&'static str),
-}
-
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
-    start: usize,
-    end: usize,
-    line: u32,
-}
-
-fn lex(src: &str) -> Result<Vec<SpannedTok>> {
-    let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let mut line = 1u32;
-    let err =
-        |line: u32, msg: String| KgmError::parse("MetaLog", format!("line {line}: {msg}"));
-    while pos < bytes.len() {
-        let c = bytes[pos] as char;
-        let start = pos;
-        match c {
-            '\n' => {
-                line += 1;
-                pos += 1;
-            }
-            c if c.is_whitespace() => pos += 1,
-            '%' | '#' => {
-                while pos < bytes.len() && bytes[pos] != b'\n' {
-                    pos += 1;
-                }
-            }
-            '"' => {
-                pos += 1;
-                let mut s = String::new();
-                loop {
-                    if pos >= bytes.len() {
-                        return Err(err(line, "unterminated string".into()));
-                    }
-                    match bytes[pos] as char {
-                        '"' => {
-                            pos += 1;
-                            break;
-                        }
-                        '\\' => {
-                            let esc = *bytes
-                                .get(pos + 1)
-                                .ok_or_else(|| err(line, "unterminated escape".into()))?
-                                as char;
-                            s.push(match esc {
-                                'n' => '\n',
-                                't' => '\t',
-                                '"' => '"',
-                                '\\' => '\\',
-                                _ => return Err(err(line, format!("bad escape \\{esc}"))),
-                            });
-                            pos += 2;
-                        }
-                        '\n' => return Err(err(line, "unterminated string".into())),
-                        ch => {
-                            s.push(ch);
-                            pos += ch.len_utf8();
-                        }
-                    }
-                }
-                out.push(SpannedTok {
-                    tok: Tok::Str(s),
-                    start,
-                    end: pos,
-                    line,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                while pos < bytes.len() && (bytes[pos] as char).is_ascii_digit() {
-                    pos += 1;
-                }
-                let mut is_float = false;
-                if pos + 1 < bytes.len()
-                    && bytes[pos] == b'.'
-                    && (bytes[pos + 1] as char).is_ascii_digit()
-                {
-                    is_float = true;
-                    pos += 1;
-                    while pos < bytes.len() && (bytes[pos] as char).is_ascii_digit() {
-                        pos += 1;
-                    }
-                }
-                let text = &src[start..pos];
-                let tok = if is_float {
-                    Tok::Float(
-                        text.parse()
-                            .map_err(|_| err(line, format!("bad float {text}")))?,
-                    )
-                } else {
-                    Tok::Int(
-                        text.parse()
-                            .map_err(|_| err(line, format!("bad int {text}")))?,
-                    )
-                };
-                out.push(SpannedTok {
-                    tok,
-                    start,
-                    end: pos,
-                    line,
-                });
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                while pos < bytes.len() {
-                    let c = bytes[pos] as char;
-                    if c.is_alphanumeric() || c == '_' {
-                        pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                out.push(SpannedTok {
-                    tok: Tok::Ident(src[start..pos].to_string()),
-                    start,
-                    end: pos,
-                    line,
-                });
-            }
-            _ => {
-                let two = src.get(pos..pos + 2).unwrap_or("");
-                let p: Option<&'static str> = match two {
-                    "->" => Some("->"),
-                    "==" => Some("=="),
-                    "!=" => Some("!="),
-                    "<=" => Some("<="),
-                    ">=" => Some(">="),
-                    "&&" => Some("&&"),
-                    "||" => Some("||"),
-                    _ => None,
-                };
-                if let Some(p) = p {
-                    pos += 2;
-                    out.push(SpannedTok {
-                        tok: Tok::Punct(p),
-                        start,
-                        end: pos,
-                        line,
-                    });
-                    continue;
-                }
-                let one: &'static str = match c {
-                    '(' => "(",
-                    ')' => ")",
-                    '[' => "[",
-                    ']' => "]",
-                    ',' => ",",
-                    '.' => ".",
-                    ';' => ";",
-                    ':' => ":",
-                    '=' => "=",
-                    '<' => "<",
-                    '>' => ">",
-                    '+' => "+",
-                    '-' => "-",
-                    '*' => "*",
-                    '/' => "/",
-                    '|' => "|",
-                    '!' => "!",
-                    _ => return Err(err(line, format!("unexpected `{c}`"))),
-                };
-                pos += 1;
-                out.push(SpannedTok {
-                    tok: Tok::Punct(one),
-                    start,
-                    end: pos,
-                    line,
-                });
-            }
-        }
-    }
-    Ok(out)
-}
-
+/// The grammar, over the token helpers of [`Cursor`]; `src` is kept for
+/// the verbatim text of scalar elements.
 struct Parser<'a> {
     src: &'a str,
-    toks: Vec<SpannedTok>,
-    pos: usize,
+    cur: Cursor,
 }
 
-impl<'a> Parser<'a> {
-    fn error(&self, msg: impl Into<String>) -> KgmError {
-        let line = self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|t| t.line)
-            .unwrap_or(0);
-        KgmError::parse("MetaLog", format!("line {line}: {}", msg.into()))
+impl Deref for Parser<'_> {
+    type Target = Cursor;
+    fn deref(&self) -> &Cursor {
+        &self.cur
     }
+}
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+impl DerefMut for Parser<'_> {
+    fn deref_mut(&mut self) -> &mut Cursor {
+        &mut self.cur
     }
+}
 
-    fn peek_at(&self, off: usize) -> Option<&Tok> {
-        self.toks.get(self.pos + off).map(|t| &t.tok)
-    }
-
-    fn eat(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Punct(q)) if *q == p) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, p: &str) -> Result<()> {
-        if self.eat(p) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{p}`, found {:?}", self.peek())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) => {
-                self.pos += 1;
-                Ok(s)
-            }
-            other => Err(self.error(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
+impl Parser<'_> {
     fn program(&mut self) -> Result<MetaProgram> {
         let mut rules = Vec::new();
         while self.peek().is_some() {
@@ -490,41 +281,20 @@ impl<'a> Parser<'a> {
     }
 
     fn term(&mut self) -> Result<TermLike> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) => {
-                self.pos += 1;
-                match s.as_str() {
-                    "true" => Ok(TermLike::Const(Value::Bool(true))),
-                    "false" => Ok(TermLike::Const(Value::Bool(false))),
-                    _ => Ok(TermLike::Var(s)),
-                }
-            }
-            Some(Tok::Int(i)) => {
-                self.pos += 1;
-                Ok(TermLike::Const(Value::Int(i)))
-            }
-            Some(Tok::Float(f)) => {
-                self.pos += 1;
-                Ok(TermLike::Const(Value::Float(f)))
-            }
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Ok(TermLike::Const(Value::str(s)))
-            }
-            Some(Tok::Punct("-")) => {
-                self.pos += 1;
-                match self.peek().cloned() {
-                    Some(Tok::Int(i)) => {
-                        self.pos += 1;
-                        Ok(TermLike::Const(Value::Int(-i)))
-                    }
-                    Some(Tok::Float(f)) => {
-                        self.pos += 1;
-                        Ok(TermLike::Const(Value::Float(-f)))
-                    }
-                    other => Err(self.error(format!("expected number, found {other:?}"))),
-                }
-            }
+        match self.next() {
+            Some(Tok::Ident(s)) => match s.as_str() {
+                "true" => Ok(TermLike::Const(Value::Bool(true))),
+                "false" => Ok(TermLike::Const(Value::Bool(false))),
+                _ => Ok(TermLike::Var(s)),
+            },
+            Some(Tok::Int(i)) => Ok(TermLike::Const(Value::Int(i))),
+            Some(Tok::Float(f)) => Ok(TermLike::Const(Value::Float(f))),
+            Some(Tok::Str(s)) => Ok(TermLike::Const(Value::str(s))),
+            Some(Tok::Punct("-")) => match self.next() {
+                Some(Tok::Int(i)) => Ok(TermLike::Const(Value::Int(-i))),
+                Some(Tok::Float(f)) => Ok(TermLike::Const(Value::Float(-f))),
+                other => Err(self.error(format!("expected number, found {other:?}"))),
+            },
             other => Err(self.error(format!("expected term, found {other:?}"))),
         }
     }
@@ -532,9 +302,8 @@ impl<'a> Parser<'a> {
 
 /// Parse a MetaLog program from text.
 pub fn parse_metalog(src: &str) -> Result<MetaProgram> {
-    let toks = lex(src)?;
-    let mut p = Parser { src, toks, pos: 0 };
-    p.program()
+    let cur = Cursor::new("MetaLog", src)?;
+    Parser { src, cur }.program()
 }
 
 #[cfg(test)]
@@ -702,6 +471,17 @@ mod tests {
         let p = parse_metalog("(x: A; v: w), w < 3, w > 1 -> (x)[e: OK](x).").unwrap();
         assert_eq!(p.rules[0].body[1], MetaBodyElem::Scalar("w < 3".to_string()));
         assert_eq!(p.rules[0].body[2], MetaBodyElem::Scalar("w > 1".to_string()));
+    }
+
+    #[test]
+    fn vadalog_only_punctuation_is_rejected_with_its_line() {
+        for src in [
+            "(x: A)\n@ -> (x)[e: E](x).",
+            "(x: A) -> (x)[e: E](x).\n@output(p).",
+        ] {
+            let err = parse_metalog(src).unwrap_err().to_string();
+            assert!(err.contains("line 2"), "{src:?}: {err}");
+        }
     }
 
     #[test]

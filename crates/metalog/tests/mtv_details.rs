@@ -1,8 +1,10 @@
 //! Additional MTV behaviour tests: annotation shapes, scalar pass-through
 //! fidelity, multi-path bodies, and the documented unsupported shapes.
 
+use kgm_common::Value;
 use kgm_metalog::{parse_metalog, translate, PgSchema};
-use kgm_vadalog::{parse_program, Engine};
+use kgm_vadalog::ast::BinOp;
+use kgm_vadalog::{parse_program, Engine, Expr, RuleStep};
 
 fn catalog() -> PgSchema {
     let mut s = PgSchema::new();
@@ -135,4 +137,24 @@ fn anonymous_source_node_gets_a_fresh_variable() {
         "{}",
         out.vadalog_source
     );
+}
+
+#[test]
+fn unicode_labels_and_string_constants_survive_translation() {
+    let mut catalog = PgSchema::new();
+    catalog
+        .declare_node("Società", ["nome"])
+        .declare_edge("OUT", Vec::<String>::new());
+    let meta =
+        parse_metalog(r#"(x: Società; nome: n), n == "Società per Azioni" -> (x)[o: OUT](x)."#)
+            .unwrap();
+    let out = translate(&meta, &catalog, "g").unwrap();
+    let rule = &out.program.rules[0];
+    assert_eq!(rule.body[0].predicate, "Società");
+    match rule.steps.as_slice() {
+        [RuleStep::Condition(Expr::Bin(BinOp::Eq, _, rhs))] => {
+            assert_eq!(**rhs, Expr::Const(Value::str("Società per Azioni")));
+        }
+        other => panic!("expected one equality condition, got {other:?}"),
+    }
 }

@@ -53,9 +53,8 @@ impl<'a> Scanner<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.text[self.pos..].starts_with(char::is_whitespace) {
-            self.pos += 1;
-        }
+        let rest = &self.text[self.pos..];
+        self.pos += rest.len() - rest.trim_start().len();
     }
 
     fn eat(&mut self, tok: &str) -> bool {

@@ -16,8 +16,9 @@
 //! | [`json`]  | `serde_json` (validation only) | JSON/JSONL well-formedness checks for emitted artefacts |
 //! | [`fault`] | — | deterministic fault injection (`KGM_FAULT=<site>:<prob>:<seed>`), off by default |
 //!
-//! (The remaining removed dependency, `serde`, is replaced by hand-rolled
-//! `to_text`/`from_text` codecs in `kgm-common` itself.)
+//! (The remaining removed dependency, `serde`, needs no stand-in: nothing
+//! deserializes, and `kgm-common`'s `Value::to_text` is the one stable text
+//! form.)
 //!
 //! Everything is deterministic by construction: the PRNG is seeded
 //! explicitly, property-test cases derive from a reported seed, and bench

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 // canonical path.
 
 pub use crate::factdb::FactDb;
-use crate::factdb::{fact_id, FactId, Verdict};
+use crate::factdb::{fact_id, FactId};
 
 /// Provenance sidecar aligned 1:1 with an `out` batch: the rule id and the
 /// body-atom-order parent fact ids behind each emitted head tuple. Always
@@ -245,9 +245,6 @@ pub struct ChaseProfile {
     pub shards_spawned: usize,
     /// Candidate bindings shard workers handed to the merge writer.
     pub worker_candidates: usize,
-    /// Dedup partitions spawned by the hash-partitioned parallel merge
-    /// across all insert batches (0 when every batch applied serially).
-    pub merge_partitions: usize,
     /// Cancellation/deadline polls performed inside binding loops (0 when
     /// neither a cancel token nor a deadline was configured).
     pub cancel_polls: usize,
@@ -848,8 +845,7 @@ impl Engine {
                             },
                         };
                         let emitted = new_facts.len();
-                        let inserted =
-                            self.insert_out(db, new_facts, new_prov, &mut stats.profile)?;
+                        let inserted = self.insert_out(db, new_facts, new_prov)?;
                         sp.derived_facts += inserted;
                         sp.duplicates_rejected += emitted - inserted;
                         let prof = &mut stats.profile.rules[ri];
@@ -956,7 +952,7 @@ impl Engine {
                         watermark.insert(p.clone(), db.rows_of(p));
                     }
                     let emitted = out.len();
-                    let inserted = self.insert_out(db, out, prov_out, &mut stats.profile)?;
+                    let inserted = self.insert_out(db, out, prov_out)?;
                     sp.derived_facts += inserted;
                     sp.duplicates_rejected += emitted - inserted;
                     // Post-insert check (the fact cap's historical timing): the
@@ -1317,20 +1313,10 @@ impl Engine {
     /// Insert a batch of emitted head tuples into `db`, in emission order,
     /// returning how many were new.
     ///
-    /// One apply loop walks the batch in emission order and
-    /// probe-and-inserts each tuple. With more than one thread and a batch
-    /// of at least `min_parallel_batch`, deduplication first runs as a
-    /// *parallel* phase: candidates are hash-partitioned across workers,
-    /// each worker owning one slice of the tuple-hash space and issuing an
-    /// Insert/Dup verdict per candidate (frozen-store probe plus
-    /// first-occurrence-in-batch; equal tuples always share a partition),
-    /// and the loop skips the `Dup`s. Verdicts are a pure function of the
-    /// frozen store and the batch — the partition count only divides the
-    /// work — and the loop visits every candidate either way
-    /// (fault-injection checkpoints included), so the insertion order, and
+    /// One loop walks the batch in emission order and probe-and-inserts
+    /// each tuple on the calling thread, so the insertion order, and
     /// therefore every downstream delta range, null OID and counter, is
-    /// bit-identical at any `KGM_THREADS`. A verdict the authoritative
-    /// insert contradicts is an internal error.
+    /// bit-identical at any `KGM_THREADS`.
     ///
     /// With `EngineConfig::provenance` on, `prov` is the sidecar aligned
     /// 1:1 with `out`; the entry of each tuple that actually inserts
@@ -1343,30 +1329,15 @@ impl Engine {
         db: &mut FactDb,
         out: Vec<(String, Vec<Value>)>,
         prov: ProvOut,
-        profile: &mut ChaseProfile,
     ) -> Result<usize> {
         let record = self.config.provenance;
         debug_assert!(!record || prov.len() == out.len(), "prov sidecar misaligned");
-        let threads = self.config.threads;
-        let verdicts = (threads > 1 && out.len() >= self.config.min_parallel_batch.max(1))
-            .then(|| {
-                profile.merge_partitions += threads.min(out.len()).max(1);
-                db.insert_batch_verdicts(&out, threads)
-            });
         let mut inserted = 0usize;
         for (i, (pred, tuple)) in out.into_iter().enumerate() {
             if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
                 return Err(KgmError::Internal(format!("{msg} ({pred})")));
             }
-            if verdicts.as_ref().is_some_and(|v| v[i] != Verdict::Insert) {
-                continue;
-            }
             let Some(id) = db.insert_id(&pred, &tuple)? else {
-                if verdicts.is_some() {
-                    return Err(KgmError::Internal(format!(
-                        "partitioned merge verdict diverged on `{pred}`"
-                    )));
-                }
                 continue;
             };
             db.mark_derived(id);
@@ -2530,9 +2501,6 @@ mod tests {
         let (_, stats) = run_with_threads(PARALLEL_MIX_SRC, &inputs, 4);
         assert!(stats.profile.shards_spawned > 0, "parallel run must shard");
         assert!(stats.profile.worker_candidates > 0);
-        // min_parallel_batch is 1, so insert batches took the partitioned
-        // (hash-sliced) merge path.
-        assert!(stats.profile.merge_partitions > 0);
         // Default config on the same input: batches below the threshold run
         // sequentially even with many threads configured.
         let engine = Engine::with_config(

@@ -520,15 +520,6 @@ impl Relation {
     }
 }
 
-/// Verdict of the parallel dedup phase of [`FactDb::insert_batch_verdicts`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Verdict {
-    /// First occurrence, absent from the frozen store: will insert.
-    Insert,
-    /// Already present (in the store or earlier in the batch): duplicate.
-    Dup,
-}
-
 /// The fact database the engine reads from and writes to.
 ///
 /// Values are interned in a private [`ValuePool`]; all per-relation state is
@@ -934,65 +925,6 @@ impl FactDb {
     pub(crate) fn pool(&self) -> &ValuePool {
         &self.pool
     }
-
-    /// Parallel dedup phase of the partitioned merge: compute, for every
-    /// candidate in `batch`, whether it will insert or is a duplicate —
-    /// without mutating the store. Candidates are hash-partitioned over
-    /// `partitions` workers; equal tuples land in the same partition, so the
-    /// "first occurrence in global batch order wins" rule is decided locally
-    /// per partition. The verdict vector is a pure function of the frozen
-    /// store and the batch (the partition count only divides the work), so
-    /// the subsequent serial apply is bit-identical at any thread count.
-    pub(crate) fn insert_batch_verdicts(
-        &self,
-        batch: &[(String, Vec<Value>)],
-        partitions: usize,
-    ) -> Vec<Verdict> {
-        use kgm_runtime::par;
-        let n = batch.len();
-        let parts = partitions.clamp(1, n.max(1));
-        // Hash every candidate in parallel (pred + values; any hash works —
-        // it only routes work), then bucket indices by partition.
-        let ranges = par::split_range(0..n, parts);
-        let hashed: Vec<Vec<u64>> = par::par_map(&ranges, parts, |r| {
-            r.clone()
-                .map(|i| {
-                    let (pred, tuple) = &batch[i];
-                    let mut h = FxHasher::default();
-                    h.write(pred.as_bytes());
-                    for v in tuple {
-                        std::hash::Hash::hash(v, &mut h);
-                    }
-                    h.finish()
-                })
-                .collect()
-        });
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        for (i, h) in hashed.into_iter().flatten().enumerate() {
-            buckets[(h as usize) % parts].push(i as u32);
-        }
-        // Each partition owner walks its bucket in ascending (= global batch)
-        // order: frozen-store probe plus intra-batch first-occurrence.
-        let verdict_parts: Vec<Vec<(u32, Verdict)>> = par::par_map(&buckets, parts, |bucket| {
-            let mut seen: FxHashMap<(&str, &[Value]), ()> = FxHashMap::default();
-            bucket
-                .iter()
-                .map(|&i| {
-                    let (pred, tuple) = &batch[i as usize];
-                    let novel = !self.contains(pred, tuple)
-                        && seen.insert((pred.as_str(), tuple.as_slice()), ()).is_none();
-                    (i, if novel { Verdict::Insert } else { Verdict::Dup })
-                })
-                .collect()
-        });
-        let mut verdicts = vec![Verdict::Dup; n];
-        for part in verdict_parts {
-            for (i, v) in part {
-                verdicts[i as usize] = v;
-            }
-        }
-        verdicts
-    }
 }
 
 impl std::fmt::Debug for FactDb {
@@ -1148,28 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_verdicts_are_partition_count_invariant() {
-        let mut db = FactDb::new();
-        db.insert("p", vec![Value::Int(0)]).unwrap();
-        let batch: Vec<(String, Vec<Value>)> = (0..64)
-            .map(|i| ("p".to_string(), vec![Value::Int((i % 10) as i64)]))
-            .collect();
-        let v1 = db.insert_batch_verdicts(&batch, 1);
-        for parts in [2, 3, 8, 64] {
-            assert_eq!(db.insert_batch_verdicts(&batch, parts), v1, "parts={parts}");
-        }
-        // Int(0) pre-exists; 1..=9 insert exactly once each, at their first
-        // occurrence in batch order.
-        let inserts: Vec<usize> = v1
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v == Verdict::Insert)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(inserts, (1..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn fact_ids_round_trip_and_dups_return_none() {
         let mut db = FactDb::new();
         let a = db.insert_id("p", &[Value::Int(1)]).unwrap().unwrap();
@@ -1257,10 +1167,6 @@ mod tests {
         assert_eq!(fact_row(b2), 3);
         assert_eq!(db.find_id("p", &[Value::Int(2)]), Some(b2));
         assert_eq!(db.len("p"), 3);
-        // Batch verdicts see the live view: a dup of the live row.
-        let verdicts =
-            db.insert_batch_verdicts(&[("p".to_string(), vec![Value::Int(2)])], 1);
-        assert_eq!(verdicts, vec![Verdict::Dup]);
         // Untouched rows keep their ids.
         assert_eq!(db.find_id("p", &[Value::Int(1)]), Some(a));
         // Tombstoning an unknown id is a no-op.

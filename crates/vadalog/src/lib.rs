@@ -50,6 +50,7 @@ pub mod eval;
 pub mod explain;
 pub mod factdb;
 pub mod genprog;
+pub mod lexer;
 pub mod oracle;
 pub mod parser;
 pub mod printer;

@@ -18,194 +18,31 @@
 //! constants are numbers, quoted strings, `true`/`false`. `_` is the
 //! anonymous variable (fresh at each occurrence). Head variables not bound
 //! in the body are existential. `skolem("skN", X, ...)` applies a linker
-//! Skolem functor. Comments run from `%` or `#` to end of line.
+//! Skolem functor. Comments run from `%` or `#` to end of line; the tokens
+//! are those of [`crate::lexer`], which MetaLog shares.
 
 use crate::ast::{
     Aggregate, AggregateFunc, Atom, BinOp, Expr, Program, Rule, RuleStep, Term, Var,
 };
 use crate::bindings::{InputBinding, InputSource, OutputBinding};
-use kgm_common::{FxHashMap, KgmError, Result, Value};
+use crate::lexer::{Cursor, Tok};
+use kgm_common::{FxHashMap, Result, Value};
+use std::ops::{Deref, DerefMut};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    Punct(&'static str),
-}
+/// The grammar, over the token helpers of [`Cursor`].
+struct Parser(Cursor);
 
-struct Lexer<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    line: u32,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src,
-            bytes: src.as_bytes(),
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    fn error(&self, msg: impl Into<String>) -> KgmError {
-        KgmError::parse("Vadalog", format!("line {}: {}", self.line, msg.into()))
-    }
-
-    fn tokens(mut self) -> Result<Vec<(Tok, u32)>> {
-        let mut out = Vec::new();
-        while self.pos < self.bytes.len() {
-            let c = self.bytes[self.pos] as char;
-            match c {
-                '\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                c if c.is_whitespace() => self.pos += 1,
-                '%' | '#' => {
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
-                }
-                '"' => {
-                    let line = self.line;
-                    let s = self.string()?;
-                    out.push((Tok::Str(s), line));
-                }
-                c if c.is_ascii_digit() => {
-                    let line = self.line;
-                    let t = self.number()?;
-                    out.push((t, line));
-                }
-                c if c.is_alphabetic() || c == '_' => {
-                    let start = self.pos;
-                    while self.pos < self.bytes.len() {
-                        let c = self.bytes[self.pos] as char;
-                        if c.is_alphanumeric() || c == '_' {
-                            self.pos += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    out.push((
-                        Tok::Ident(self.src[start..self.pos].to_string()),
-                        self.line,
-                    ));
-                }
-                _ => {
-                    let line = self.line;
-                    let two = self.src.get(self.pos..self.pos + 2).unwrap_or("");
-                    let p: &'static str = match two {
-                        "->" => "->",
-                        "==" => "==",
-                        "!=" => "!=",
-                        "<=" => "<=",
-                        ">=" => ">=",
-                        "&&" => "&&",
-                        "||" => "||",
-                        _ => {
-                            let one = match c {
-                                '(' => "(",
-                                ')' => ")",
-                                ',' => ",",
-                                '.' => ".",
-                                '=' => "=",
-                                '<' => "<",
-                                '>' => ">",
-                                '+' => "+",
-                                '-' => "-",
-                                '*' => "*",
-                                '/' => "/",
-                                '%' => unreachable!("comment handled above"),
-                                '!' => "!",
-                                '@' => "@",
-                                _ => return Err(self.error(format!("unexpected `{c}`"))),
-                            };
-                            self.pos += 1;
-                            out.push((Tok::Punct(one), line));
-                            continue;
-                        }
-                    };
-                    self.pos += 2;
-                    out.push((Tok::Punct(p), line));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.pos += 1; // opening quote
-        let mut s = String::new();
-        while self.pos < self.bytes.len() {
-            let c = self.bytes[self.pos] as char;
-            match c {
-                '"' => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                '\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.error("unterminated escape"))?
-                        as char;
-                    s.push(match esc {
-                        'n' => '\n',
-                        't' => '\t',
-                        '"' => '"',
-                        '\\' => '\\',
-                        _ => return Err(self.error(format!("bad escape `\\{esc}`"))),
-                    });
-                    self.pos += 1;
-                }
-                '\n' => return Err(self.error("unterminated string")),
-                c => {
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-        Err(self.error("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<Tok> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_ascii_digit() {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.pos + 1 < self.bytes.len()
-            && self.bytes[self.pos] == b'.'
-            && (self.bytes[self.pos + 1] as char).is_ascii_digit()
-        {
-            is_float = true;
-            self.pos += 1;
-            while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_ascii_digit() {
-                self.pos += 1;
-            }
-        }
-        let text = &self.src[start..self.pos];
-        if is_float {
-            text.parse()
-                .map(Tok::Float)
-                .map_err(|_| self.error(format!("bad float `{text}`")))
-        } else {
-            text.parse()
-                .map(Tok::Int)
-                .map_err(|_| self.error(format!("bad int `{text}`")))
-        }
+impl Deref for Parser {
+    type Target = Cursor;
+    fn deref(&self) -> &Cursor {
+        &self.0
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, u32)>,
-    pos: usize,
+impl DerefMut for Parser {
+    fn deref_mut(&mut self) -> &mut Cursor {
+        &mut self.0
+    }
 }
 
 struct RuleCtx {
@@ -239,66 +76,10 @@ impl RuleCtx {
 }
 
 impl Parser {
-    fn error(&self, msg: impl Into<String>) -> KgmError {
-        let line = self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0);
-        KgmError::parse("Vadalog", format!("line {line}: {}", msg.into()))
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|(t, _)| t)
-    }
-
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Punct(q)) if *q == p) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_punct(&mut self, p: &str) -> Result<()> {
-        if self.eat_punct(p) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{p}`, found {:?}", self.peek())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.next() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(self.error(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        match self.next() {
-            Some(Tok::Str(s)) => Ok(s),
-            other => Err(self.error(format!("expected string, found {other:?}"))),
-        }
-    }
-
     fn program(&mut self) -> Result<Program> {
         let mut prog = Program::default();
         while self.peek().is_some() {
-            if self.eat_punct("@") {
+            if self.eat("@") {
                 self.annotation(&mut prog)?;
             } else {
                 self.rule_or_fact(&mut prog)?;
@@ -309,20 +90,20 @@ impl Parser {
 
     fn annotation(&mut self, prog: &mut Program) -> Result<()> {
         let kind = self.ident()?;
-        self.expect_punct("(")?;
+        self.expect("(")?;
         match kind.as_str() {
             "input" => {
                 let predicate = self.ident()?;
-                self.expect_punct(",")?;
+                self.expect(",")?;
                 let mode = self.ident()?;
                 let source = match mode.as_str() {
                     "facts" => InputSource::Facts,
                     "nodes" | "edges" => {
-                        self.expect_punct(",")?;
+                        self.expect(",")?;
                         let graph = self.string()?;
-                        self.expect_punct(",")?;
+                        self.expect(",")?;
                         let label = self.string()?;
-                        let props = if self.eat_punct(",") {
+                        let props = if self.eat(",") {
                             let list = self.string()?;
                             if list.is_empty() {
                                 Vec::new()
@@ -347,9 +128,9 @@ impl Parser {
                         }
                     }
                     "table" => {
-                        self.expect_punct(",")?;
+                        self.expect(",")?;
                         let catalog = self.string()?;
-                        self.expect_punct(",")?;
+                        self.expect(",")?;
                         let table = self.string()?;
                         InputSource::RelTable { catalog, table }
                     }
@@ -365,8 +146,8 @@ impl Parser {
             }
             other => return Err(self.error(format!("unknown annotation `@{other}`"))),
         }
-        self.expect_punct(")")?;
-        self.expect_punct(".")?;
+        self.expect(")")?;
+        self.expect(".")?;
         Ok(())
     }
 
@@ -376,12 +157,12 @@ impl Parser {
         let mut steps: Vec<RuleStep> = Vec::new();
         loop {
             self.body_item(&mut ctx, &mut body, &mut steps)?;
-            if self.eat_punct(",") {
+            if self.eat(",") {
                 continue;
             }
             break;
         }
-        if self.eat_punct(".") {
+        if self.eat(".") {
             // A fact (or a set of facts, comma-joined — only atoms allowed).
             if !steps.is_empty() {
                 return Err(self.error("facts cannot contain conditions or assignments"));
@@ -397,16 +178,16 @@ impl Parser {
             prog.facts.extend(body);
             return Ok(());
         }
-        self.expect_punct("->")?;
+        self.expect("->")?;
         let mut head = Vec::new();
         loop {
             head.push(self.atom(&mut ctx)?);
-            if self.eat_punct(",") {
+            if self.eat(",") {
                 continue;
             }
             break;
         }
-        self.expect_punct(".")?;
+        self.expect(".")?;
         prog.rules.push(Rule {
             body,
             steps,
@@ -424,7 +205,7 @@ impl Parser {
     ) -> Result<()> {
         // `not atom`
         if matches!(self.peek(), Some(Tok::Ident(s)) if s == "not")
-            && matches!(self.peek2(), Some(Tok::Ident(_)))
+            && matches!(self.peek_at(1), Some(Tok::Ident(_)))
         {
             self.pos += 1;
             let a = self.atom(ctx)?;
@@ -435,7 +216,7 @@ impl Parser {
         // expression (expressions with calls only appear behind `=` or in
         // conditions that start with a variable or constant — calls as a
         // condition head are not valid Vadalog).
-        if let (Some(Tok::Ident(name)), Some(Tok::Punct("("))) = (self.peek(), self.peek2()) {
+        if let (Some(Tok::Ident(name)), Some(Tok::Punct("("))) = (self.peek(), self.peek_at(1)) {
             if AggregateFunc::parse(name).is_none() && name != "skolem" {
                 let a = self.atom(ctx)?;
                 if !steps.is_empty() {
@@ -451,11 +232,11 @@ impl Parser {
             }
         }
         // `Var = aggregate(...)` or `Var = expr`
-        if let (Some(Tok::Ident(_)), Some(Tok::Punct("="))) = (self.peek(), self.peek2()) {
+        if let (Some(Tok::Ident(_)), Some(Tok::Punct("="))) = (self.peek(), self.peek_at(1)) {
             let name = self.ident()?;
-            self.expect_punct("=")?;
+            self.expect("=")?;
             let target = ctx.var(&name);
-            if let (Some(Tok::Ident(f)), Some(Tok::Punct("("))) = (self.peek(), self.peek2()) {
+            if let (Some(Tok::Ident(f)), Some(Tok::Punct("("))) = (self.peek(), self.peek_at(1)) {
                 if let Some(func) = AggregateFunc::parse(f) {
                     self.pos += 2; // ident + (
                     let agg = self.aggregate(ctx, target, func)?;
@@ -480,10 +261,10 @@ impl Parser {
         if !matches!(self.peek(), Some(Tok::Punct(")"))) {
             if !matches!(self.peek(), Some(Tok::Punct("<"))) {
                 arg = Some(self.expr(ctx)?);
-                if self.eat_punct(",") {
+                if self.eat(",") {
                     // fall through to contributor list
                 } else {
-                    self.expect_punct(")")?;
+                    self.expect(")")?;
                     return Ok(Aggregate {
                         target,
                         func,
@@ -492,17 +273,17 @@ impl Parser {
                     });
                 }
             }
-            self.expect_punct("<")?;
+            self.expect("<")?;
             loop {
                 let v = self.ident()?;
                 contributors.push(ctx.var(&v));
-                if !self.eat_punct(",") {
+                if !self.eat(",") {
                     break;
                 }
             }
-            self.expect_punct(">")?;
+            self.expect(">")?;
         }
-        self.expect_punct(")")?;
+        self.expect(")")?;
         if arg.is_none() && !matches!(func, AggregateFunc::Count | AggregateFunc::MCount) {
             return Err(self.error(format!("{func:?} requires an argument expression")));
         }
@@ -516,17 +297,17 @@ impl Parser {
 
     fn atom(&mut self, ctx: &mut RuleCtx) -> Result<Atom> {
         let predicate = self.ident()?;
-        self.expect_punct("(")?;
+        self.expect("(")?;
         let mut terms = Vec::new();
-        if !self.eat_punct(")") {
+        if !self.eat(")") {
             loop {
                 terms.push(self.term(ctx)?);
-                if self.eat_punct(",") {
+                if self.eat(",") {
                     continue;
                 }
                 break;
             }
-            self.expect_punct(")")?;
+            self.expect(")")?;
         }
         Ok(Atom { predicate, terms })
     }
@@ -557,7 +338,7 @@ impl Parser {
 
     fn expr_or(&mut self, ctx: &mut RuleCtx) -> Result<Expr> {
         let mut lhs = self.expr_and(ctx)?;
-        while self.eat_punct("||") {
+        while self.eat("||") {
             let rhs = self.expr_and(ctx)?;
             lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
         }
@@ -566,7 +347,7 @@ impl Parser {
 
     fn expr_and(&mut self, ctx: &mut RuleCtx) -> Result<Expr> {
         let mut lhs = self.expr_cmp(ctx)?;
-        while self.eat_punct("&&") {
+        while self.eat("&&") {
             let rhs = self.expr_cmp(ctx)?;
             lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
         }
@@ -626,10 +407,10 @@ impl Parser {
     }
 
     fn expr_unary(&mut self, ctx: &mut RuleCtx) -> Result<Expr> {
-        if self.eat_punct("!") {
+        if self.eat("!") {
             return Ok(Expr::Not(Box::new(self.expr_unary(ctx)?)));
         }
-        if self.eat_punct("-") {
+        if self.eat("-") {
             let inner = self.expr_unary(ctx)?;
             // Fold a negated numeric literal into a negative constant so
             // `-3` means `Const(-3)` in expressions exactly as it does in
@@ -655,7 +436,7 @@ impl Parser {
             Some(Tok::Str(s)) => Ok(Expr::Const(Value::str(s))),
             Some(Tok::Punct("(")) => {
                 let e = self.expr(ctx)?;
-                self.expect_punct(")")?;
+                self.expect(")")?;
                 Ok(e)
             }
             Some(Tok::Ident(name)) => {
@@ -667,15 +448,15 @@ impl Parser {
                 if matches!(self.peek(), Some(Tok::Punct("("))) {
                     self.pos += 1;
                     let mut args = Vec::new();
-                    if !self.eat_punct(")") {
+                    if !self.eat(")") {
                         loop {
                             args.push(self.expr(ctx)?);
-                            if self.eat_punct(",") {
+                            if self.eat(",") {
                                 continue;
                             }
                             break;
                         }
-                        self.expect_punct(")")?;
+                        self.expect(")")?;
                     }
                     if name == "skolem" {
                         let fname = match args.first() {
@@ -699,9 +480,7 @@ impl Parser {
 
 /// Parse a Vadalog program from text.
 pub fn parse_program(src: &str) -> Result<Program> {
-    let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
-    p.program()
+    Parser(Cursor::new("Vadalog", src)?).program()
 }
 
 #[cfg(test)]
@@ -844,6 +623,14 @@ mod tests {
         assert!(parse_program("a(X) -> b(X)").is_err());
         assert!(parse_program("a(X) -> ").is_err());
         assert!(parse_program(r#"@input(p, nodes, "g")."#).is_err());
+    }
+
+    #[test]
+    fn metalog_only_punctuation_is_rejected_with_its_line() {
+        for src in ["a(1).\n[", "a(1).\nb(X) -> c(X); d(X).", "a(1).\np(x: 1)."] {
+            let err = parse_program(src).unwrap_err().to_string();
+            assert!(err.contains("line 2"), "{src:?}: {err}");
+        }
     }
 
     #[test]

@@ -137,6 +137,15 @@ for threads in 1 4; do
 done
 echo "ok: 64-case fixed-seed differential run agrees at 1 and 4 threads"
 
+echo "== text-input smoke =="
+# Fixed-seed run of the no-panic suite: seeded mutations (with multi-byte
+# characters) of the in-repo programs, GSL schema, serving queries, Cypher
+# pattern and CSV export must come back Ok or Err from every text entry
+# point, never as a panic.
+KGM_PROP_SEED=20220046 KGM_PROP_CASES=2000 cargo test --release --offline -q \
+    --test text_inputs >/dev/null
+echo "ok: 2000-case fixed-seed text-input run raises no panic"
+
 echo "== frozen goldens =="
 # Goldens must match byte-for-byte; KGM_GOLDEN_FROZEN forbids blessing and
 # turns a missing golden file into a failure.
@@ -305,8 +314,8 @@ if [ "${KGM_SCALE_SMOKE:-0}" = "1" ]; then
     # 100k-node shareholding graph through the company-control chase at
     # 1 vs 8 worker threads; paper-harness exits non-zero unless the two
     # runs produce identical control relations (order-independent digest),
-    # derived-fact counts, and null counts. This is the partitioned-merge
-    # determinism gate at a scale the unit suites never reach.
+    # derived-fact counts, and null counts. This guards the determinism of
+    # sharded evaluation at a scale the unit suites never reach.
     "$harness" scale-smoke 100000
     echo "ok: 100k-node chase output identical at 1 and 8 threads"
 fi
