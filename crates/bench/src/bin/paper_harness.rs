@@ -34,10 +34,13 @@
 //! paper-harness validate-json FILE…   # exit non-zero unless every FILE is
 //!                                     # valid JSON (CI smoke helper)
 //! paper-harness scale-smoke [nodes]   # registry-scale chase at 1 vs 8
-//!                                     # worker threads; exit non-zero if
-//!                                     # the outputs diverge (CI gate for
-//!                                     # deterministic sharded evaluation;
-//!                                     # default 100000 nodes)
+//!                                     # worker threads, then under a
+//!                                     # max_bytes budget; exit non-zero if
+//!                                     # the outputs diverge or the budget
+//!                                     # does not stop the chase (CI gate
+//!                                     # for deterministic sharded
+//!                                     # evaluation and the memory
+//!                                     # governor; default 100000 nodes)
 //! paper-harness explain [nodes] [x y] # run company control with
 //!                                     # why-provenance on over the seeded
 //!                                     # registry and print the derivation
@@ -85,7 +88,7 @@ use kgm_finance::control::{
 };
 use kgm_runtime::telemetry;
 use kgm_vadalog::{
-    explain, parse_program, render, Engine, EngineConfig, FactDb, ServingLayer, Update,
+    explain, parse_program, render, Engine, EngineConfig, FactDb, ServingLayer, Termination, Update,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -339,27 +342,53 @@ fn control_digest(pairs: &kgm_common::FxHashSet<(u64, u64)>) -> u64 {
         })
 }
 
+/// One Example 4.2 chase over `g` under `config`: the chased store, the
+/// run's stats, and the store's `approx_bytes` once loaded.
+fn sized_control_chase(
+    g: &kgm_pgstore::PropertyGraph,
+    config: EngineConfig,
+) -> Result<(FactDb, kgm_vadalog::RunStats, usize)> {
+    let engine = Engine::with_config(parse_program(CONTROL_VADALOG)?, config)?;
+    let mut db = FactDb::new();
+    load_shareholding(g, &mut db)?;
+    let loaded = db.approx_bytes();
+    let stats = engine.run(&mut db)?;
+    Ok((db, stats, loaded))
+}
+
 /// `scale-smoke [nodes]` — the CI gate for deterministic sharded
-/// evaluation: generate a registry-scale shareholding graph once, run the
-/// company-control chase at 1 and 8 worker threads, and require both runs
-/// to produce the same control relation (digest), derived-fact count, and
-/// null count. Exits non-zero on any divergence. Wall times are printed but not compared —
-/// on a single-core runner t8 is expected to match t1, not beat it.
+/// evaluation and the memory governor at registry scale: generate a
+/// shareholding graph once, run the company-control chase at 1 and 8
+/// worker threads, and require both runs to produce the same control
+/// relation (digest), derived-fact count, and null count. Then rerun the
+/// chase with `max_bytes` halfway between the loaded store's and the
+/// chased store's `approx_bytes`: it must stop with `MemoryBudget`,
+/// keeping a strict subset of the control pairs. Exits non-zero on any
+/// divergence. Wall times are printed but not compared — on a
+/// single-core runner t8 is expected to match t1, not beat it.
 fn run_scale_smoke(nodes: usize) -> Result<ExitCode> {
     let g = bench_graph(nodes);
     println!("scale-smoke: {nodes} nodes, {} OWNS edges", g.edge_count());
     let mut runs: Vec<(usize, u64, usize, usize)> = Vec::new();
+    let mut unbounded = None;
     for t in [1usize, 8] {
         let t0 = std::time::Instant::now();
-        let (controls, stats) = control_vadalog_threads(&g, t)?;
+        let config = EngineConfig {
+            threads: t,
+            ..Default::default()
+        };
+        let (db, stats, loaded) = sized_control_chase(&g, config)?;
         let secs = t0.elapsed().as_secs_f64();
+        let (controls, chased) = (control_pairs(&db), db.approx_bytes());
         let digest = control_digest(&controls);
         println!(
-            "  t{t}: {} control pairs, {} derived facts, digest {digest:016x}, {secs:.2}s",
+            "  t{t}: {} control pairs, {} derived facts, digest {digest:016x}, {secs:.2}s, \
+             store {loaded} -> {chased} bytes",
             controls.len(),
             stats.derived_facts,
         );
         runs.push((t, digest, stats.derived_facts, stats.nulls_created));
+        unbounded.get_or_insert((controls, loaded, chased));
     }
     let (_, d0, f0, n0) = runs[0];
     for &(t, d, f, n) in &runs[1..] {
@@ -372,6 +401,35 @@ fn run_scale_smoke(nodes: usize) -> Result<ExitCode> {
         }
     }
     println!("scale-smoke: thread counts agree");
+
+    let (all, loaded, chased) = unbounded.expect("two unbounded runs");
+    let budget = loaded + chased.saturating_sub(loaded) / 2;
+    let config = EngineConfig {
+        max_bytes: Some(budget),
+        ..Default::default()
+    };
+    let (db, stats, _) = sized_control_chase(&g, config)?;
+    let partial = control_pairs(&db);
+    println!(
+        "  max_bytes {budget}: {} after {} iterations, {} of {} control pairs, \
+         store {} bytes",
+        stats.termination,
+        stats.iterations,
+        partial.len(),
+        all.len(),
+        db.approx_bytes(),
+    );
+    if stats.termination != Termination::MemoryBudget
+        || partial.len() >= all.len()
+        || !partial.is_subset(&all)
+    {
+        eprintln!(
+            "scale-smoke: max_bytes {budget} did not stop the chase with a strict \
+             subset of the control pairs"
+        );
+        return Ok(ExitCode::FAILURE);
+    }
+    println!("scale-smoke: the memory governor stops the chase with a partial result");
     Ok(ExitCode::SUCCESS)
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Shared foundations for the KGModel workspace: object identifiers, typed
 //! values, deterministic (linker) Skolem functors, a fast non-cryptographic
-//! hasher, and a string interner.
+//! hasher, a string interner, and the value pool with its open-addressing
+//! id tables.
 //!
 //! Every construct in the KGModel representation stack — meta-constructs,
 //! super-constructs, model constructs, and their instances — is identified by
@@ -19,6 +20,7 @@ pub mod interner;
 pub mod oid;
 pub mod pool;
 pub mod skolem;
+pub mod slots;
 pub mod value;
 
 pub use error::{KgmError, Result};
@@ -27,4 +29,5 @@ pub use interner::{Interner, Symbol};
 pub use pool::ValuePool;
 pub use oid::{Oid, OidGen, OidSpace};
 pub use skolem::{SkolemFunctor, SkolemRegistry};
+pub use slots::SlotTable;
 pub use value::{Value, ValueType};

@@ -20,26 +20,47 @@
 //! exactly like the row-oriented `FxHashSet<Vec<Value>>` it replaced, while
 //! exact ids in the columns preserve first-inserted tuples verbatim.
 
-use crate::hash::FxHashMap;
-use crate::value::{Value, ValueType};
+use crate::error::{KgmError, Result};
+use crate::hash::fx_hash_one;
+use crate::slots::SlotTable;
+use crate::value::Value;
+
+/// Most values one pool can hold: the id tables store 32-bit ids (see
+/// [`SlotTable::MAX_IDS`]). Interning a new value beyond it fails with
+/// [`KgmError::ResourceExhausted`], like the fact store's `FactId` caps.
+pub const MAX_POOL_VALUES: usize = SlotTable::MAX_IDS;
+
+/// Hash of a value's exact representation: the `ValueType` splits the
+/// cross-numeric `Int`/`Float` equality class into its exact members.
+fn exact_hash(v: &Value) -> u64 {
+    fx_hash_one(&(v.value_type(), v))
+}
+
+/// Same exact representation (type and payload)?
+fn same_exact(a: &Value, b: &Value) -> bool {
+    a.value_type() == b.value_type() && a == b
+}
 
 /// An append-only `Value` ↔ `u64` id table (see the module docs for the
 /// exact-id / class-id split).
 ///
 /// Ids are dense (`0..len`) and never invalidated. A pool is the private
 /// property of one fact store — ids from different pools are not comparable.
+/// Each value is stored once, in `vals`; the two id indexes are
+/// [`SlotTable`]s over it and hold ids only.
 #[derive(Debug, Default, Clone)]
 pub struct ValuePool {
     vals: Vec<Value>,
     /// Exact id → class id (the exact id of the class's first member).
     class_of: Vec<u64>,
-    /// Exact representation → exact id. The `ValueType` component splits the
-    /// cross-numeric `Int`/`Float` equality class into its exact members.
-    exact_ids: FxHashMap<(ValueType, Value), u64>,
-    /// `Value`-equality class → class id.
-    class_ids: FxHashMap<Value, u64>,
+    /// Every exact id, keyed by its value's exact representation.
+    exact_ids: SlotTable,
+    /// Every class id (each class's first member), keyed by `Value`
+    /// equality.
+    class_ids: SlotTable,
     /// Indirect heap bytes owned by interned values (string payloads); the
-    /// direct `Vec`/map footprint is derived from capacities on demand.
+    /// direct `Vec` and slot-table footprint is derived from capacities on
+    /// demand.
     str_bytes: usize,
 }
 
@@ -60,31 +81,39 @@ impl ValuePool {
     /// Intern `v`, returning its exact id. The same representation always
     /// maps to the same id; `Int(1)` and `Float(1.0)` get distinct exact ids
     /// in the same equality class.
-    pub fn intern(&mut self, v: &Value) -> u64 {
-        if let Some(&id) = self.exact_ids.get(&(v.value_type(), v.clone())) {
-            return id;
+    ///
+    /// Errors with [`KgmError::ResourceExhausted`] when `v` is new and the
+    /// pool already holds [`MAX_POOL_VALUES`] values.
+    pub fn intern(&mut self, v: &Value) -> Result<u64> {
+        let h = exact_hash(v);
+        if let Some(id) = self
+            .exact_ids
+            .find(h, |id| same_exact(&self.vals[id as usize], v))
+        {
+            return Ok(id as u64);
         }
-        self.intern_new(v.clone())
-    }
-
-    /// Intern an owned value.
-    pub fn intern_owned(&mut self, v: Value) -> u64 {
-        if let Some(&id) = self.exact_ids.get(&(v.value_type(), v.clone())) {
-            return id;
+        let id = self.vals.len();
+        if id >= MAX_POOL_VALUES {
+            return Err(KgmError::ResourceExhausted(format!(
+                "value pool is full: {id} values exhaust its 32-bit id space"
+            )));
         }
-        self.intern_new(v)
-    }
-
-    fn intern_new(&mut self, v: Value) -> u64 {
-        let id = self.vals.len() as u64;
-        if let Value::Str(s) = &v {
+        let id = id as u32;
+        let ch = fx_hash_one(v);
+        let class = match self.class_ids.find(ch, |c| self.vals[c as usize] == *v) {
+            Some(c) => c,
+            None => {
+                self.class_ids.insert(ch, id);
+                id
+            }
+        };
+        self.exact_ids.insert(h, id);
+        if let Value::Str(s) = v {
             self.str_bytes += s.len();
         }
-        let class = *self.class_ids.entry(v.clone()).or_insert(id);
-        self.class_of.push(class);
+        self.class_of.push(class as u64);
         self.vals.push(v.clone());
-        self.exact_ids.insert((v.value_type(), v), id);
-        id
+        Ok(id as u64)
     }
 
     /// The equality-class id of an exact id.
@@ -109,7 +138,9 @@ impl ValuePool {
     /// probes use this — a miss means no equal value (and hence no tuple
     /// containing one) can be present.
     pub fn lookup(&self, v: &Value) -> Option<u64> {
-        self.class_ids.get(v).copied()
+        self.class_ids
+            .find(fx_hash_one(v), |c| self.vals[c as usize] == *v)
+            .map(u64::from)
     }
 
     /// Resolve an exact id back to the value it was interned from.
@@ -120,12 +151,14 @@ impl ValuePool {
         &self.vals[id as usize]
     }
 
-    /// Pack a tuple of values into exact ids, appending to `out`.
-    pub fn pack(&mut self, tuple: &[Value], out: &mut Vec<u64>) {
+    /// Pack a tuple of values into exact ids, appending to `out`. Fails
+    /// like [`ValuePool::intern`]; `out` then holds the ids packed so far.
+    pub fn pack(&mut self, tuple: &[Value], out: &mut Vec<u64>) -> Result<()> {
         out.reserve(tuple.len());
         for v in tuple {
-            out.push(self.intern(v));
+            out.push(self.intern(v)?);
         }
+        Ok(())
     }
 
     /// Unpack a row of exact ids back into owned values (cheap: `Value`
@@ -134,21 +167,14 @@ impl ValuePool {
         ids.iter().map(|&id| self.get(id).clone()).collect()
     }
 
-    /// Approximate heap footprint of the pool itself: the reverse table, the
-    /// class table, both id maps, and string payloads. Each `Arc<str>`
-    /// payload is counted once even though map keys and the reverse table
-    /// share it.
+    /// Approximate heap footprint of the pool itself: the value table, the
+    /// class table, both slot tables, and string payloads. Each `Arc<str>`
+    /// payload is counted once; `vals` holds the only `Value` copy.
     pub fn approx_bytes(&self) -> usize {
-        let val = std::mem::size_of::<Value>();
-        let u64s = std::mem::size_of::<u64>();
-        // FxHashMap entry: key + value + ~1/8 control overhead per slot,
-        // with hashbrown's ~8/7 capacity slack folded into a flat factor.
-        let exact_entry = std::mem::size_of::<(ValueType, Value)>() + u64s + 8;
-        let class_entry = val + u64s + 8;
-        self.vals.capacity() * val
-            + self.class_of.capacity() * u64s
-            + self.exact_ids.capacity() * exact_entry
-            + self.class_ids.capacity() * class_entry
+        self.vals.capacity() * std::mem::size_of::<Value>()
+            + self.class_of.capacity() * std::mem::size_of::<u64>()
+            + self.exact_ids.approx_bytes()
+            + self.class_ids.approx_bytes()
             + self.str_bytes
     }
 }
@@ -156,12 +182,13 @@ impl ValuePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::ValueType;
 
     #[test]
     fn equal_values_share_a_class_but_keep_exact_representations() {
         let mut pool = ValuePool::new();
-        let a = pool.intern(&Value::Int(1));
-        let b = pool.intern(&Value::Float(1.0));
+        let a = pool.intern(&Value::Int(1)).unwrap();
+        let b = pool.intern(&Value::Float(1.0)).unwrap();
         assert_ne!(a, b, "distinct representations get distinct exact ids");
         assert_eq!(pool.class(a), pool.class(b), "but share one class");
         assert_eq!(pool.class(a), a, "the first member names the class");
@@ -169,7 +196,7 @@ mod tests {
         assert_eq!(pool.get(b).value_type(), ValueType::Float, "exact ids resolve verbatim");
         assert_eq!(pool.len(), 2);
 
-        let c = pool.intern(&Value::Float(2.5));
+        let c = pool.intern(&Value::Float(2.5)).unwrap();
         assert_ne!(pool.class(a), pool.class(c));
         assert_eq!(pool.get(c), &Value::Float(2.5));
     }
@@ -177,10 +204,10 @@ mod tests {
     #[test]
     fn reinterning_is_stable() {
         let mut pool = ValuePool::new();
-        let a = pool.intern(&Value::Int(7));
-        let b = pool.intern_owned(Value::Float(7.0));
-        assert_eq!(pool.intern(&Value::Int(7)), a);
-        assert_eq!(pool.intern(&Value::Float(7.0)), b);
+        let a = pool.intern(&Value::Int(7)).unwrap();
+        let b = pool.intern(&Value::Float(7.0)).unwrap();
+        assert_eq!(pool.intern(&Value::Int(7)).unwrap(), a);
+        assert_eq!(pool.intern(&Value::Float(7.0)).unwrap(), b);
         assert_eq!(pool.len(), 2);
     }
 
@@ -194,7 +221,7 @@ mod tests {
             Value::str("alpha"),
         ];
         let mut ids = Vec::new();
-        pool.pack(&tuple, &mut ids);
+        pool.pack(&tuple, &mut ids).unwrap();
         assert_eq!(ids.len(), 4);
         assert_eq!(ids[0], ids[3], "repeated values reuse the exact id");
         assert_ne!(ids[1], ids[2], "Int(7) and Float(7.0) stay distinct");
@@ -208,7 +235,7 @@ mod tests {
     #[test]
     fn lookup_is_read_only_and_class_keyed() {
         let mut pool = ValuePool::new();
-        let a = pool.intern(&Value::Int(3));
+        let a = pool.intern(&Value::Int(3)).unwrap();
         assert_eq!(pool.lookup(&Value::Float(3.0)), Some(pool.class(a)));
         assert_eq!(pool.lookup(&Value::Int(4)), None);
         assert_eq!(pool.len(), 1, "lookup must not intern");
@@ -218,7 +245,7 @@ mod tests {
     fn classes_slice_mirrors_class() {
         let mut pool = ValuePool::new();
         for v in [Value::Int(1), Value::Float(1.0), Value::str("x")] {
-            pool.intern(&v);
+            pool.intern(&v).unwrap();
         }
         let classes = pool.classes();
         assert_eq!(classes.len(), pool.len());
@@ -232,9 +259,32 @@ mod tests {
         let mut pool = ValuePool::new();
         let empty = pool.approx_bytes();
         for i in 0..1000 {
-            pool.intern_owned(Value::str(format!("company-{i}")));
+            pool.intern(&Value::str(format!("company-{i}"))).unwrap();
         }
         let full = pool.approx_bytes();
         assert!(full > empty + 1000 * 10, "{empty} -> {full}");
+    }
+
+    #[test]
+    fn many_values_keep_their_ids_and_classes() {
+        // Enough values for several slot-table growths, with every integer
+        // also interned as an equal float.
+        let mut pool = ValuePool::new();
+        for i in 0..5_000i64 {
+            assert_eq!(pool.intern(&Value::Int(i)).unwrap(), 2 * i as u64);
+            assert_eq!(
+                pool.intern(&Value::Float(i as f64)).unwrap(),
+                2 * i as u64 + 1
+            );
+        }
+        for i in 0..5_000i64 {
+            let id = 2 * i as u64;
+            assert_eq!(pool.intern(&Value::Int(i)).unwrap(), id);
+            assert_eq!(pool.intern(&Value::Float(i as f64)).unwrap(), id + 1);
+            assert_eq!(pool.class(id + 1), id);
+            assert_eq!(pool.lookup(&Value::Float(i as f64)), Some(id));
+        }
+        assert_eq!(pool.len(), 10_000);
+        assert_eq!(pool.lookup(&Value::Float(0.5)), None);
     }
 }

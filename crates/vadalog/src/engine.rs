@@ -20,10 +20,9 @@
 use crate::analysis::{AggMode, ProgramAnalysis};
 use crate::ast::{AggregateFunc, Expr, Program, Rule, RuleStep, Term, Var};
 use crate::bindings::SourceRegistry;
+use crate::chase_state::{ChaseState, MonoTable, NullTable};
 use crate::eval::{eval, EvalCtx};
-use kgm_common::{
-    FxHashMap, FxHashSet, KgmError, Oid, OidGen, OidSpace, Result, SkolemRegistry, Value,
-};
+use kgm_common::{FxHashMap, FxHashSet, KgmError, OidGen, OidSpace, Result, SkolemRegistry, Value};
 use kgm_runtime::sync::CancelToken;
 use kgm_runtime::telemetry;
 use std::ops::Range;
@@ -105,8 +104,10 @@ pub struct EngineConfig {
     /// Wall-clock budget per stratum in milliseconds (`None` = unbounded).
     /// An overrun terminates the run with [`Termination::Deadline`].
     pub max_stratum_ms: Option<u64>,
-    /// Approximate memory budget in bytes, measured against
-    /// [`FactDb::approx_bytes`] (`None` = unbounded).
+    /// Approximate memory budget in bytes (`None` = unbounded), measured
+    /// against [`FactDb::approx_bytes`] — which includes the persisted
+    /// resume state — plus the labelled-null and monotonic-aggregate
+    /// tables the running chase holds until it ends.
     pub max_bytes: Option<usize>,
     /// Budget/cancellation policy. `false` (the default): exceeding a
     /// budget degrades gracefully — [`Engine::run`] returns `Ok` with the
@@ -310,36 +311,6 @@ pub struct RuleProfile {
     pub elapsed_ms: f64,
 }
 
-pub(crate) struct MonoState {
-    contributors: FxHashMap<Vec<Value>, Value>,
-    current: Value,
-    /// Provenance: parent fact ids of every contributing match so far, in
-    /// contribution order. An aggregate firing's value depends on the whole
-    /// accumulated state, so its edge carries this full snapshot. Empty
-    /// when provenance is off.
-    parents: Vec<FactId>,
-}
-
-/// The chase's resumable evaluation state, persisted on the [`FactDb`] at
-/// the end of every run and consumed by [`Engine::apply_update`]. Holding
-/// it is what lets an update *continue* the Skolem chase instead of
-/// restarting it: resumed runs reuse the labelled-null table (so re-derived
-/// existential facts keep their nulls and the result stays isomorphic to a
-/// from-scratch chase) and never re-mint a null payload already embedded in
-/// stored facts.
-pub(crate) struct ChaseState {
-    /// Token of the [`Engine`] that produced this state; an update through
-    /// a *different* engine is rejected (its rule numbering, strata and
-    /// aggregate modes would reinterpret the state arbitrarily).
-    pub(crate) engine_token: u64,
-    /// Labelled nulls minted so far (the null generator resumes past them).
-    pub(crate) null_count: u64,
-    /// Skolem-chase null table: `(rule, variable, frontier) → null`.
-    pub(crate) nulls: FxHashMap<(usize, Var, Vec<Value>), Oid>,
-    /// Monotonic-aggregate accumulators: `(rule, group) → state`.
-    pub(crate) mono: FxHashMap<(usize, Vec<Value>), MonoState>,
-}
-
 /// Process-unique token minted per [`Engine`] so persisted [`ChaseState`]
 /// can be matched back to the engine that wrote it.
 static ENGINE_TOKENS: AtomicU64 = AtomicU64::new(1);
@@ -379,7 +350,9 @@ struct Governor<'a> {
 }
 
 impl Governor<'_> {
-    fn check(&self, db: &FactDb, t_stratum: Instant) -> Option<Termination> {
+    /// `run_bytes` is the heap the run holds outside `db`: its null and
+    /// aggregate tables, which reach the database only when the run ends.
+    fn check(&self, db: &FactDb, run_bytes: usize, t_stratum: Instant) -> Option<Termination> {
         if let Some(tok) = self.cancel {
             if tok.is_cancelled() {
                 return Some(Termination::Cancelled);
@@ -396,7 +369,7 @@ impl Governor<'_> {
             }
         }
         if let Some(b) = self.max_bytes {
-            if db.approx_bytes() > b {
+            if db.approx_bytes() + run_bytes > b {
                 return Some(Termination::MemoryBudget);
             }
         }
@@ -782,8 +755,8 @@ impl Engine {
             ),
             None => (
                 OidGen::new(OidSpace::Null),
-                FxHashMap::default(),
-                FxHashMap::default(),
+                NullTable::default(),
+                MonoTable::default(),
             ),
         };
         for s in 0..self.analysis.stratification.count {
@@ -806,7 +779,8 @@ impl Engine {
                     ($t:expr) => {{
                         let t = $t;
                         if self.config.strict {
-                            return Err(self.budget_error(t, db));
+                            let run_bytes = nulls.approx_bytes() + mono.approx_bytes();
+                            return Err(self.budget_error(t, db, run_bytes));
                         }
                         // Tail expression (no semicolon): the macro has type `!`
                         // so it can sit in expression position (match arms).
@@ -815,7 +789,8 @@ impl Engine {
                 }
                 macro_rules! governed {
                     () => {
-                        if let Some(t) = governor.check(db, t_stratum) {
+                        let run_bytes = nulls.approx_bytes() + mono.approx_bytes();
+                        if let Some(t) = governor.check(db, run_bytes, t_stratum) {
                             stop_run!(t);
                         }
                     };
@@ -1081,8 +1056,9 @@ impl Engine {
 
     /// The strict-mode error for a governed stop: the historical `Err`
     /// behavior, with messages naming both the configured budget and the
-    /// observed value.
-    fn budget_error(&self, t: Termination, db: &FactDb) -> KgmError {
+    /// observed value. `run_bytes` is what [`Governor::check`] adds to the
+    /// store for the run's own tables.
+    fn budget_error(&self, t: Termination, db: &FactDb, run_bytes: usize) -> KgmError {
         match t {
             Termination::FactCap => KgmError::ResourceExhausted(format!(
                 "fact cap exceeded: {} facts > configured max_facts {}",
@@ -1094,9 +1070,10 @@ impl Engine {
                 self.config.deadline_ms, self.config.max_stratum_ms
             )),
             Termination::MemoryBudget => KgmError::ResourceExhausted(format!(
-                "memory budget exceeded: ~{} bytes > configured max_bytes {:?}",
-                db.approx_bytes(),
-                self.config.max_bytes
+                "memory budget exceeded: ~{} bytes (store and chase tables) > configured \
+                 max_bytes {}",
+                db.approx_bytes() + run_bytes,
+                self.config.max_bytes.unwrap_or(usize::MAX)
             )),
             Termination::Cancelled => {
                 KgmError::Cancelled("chase cancelled via CancelToken".to_string())
@@ -1267,7 +1244,7 @@ impl Engine {
                 engine_token: self.token,
                 null_count: st.null_count,
                 nulls: st.nulls,
-                mono: FxHashMap::default(),
+                mono: MonoTable::default(),
             };
             stats = self.run_inner(db, None, Some(resume))?;
             rederived = closure_tuples
@@ -1296,8 +1273,8 @@ impl Engine {
             let resume = ChaseState {
                 engine_token: self.token,
                 null_count: state.map_or(0, |st| st.null_count),
-                nulls: FxHashMap::default(),
-                mono: FxHashMap::default(),
+                nulls: NullTable::default(),
+                mono: MonoTable::default(),
             };
             stats = self.run_inner(db, None, Some(resume))?;
         }
@@ -1387,8 +1364,8 @@ impl Engine {
         rule: &Rule,
         delta: Option<(usize, Range<usize>)>,
         null_gen: &OidGen,
-        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
-        mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
+        nulls: &mut NullTable,
+        mono: &mut MonoTable,
         out: &mut Vec<(String, Vec<Value>)>,
         prov_out: &mut ProvOut,
         profile: &mut ChaseProfile,
@@ -1446,7 +1423,7 @@ impl Engine {
                     // stay empty.
                     self.eval_shard(
                         db, ri, rule, &order, r, pure_end, emit, null_gen,
-                        &mut FxHashMap::default(), &mut FxHashMap::default(), &mut so,
+                        &mut NullTable::default(), &mut MonoTable::default(), &mut so,
                         interrupt,
                     )?;
                     Ok(so)
@@ -1517,8 +1494,8 @@ impl Engine {
         steps_end: usize,
         emit: bool,
         null_gen: &OidGen,
-        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
-        mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
+        nulls: &mut NullTable,
+        mono: &mut MonoTable,
         so: &mut ShardOut,
         interrupt: &InterruptState,
     ) -> Result<()> {
@@ -1715,7 +1692,7 @@ impl Engine {
         range: Range<usize>,
         binding: &mut Vec<Option<Value>>,
         assigned: &mut Vec<Var>,
-        mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
+        mono: &mut MonoTable,
         edge_parents: &mut Vec<FactId>,
     ) -> Result<bool> {
         let ctx = EvalCtx {
@@ -1765,48 +1742,25 @@ impl Engine {
                                 ))
                             }
                         };
-                        let group: Vec<Value> = self.meta[ri]
-                            .group_vars
-                            .iter()
-                            .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                            .collect();
-                        let contrib_key: Vec<Value> = agg
-                            .contributors
-                            .iter()
-                            .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                            .collect();
                         let val = match &agg.arg {
                             Some(e) => eval(e, binding, &ctx)?,
                             None => Value::Int(1),
                         };
-                        let state = mono.entry((ri, group)).or_insert_with(|| MonoState {
-                            contributors: FxHashMap::default(),
-                            current: initial_value(func),
-                            parents: Vec::new(),
-                        });
-                        if state.contributors.contains_key(&contrib_key) {
-                            // Idempotent re-contribution: nothing new.
+                        let prov = self.config.provenance.then_some(&mut *edge_parents);
+                        let Some(updated) = mono.contribute(
+                            ri,
+                            func,
+                            &self.meta[ri].group_vars,
+                            &agg.contributors,
+                            binding,
+                            &val,
+                            prov,
+                        )?
+                        else {
+                            // Already counted, or the aggregate did not
+                            // move: nothing new to emit.
                             return Ok(false);
-                        }
-                        let updated = combine(func, &state.current, &val)?;
-                        let changed = updated != state.current;
-                        state.contributors.insert(contrib_key, val);
-                        state.current = updated.clone();
-                        if self.config.provenance {
-                            // Every new contributor joins the group's parent
-                            // set, whether or not the accumulator moved.
-                            state.parents.extend_from_slice(edge_parents);
-                        }
-                        if !changed {
-                            // The aggregate did not move; nothing new to emit.
-                            return Ok(false);
-                        }
-                        if self.config.provenance {
-                            // A firing's value is a fold over the whole
-                            // group: its edge carries the full snapshot.
-                            edge_parents.clear();
-                            edge_parents.extend_from_slice(&state.parents);
-                        }
+                        };
                         binding[agg.target.0 as usize] = Some(updated);
                         assigned.push(agg.target);
                     }
@@ -1826,7 +1780,7 @@ impl Engine {
         rule: &Rule,
         binding: &[Option<Value>],
         null_gen: &OidGen,
-        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
+        nulls: &mut NullTable,
         out: &mut Vec<(String, Vec<Value>)>,
         parents: &[FactId],
         prov_out: &mut ProvOut,
@@ -1842,9 +1796,7 @@ impl Engine {
                 .map(|v| binding[v.0 as usize].clone().expect("frontier bound"))
                 .collect();
             for &v in &meta.existentials {
-                let oid = *nulls
-                    .entry((ri, v, frontier.clone()))
-                    .or_insert_with(|| null_gen.fresh());
+                let oid = nulls.get_or_mint(ri, v, &frontier, null_gen);
                 null_values.insert(v, Value::Oid(oid));
             }
         }
@@ -1879,7 +1831,7 @@ impl Engine {
         ri: usize,
         rule: &Rule,
         null_gen: &OidGen,
-        nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
+        nulls: &mut NullTable,
         interrupt: &InterruptState,
     ) -> Result<(Vec<(String, Vec<Value>)>, ProvOut)> {
         let meta = &self.meta[ri];
@@ -1911,7 +1863,7 @@ impl Engine {
             // Pre-aggregate steps never reach an aggregate, so the
             // monotonic-aggregate table and edge parents stay untouched.
             let keep = self.run_steps(
-                db, ri, rule, 0..agg_step, binding, &mut assigned, &mut FxHashMap::default(),
+                db, ri, rule, 0..agg_step, binding, &mut assigned, &mut MonoTable::default(),
                 &mut Vec::new(),
             )?;
             if keep {
@@ -1976,7 +1928,7 @@ impl Engine {
             binding[agg.target.0 as usize] = Some(acc);
             let keep = self.run_steps(
                 db, ri, rule, agg_step + 1..rule.steps.len(), &mut binding, &mut Vec::new(),
-                &mut FxHashMap::default(), &mut Vec::new(),
+                &mut MonoTable::default(), &mut Vec::new(),
             )?;
             if keep {
                 self.emit_heads(
@@ -2068,7 +2020,7 @@ fn static_index_needs(rule: &Rule) -> Vec<(String, Vec<usize>)> {
     v
 }
 
-fn initial_value(func: AggregateFunc) -> Value {
+pub(crate) fn initial_value(func: AggregateFunc) -> Value {
     match func {
         AggregateFunc::Sum | AggregateFunc::MSum | AggregateFunc::Avg => Value::Int(0),
         AggregateFunc::Count | AggregateFunc::MCount => Value::Int(0),
@@ -2078,7 +2030,7 @@ fn initial_value(func: AggregateFunc) -> Value {
     }
 }
 
-fn combine(func: AggregateFunc, acc: &Value, v: &Value) -> Result<Value> {
+pub(crate) fn combine(func: AggregateFunc, acc: &Value, v: &Value) -> Result<Value> {
     use crate::ast::BinOp;
     use crate::eval::bin;
     match func {
@@ -2329,6 +2281,68 @@ mod tests {
             !controls.contains(&(1, 2)),
             "two facts for the same (owner, owned) pair must contribute once"
         );
+    }
+
+    /// Monotonic-aggregate keys compare by `Value` equality: a group and a
+    /// contributor reached once as `Int(1)`/`Int(7)` and once as
+    /// `Float(1.0)`/`Float(7.0)` are one group and one contributor, counted
+    /// once, at any thread count and as in the naive oracle.
+    #[test]
+    fn monotonic_aggregate_keys_follow_value_equality() {
+        let src = r#"
+            start(X) -> reach(X).
+            reach(X), link(X, Y, C, W), T = msum(W, <C>) -> total(Y, T).
+            total(Y, T), T > 0.5 -> reach(Y).
+        "#;
+        let (int, float) = (Value::Int, Value::Float);
+        let inputs = vec![
+            ("start", vec![vec![int(0)]]),
+            (
+                "link",
+                vec![
+                    vec![int(0), int(1), int(7), float(0.3)],
+                    // Group 1 and contributor 7 again, as floats: already
+                    // counted, so 0.4 never joins the sum.
+                    vec![int(0), float(1.0), float(7.0), float(0.4)],
+                    // A second contributor tips group 1 over the majority.
+                    vec![int(0), int(1), int(9), float(0.3)],
+                    vec![float(1.0), int(2), int(8), float(0.6)],
+                ],
+            ),
+        ];
+        let exact = |db: &FactDb| -> Vec<(String, Vec<String>)> {
+            db.predicates()
+                .into_iter()
+                .flat_map(|p| {
+                    db.facts_iter(&p)
+                        .map(|t| (p.clone(), t.iter().map(Value::to_text).collect()))
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        let (mut db, _) = run_with_threads(src, &inputs, 1);
+        let state = db.take_chase_state().expect("a run persists its state");
+        assert_eq!(state.mono.groups(), 2, "Y = 1 and Y = 2");
+        assert_eq!(
+            state.mono.contributors(),
+            3,
+            "7 (once) and 9 in group 1, 8 in group 2"
+        );
+        let totals: Vec<(f64, f64)> = db
+            .facts_iter("total")
+            .map(|t| (t[0].as_f64().unwrap(), t[1].as_f64().unwrap()))
+            .collect();
+        assert_eq!(totals, vec![(1.0, 0.3), (1.0, 0.6), (2.0, 0.6)]);
+        assert!(db.contains("reach", &[Value::Int(2)]));
+        let (sharded, _) = run_with_threads(src, &inputs, 4);
+        assert_eq!(exact(&db), exact(&sharded), "1 vs 4 threads");
+        let oracle = crate::oracle::naive_chase_with(
+            &parse_program(src).unwrap(),
+            &inputs,
+            &crate::oracle::OracleConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(crate::oracle::canonical_diff_oracle(&oracle, &db), None);
     }
 
     #[test]
@@ -2591,8 +2605,8 @@ mod tests {
                     &engine.program.rules[1],
                     Some((0, end..end)),
                     &OidGen::new(OidSpace::Null),
-                    &mut FxHashMap::default(),
-                    &mut FxHashMap::default(),
+                    &mut NullTable::default(),
+                    &mut MonoTable::default(),
                     &mut out,
                     &mut Vec::new(),
                     &mut profile,

@@ -543,7 +543,7 @@ pub struct FactDb {
     /// (labelled-null keys, monotonic-aggregate accumulators, null counter),
     /// consumed by `Engine::apply_update` to continue the chase instead of
     /// restarting it. Boxed: most databases never run incrementally.
-    chase_state: Option<Box<crate::engine::ChaseState>>,
+    chase_state: Option<Box<crate::chase_state::ChaseState>>,
 }
 
 impl FactDb {
@@ -569,21 +569,19 @@ impl FactDb {
     ///
     /// Errors with [`KgmError::ResourceExhausted`] when the insert would
     /// exceed the [`FactId`] packing caps — [`MAX_ROWS_PER_RELATION`] rows
-    /// per relation or [`MAX_PREDICATES`] relations. A *duplicate* of a
-    /// stored tuple is still `Ok(None)` at the cap: capacity only gates
-    /// growth.
+    /// per relation or [`MAX_PREDICATES`] relations — or when a new value
+    /// would exceed the pool's [`kgm_common::pool::MAX_POOL_VALUES`]. A
+    /// *duplicate* of a stored tuple is still `Ok(None)` at the row cap:
+    /// capacity only gates growth.
     pub fn insert_id(&mut self, predicate: &str, tuple: &[Value]) -> Result<Option<FactId>> {
-        use std::collections::hash_map::Entry;
-        let pred_names = &mut self.pred_names;
-        let rel = match self.rels.entry(predicate.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                guard_pred_capacity(pred_names.len())?;
-                let pid = pred_names.len() as u32;
-                pred_names.push(predicate.to_string());
-                e.insert(Relation::new(tuple.len(), pid))
-            }
-        };
+        // Probe by `&str`: only a new relation allocates its name.
+        if !self.rels.contains_key(predicate) {
+            guard_pred_capacity(self.pred_names.len())?;
+            let pid = self.pred_names.len() as u32;
+            self.pred_names.push(predicate.to_string());
+            self.rels.insert(predicate.to_string(), Relation::new(tuple.len(), pid));
+        }
+        let rel = self.rels.get_mut(predicate).expect("created above");
         if rel.arity != tuple.len() {
             return Err(KgmError::Schema(format!(
                 "predicate `{predicate}` has arity {}, got tuple of length {}",
@@ -594,7 +592,7 @@ impl FactDb {
         self.scratch.clear();
         self.scratch_class.clear();
         for v in tuple {
-            let id = self.pool.intern(v);
+            let id = self.pool.intern(v)?;
             self.scratch.push(id);
             self.scratch_class.push(self.pool.class(id));
         }
@@ -716,15 +714,18 @@ impl FactDb {
     }
 
     /// Approximate resident bytes of the store: packed columns, row hashes,
-    /// dedup slots, posting lists and the value pool (including string
-    /// payloads). Unlike the old row-oriented proxy this is real capacity
-    /// accounting — the [`crate::EngineConfig::max_bytes`] governor budget
-    /// tracks actual allocation within small constant factors (pinned by a
-    /// regression test against a counting allocator).
+    /// dedup slots, posting lists, the value pool (including string
+    /// payloads), provenance, and the engine's persisted resume state (its
+    /// labelled-null and monotonic-aggregate tables). Unlike the old
+    /// row-oriented proxy this is real capacity accounting — the
+    /// [`crate::EngineConfig::max_bytes`] governor budget tracks actual
+    /// allocation within small constant factors (pinned by a regression
+    /// test against a counting allocator).
     pub fn approx_bytes(&self) -> usize {
         let rels: usize = self.rels.values().map(Relation::approx_bytes).sum();
         let prov = self.prov.as_ref().map_or(0, ProvStore::approx_bytes);
-        rels + prov + self.pool.approx_bytes()
+        let state = self.chase_state.as_ref().map_or(0, |st| st.approx_bytes());
+        rels + prov + state + self.pool.approx_bytes()
     }
 
     /// Exact containment test. Read-only (never interns): a tuple with any
@@ -835,12 +836,12 @@ impl FactDb {
     }
 
     /// Store the engine's resume state (overwriting any previous state).
-    pub(crate) fn set_chase_state(&mut self, state: crate::engine::ChaseState) {
+    pub(crate) fn set_chase_state(&mut self, state: crate::chase_state::ChaseState) {
         self.chase_state = Some(Box::new(state));
     }
 
     /// Take the engine's resume state, leaving `None` behind.
-    pub(crate) fn take_chase_state(&mut self) -> Option<Box<crate::engine::ChaseState>> {
+    pub(crate) fn take_chase_state(&mut self) -> Option<Box<crate::chase_state::ChaseState>> {
         self.chase_state.take()
     }
 

@@ -45,6 +45,7 @@
 pub mod analysis;
 pub mod ast;
 pub mod bindings;
+mod chase_state;
 pub mod engine;
 pub mod eval;
 pub mod explain;

@@ -6,14 +6,16 @@
 //! factor of two of the measured net allocation — tight enough to catch a
 //! forgotten structure (the old row-oriented proxy undercounted its dedup
 //! set entirely) while leaving room for allocator slack the estimate cannot
-//! see.
+//! see. The last two tests pin the same bound on a chase whose
+//! monotonic-aggregate state outweighs the store, and check that the
+//! `max_bytes` governor sees that state while the chase runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use kgm_common::Value;
-use kgm_runtime::Mutex;
-use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb};
+use kgm_common::{FxHashSet, KgmError, Value};
+use kgm_runtime::{Mutex, Rng};
+use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb, Termination};
 
 /// System allocator wrapper tracking live (allocated minus freed) bytes.
 struct CountingAlloc;
@@ -164,4 +166,138 @@ fn approx_bytes_tracks_allocation_after_a_chase() {
         approx <= measured * 2,
         "approx_bytes overcounts: approx {approx}, measured {measured}"
     );
+}
+
+/// Example 4.2 (company control, `CONTROL_VADALOG` of the finance crate).
+/// Recursive, so its `msum` runs as a monotonic aggregate and keeps its
+/// per-group state after the run; a non-recursive `msum` rule would run as
+/// an exact aggregate and keep nothing.
+const CONTROL: &str = r#"
+company(X) -> controls(X, X).
+controls(X, Z), own(Z, Y, W), V = msum(W, <Z>), V > 0.5 -> controls(X, Y).
+@output(controls).
+"#;
+
+/// 4,001 companies; each of the first 4,000 holds five distinct stakes.
+/// About one stake in seven is a majority (0.6), the rest 0.05–0.30, so
+/// control also arises jointly. The chase derives 15,533 `controls` facts
+/// and quadruples the loaded store's footprint, mostly in aggregate state.
+fn control_inputs() -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+    let companies = (0..4_001i64).map(|i| vec![Value::Int(i)]).collect();
+    let mut rng = Rng::seed_from_u64(0x4_2);
+    let mut own = Vec::with_capacity(20_000);
+    for z in 0..4_000i64 {
+        for k in 0..5i64 {
+            // 811 · k stays under 4,001, so the five targets are distinct.
+            let y = (z * 37 + k * 811 + 1) % 4_001;
+            let w = if rng.gen_bool(0.15) {
+                0.6
+            } else {
+                0.05 + 0.25 * rng.gen_f64()
+            };
+            own.push(vec![Value::Int(z), Value::Int(y), Value::Float(w)]);
+        }
+    }
+    (companies, own)
+}
+
+fn control_engine(config: EngineConfig) -> Engine {
+    Engine::with_config(parse_program(CONTROL).unwrap(), config).unwrap()
+}
+
+/// Load the control input into a fresh store.
+fn control_db() -> FactDb {
+    let (companies, own) = control_inputs();
+    let mut db = FactDb::new();
+    db.add_facts("company", companies).unwrap();
+    db.add_facts("own", own).unwrap();
+    assert_eq!(db.len("own"), 20_000);
+    db
+}
+
+fn controls(db: &FactDb) -> FxHashSet<Vec<Value>> {
+    db.facts_iter("controls").collect()
+}
+
+/// The unbounded control chase: the resulting store and the net bytes
+/// allocated to load and chase it.
+fn measured_control_chase(provenance: bool) -> (FactDb, usize) {
+    let engine = control_engine(EngineConfig {
+        threads: 1,
+        deadline_ms: None,
+        provenance,
+        ..EngineConfig::default()
+    });
+    let before = live();
+    let mut db = control_db();
+    let stats = engine.run(&mut db).unwrap();
+    let measured = live().saturating_sub(before);
+    assert_eq!(stats.termination, Termination::Complete);
+    (db, measured)
+}
+
+/// The monotonic-aggregate state a recursive `msum` keeps (a group per
+/// `(controller, target)` pair, a key per counted contributor) is part of
+/// the store's footprint, with provenance off and on.
+#[test]
+fn approx_bytes_counts_recursive_aggregation_state() {
+    let _guard = MEASURING.lock();
+    for provenance in [false, true] {
+        let (db, measured) = measured_control_chase(provenance);
+        let approx = db.approx_bytes();
+        assert!(
+            db.len("controls") > 4_001,
+            "control propagates beyond the reflexive pairs"
+        );
+        assert!(
+            approx * 2 >= measured,
+            "approx_bytes undercounts (provenance {provenance}): approx {approx}, \
+             measured {measured}"
+        );
+        assert!(
+            approx <= measured * 2,
+            "approx_bytes overcounts (provenance {provenance}): approx {approx}, \
+             measured {measured}"
+        );
+    }
+}
+
+/// A `max_bytes` budget of a quarter of the unbounded chase's measured
+/// allocation stops that chase: the governor counts the null and aggregate
+/// tables the run holds, not only the fact store. Graceful mode keeps a
+/// prefix of the unbounded result; strict mode errors naming the budget.
+#[test]
+fn max_bytes_stops_a_recursive_aggregation_chase() {
+    let _guard = MEASURING.lock();
+    let (full, measured) = measured_control_chase(false);
+    let budget = measured / 4;
+    assert!(
+        control_db().approx_bytes() < budget,
+        "the loaded input alone stays under the budget, so the chase starts"
+    );
+    let bounded = |strict: bool| {
+        control_engine(EngineConfig {
+            threads: 1,
+            deadline_ms: None,
+            max_bytes: Some(budget),
+            strict,
+            ..EngineConfig::default()
+        })
+    };
+
+    let mut db = control_db();
+    let stats = bounded(false).run(&mut db).unwrap();
+    assert_eq!(stats.termination, Termination::MemoryBudget);
+    let partial = controls(&db);
+    let all = controls(&full);
+    assert!(partial.len() < all.len(), "the run stopped early");
+    assert!(partial.is_subset(&all), "a partial run keeps a prefix");
+
+    match bounded(true).run(&mut control_db()) {
+        Err(KgmError::ResourceExhausted(msg)) => assert!(
+            msg.contains("max_bytes") && msg.contains(&budget.to_string()),
+            "{msg}"
+        ),
+        other => panic!("strict mode must fail with ResourceExhausted, got {other:?}"),
+    }
 }

@@ -24,7 +24,8 @@
 # Usage: scripts/ci.sh [--skip-tests]
 #
 # KGM_SCALE_SMOKE=1 additionally runs a 100k-node registry chase and
-# requires the 1-thread and 8-thread outputs to be identical (adds ~2s).
+# requires the 1-thread and 8-thread outputs to be identical and a
+# max_bytes budget to stop a third run (adds ~2s).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -314,10 +315,13 @@ if [ "${KGM_SCALE_SMOKE:-0}" = "1" ]; then
     # 100k-node shareholding graph through the company-control chase at
     # 1 vs 8 worker threads; paper-harness exits non-zero unless the two
     # runs produce identical control relations (order-independent digest),
-    # derived-fact counts, and null counts. This guards the determinism of
-    # sharded evaluation at a scale the unit suites never reach.
+    # derived-fact counts, and null counts, and unless a max_bytes budget
+    # halfway between the loaded and the chased store stops a third run
+    # with MemoryBudget and a strict subset of the control pairs. This
+    # guards the determinism of sharded evaluation and the memory governor
+    # at a scale the unit suites never reach.
     "$harness" scale-smoke 100000
-    echo "ok: 100k-node chase output identical at 1 and 8 threads"
+    echo "ok: 100k-node chase output identical at 1 and 8 threads; max_bytes stops it"
 fi
 
 echo "== parallel chase determinism smoke =="
