@@ -2,16 +2,17 @@
 //!
 //! A [`SlotTable`] indexes dense `u32` ids (`0..n`) whose keys live in the
 //! owner's own flat storage — the value pool's `vals`, the chase's
-//! aggregate-group keys — so no key is ever stored a second time, as a
-//! `HashMap` key would be. The caller hashes a key once, and the table
-//! hands each candidate id back to a caller-supplied equality test.
+//! aggregate-group keys, the fact store's columns (tuple dedup and join-index
+//! keys) — so no key is ever stored a second time, as a `HashMap` key would
+//! be. The caller hashes a key once, and the table hands each candidate id
+//! back to a caller-supplied equality test.
 //!
 //! Layout: a power-of-two `Vec<u64>` with linear probing, kept at most 7/8
-//! full (the idiom of the fact store's tuple-dedup table). Each occupied
-//! slot packs the upper 32 bits of the key's hash — the *tag*, which also
-//! picks the home slot — above the 32-bit id. A probe only calls the
-//! equality test on a tag match, and growth re-places entries from their
-//! tags alone, without touching or re-hashing any key.
+//! full. Each occupied slot packs the upper 32 bits of the key's hash — the
+//! *tag*, which also picks the home slot — above the 32-bit id. A probe only
+//! calls the equality test on a tag match, and growth re-places entries from
+//! their tags alone, without touching or re-hashing any key (an owner whose
+//! ids can die may drop them there, see [`SlotTable::insert_keeping`]).
 
 /// Empty-slot marker. An occupied slot never equals it because ids stop
 /// short of `u32::MAX` ([`SlotTable::MAX_IDS`]).
@@ -57,12 +58,24 @@ impl SlotTable {
     /// [`SlotTable::find`]) that no equal key is stored, and keeps ids
     /// under [`SlotTable::MAX_IDS`].
     pub fn insert(&mut self, hash: u64, id: u32) {
+        self.insert_keeping(hash, id, |_| true);
+    }
+
+    /// [`SlotTable::insert`] for owners whose ids can die: when this insert
+    /// grows the table, stored ids that `keep` rejects are not re-placed,
+    /// so growth is when their slots are reclaimed.
+    pub fn insert_keeping(&mut self, hash: u64, id: u32, mut keep: impl FnMut(u32) -> bool) {
         debug_assert!((id as usize) < Self::MAX_IDS, "id {id} is the empty marker");
         if (self.len + 1) * 8 > self.slots.len() * 7 {
             let grown = vec![EMPTY; (self.slots.len() * 2).max(16)];
             for entry in std::mem::replace(&mut self.slots, grown) {
-                if entry != EMPTY {
+                if entry == EMPTY {
+                    continue;
+                }
+                if keep(entry as u32) {
                     self.place(entry);
+                } else {
+                    self.len -= 1;
                 }
             }
         }
@@ -126,5 +139,23 @@ mod tests {
         }
         assert_eq!(t.find(42 << 32, |_| false), None);
         assert_eq!(t.find(7 << 32, |_| true), None, "another tag never matches");
+    }
+
+    #[test]
+    fn growth_drops_the_ids_keep_rejects() {
+        let hash = |id: u32| fx_hash_one(&id);
+        let mut t = SlotTable::default();
+        for id in 0..14u32 {
+            t.insert(hash(id), id);
+        }
+        assert_eq!(t.approx_bytes(), 16 * 8, "14 of 16 slots: no growth yet");
+        // The 15th id crosses 7/8 load; the odd ids are dropped as it grows.
+        t.insert_keeping(hash(14), 14, |id| id % 2 == 0);
+        assert_eq!(t.approx_bytes(), 32 * 8);
+        assert_eq!(t.len, 8);
+        for id in 0..15u32 {
+            let found = t.find(hash(id), |i| i == id);
+            assert_eq!(found.is_some(), id % 2 == 0, "id {id}");
+        }
     }
 }

@@ -8,15 +8,18 @@
 //! - **Columns** (`cols[p][row]`): the id of attribute `p` in tuple `row`.
 //!   Insertion order is the row order, so semi-naive delta ranges are still
 //!   plain index ranges.
-//! - **Tuple-hash dedup table**: a packed open-addressing table (`Vec<u32>`
-//!   slots into the row space, power-of-two capacity, linear probing) over
-//!   the per-row tuple hash. This replaces the `FxHashSet<Vec<Value>>` that
-//!   used to store every tuple a second time.
-//! - **Join indexes**: posting lists (`packed key → ascending Vec<u32>` of
-//!   rows) built incrementally by the single writer via
+//! - **Tuple dedup**: a [`SlotTable`] from the class-id tuple hash to the
+//!   row, whose equality test reads the row back from the columns, so no
+//!   tuple and no hash is stored a second time. It replaces the
+//!   `FxHashSet<Vec<Value>>` that used to store every tuple twice.
+//! - **Join indexes**: per key-position set, the ascending rows of every
+//!   distinct key, built incrementally by the single writer via
 //!   [`Relation::ensure_index`] and *reused across semi-naive iterations* —
 //!   `built_upto` records how far the postings reach, so each fixpoint
-//!   iteration only appends the delta instead of rebuilding.
+//!   iteration only appends the delta instead of rebuilding. A
+//!   [`SlotTable`] finds a key's dense id by comparing with the key's first
+//!   row, and each key's rows are one contiguous segment of a single `u32`
+//!   arena per index: an index allocates O(log keys) times, never per key.
 //!
 //! The pool is two-level (see [`ValuePool`]): columns store **exact ids** so
 //! tuples read back with the representation they were inserted with, while
@@ -34,16 +37,14 @@
 //! candidates, to fact iteration, and to the live counts ([`FactDb::len`],
 //! [`FactDb::total_facts`]); the physical row space — which the engine's
 //! semi-naive watermarks and delta ranges are defined over — stays reachable
-//! through `rows_of`. A tombstoned tuple's dedup slot is *not* recycled, so
-//! re-inserting the same tuple appends a fresh row under a fresh id: ids name
-//! insertion events, not tuples.
+//! through `rows_of`. A tombstoned row never matches a dedup probe again (the
+//! dedup table drops it when it next grows), so re-inserting the same tuple
+//! appends a fresh row under a fresh id: ids name insertion events, not
+//! tuples.
 
-use kgm_common::{FxHashMap, FxHashSet, FxHasher, KgmError, Result, Value, ValuePool};
+use kgm_common::{FxHashMap, FxHashSet, FxHasher, KgmError, Result, SlotTable, Value, ValuePool};
 use std::hash::Hasher;
 use std::ops::Range;
-
-/// Empty slot marker in the dedup table.
-const EMPTY: u32 = u32::MAX;
 
 /// Dense identity of one stored fact: the owning relation's predicate id in
 /// the high 32 bits, the row index in the low 32. Ids are stable for the
@@ -56,8 +57,8 @@ const EMPTY: u32 = u32::MAX;
 pub type FactId = u64;
 
 /// Hard row cap per relation implied by the 32-bit row half of [`FactId`].
-/// Row `u32::MAX` doubles as the dedup table's empty-slot sentinel, so the
-/// cap sits one short of `2^32`.
+/// Rows are the dedup table's [`SlotTable`] ids, which stop one short of
+/// `2^32` ([`SlotTable::MAX_IDS`]), so the cap does too.
 pub const MAX_ROWS_PER_RELATION: usize = u32::MAX as usize;
 
 /// Hard predicate cap implied by the 32-bit predicate half of [`FactId`].
@@ -211,27 +212,127 @@ impl ProvStore {
     }
 }
 
-/// Hash of a packed tuple. Row hashes are stored per row so table growth and
-/// frozen-db probes never re-touch the columns.
-fn hash_ids(ids: &[u64]) -> u64 {
+/// Hash of a class-id key: a whole tuple for dedup, the key positions for
+/// a join index. Build and probe sides gather the ids differently, so the
+/// hash takes any iterator of them.
+fn hash_ids(ids: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FxHasher::default();
-    for &id in ids {
+    for id in ids {
         h.write_u64(id);
     }
     h.finish()
 }
 
-/// One posting-list join index: packed key at `positions` → ascending rows.
+/// The class-id key of `row` at `positions`.
+#[inline]
+fn key_at<'a>(
+    positions: &'a [usize],
+    cols: &'a [Vec<u64>],
+    class: &'a [u64],
+    row: usize,
+) -> impl Iterator<Item = u64> + 'a {
+    positions.iter().map(move |&p| class[cols[p][row] as usize])
+}
+
+/// One join index: every distinct class-id key at its positions → the
+/// key's rows, ascending.
+///
+/// Nothing is allocated per key. `keys` maps a key's hash to its dense key
+/// id and tests equality against the key's first row in the columns (rows
+/// never move, and a tombstoned row keeps its values), so no key is stored.
+/// Key `k`'s rows are the segment of `len[k]` postings at `start[k]`, with
+/// room for `len[k].next_power_of_two()`: a push into a full segment grows
+/// it in place when it ends the arena, else moves it to the end at twice
+/// the size. A key's abandoned segments sum to less than its live one, so
+/// the arena stays under twice its live capacity without compaction.
+#[derive(Default)]
 struct Index {
-    map: FxHashMap<Box<[u64]>, Vec<u32>>,
+    keys: SlotTable,
+    /// Arena offset of each key's segment. `u64`, because the arena can
+    /// outgrow the 32-bit row space: up to four slots per row.
+    start: Vec<u64>,
+    /// Rows in each key's segment (at least one).
+    len: Vec<u32>,
+    postings: Vec<u32>,
     /// Rows `0..built_upto` are reflected in the postings; the tail is not.
     built_upto: usize,
 }
 
-/// Candidate rows produced by [`Relation::lookup`]. Borrows the posting list
-/// when the index fully covers the probe, so the hot join path allocates
-/// nothing per probe.
-pub(crate) enum Candidates<'a> {
+impl Index {
+    /// The rows of key id `k`, ascending.
+    #[inline]
+    fn segment(&self, k: u32) -> &[u32] {
+        let start = self.start[k as usize] as usize;
+        &self.postings[start..start + self.len[k as usize] as usize]
+    }
+
+    /// The key id under `hash` whose first row `same_key` accepts.
+    #[inline]
+    fn find(&self, hash: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
+        self.keys
+            .find(hash, |k| same_key(self.segment(k)[0] as usize))
+    }
+
+    /// Fold rows `built_upto..rows` into their keys' segments.
+    fn catch_up(&mut self, positions: &[usize], cols: &[Vec<u64>], class: &[u64], rows: usize) {
+        for row in self.built_upto..rows {
+            let key = || key_at(positions, cols, class, row);
+            let h = hash_ids(key());
+            match self.find(h, |rep| key_at(positions, cols, class, rep).eq(key())) {
+                Some(k) => self.push(k as usize, row as u32),
+                None => {
+                    // At most one key per row, so key ids stay under the
+                    // row cap and hence under `SlotTable::MAX_IDS`.
+                    self.keys.insert(h, self.len.len() as u32);
+                    self.start.push(self.postings.len() as u64);
+                    self.len.push(1);
+                    self.postings.push(row as u32);
+                }
+            }
+        }
+        self.built_upto = rows;
+    }
+
+    /// Append `row` to key `k`'s segment.
+    fn push(&mut self, k: usize, row: u32) {
+        let len = self.len[k] as usize;
+        if len.is_power_of_two() {
+            // Full: double it at the arena's end.
+            let start = self.start[k] as usize;
+            let end = self.postings.len();
+            if start + len != end {
+                self.postings.extend_from_within(start..start + len);
+                self.start[k] = end as u64;
+            }
+            self.postings.resize(self.start[k] as usize + 2 * len, 0);
+        }
+        self.postings[self.start[k] as usize + len] = row;
+        self.len[k] += 1;
+    }
+
+    /// Heap bytes, from the capacities of the slot table and the three
+    /// arrays.
+    fn approx_bytes(&self) -> usize {
+        self.keys.approx_bytes()
+            + self.start.capacity() * 8
+            + self.len.capacity() * 4
+            + self.postings.capacity() * 4
+    }
+}
+
+/// Candidate rows produced by [`Relation::lookup`], ascending. Borrows the
+/// postings when the index fully covers the probe, so the hot join path
+/// allocates nothing per probe, and skips tombstoned rows as it reaches
+/// them, so a relation with dead rows does not allocate either.
+pub(crate) struct Candidates<'a> {
+    rows: Rows<'a>,
+    /// The relation's tombstone bitmap; empty until a row dies, so a
+    /// tombstone-free relation tests nothing but the slice length.
+    dead: &'a [u64],
+}
+
+/// Where [`Candidates`] come from, dead rows included.
+enum Rows<'a> {
     Range(Range<u32>),
     Slice(std::slice::Iter<'a, u32>),
     Owned(std::vec::IntoIter<u32>),
@@ -242,10 +343,15 @@ impl Iterator for Candidates<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<u32> {
-        match self {
-            Candidates::Range(r) => r.next(),
-            Candidates::Slice(it) => it.next().copied(),
-            Candidates::Owned(it) => it.next(),
+        loop {
+            let row = match &mut self.rows {
+                Rows::Range(r) => r.next(),
+                Rows::Slice(it) => it.next().copied(),
+                Rows::Owned(it) => it.next(),
+            }?;
+            if !bit_get(self.dead, row as usize) {
+                return Some(row);
+            }
         }
     }
 }
@@ -262,16 +368,15 @@ pub(crate) struct Relation {
     pub(crate) pred_id: u32,
     /// `cols[p][row]` = exact pool id of attribute `p` of tuple `row`.
     cols: Vec<Vec<u64>>,
-    /// Class-id tuple hash per row, aligned with the columns.
-    row_hash: Vec<u64>,
-    /// Open-addressing dedup table over `row_hash`; power-of-two length.
-    table: Vec<u32>,
+    /// Physical row count; an arity-0 relation has no column to measure.
+    rows: usize,
+    /// Dedup index: class-id tuple hash → row, compared on the columns.
+    table: SlotTable,
     indexes: FxHashMap<Vec<usize>, Index>,
     /// Tombstone bitmap (lazily sized): dead rows stay physically present
     /// but are invisible to probes, lookups, iteration and live counts.
     dead: Vec<u64>,
-    /// Number of set bits in `dead`; `== 0` keeps every read path on the
-    /// zero-overhead pre-tombstone code.
+    /// Number of set bits in `dead`.
     dead_rows: usize,
     /// Rows inserted by rule firings (as opposed to loaded EDB facts); the
     /// incremental-update fallback tombstones exactly these.
@@ -284,8 +389,8 @@ impl Relation {
             arity,
             pred_id,
             cols: (0..arity).map(|_| Vec::new()).collect(),
-            row_hash: Vec::new(),
-            table: Vec::new(),
+            rows: 0,
+            table: SlotTable::default(),
             indexes: FxHashMap::default(),
             dead: Vec::new(),
             dead_rows: 0,
@@ -296,12 +401,12 @@ impl Relation {
     /// Number of physical rows, dead ones included. Delta ranges, watermarks
     /// and [`FactId`] rows are defined over this space.
     pub(crate) fn rows(&self) -> usize {
-        self.row_hash.len()
+        self.rows
     }
 
     /// Number of live (non-tombstoned) tuples.
     pub(crate) fn live(&self) -> usize {
-        self.row_hash.len() - self.dead_rows
+        self.rows - self.dead_rows
     }
 
     /// True if `row` is tombstoned.
@@ -332,79 +437,30 @@ impl Relation {
         self.cols[col][row]
     }
 
-    #[inline]
-    fn row_eq(&self, row: usize, key: &[u64], class: &[u64]) -> bool {
-        self.cols
-            .iter()
-            .zip(key)
-            .all(|(c, &k)| class[c[row] as usize] == k)
-    }
-
-    /// Row index of a *live* tuple given its packed **class-id** key, if
-    /// present. A dead row matching the key does not end the probe — a live
-    /// re-insert of the same tuple may sit in a later slot.
+    /// Row index of a *live* tuple given its packed **class-id** key and
+    /// that key's hash, if present. A dead row matching the key does not
+    /// end the probe — a live re-insert of the same tuple may sit in a
+    /// later slot.
     fn find(&self, h: u64, key: &[u64], class: &[u64]) -> Option<u32> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let mask = self.table.len() - 1;
-        let mut slot = (h as usize) & mask;
-        loop {
-            match self.table[slot] {
-                EMPTY => return None,
-                r => {
-                    if self.row_hash[r as usize] == h
-                        && self.row_eq(r as usize, key, class)
-                        && !self.is_dead(r as usize)
-                    {
-                        return Some(r);
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Keep the table under 7/8 load, rehashing from the stored row hashes.
-    /// Tombstoned rows drop out of the table here — growth is when their
-    /// probe-chain cost is reclaimed.
-    fn grow_table(&mut self) {
-        let need = (self.row_hash.len() + 1) * 8;
-        if need <= self.table.len() * 7 {
-            return;
-        }
-        let new_len = (self.table.len() * 2).max(16);
-        self.table.clear();
-        self.table.resize(new_len, EMPTY);
-        let mask = new_len - 1;
-        let dead = &self.dead;
-        let any_dead = self.dead_rows > 0;
-        for (row, &h) in self.row_hash.iter().enumerate() {
-            if any_dead && bit_get(dead, row) {
-                continue;
-            }
-            let mut slot = (h as usize) & mask;
-            while self.table[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.table[slot] = row as u32;
-        }
+        self.table.find(h, |r| {
+            let row = r as usize;
+            self.cols
+                .iter()
+                .zip(key)
+                .all(|(c, &k)| class[c[row] as usize] == k)
+                && !self.is_dead(row)
+        })
     }
 
     /// Append a row known (by the caller) to be absent and under the row
-    /// cap. Still probes for an empty slot but skips nothing else; used by
-    /// the single insert path after its dedup probe and capacity guard.
+    /// cap; `h` is its class-id tuple hash. Tombstoned rows drop out of
+    /// the dedup table when this insert grows it.
     fn append_row(&mut self, h: u64, ids: &[u64]) {
-        debug_assert!(self.row_hash.len() < MAX_ROWS_PER_RELATION);
-        self.grow_table();
-        let row = self.row_hash.len() as u32;
-        let mask = self.table.len() - 1;
-        let mut slot = (h as usize) & mask;
-        while self.table[slot] != EMPTY {
-            slot = (slot + 1) & mask;
-        }
-        self.table[slot] = row;
-        self.row_hash.push(h);
+        debug_assert!(self.rows < MAX_ROWS_PER_RELATION);
+        let dead = &self.dead;
+        self.table
+            .insert_keeping(h, self.rows as u32, |r| !bit_get(dead, r as usize));
+        self.rows += 1;
         for (c, &id) in self.cols.iter_mut().zip(ids) {
             c.push(id);
         }
@@ -418,29 +474,17 @@ impl Relation {
         if positions.is_empty() {
             return;
         }
-        let rows = self.rows();
-        let entry = self.indexes.entry(positions.to_vec()).or_insert_with(|| Index {
-            map: FxHashMap::default(),
-            built_upto: 0,
-        });
-        while entry.built_upto < rows {
-            let i = entry.built_upto;
-            let k: Box<[u64]> = positions
-                .iter()
-                .map(|&p| class[self.cols[p][i] as usize])
-                .collect();
-            entry.map.entry(k).or_default().push(i as u32);
-            entry.built_upto += 1;
-        }
+        let idx = self.indexes.entry(positions.to_vec()).or_default();
+        idx.catch_up(positions, &self.cols, class, self.rows);
     }
 
-    /// Rows matching the packed **class-id** `key` at `positions`, restricted
-    /// to `range`, ascending. Read-only: where the posting list covers the
-    /// whole range a borrowed sub-slice comes back (postings are ascending,
-    /// so the range restriction is two binary searches); the unindexed tail
-    /// is scanned linearly. Tombstoned rows are filtered out; when none
-    /// exist (`dead_rows == 0`, the overwhelmingly common case) the filter
-    /// costs nothing — the raw candidates pass through untouched.
+    /// Live rows matching the packed **class-id** `key` at `positions`,
+    /// restricted to `range`, ascending. Read-only: where the posting list
+    /// covers the whole range a borrowed sub-slice comes back (postings are
+    /// ascending, so the range restriction is two binary searches); the
+    /// unindexed tail is scanned linearly. Postings cover dead rows too:
+    /// deletion does not rebuild them, the returned [`Candidates`] skip
+    /// dead rows instead.
     pub(crate) fn lookup(
         &self,
         positions: &[usize],
@@ -448,32 +492,21 @@ impl Relation {
         range: &Range<usize>,
         class: &[u64],
     ) -> Candidates<'_> {
-        let raw = self.lookup_all(positions, key, range, class);
-        if self.dead_rows == 0 {
-            return raw;
-        }
-        let live: Vec<u32> = raw.filter(|&r| !bit_get(&self.dead, r as usize)).collect();
-        Candidates::Owned(live.into_iter())
-    }
-
-    /// [`Relation::lookup`] over the physical row space (dead rows
-    /// included). Postings cover dead rows too — they are filtered at the
-    /// visibility layer, not rebuilt on deletion.
-    fn lookup_all(
-        &self,
-        positions: &[usize],
-        key: &[u64],
-        range: &Range<usize>,
-        class: &[u64],
-    ) -> Candidates<'_> {
-        let hi = range.end.min(self.rows());
+        let skip_dead = |rows| Candidates {
+            rows,
+            dead: &self.dead,
+        };
+        let hi = range.end.min(self.rows);
         if positions.is_empty() {
-            return Candidates::Range(range.start as u32..hi as u32);
+            return skip_dead(Rows::Range(range.start as u32..hi as u32));
         }
         let (hits, indexed_upto) = match self.indexes.get(positions) {
             Some(idx) => {
                 let covered = hi.min(idx.built_upto);
-                let hits = idx.map.get(key).map(|v| {
+                let same_key =
+                    |rep| key_at(positions, &self.cols, class, rep).eq(key.iter().copied());
+                let hits = idx.find(hash_ids(key.iter().copied()), same_key).map(|k| {
+                    let v = idx.segment(k);
                     let lo = v.partition_point(|&i| (i as usize) < range.start);
                     let up = v.partition_point(|&i| (i as usize) < covered);
                     &v[lo..up]
@@ -485,38 +518,30 @@ impl Relation {
         let tail_start = range.start.max(indexed_upto);
         if tail_start >= hi {
             // Fully covered by the index: no allocation, borrow the postings.
-            return Candidates::Slice(hits.iter());
+            return skip_dead(Rows::Slice(hits.iter()));
         }
         let mut out: Vec<u32> = hits.to_vec();
         for i in tail_start..hi {
-            if positions
-                .iter()
-                .zip(key)
-                .all(|(&p, &k)| class[self.cols[p][i] as usize] == k)
-            {
+            if key_at(positions, &self.cols, class, i).eq(key.iter().copied()) {
                 out.push(i as u32);
             }
         }
-        Candidates::Owned(out.into_iter())
+        skip_dead(Rows::Owned(out.into_iter()))
     }
 
-    /// Heap footprint of this relation: columns, row hashes, dedup slots and
-    /// posting lists (postings total exactly `built_upto` entries per index;
-    /// growth slack is folded into a ×1.5 factor on posting bytes).
+    /// Heap footprint of this relation, from capacities: columns, the dedup
+    /// table, the index map and every index, and the bitmaps.
     fn approx_bytes(&self) -> usize {
         let cols: usize = self.cols.iter().map(|c| c.capacity() * 8).sum();
-        let dedup = self.row_hash.capacity() * 8 + self.table.len() * 4;
+        let index_slots =
+            self.indexes.capacity() * (std::mem::size_of::<(Vec<usize>, Index)>() + 1);
         let indexes: usize = self
             .indexes
             .iter()
-            .map(|(pos, idx)| {
-                let key_bytes = pos.len() * 8 + 16; // boxed key + fat pointer
-                let per_entry = key_bytes + 24 + 8; // + Vec header + map slot
-                idx.map.capacity() * per_entry + idx.built_upto * 6
-            })
+            .map(|(pos, idx)| pos.capacity() * 8 + idx.approx_bytes())
             .sum();
         let bitmaps = (self.dead.capacity() + self.derived.capacity()) * 8;
-        cols + dedup + indexes + bitmaps
+        cols + self.table.approx_bytes() + index_slots + indexes + bitmaps
     }
 }
 
@@ -596,7 +621,7 @@ impl FactDb {
             self.scratch.push(id);
             self.scratch_class.push(self.pool.class(id));
         }
-        let h = hash_ids(&self.scratch_class);
+        let h = hash_ids(self.scratch_class.iter().copied());
         if rel
             .find(h, &self.scratch_class, self.pool.classes())
             .is_some()
@@ -713,9 +738,9 @@ impl FactDb {
         self.total
     }
 
-    /// Approximate resident bytes of the store: packed columns, row hashes,
-    /// dedup slots, posting lists, the value pool (including string
-    /// payloads), provenance, and the engine's persisted resume state (its
+    /// Approximate resident bytes of the store: packed columns, dedup
+    /// slots, join indexes, the value pool (including string payloads),
+    /// provenance, and the engine's persisted resume state (its
     /// labelled-null and monotonic-aggregate tables). Unlike the old
     /// row-oriented proxy this is real capacity accounting — the
     /// [`crate::EngineConfig::max_bytes`] governor budget tracks actual
@@ -755,7 +780,7 @@ impl FactDb {
                 None => return None,
             }
         }
-        rel.find(hash_ids(ids), ids, self.pool.classes())
+        rel.find(hash_ids(ids.iter().copied()), ids, self.pool.classes())
             .map(|row| fact_id(rel.pred_id, row))
     }
 
@@ -942,6 +967,9 @@ impl std::fmt::Debug for FactDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgm_runtime::prop::{check, shrink_vec, CaseError, Config};
+    use kgm_runtime::{prop_assert_eq, Rng};
+    use std::cell::Cell;
 
     fn ids(db: &FactDb, pred: &str, positions: &[usize], key: &[u64], range: Range<usize>) -> Vec<u32> {
         let rel = db.rel(pred).unwrap();
@@ -989,8 +1017,8 @@ mod tests {
         db.ensure_index("r", &[0]);
         let rel = db.rel("r").unwrap();
         assert!(matches!(
-            rel.lookup(&[0], &[one], &(0..3), db.pool().classes()),
-            Candidates::Slice(_)
+            rel.lookup(&[0], &[one], &(0..3), db.pool().classes()).rows,
+            Rows::Slice(_)
         ));
         assert_eq!(ids(&db, "r", &[0], &[one], 0..3), vec![0, 2]);
     }
@@ -1133,8 +1161,8 @@ mod tests {
         assert!(guard_pred_capacity(MAX_PREDICATES - 1).is_ok());
         let err = guard_pred_capacity(MAX_PREDICATES).unwrap_err();
         assert!(matches!(err, KgmError::ResourceExhausted(_)), "{err}");
-        // Row u32::MAX stays free for the dedup table's EMPTY sentinel.
-        assert_eq!(MAX_ROWS_PER_RELATION, EMPTY as usize);
+        // Every row fits the dedup table's id space.
+        assert_eq!(MAX_ROWS_PER_RELATION, SlotTable::MAX_IDS);
     }
 
     #[test]
@@ -1256,5 +1284,192 @@ mod tests {
         // proxy would have claimed ~1.4MB for Value-sized rows stored twice.
         assert!(grown > empty + 240_000, "{empty} -> {grown}");
         assert!(grown < 4_000_000, "columnar accounting exploded: {grown}");
+    }
+
+    /// One step of the index model check.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Insert a tuple, one `(number, as a Float)` per column.
+        Insert(Vec<(i64, bool)>),
+        /// Build or catch up the index over these positions.
+        Ensure(Vec<usize>),
+        /// Tombstone physical row `n % rows`.
+        Tombstone(usize),
+        /// Look up a key at these positions over the row range `lo..hi`.
+        Lookup(Vec<usize>, Vec<(i64, bool)>, usize, usize),
+    }
+
+    fn num((n, as_float): (i64, bool)) -> Value {
+        if as_float {
+            Value::Float(n as f64)
+        } else {
+            Value::Int(n)
+        }
+    }
+
+    /// An arity of 1–3 and up to 300 steps over a domain of 2–40 numbers,
+    /// each drawn as an `Int` or an equal `Float`: enough distinct keys to
+    /// grow an index's slot table, and enough repeats to move segments.
+    fn gen_ops(rng: &mut Rng) -> (usize, Vec<Op>) {
+        let arity = rng.gen_range(1usize..4);
+        let domain = rng.gen_range(2i64..40);
+        let steps = rng.gen_range(0usize..300);
+        let number = |rng: &mut Rng| (rng.gen_range(0..domain), rng.gen_bool(0.3));
+        let positions = |rng: &mut Rng| (0..arity).filter(|_| rng.gen_bool(0.5)).collect();
+        let ops = (0..steps)
+            .map(|_| match rng.gen_range(0u32..100) {
+                0..=54 => Op::Insert((0..arity).map(|_| number(rng)).collect()),
+                55..=64 => Op::Ensure(positions(rng)),
+                65..=71 => Op::Tombstone(rng.gen_range(0usize..1_000)),
+                _ => {
+                    let pos: Vec<usize> = positions(rng);
+                    let key = pos.iter().map(|_| number(rng)).collect();
+                    let lo = rng.gen_range(0usize..steps + 2);
+                    let hi = lo + rng.gen_range(0usize..steps + 2);
+                    Op::Lookup(pos, key, lo, hi)
+                }
+            })
+            .collect();
+        (arity, ops)
+    }
+
+    /// Runs `ops` against a store and a row-list model; every insert must
+    /// agree on novelty, and every lookup must return the ascending live
+    /// model rows in range whose values equal the key. Reports whether an
+    /// index outgrew its first slot table and whether one moved a segment.
+    fn index_matches_scan(ops: &[Op]) -> std::result::Result<(bool, bool), CaseError> {
+        let mut db = FactDb::new();
+        let mut model: Vec<(Vec<Value>, bool)> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Insert(t) => {
+                    let tuple: Vec<Value> = t.iter().copied().map(num).collect();
+                    let novel = !model.iter().any(|(row, live)| *live && *row == tuple);
+                    let got = db.insert_id("r", &tuple).unwrap();
+                    prop_assert_eq!(got, novel.then(|| fact_id(0, model.len() as u32)));
+                    if novel {
+                        model.push((tuple, true));
+                    }
+                }
+                Op::Ensure(pos) => db.ensure_index("r", pos),
+                Op::Tombstone(n) => {
+                    if !model.is_empty() {
+                        let row = n % model.len();
+                        prop_assert_eq!(db.tombstone(fact_id(0, row as u32)), model[row].1);
+                        model[row].1 = false;
+                    }
+                }
+                Op::Lookup(pos, key, lo, hi) => {
+                    let key: Vec<Value> = key.iter().copied().map(num).collect();
+                    let want: Vec<u32> = (*lo..(*hi).min(model.len()))
+                        .filter(|&r| {
+                            let (row, live) = &model[r];
+                            *live && pos.iter().zip(&key).all(|(&p, v)| row[p] == *v)
+                        })
+                        .map(|r| r as u32)
+                        .collect();
+                    let ids: Option<Vec<u64>> = key.iter().map(|v| db.pool().lookup(v)).collect();
+                    let got = match (db.rel("r"), ids) {
+                        (Some(rel), Some(ids)) => rel
+                            .lookup(pos, &ids, &(*lo..*hi), db.pool().classes())
+                            .collect(),
+                        _ => Vec::new(),
+                    };
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+        for (r, (tuple, live)) in model.iter().enumerate() {
+            if *live {
+                prop_assert_eq!(db.find_id("r", tuple), Some(fact_id(0, r as u32)));
+            }
+        }
+        let indexes: Vec<&Index> = db
+            .rel("r")
+            .map_or(Vec::new(), |rel| rel.indexes.values().collect());
+        let grew = indexes.iter().any(|idx| idx.keys.approx_bytes() > 16 * 8);
+        let moved = indexes
+            .iter()
+            .any(|idx| idx.postings.len() > live_capacity(idx));
+        Ok((grew, moved))
+    }
+
+    /// Arena slots the live segments of `idx` reserve.
+    fn live_capacity(idx: &Index) -> usize {
+        idx.len
+            .iter()
+            .map(|&l| (l as usize).next_power_of_two())
+            .sum()
+    }
+
+    #[test]
+    fn index_lookups_match_a_filtered_scan() {
+        let (grew, moved) = (Cell::new(0), Cell::new(0));
+        check(
+            "index_lookups_match_a_filtered_scan",
+            &Config::with_cases(64),
+            gen_ops,
+            |(arity, ops)| shrink_vec(ops).into_iter().map(|o| (*arity, o)).collect(),
+            |(_, ops)| {
+                let (g, m) = index_matches_scan(ops)?;
+                grew.set(grew.get() + g as usize);
+                moved.set(moved.get() + m as usize);
+                Ok(())
+            },
+        );
+        assert!(grew.get() > 0, "no case grew an index's slot table");
+        assert!(moved.get() > 0, "no case moved a posting segment");
+    }
+
+    #[test]
+    fn index_growth_and_segment_moves_keep_lookups_exact() {
+        let mut db = FactDb::new();
+        // Column 0 holds 100 keys of 10 rows each, interleaved, so their
+        // segments keep moving; column 1 holds 1,000 distinct keys.
+        for i in 0..1_000i64 {
+            db.insert("r", vec![Value::Int(i % 100), Value::Float(i as f64)])
+                .unwrap();
+            if i % 37 == 0 {
+                db.ensure_index("r", &[0]);
+                db.ensure_index("r", &[1]);
+            }
+        }
+        // One key in column 0, so its segment always ends the arena.
+        for i in 0..100i64 {
+            db.insert("hot", vec![Value::Int(7), Value::Int(i)])
+                .unwrap();
+        }
+        db.ensure_index("r", &[0]);
+        db.ensure_index("r", &[1]);
+        db.ensure_index("hot", &[0]);
+        let r = db.rel("r").unwrap();
+        let distinct = &r.indexes[&vec![1]];
+        assert_eq!(distinct.len.len(), 1_000);
+        assert!(
+            distinct.keys.approx_bytes() >= 1_000 * 8 * 8 / 7,
+            "slot table grew"
+        );
+        let shared = &r.indexes[&vec![0]];
+        assert_eq!(shared.len.len(), 100);
+        assert!(
+            shared.postings.len() > live_capacity(shared),
+            "segments moved"
+        );
+        assert!(shared.postings.len() < 2 * live_capacity(shared));
+        let hot = &db.rel("hot").unwrap().indexes[&vec![0]];
+        assert_eq!(hot.postings.len(), 128, "grown in place: no abandoned slot");
+        for k in 0..100i64 {
+            let id = db.pool().lookup(&Value::Float(k as f64)).unwrap();
+            let want: Vec<u32> = (k as u32..1_000).step_by(100).collect();
+            assert_eq!(ids(&db, "r", &[0], &[id], 0..1_000), want);
+            assert_eq!(ids(&db, "r", &[0], &[id], 500..600), vec![500 + k as u32]);
+        }
+        let seven = db.pool().lookup(&Value::Int(7)).unwrap();
+        assert_eq!(
+            ids(&db, "hot", &[0], &[seven], 0..100),
+            (0..100).collect::<Vec<u32>>()
+        );
+        let last = db.pool().lookup(&Value::Int(999)).unwrap();
+        assert_eq!(ids(&db, "r", &[1], &[last], 0..1_000), vec![999]);
     }
 }

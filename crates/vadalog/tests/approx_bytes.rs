@@ -6,9 +6,10 @@
 //! factor of two of the measured net allocation — tight enough to catch a
 //! forgotten structure (the old row-oriented proxy undercounted its dedup
 //! set entirely) while leaving room for allocator slack the estimate cannot
-//! see. The last two tests pin the same bound on a chase whose
-//! monotonic-aggregate state outweighs the store, and check that the
-//! `max_bytes` governor sees that state while the chase runs.
+//! see. Two tests pin the same bound on a chase whose monotonic-aggregate
+//! state outweighs the store, and check that the `max_bytes` governor sees
+//! that state while the chase runs. The last one counts allocations too: a
+//! join index over 100,000 distinct keys must not allocate per key.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,16 +18,19 @@ use kgm_common::{FxHashSet, KgmError, Value};
 use kgm_runtime::{Mutex, Rng};
 use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb, Termination};
 
-/// System allocator wrapper tracking live (allocated minus freed) bytes.
+/// System allocator wrapper tracking live (allocated minus freed) bytes
+/// and the number of allocations and reallocations.
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -41,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             LIVE.fetch_add(new_size, Ordering::Relaxed);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -51,6 +56,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+fn allocs() -> usize {
+    ALLOCS.load(Ordering::Relaxed)
 }
 
 /// The allocator count is process-global and the test harness runs tests
@@ -300,4 +309,43 @@ fn max_bytes_stops_a_recursive_aggregation_chase() {
         ),
         other => panic!("strict mode must fail with ResourceExhausted, got {other:?}"),
     }
+}
+
+/// A join index costs O(log keys) allocations and a few words per key, not
+/// a heap block per key. The chase joins one `probe` fact into 100,000
+/// `big` rows on their distinct first column, so it builds one index over
+/// 100,000 keys (plus a one-key index on `probe`) and derives one fact.
+#[test]
+fn a_join_index_allocates_nothing_per_key() {
+    const KEYS: usize = 100_000;
+    let _guard = MEASURING.lock();
+    let engine = Engine::with_config(
+        parse_program("probe(X), big(X, Y) -> hit(Y).").unwrap(),
+        EngineConfig {
+            threads: 1,
+            deadline_ms: None,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let mut db = FactDb::new();
+    let big = (0..KEYS as i64).map(|i| vec![Value::Int(i), Value::Int(i + 1)]);
+    db.add_facts("big", big.collect()).unwrap();
+    db.insert("probe", vec![Value::Int(KEYS as i64 / 2)])
+        .unwrap();
+
+    let (bytes_before, allocs_before) = (live(), allocs());
+    engine.run(&mut db).unwrap();
+    let bytes = live().saturating_sub(bytes_before);
+    let allocations = allocs() - allocs_before;
+    assert_eq!(db.facts("hit"), vec![vec![Value::Int(KEYS as i64 / 2 + 1)]]);
+    assert!(
+        allocations < 1_000,
+        "{allocations} allocations for a {KEYS}-key index: one or more per key"
+    );
+    assert!(
+        bytes <= 48 * KEYS,
+        "the run kept {bytes} bytes, {:.1} per key (at most 48)",
+        bytes as f64 / KEYS as f64
+    );
 }

@@ -138,6 +138,15 @@ for threads in 1 4; do
 done
 echo "ok: 64-case fixed-seed differential run agrees at 1 and 4 threads"
 
+echo "== join-index model check =="
+# Fixed-seed run of the fact store's index property: random relations of
+# arity 1-3 mixing Int and equal Float values, with interleaved inserts,
+# index catch-ups and tombstones; every lookup must return exactly the
+# ascending live rows a filtered scan of a row-list model returns.
+KGM_PROP_SEED=20220046 KGM_PROP_CASES=300 cargo test --release --offline -q \
+    -p kgm-vadalog --lib factdb::tests::index_lookups_match_a_filtered_scan >/dev/null
+echo "ok: 300-case fixed-seed index lookups match a filtered scan"
+
 echo "== text-input smoke =="
 # Fixed-seed run of the no-panic suite: seeded mutations (with multi-byte
 # characters) of the in-repo programs, GSL schema, serving queries, Cypher
