@@ -21,9 +21,7 @@
 //!
 //! ```text
 //! paper-harness e7 --profile   # capture the span tree + metrics and write
-//!                              # target/paper-artifacts/run_report_e7.json;
-//!                              # e7 additionally refreshes the repo-root
-//!                              # BENCH_chase.json / BENCH_control_pipeline.json
+//!                              # target/paper-artifacts/run_report_e7.json
 //! paper-harness e7 --trace     # force the JSONL trace sink on
 //!                              # (target/kgm-trace/trace-<pid>-<n>.jsonl,
 //!                              # run-unique even across pid recycling)
@@ -59,25 +57,20 @@
 //!                                     # control relation at 1 and 4 worker
 //!                                     # threads without taking the rebuild
 //!                                     # fallback (default 2000 nodes)
-//! paper-harness serve-bench [nodes] [batch]
-//!                                     # epoch-serving throughput: N reader
-//!                                     # threads (1/4/8) answering mixed
-//!                                     # point/aggregate/path/cypher batches
-//!                                     # against pinned epochs while a
-//!                                     # writer thread streams incorporation
-//!                                     # updates; refreshes BENCH_serving.json
-//!                                     # and prints queries/sec per width
-//!                                     # (default 2000 nodes, 4096-query
-//!                                     # batches)
+//! paper-harness gates                 # CI's three timing gates, each a
+//!                                     # ratio of two legs timed in this
+//!                                     # process: provenance on < 2x off,
+//!                                     # one update < 0.10x a full chase,
+//!                                     # 4 readers <= 1.10x 1 reader under
+//!                                     # a live writer; exit non-zero
+//!                                     # naming every gate that fails
 //! ```
-//!
-//! The `--profile` bench refresh additionally honours `KGM_BENCH_NODES`:
-//! the `chase/control_vadalog_t{1,4,8}` groups are benchmarked at that
-//! registry scale (default 400, matching the legacy row).
 //!
 //! Failures are propagated, not panicked: every experiment error reaches
 //! `main`, is printed to stderr, and exits non-zero (unknown experiments
-//! exit 2) — so CI and the chaos smoke can assert on exit codes.
+//! exit 2) — so CI and the chaos smoke can assert on exit codes. That
+//! includes a malformed number in an argument: `e7 abc` or `--threads four`
+//! is an error naming the argument, never a silent default.
 
 use kgm_bench::*;
 use kgm_common::{KgmError, Oid, OidSpace, Result, Value};
@@ -91,8 +84,12 @@ use kgm_vadalog::{
     explain, parse_program, render, Engine, EngineConfig, FactDb, ServingLayer, Termination, Update,
 };
 use std::fs;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 fn artifacts_dir() -> Result<PathBuf> {
     let dir = PathBuf::from("target/paper-artifacts");
@@ -180,148 +177,16 @@ fn run_e10(nodes: usize) -> Result<()> {
     Ok(())
 }
 
-/// Refresh the two repo-root perf-trajectory files with an in-process bench
-/// pass: the raw chase (direct Vadalog control program at the legacy
-/// 400-company scale, plus pinned 1-/4-/8-thread runs at `KGM_BENCH_NODES`
-/// registry scale for the parallel-chase trajectory) and the full
-/// Algorithm 2 control pipeline. (The `expect`s inside `b.iter` closures
-/// stay: the bench driver's closure signature cannot propagate errors, and
-/// a failing benchmark body is a legitimate panic.)
-fn refresh_bench_reports() {
-    let mut criterion = kgm_runtime::bench::Criterion::new();
-    let g = bench_graph(400);
-    {
-        let mut group = criterion.benchmark_group("chase/control_vadalog");
-        group.sample_size(5);
-        group.bench_with_input(
-            kgm_runtime::bench::BenchmarkId::from_parameter(400),
-            &g,
-            |b, g| b.iter(|| control_vadalog(g).expect("chase bench")),
-        );
-        group.finish();
-    }
-    // The same chase with why-provenance recording on: the gap between this
-    // row and `chase/control_vadalog` is the ProvStore overhead, which CI
-    // pins below 2×.
-    {
-        let mut group = criterion.benchmark_group("chase/control_vadalog_prov");
-        group.sample_size(5);
-        group.bench_with_input(
-            kgm_runtime::bench::BenchmarkId::from_parameter(400),
-            &g,
-            |b, g| {
-                b.iter(|| {
-                    control_vadalog_prov(g, EngineConfig::default().threads)
-                        .expect("chase bench")
-                })
-            },
-        );
-        group.finish();
-    }
-    // 1-vs-4-vs-8 wall-clock for the sharded chase, at `KGM_BENCH_NODES`
-    // scale (default: the legacy 400 companies, so a plain `--profile` run
-    // stays quick; the committed registry-scale rows are produced with
-    // KGM_BENCH_NODES=1000000). On a single-core runner the wide columns
-    // cannot beat t1 — the comparison is honest, not flattering: it is
-    // there to catch parallel-path regressions, not to advertise speedups.
-    let scale = std::env::var("KGM_BENCH_NODES")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(400);
-    let gs = if scale == 400 { g } else { bench_graph(scale) };
-    for t in [1usize, 4, 8] {
-        let mut group = criterion.benchmark_group(format!("chase/control_vadalog_t{t}"));
-        group.sample_size(5);
-        group.bench_with_input(
-            kgm_runtime::bench::BenchmarkId::from_parameter(scale),
-            &gs,
-            |b, g| b.iter(|| control_vadalog_threads(g, t).expect("chase bench")),
-        );
-        group.finish();
-    }
-    // Incremental-maintenance trajectory: a full provenance-on
-    // materialization vs a single incorporation update applied to the
-    // already-chased database, at `KGM_BENCH_UPDATE_NODES` registry scale
-    // (default 2000 so a plain `--profile` run stays quick; the committed
-    // registry-scale rows are produced with KGM_BENCH_UPDATE_NODES=100000).
-    // CI pins update/full below 0.10 — the point of incremental maintenance
-    // is to not pay the full chase again.
-    let uscale = std::env::var("KGM_BENCH_UPDATE_NODES")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(2_000);
-    let gu = bench_graph(uscale);
-    {
-        let mut group = criterion.benchmark_group("chase/control_vadalog_full");
-        group.sample_size(5);
-        group.bench_with_input(
-            kgm_runtime::bench::BenchmarkId::from_parameter(uscale),
-            &gu,
-            |b, g| b.iter(|| control_vadalog_prov(g, 1).expect("chase bench")),
-        );
-        group.finish();
-    }
-    {
-        let (engine, mut db, _) =
-            control_vadalog_prov(&gu, 1).expect("update bench materialization");
-        let owner = db
-            .facts_iter("company")
-            .next()
-            .expect("registry has companies")[0]
-            .clone();
-        let mut serial = 0u64;
-        let mut group = criterion.benchmark_group("chase/control_vadalog_update");
-        group.sample_size(5);
-        group.bench_function(
-            kgm_runtime::bench::BenchmarkId::from_parameter(uscale),
-            |b| {
-                b.iter(|| {
-                    // Every iteration incorporates a *distinct* company so
-                    // the update is never a no-op dedup hit.
-                    serial += 1;
-                    let newco =
-                        Value::Oid(Oid::new(OidSpace::Ground, (1 << 40) + serial));
-                    engine
-                        .apply_update(
-                            &mut db,
-                            Update {
-                                inserts: vec![
-                                    ("company".to_string(), vec![newco.clone()]),
-                                    (
-                                        "own".to_string(),
-                                        vec![owner.clone(), newco, Value::Float(0.6)],
-                                    ),
-                                ],
-                                deletes: Vec::new(),
-                            },
-                        )
-                        .expect("update bench")
-                })
-            },
-        );
-        group.finish();
-    }
-    match criterion.write_json("chase") {
-        Ok(path) => println!("  [bench] {}", path.display()),
-        Err(e) => eprintln!("  [bench] chase report not written: {e}"),
-    }
+/// Parse the argument `what` from `raw`. A malformed argument is an error
+/// that names it; it never falls back to a default.
+fn parse_arg<T: FromStr>(what: &str, raw: &str) -> Result<T> {
+    raw.parse()
+        .map_err(|_| KgmError::parse("argument", format!("{what}: `{raw}` is not a valid number")))
+}
 
-    let mut criterion = kgm_runtime::bench::Criterion::new();
-    {
-        let mut group = criterion.benchmark_group("control_pipeline/single_pass");
-        group.sample_size(5);
-        group.bench_function(kgm_runtime::bench::BenchmarkId::from_parameter(150), |b| {
-            b.iter(|| {
-                e7_control_pipeline(150, MaterializationMode::SinglePass)
-                    .expect("pipeline bench")
-            })
-        });
-        group.finish();
-    }
-    match criterion.write_json("control_pipeline") {
-        Ok(path) => println!("  [bench] {}", path.display()),
-        Err(e) => eprintln!("  [bench] control_pipeline report not written: {e}"),
-    }
+/// The comma-separated `e7` size list: every entry must parse.
+fn e7_sizes(list: &str) -> Result<Vec<usize>> {
+    list.split(',').map(|x| parse_arg("e7 size", x)).collect()
 }
 
 /// Order-independent digest of a control relation: each `(controller,
@@ -454,15 +319,10 @@ fn control_pairs(db: &FactDb) -> kgm_common::FxHashSet<(u64, u64)> {
 /// and print the derivation tree of `controls(#x, #y)`. Without a pair, the
 /// non-reflexive control fact with the largest derivation tree (smallest
 /// payload pair on ties) is explained — output is deterministic either way.
-fn run_explain(args: &[String]) -> Result<ExitCode> {
-    let nodes = args.first().and_then(|s| s.parse().ok()).unwrap_or(400);
-    let target: Option<(u64, u64)> = match (args.get(1), args.get(2)) {
-        (Some(x), Some(y)) => {
-            let parse = |s: &String| -> Result<u64> {
-                s.trim_start_matches('#').parse().map_err(|_| {
-                    KgmError::Internal(format!("explain: `{s}` is not a node payload"))
-                })
-            };
+fn run_explain(nodes: usize, pair: &[String]) -> Result<ExitCode> {
+    let target: Option<(u64, u64)> = match pair {
+        [x, y, ..] => {
+            let parse = |s: &str| parse_arg("explain node", s.trim_start_matches('#'));
             Some((parse(x)?, parse(y)?))
         }
         _ => None,
@@ -592,13 +452,7 @@ fn run_update_smoke(nodes: usize) -> Result<ExitCode> {
         let t0 = std::time::Instant::now();
         let (engine, mut db, _) = control_vadalog_prov(&g, t)?;
         let full_secs = t0.elapsed().as_secs_f64();
-        let owner = db
-            .facts_iter("company")
-            .next()
-            .ok_or_else(|| {
-                KgmError::Internal("update-smoke: registry has no companies".into())
-            })?[0]
-            .clone();
+        let owner = first_company(&db)?;
         // Retract a majority stake when one exists: such an edge necessarily
         // supports a derived control fact, so the deletion exercises the
         // real DRed over-delete/re-derive cycle, not just an EDB tombstone.
@@ -609,22 +463,10 @@ fn run_update_smoke(nodes: usize) -> Result<ExitCode> {
             .ok_or_else(|| {
                 KgmError::Internal("update-smoke: registry has no shareholdings".into())
             })?;
-        let newco = Value::Oid(Oid::new(OidSpace::Ground, 1 << 40));
-        let incorporation = vec![
-            ("company".to_string(), vec![newco.clone()]),
-            (
-                "own".to_string(),
-                vec![owner.clone(), newco.clone(), Value::Float(0.6)],
-            ),
-        ];
+        let mut update = incorporation(&owner, 0);
+        update.deletes.push(("own".to_string(), gone.clone()));
         let t0 = std::time::Instant::now();
-        let stats = engine.apply_update(
-            &mut db,
-            Update {
-                inserts: incorporation.clone(),
-                deletes: vec![("own".to_string(), gone.clone())],
-            },
-        )?;
+        let stats = engine.apply_update(&mut db, update.clone())?;
         let update_secs = t0.elapsed().as_secs_f64();
         println!(
             "  t{t}: full chase {full_secs:.2}s, update {update_secs:.3}s \
@@ -644,10 +486,9 @@ fn run_update_smoke(nodes: usize) -> Result<ExitCode> {
         let mut loaded = FactDb::new();
         load_shareholding(&g, &mut loaded)?;
         let mut companies: Vec<Vec<Value>> = loaded.facts_iter("company").collect();
-        companies.push(vec![newco.clone()]);
-        let mut own: Vec<Vec<Value>> =
-            loaded.facts_iter("own").filter(|f| *f != gone).collect();
-        own.push(incorporation[1].1.clone());
+        companies.push(update.inserts[0].1.clone());
+        let mut own: Vec<Vec<Value>> = loaded.facts_iter("own").filter(|f| *f != gone).collect();
+        own.push(update.inserts[1].1.clone());
         let mut scratch = FactDb::new();
         scratch.add_facts("company", companies)?;
         scratch.add_facts("own", own)?;
@@ -672,7 +513,7 @@ fn run_update_smoke(nodes: usize) -> Result<ExitCode> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Build the mixed read workload for `serve-bench` from the currently
+/// Build the mixed read workload for the `gates` readers from the currently
 /// published epoch: mostly point lookups over real `own` rows (every
 /// fourth one a deliberate miss), a spread of aggregates, and an
 /// occasional path / Cypher query (the expensive tail — each forces the
@@ -681,7 +522,7 @@ fn run_update_smoke(nodes: usize) -> Result<ExitCode> {
 fn serve_query_mix(layer: &ServingLayer, batch: usize) -> Vec<String> {
     let pin = layer.pin();
     let own: Vec<Vec<Value>> = pin.rows("own").to_vec();
-    assert!(!own.is_empty(), "serve-bench registry has no shareholdings");
+    assert!(!own.is_empty(), "gates registry has no shareholdings");
     let lit = |v: &Value| -> String {
         match v {
             Value::Oid(o) => format!("#{}", o.payload()),
@@ -724,149 +565,238 @@ fn serve_query_mix(layer: &ServingLayer, batch: usize) -> Vec<String> {
     queries
 }
 
-/// Run one `serve-bench` batch: split `queries` across `readers` scoped
+/// Run one batch of queries: split `queries` across `readers` scoped
 /// threads, each pinning the current epoch and re-pinning every 256
 /// queries (so a long batch observes the live update stream). Returns the
 /// number of result rows touched, as a do-not-optimize sink.
-fn serve_run_batch(layer: &ServingLayer, queries: &[String], readers: usize) -> usize {
+fn serve_run_batch(layer: &ServingLayer, queries: &[String], readers: usize) -> Result<usize> {
     std::thread::scope(|s| {
         let chunk = queries.len().div_ceil(readers);
         let handles: Vec<_> = queries
             .chunks(chunk)
             .map(|slice| {
-                s.spawn(move || {
+                s.spawn(move || -> Result<usize> {
                     let mut rows = 0usize;
                     let mut pin = layer.pin();
                     for (qi, q) in slice.iter().enumerate() {
                         if qi % 256 == 255 {
                             pin = layer.pin();
                         }
-                        rows += pin.query(q).expect("serve-bench query").rows.len();
+                        rows += pin.query(q)?.rows.len();
                     }
-                    rows
+                    Ok(rows)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("serve-bench reader panicked"))
+            .map(|h| h.join().expect("gates reader panicked"))
             .sum()
     })
 }
 
-/// `serve-bench [nodes] [batch]` — throughput of the epoch serving layer
-/// under a live writer: materialize the seeded registry once, keep a
-/// background thread streaming incorporation updates (each publishing a
-/// fresh epoch via `apply_update_serving`), and benchmark mixed
-/// point/aggregate/path/cypher batches at 1, 4 and 8 reader threads.
-/// Refreshes the repo-root `BENCH_serving.json` (groups
-/// `serving/mixed_t{1,4,8}`, id = batch size, so queries/sec is
-/// `batch / min_ns * 1e9`) and prints the derived queries/sec per width.
-fn run_serve_bench(nodes: usize, batch: usize) -> Result<ExitCode> {
-    let g = bench_graph(nodes);
-    let (engine, mut db, stats) = control_vadalog_prov(&g, 1)?;
-    let owner = db
+/// One incorporation event: a new company, distinct for every `serial`, of
+/// which `owner` holds 60%.
+fn incorporation(owner: &Value, serial: u64) -> Update {
+    let newco = Value::Oid(Oid::new(OidSpace::Ground, (1 << 40) + serial));
+    Update {
+        inserts: vec![
+            ("company".to_string(), vec![newco.clone()]),
+            (
+                "own".to_string(),
+                vec![owner.clone(), newco, Value::Float(0.6)],
+            ),
+        ],
+        deletes: Vec::new(),
+    }
+}
+
+/// The first registered company of a chased control database.
+fn first_company(db: &FactDb) -> Result<Value> {
+    let company = db
         .facts_iter("company")
         .next()
-        .ok_or_else(|| KgmError::Internal("serve-bench: registry has no companies".into()))?[0]
-        .clone();
+        .ok_or_else(|| KgmError::Internal("registry has no companies".into()))?;
+    Ok(company[0].clone())
+}
+
+/// Time one leg of `gates`: one warm-up call sizes a batch of calls lasting
+/// about 5 ms (1 to 100,000 calls), then each of 5 samples is the mean time
+/// of a call over one batch, in ns. Returned sorted ascending.
+fn sample<R>(mut f: impl FnMut() -> Result<R>) -> Result<Vec<f64>> {
+    let t0 = Instant::now();
+    black_box(f()?);
+    // A warm-up under the clock's resolution reads 0: then 1,000 calls.
+    let calls = 5_000_000u128
+        .checked_div(t0.elapsed().as_nanos())
+        .map_or(1_000, |n| n.clamp(1, 100_000));
+    let mut samples = Vec::with_capacity(5);
+    for _ in 0..5 {
+        let t = Instant::now();
+        for _ in 0..calls {
+            black_box(f()?);
+        }
+        samples.push(t.elapsed().as_nanos() as f64 / calls as f64);
+    }
+    samples.sort_by(f64::total_cmp);
+    Ok(samples)
+}
+
+/// Nearest-rank percentile `p` of non-empty ascending `samples`: 0 is the
+/// fastest sample.
+fn percentile(samples: &[f64], p: f64) -> f64 {
+    samples[(p / 100.0 * (samples.len() - 1) as f64).round() as usize]
+}
+
+/// One timing gate: the `percentile` of one leg over the same percentile of
+/// its reference leg must stay under `bound`, or at it when `inclusive`.
+struct Gate {
+    name: &'static str,
+    percentile: f64,
+    bound: f64,
+    inclusive: bool,
+}
+
+/// Recording why-provenance costs under 2x the plain chase (fastest samples).
+const PROVENANCE: Gate = Gate {
+    name: "provenance",
+    percentile: 0.0,
+    bound: 2.0,
+    inclusive: false,
+};
+/// One incorporation through `apply_update` costs under 0.10x a full
+/// provenance-on chase (fastest samples): incremental maintenance must not
+/// pay for the whole chase again.
+const UPDATE: Gate = Gate {
+    name: "update",
+    percentile: 0.0,
+    bound: 0.10,
+    inclusive: false,
+};
+/// A batch split over 4 readers takes at most 1.10x the batch on 1 reader
+/// (medians: the writer grows the registry as the legs run, so the fastest
+/// sample drifts). A global lock across readers would show up as a
+/// multiple; the gate is about lock-freedom, not speed-up, so it holds on
+/// fewer cores than readers too.
+const READERS: Gate = Gate {
+    name: "readers",
+    percentile: 50.0,
+    bound: 1.10,
+    inclusive: true,
+};
+
+impl Gate {
+    /// The ratio of `leg` to `reference` on this gate's percentile, and
+    /// whether it is within the bound.
+    fn judge(&self, leg: &[f64], reference: &[f64]) -> (f64, bool) {
+        let ratio = percentile(leg, self.percentile) / percentile(reference, self.percentile);
+        let holds = if self.inclusive {
+            ratio <= self.bound
+        } else {
+            ratio < self.bound
+        };
+        (ratio, holds)
+    }
+}
+
+/// `gates` — CI's three timing gates, every leg timed in this process:
+/// - provenance: `control_vadalog` vs `control_vadalog_prov` at the default
+///   thread count, on the 400-node registry;
+/// - update: a full `control_vadalog_prov` at one thread vs one
+///   [`incorporation`] per call through `apply_update` on the chased
+///   store, on the 2,000-node registry;
+/// - readers: 4,096-query [`serve_query_mix`] batches at 1 and 4 readers,
+///   while a writer thread streams incorporations through
+///   `apply_update_serving` on the 2,000-node registry.
+///
+/// Prints min, median and p95 of every leg and each gate's ratio. Exits
+/// non-zero naming every gate that fails, and fails the readers gate if
+/// the writer applied no update. A noisy leg (p95 well above min) is
+/// printed, not failed: on two cores a reader leg's p95 can exceed twice
+/// its min.
+fn run_gates() -> Result<ExitCode> {
+    let small = bench_graph(400);
+    let plain = sample(|| control_vadalog(&small))?;
+    let prov = sample(|| control_vadalog_prov(&small, EngineConfig::default().threads))?;
+
+    let g = bench_graph(2_000);
+    let full = sample(|| control_vadalog_prov(&g, 1))?;
+    let (engine, mut db, _) = control_vadalog_prov(&g, 1)?;
+    let owner = first_company(&db)?;
+    let mut serial = 0;
+    let update = sample(|| {
+        serial += 1;
+        engine.apply_update(&mut db, incorporation(&owner, serial))
+    })?;
+
+    let (engine, mut db, stats) = control_vadalog_prov(&g, 1)?;
     let layer = ServingLayer::new();
     layer.publish(&db, stats.termination);
-    println!(
-        "serve-bench: {nodes} nodes, {} facts materialized, {}-query batches",
-        layer.pin().fact_count(),
-        batch
-    );
-    let queries = serve_query_mix(&layer, batch);
-
-    // The live update stream: a writer thread incorporates one distinct
-    // company per iteration (never a dedup no-op) and publishes each result
-    // as a new epoch, for the whole duration of the benchmark.
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let writer = {
-        let layer = layer.clone();
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || -> Result<u64> {
-            let mut serial = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+    let queries = serve_query_mix(&layer, 4_096);
+    let stop = AtomicBool::new(false);
+    let (readers, updates) = std::thread::scope(|s| {
+        let writer = s.spawn(|| -> Result<u64> {
+            let mut serial = 0;
+            while !stop.load(Ordering::Acquire) {
                 serial += 1;
-                let newco = Value::Oid(Oid::new(OidSpace::Ground, (1 << 40) + serial));
-                engine.apply_update_serving(
-                    &mut db,
-                    Update {
-                        inserts: vec![
-                            ("company".to_string(), vec![newco.clone()]),
-                            (
-                                "own".to_string(),
-                                vec![owner.clone(), newco, Value::Float(0.6)],
-                            ),
-                        ],
-                        deletes: Vec::new(),
-                    },
-                    &layer,
-                )?;
+                engine.apply_update_serving(&mut db, incorporation(&owner, serial), &layer)?;
             }
             Ok(serial)
-        })
-    };
-
-    let mut criterion = kgm_runtime::bench::Criterion::new();
-    for readers in [1usize, 4, 8] {
-        let mut group = criterion.benchmark_group(format!("serving/mixed_t{readers}"));
-        group.sample_size(5);
-        group.bench_function(
-            kgm_runtime::bench::BenchmarkId::from_parameter(batch),
-            |b| b.iter(|| serve_run_batch(&layer, &queries, readers)),
-        );
-        group.finish();
-    }
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    let updates = writer.join().expect("serve-bench writer panicked")?;
-    let final_epoch = layer.current_epoch();
-    println!(
-        "serve-bench: writer applied {updates} updates ({final_epoch} epochs published)"
-    );
-    if updates == 0 {
-        eprintln!("serve-bench: update stream never ran — readers were not concurrent");
-        return Ok(ExitCode::FAILURE);
-    }
-
-    let path = match criterion.write_json("serving") {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("serve-bench: serving report not written: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    println!("  [bench] {}", path.display());
-    // Derive queries/sec per reader width from the rows just written.
-    let report = fs::read_to_string(&path).unwrap_or_default();
-    for line in report.lines() {
-        let Some(gpos) = line.find("\"group\": \"serving/") else {
-            continue;
-        };
-        let group_name: String = line[gpos + 10..]
-            .chars()
-            .take_while(|&c| c != '"')
+        });
+        let readers: Result<Vec<Vec<f64>>> = [1, 4]
+            .into_iter()
+            .map(|r| sample(|| serve_run_batch(&layer, &queries, r)))
             .collect();
-        let Some(mpos) = line.find("\"min_ns\": ") else {
-            continue;
-        };
-        let min_ns: f64 = line[mpos + 10..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect::<String>()
-            .parse()
-            .unwrap_or(0.0);
-        if min_ns > 0.0 {
-            println!(
-                "  {group_name}: {:.0} queries/sec (batch of {batch} in {:.2} ms)",
-                batch as f64 * 1e9 / min_ns,
-                min_ns / 1e6
-            );
+        stop.store(true, Ordering::Release);
+        (readers, writer.join().expect("gates writer panicked"))
+    });
+    let (readers, updates) = (readers?, updates?);
+
+    println!("gates: 5 samples per leg, each the mean call time over a ~5 ms batch");
+    let legs = [
+        ("chase, 400 nodes", &plain),
+        ("chase + provenance, 400 nodes", &prov),
+        ("chase + provenance, 2,000 nodes", &full),
+        ("one update, 2,000 nodes", &update),
+        ("4,096 queries, 1 reader", &readers[0]),
+        ("4,096 queries, 4 readers", &readers[1]),
+    ];
+    for (name, samples) in legs {
+        println!(
+            "  {name:<32} min {:>10}   median {:>10}   p95 {:>10}",
+            telemetry::fmt_ns(percentile(samples, 0.0)),
+            telemetry::fmt_ns(percentile(samples, 50.0)),
+            telemetry::fmt_ns(percentile(samples, 95.0)),
+        );
+    }
+    println!("  writer applied {updates} updates during the reader legs");
+    let mut failed = Vec::new();
+    for (gate, leg, reference) in [
+        (PROVENANCE, &prov, &plain),
+        (UPDATE, &update, &full),
+        (READERS, &readers[1], &readers[0]),
+    ] {
+        let (ratio, holds) = gate.judge(leg, reference);
+        println!(
+            "  {:<10} ratio {ratio:.4} at p{} (bound {} {})  {}",
+            gate.name,
+            gate.percentile,
+            if gate.inclusive { "<=" } else { "<" },
+            gate.bound,
+            if holds { "ok" } else { "FAILED" },
+        );
+        if !holds {
+            failed.push(gate.name);
         }
     }
-    Ok(ExitCode::SUCCESS)
+    if updates == 0 {
+        failed.push("readers (the writer applied no update)");
+    }
+    if failed.is_empty() {
+        return Ok(ExitCode::SUCCESS);
+    }
+    eprintln!("gates: failed: {}", failed.join(", "));
+    Ok(ExitCode::FAILURE)
 }
 
 /// Assemble the machine-readable run report: captured span trees plus the
@@ -925,12 +855,13 @@ fn run_cli() -> Result<ExitCode> {
     // bit-identical for any value; only wall-clock changes.
     let mut threads_flag: Option<usize> = None;
     let mut args: Vec<String> = Vec::new();
-    let mut iter = raw.iter().peekable();
+    let mut iter = raw.iter();
     while let Some(a) = iter.next() {
         if let Some(v) = a.strip_prefix("--threads=") {
-            threads_flag = v.parse().ok();
+            threads_flag = Some(parse_arg("--threads", v)?);
         } else if a == "--threads" {
-            threads_flag = iter.next().and_then(|s| s.parse().ok());
+            let v = iter.next().map_or("", String::as_str);
+            threads_flag = Some(parse_arg("--threads", v)?);
         } else if !a.starts_with("--") {
             args.push(a.clone());
         }
@@ -939,55 +870,44 @@ fn run_cli() -> Result<ExitCode> {
         std::env::set_var("KGM_THREADS", n.max(1).to_string());
     }
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    if cmd == "validate-json" {
-        return Ok(validate_json_files(&args[1..]));
-    }
-    if cmd == "scale-smoke" {
-        let nodes = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
-        return run_scale_smoke(nodes);
-    }
-    if cmd == "explain" {
-        return run_explain(&args[1..]);
-    }
-    if cmd == "prov-smoke" {
-        let nodes = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2_000);
-        return run_prov_smoke(nodes);
-    }
-    if cmd == "update" {
-        let nodes = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2_000);
-        return run_update_smoke(nodes);
-    }
-    if cmd == "serve-bench" {
-        let nodes = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2_000);
-        let batch = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4_096);
-        return run_serve_bench(nodes, batch);
+    // Positional argument `i` (named `what` in an error), or `default` when
+    // it is absent.
+    let num = |i: usize, what: &str, default: usize| -> Result<usize> {
+        args.get(i).map_or(Ok(default), |s| parse_arg(what, s))
+    };
+    match cmd {
+        "validate-json" => return Ok(validate_json_files(&args[1..])),
+        "scale-smoke" => return run_scale_smoke(num(1, "scale-smoke nodes", 100_000)?),
+        "explain" => {
+            let pair = args.get(2..).unwrap_or(&[]);
+            return run_explain(num(1, "explain nodes", 400)?, pair);
+        }
+        "prov-smoke" => return run_prov_smoke(num(1, "prov-smoke nodes", 2_000)?),
+        "update" => return run_update_smoke(num(1, "update nodes", 2_000)?),
+        "gates" if args.len() > 1 => {
+            return Err(KgmError::parse("argument", "gates takes no arguments"))
+        }
+        "gates" => return run_gates(),
+        _ => {}
     }
     if trace {
         telemetry::force_trace(true);
     }
     let collector = profile.then(telemetry::Collector::install);
-    let num = |i: usize, default: usize| -> usize {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
     match cmd {
-        "e1" => run_e1(num(1, 100_000))?,
+        "e1" => run_e1(num(1, "e1 nodes", 100_000)?)?,
         "e2" => run_e2()?,
         "e3" => run_e3()?,
         "e4" => run_e4()?,
         "e5" => run_e5()?,
-        "e6" => run_e6(num(1, 2_000))?,
-        "e7" => {
-            let sizes: Vec<usize> = args
-                .get(1)
-                .map(|s| s.split(',').filter_map(|x| x.parse().ok()).collect())
-                .unwrap_or_else(|| vec![1_000, 2_000, 5_000, 10_000]);
-            run_e7(&sizes)?
-        }
-        "e8" => run_e8(num(1, 2_000))?,
+        "e6" => run_e6(num(1, "e6 nodes", 2_000)?)?,
+        "e7" => match args.get(1) {
+            Some(list) => run_e7(&e7_sizes(list)?)?,
+            None => run_e7(&[1_000, 2_000, 5_000, 10_000])?,
+        },
+        "e8" => run_e8(num(1, "e8 nodes", 2_000)?)?,
         "e9" => run_e9()?,
-        "e10" => run_e10(num(1, 1_000))?,
+        "e10" => run_e10(num(1, "e10 nodes", 1_000)?)?,
         "all" => {
             run_e1(50_000)?;
             println!();
@@ -1014,10 +934,6 @@ fn run_cli() -> Result<ExitCode> {
             return Ok(ExitCode::from(2));
         }
     }
-    if profile && matches!(cmd, "e7" | "all") {
-        println!("\nrefreshing repo-root BENCH_*.json perf trajectory:");
-        refresh_bench_reports();
-    }
     if let Some(collector) = collector {
         let spans = collector.finish();
         println!("\nprofile: {} root span(s) captured", spans.len());
@@ -1037,5 +953,59 @@ fn main() -> ExitCode {
             eprintln!("paper-harness: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_arguments_are_errors_that_name_them() {
+        assert_eq!(parse_arg::<usize>("e1 nodes", "20000").unwrap(), 20_000);
+        for raw in ["abc", "1k", "four", "", "-3", "2.5"] {
+            let e = parse_arg::<usize>("--threads", raw).unwrap_err();
+            let e = e.to_string();
+            assert!(e.contains("--threads"), "{e}");
+            assert!(e.contains(&format!("`{raw}`")), "{e}");
+        }
+        assert_eq!(e7_sizes("1000,2000").unwrap(), vec![1_000, 2_000]);
+        for list in ["abc", "", ",", "1000,abc", "1000,"] {
+            let e = e7_sizes(list).unwrap_err().to_string();
+            assert!(e.contains("e7 size"), "{list:?}: {e}");
+        }
+    }
+
+    /// Five sorted samples with the given fastest and median values.
+    fn samples(min: f64, median: f64) -> Vec<f64> {
+        vec![min, median, median, median, 2.0 * median]
+    }
+
+    #[test]
+    fn gates_hold_their_bounds() {
+        let reference = samples(1.0, 1.0);
+        let (under, over) = (1.0 - 1e-9, 1.0 + 1e-9);
+        assert_eq!(
+            (PROVENANCE.bound, UPDATE.bound, READERS.bound),
+            (2.0, 0.10, 1.10)
+        );
+        // Strict, on the fastest samples: a median far over the bound does
+        // not fail them.
+        for gate in [&PROVENANCE, &UPDATE] {
+            let b = gate.bound;
+            let holds = |min: f64| gate.judge(&samples(min, 10.0 * b), &reference).1;
+            assert!(holds(b * under), "{}", gate.name);
+            assert!(!holds(b), "{}", gate.name);
+            assert!(!holds(b * over), "{}", gate.name);
+        }
+        // At most the bound, on the medians: a fastest sample far under the
+        // bound does not pass it.
+        let b = READERS.bound;
+        let holds = |median: f64| READERS.judge(&samples(0.1 * b, median), &reference).1;
+        assert!(holds(b * under));
+        assert!(holds(b));
+        assert!(!holds(b * over));
+        let (ratio, _) = READERS.judge(&samples(0.5, 1.5), &samples(1.0, 2.0));
+        assert_eq!(ratio, 0.75);
     }
 }

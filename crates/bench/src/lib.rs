@@ -3,7 +3,8 @@
 //! Each `eN_*` function regenerates the corresponding artefact of the
 //! DESIGN.md experiment index and returns both the measured values and a
 //! printable report comparing them against what the paper states. The
-//! `paper-harness` binary and the Criterion benches are thin wrappers.
+//! `paper-harness` binary is a thin wrapper; the `kgbench` binary is the
+//! repository's benchmark.
 
 use kgm_common::Result;
 use kgm_core::intensional::{materialize, MaterializationMode, MaterializationStats};
@@ -542,7 +543,8 @@ pub fn e10_staging(nodes: usize) -> Result<String> {
     Ok(report)
 }
 
-/// A fresh shareholding graph for benches.
+/// The seeded shareholding graph `paper-harness` runs its smokes, `explain`
+/// and timing gates on.
 pub fn bench_graph(nodes: usize) -> PropertyGraph {
     generate_shareholding(&ShareholdingConfig {
         nodes,

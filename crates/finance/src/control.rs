@@ -43,9 +43,8 @@ pub fn control_vadalog(g: &PropertyGraph) -> Result<(FxHashSet<(u64, u64)>, RunS
     control_vadalog_threads(g, EngineConfig::default().threads)
 }
 
-/// [`control_vadalog`] with an explicit chase worker count — the entry point
-/// the bench harness uses to compare 1-thread and N-thread wall-clock on the
-/// same graph. Output is bit-identical across counts (see `Engine::run`).
+/// [`control_vadalog`] with an explicit chase worker count. Output is
+/// bit-identical across counts (see `Engine::run`).
 pub fn control_vadalog_threads(
     g: &PropertyGraph,
     threads: usize,

@@ -11,20 +11,19 @@
 //! | [`par`]   | `crossbeam`   | scope-based parallel map (`std::thread::scope`) |
 //! | [`prop`]  | `proptest`    | seeded property tests with shrinking, `prop_assert!` |
 //! | [`snapshot`] | `insta` | golden-file assertions with a `KGM_BLESS=1` bless workflow |
-//! | [`bench`] | `criterion`   | warmup/calibrated micro-benchmarks with JSON reports |
 //! | [`telemetry`] | `tracing` + `metrics` | hierarchical spans, counters/histograms, console + JSONL sinks |
 //! | [`json`]  | `serde_json` (validation only) | JSON/JSONL well-formedness checks for emitted artefacts |
 //! | [`fault`] | — | deterministic fault injection (`KGM_FAULT=<site>:<prob>:<seed>`), off by default |
 //!
-//! (The remaining removed dependency, `serde`, needs no stand-in: nothing
-//! deserializes, and `kgm-common`'s `Value::to_text` is the one stable text
-//! form.)
+//! (Two removed dependencies need no stand-in. Nothing deserializes, so
+//! `serde` has none: `kgm-common`'s `Value::to_text` is the one stable text
+//! form. `criterion` has none either: `kgm-bench`'s `kgbench` binary is the
+//! benchmark, and `paper-harness gates` times CI's three ratio gates.)
 //!
 //! Everything is deterministic by construction: the PRNG is seeded
-//! explicitly, property-test cases derive from a reported seed, and bench
-//! sharding preserves input order.
+//! explicitly, property-test cases derive from a reported seed, and
+//! parallel sharding preserves input order.
 
-pub mod bench;
 pub mod env;
 pub mod fault;
 pub mod json;

@@ -171,7 +171,8 @@ impl SpanNode {
         } else {
             format!("{} [{}]", self.name, self.detail)
         };
-        let _ = write!(out, "▸ {label:<w$} {:>10}", fmt_ns(self.elapsed_ns), w = 44usize.saturating_sub(depth * 2));
+        let w = 44usize.saturating_sub(depth * 2);
+        let _ = write!(out, "▸ {label:<w$} {:>10}", fmt_ns(self.elapsed_ns as f64));
         for (k, v) in &self.counters {
             let _ = write!(out, "  {k}={v}");
         }
@@ -214,9 +215,17 @@ impl SpanNode {
     }
 }
 
-/// Render nanoseconds human-readably (shared with the bench harness style).
-fn fmt_ns(ns: u128) -> String {
-    crate::bench::format_ns(ns as f64)
+/// Render nanoseconds human-readably (ns/µs/ms/s).
+pub fn fmt_ns(ns: f64) -> String {
+    if ns < 1_000.0 {
+        format!("{ns:.1} ns")
+    } else if ns < 1_000_000.0 {
+        format!("{:.2} µs", ns / 1_000.0)
+    } else if ns < 1_000_000_000.0 {
+        format!("{:.2} ms", ns / 1_000_000.0)
+    } else {
+        format!("{:.3} s", ns / 1_000_000_000.0)
+    }
 }
 
 fn escape_json(s: &str) -> String {
@@ -366,7 +375,7 @@ fn finish_root(st: &mut ThreadState, root: SpanNode) {
                 } else {
                     format!(" [{}]", root.detail)
                 },
-                fmt_ns(root.elapsed_ns),
+                fmt_ns(root.elapsed_ns as f64),
                 root.span_count()
             );
         }
@@ -892,5 +901,13 @@ mod tests {
         assert_eq!(Verbosity::parse("debug"), Verbosity::Debug);
         assert_eq!(Verbosity::parse("nonsense"), Verbosity::Off);
         assert!(Verbosity::Debug > Verbosity::Span);
+    }
+
+    #[test]
+    fn format_ns_scales_units() {
+        assert_eq!(fmt_ns(12.0), "12.0 ns");
+        assert_eq!(fmt_ns(12_500.0), "12.50 µs");
+        assert_eq!(fmt_ns(12_500_000.0), "12.50 ms");
+        assert_eq!(fmt_ns(2_000_000_000.0), "2.000 s");
     }
 }

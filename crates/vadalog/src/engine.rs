@@ -124,8 +124,8 @@ pub struct EngineConfig {
     /// edge in the database's [`crate::factdb::ProvStore`], queryable via
     /// [`crate::explain`]. The fact output is bit-identical with the flag
     /// on or off, at any thread count; the overhead contract (< 2× chase
-    /// time on the paper's control workload) is pinned by
-    /// `BENCH_chase.json`'s `control_vadalog_prov` rows.
+    /// time on the paper's control workload) is CI's `paper-harness gates`
+    /// provenance gate.
     pub provenance: bool,
 }
 

@@ -3,7 +3,8 @@
 //!
 //! Each property takes an input that ships with the repository (the
 //! company-control programs, the Figure 4 GSL schema, the serving query
-//! forms, a Cypher pattern, the CSV export of a small registry) and applies
+//! forms, a Cypher pattern, the CSV export of a small registry, a CSV
+//! deployment with its manifest, a `KGM_FAULT` spec) and applies
 //! a few seeded edits: delete a run of characters, insert a fragment, or
 //! truncate. The fragments mix the grammars' punctuation with multi-byte
 //! letters, symbols and whitespace. `check` turns a panic into a failure;
@@ -12,14 +13,18 @@
 //! Runs under the in-workspace harness (`kgm_runtime::prop`): 64 seeded
 //! cases per property, counterexamples shrunk and reported with the seed.
 
+use kgm_runtime::fault::FaultConfig;
 use kgm_runtime::prop::{check, CaseResult, Config};
 use kgm_runtime::rng::Rng;
 use kgmodel::common::Value;
+use kgmodel::core::models::csvmodel::{export_instance, import_instance, CsvExport};
+use kgmodel::core::models::PgModelSchema;
 use kgmodel::core::parse_gsl;
+use kgmodel::core::sst::{translate_to_pg, PgGeneralizationStrategy};
 use kgmodel::finance::control::{CONTROL_METALOG, CONTROL_VADALOG};
 use kgmodel::finance::{company_kg_gsl, generate_registry, RegistryConfig};
 use kgmodel::metalog::{parse_metalog, translate, PgSchema};
-use kgmodel::pgstore::{csv, cypher};
+use kgmodel::pgstore::{csv, cypher, PropertyGraph};
 use kgmodel::vadalog::{parse_program, Engine, EpochSnapshot, FactDb, ServingLayer, Termination};
 use std::sync::Arc;
 
@@ -210,6 +215,78 @@ fn csv_edge_text_never_panics() {
         "csv::import edges",
         |rng| mutate(rng, &edges),
         |text| csv::import(&nodes, text),
+    );
+}
+
+/// A two-node instance of a small ownership schema, exported as a CSV
+/// deployment (manifest, nodes, edges), with the PG schema it checks
+/// against.
+fn csv_deployment() -> (PgModelSchema, CsvExport) {
+    let schema = parse_gsl(
+        r#"
+        schema T {
+          node Person { id pid: string; name: string; }
+          node Business { capital: float; }
+          generalization Person -> Business;
+          edge OWNS: Person -> Business { percentage: float; }
+        }
+        "#,
+    )
+    .unwrap();
+    let pg = translate_to_pg(&schema, PgGeneralizationStrategy::MultiLabel).unwrap();
+    let person = |pid: &str, name: &str| {
+        vec![
+            ("pid".to_string(), Value::str(pid)),
+            ("name".to_string(), Value::str(name)),
+        ]
+    };
+    let mut g = PropertyGraph::new();
+    let a = g.add_node(["Person"], person("p1", "Ada")).unwrap();
+    let mut business = person("b1", "Società per Azioni");
+    business.push(("capital".to_string(), Value::Float(10.0)));
+    let b = g.add_node(["Business", "Person"], business).unwrap();
+    let share = vec![("percentage".to_string(), Value::Float(0.4))];
+    g.add_edge(a, b, "OWNS", share).unwrap();
+    let export = export_instance(&pg, &g).unwrap();
+    (pg, export)
+}
+
+#[test]
+fn csv_deployments_never_panic() {
+    let (schema, export) = csv_deployment();
+    import_instance(&schema, &export).unwrap();
+    let docs = [export.manifest, export.nodes_csv, export.edges_csv];
+    // Each case mutates one of the three documents. They travel as one
+    // text joined by a record separator, which no fragment contains, so
+    // the shrinker can drop characters from any of them.
+    never_panics(
+        "csvmodel::import_instance",
+        |rng| {
+            let mut parts = docs.clone();
+            let k = rng.gen_range(0..parts.len());
+            parts[k] = mutate(rng, &parts[k]);
+            parts.join("\u{1e}")
+        },
+        |text| {
+            let parts: Vec<&str> = text.splitn(3, '\u{1e}').collect();
+            let part = |i: usize| parts.get(i).copied().unwrap_or_default().to_string();
+            let export = CsvExport {
+                manifest: part(0),
+                nodes_csv: part(1),
+                edges_csv: part(2),
+            };
+            import_instance(&schema, &export)
+        },
+    );
+}
+
+#[test]
+fn fault_specs_never_panic() {
+    FaultConfig::parse("chase.insert:0.05:42").unwrap();
+    never_panics(
+        "FaultConfig::parse",
+        |rng| mutate(rng, "chase.insert:0.05:42"),
+        FaultConfig::parse,
     );
 }
 
