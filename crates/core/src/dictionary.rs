@@ -1,8 +1,9 @@
-//! Graph dictionaries: super-schemas serialized as property graphs.
+//! Graph dictionaries: super-schemas serialized as property graphs, and
+//! the instances loaded against them as relations.
 //!
 //! Section 2.2: *"KGModel stores super-schemas and schemas into graph
-//! dictionaries"*. The encoding mirrors the super-model dictionary layout of
-//! Figure 3 (and its instance-level extension of Figure 9):
+//! dictionaries"*. The schema level is a [`PropertyGraph`] whose encoding
+//! mirrors the super-model dictionary layout of Figure 3:
 //!
 //! - one `SM_Node` node per entity, linked by `SM_HAS_NODE_TYPE` to an
 //!   `SM_Type` node carrying the `name`;
@@ -18,13 +19,20 @@
 //!
 //! Every construct carries `schemaOID`, so several super-schemas share one
 //! dictionary (Example 5.1 filters on `schemaOID : 123`).
+//!
+//! The instance level of Figure 9 is relational: [`Dictionary::instances`]
+//! holds the rows of the `I_SM_*` relations the quasi-inverse load writes
+//! ([`crate::instances`]). MetaLog's semantics is defined by translation to
+//! Vadalog over relations, and the generated input views read exactly
+//! these rows, so the store is handed to the chase as its input.
 
 use crate::supermodel::{
     Cardinality, Modifier, SmAttribute, SmEdge, SmGeneralization, SmNode, SuperSchema,
 };
-use kgm_common::{KgmError, Result, Value, ValueType};
+use kgm_common::{FxHashMap, KgmError, Oid, Result, Value, ValueType};
 use kgm_metalog::PgSchema;
 use kgm_pgstore::{Direction, NodeId, PropertyGraph};
+use kgm_vadalog::FactDb;
 
 fn props(pairs: &[(&str, Value)]) -> Vec<(String, Value)> {
     pairs
@@ -33,11 +41,17 @@ fn props(pairs: &[(&str, Value)]) -> Vec<(String, Value)> {
         .collect()
 }
 
-/// A dictionary graph holding one or more encoded super-schemas (and,
-/// after instance loading, their instance-level constructs).
+/// A dictionary: one or more encoded super-schemas and the instances
+/// loaded against them.
 pub struct Dictionary {
-    /// The underlying property graph.
+    /// The schema level: every encoded super-schema, as a property graph.
+    /// Instance OIDs are minted from its generator too, so schema- and
+    /// instance-level OIDs never collide.
     pub graph: PropertyGraph,
+    /// The instance level: the rows of the eight `I_SM_*` relations
+    /// (`i_sm_node`, `i_sm_edge`, `i_sm_attr`, `sm_ref`, `i_has_nattr`,
+    /// `i_has_eattr`, `i_from`, `i_to`) of every loaded instance.
+    pub instances: FactDb,
 }
 
 impl Default for Dictionary {
@@ -51,6 +65,7 @@ impl Dictionary {
     pub fn new() -> Self {
         Dictionary {
             graph: PropertyGraph::new(),
+            instances: FactDb::new(),
         }
     }
 
@@ -299,6 +314,51 @@ impl Dictionary {
         }
         schema.validate()?;
         Ok(schema)
+    }
+}
+
+/// Names of schema-level constructs, each looked up in the dictionary graph
+/// at most once per OID: flushing meets the same few constructs once per
+/// row or fact.
+pub(crate) struct ConstructNames<'a> {
+    dict: &'a Dictionary,
+    names: FxHashMap<Oid, Option<String>>,
+}
+
+impl<'a> ConstructNames<'a> {
+    pub(crate) fn new(dict: &'a Dictionary) -> Self {
+        ConstructNames {
+            dict,
+            names: FxHashMap::default(),
+        }
+    }
+
+    /// The name the construct `oid` stands for: the type name of an
+    /// `SM_Node` or `SM_Edge`, the name of an `SM_Attribute`. `None` for an
+    /// unknown OID or a construct without one.
+    pub(crate) fn get(&mut self, oid: Oid) -> Option<&str> {
+        let dict = self.dict;
+        let lookup = || {
+            let g = &dict.graph;
+            let n = g.node_by_oid(oid)?;
+            if g.node_has_label(n, "SM_Node") {
+                dict.type_name(n, "SM_HAS_NODE_TYPE")
+            } else if g.node_has_label(n, "SM_Edge") {
+                dict.type_name(n, "SM_HAS_EDGE_TYPE")
+            } else {
+                g.node_prop(n, "name").map(|v| v.to_string())
+            }
+        };
+        self.names.entry(oid).or_insert_with(lookup).as_deref()
+    }
+
+    /// The labels a flushed node of the `SM_Node` `oid` carries under the
+    /// multi-label strategy: its type name, then its ancestors'.
+    pub(crate) fn node_labels(&mut self, oid: Oid, schema: &SuperSchema) -> Option<Vec<String>> {
+        let name = self.get(oid)?;
+        let mut labels = vec![name.to_string()];
+        labels.extend(schema.ancestors(name).iter().map(|s| s.to_string()));
+        Some(labels)
     }
 }
 

@@ -6,7 +6,9 @@
 //!
 //! 1. `D` is **loaded** into the instance-level super-constructs `I_SM_*`
 //!    of the dictionary via the quasi-inverse copy mapping
-//!    ([`crate::instances::load_instance`], line 4);
+//!    ([`crate::instances::load_instance`], line 4). The load writes the
+//!    eight instance relations (`i_sm_node`, `sm_ref`, …) straight into the
+//!    dictionary's fact store, and that store becomes the chase's input;
 //! 2. **input views** `V_I^Σ` are generated from a static analysis of `Σ`:
 //!    for every node/edge label in `Σ`'s bodies, Vadalog rules aggregate the
 //!    `I_SM_Node` / `I_SM_Edge` / `I_SM_Attribute` facts into the high-level
@@ -16,25 +18,23 @@
 //!    (lines 7–8);
 //! 4. **output views** `V_O^Σ` de-normalize head-label facts back into
 //!    instance constructs (`vo_node` / `vo_edge` / attribute facts, line 6),
-//!    which the **flush** step materializes into the dictionary and the
-//!    target database `D` (line 9).
+//!    which the **flush** step materializes into the target database `D`
+//!    (line 9).
 //!
 //! The §6 performance note — materialize `V_I` into a staging area first,
 //! then reason without overhead — is the [`MaterializationMode::Staged`]
 //! variant; [`MaterializationMode::SinglePass`] runs views and `Σ` in one
 //! fixpoint. Experiment E10 compares the two.
 
-use crate::dictionary::Dictionary;
+use crate::dictionary::{ConstructNames, Dictionary};
 use crate::instances::{load_instance, InstanceMap};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Value};
 use kgm_metalog::{parse_metalog, translate, PgSchema};
 use kgm_pgstore::{NodeId, PropertyGraph};
 use kgm_vadalog::{
-    Atom, Engine, EngineConfig, FactDb, InputBinding, InputSource, Program, Rule,
-    RuleStep, SourceRegistry, Term, Termination, Var,
+    Atom, Engine, EngineConfig, FactDb, Program, Rule, RuleStep, Term, Termination, Var,
 };
-use std::sync::Arc;
 use kgm_runtime::telemetry;
 
 /// The reserved "absent optional attribute" null.
@@ -239,47 +239,15 @@ impl<'a> ViewCtx<'a> {
     }
 }
 
-/// The `@input` bindings reading the instance constructs from the
-/// dictionary graph (registered under the name `"dict"`).
-fn dict_bindings() -> Vec<InputBinding> {
-    let nodes = |pred: &str, label: &str, props: &[&str]| InputBinding {
-        predicate: pred.to_string(),
-        source: InputSource::PgNodes {
-            graph: "dict".into(),
-            label: label.into(),
-            props: props.iter().map(|s| s.to_string()).collect(),
-        },
-    };
-    let edges = |pred: &str, label: &str| InputBinding {
-        predicate: pred.to_string(),
-        source: InputSource::PgEdges {
-            graph: "dict".into(),
-            label: label.into(),
-            props: vec![],
-        },
-    };
-    vec![
-        nodes("i_sm_node", "I_SM_Node", &["instanceOID"]),
-        nodes("i_sm_edge", "I_SM_Edge", &["instanceOID"]),
-        nodes("i_sm_attr", "I_SM_Attribute", &["value"]),
-        edges("sm_ref", "SM_REFERENCES"),
-        edges("i_has_nattr", "I_SM_HAS_NODE_ATTR"),
-        edges("i_has_eattr", "I_SM_HAS_EDGE_ATTR"),
-        edges("i_from", "I_SM_FROM"),
-        edges("i_to", "I_SM_TO"),
-    ]
-}
-
-/// Generate the input views `V_I^Σ` for the given body labels.
+/// Generate the input views `V_I^Σ` for the given body labels. They read
+/// the instance relations the quasi-inverse load writes
+/// ([`crate::instances`]).
 fn input_views(
     ctx: &ViewCtx<'_>,
     node_labels: &[String],
     edge_labels: &[String],
 ) -> Result<Program> {
-    let mut prog = Program {
-        inputs: dict_bindings(),
-        ..Default::default()
-    };
+    let mut prog = Program::default();
     let inst = Value::Int(ctx.instance_oid);
     for label in node_labels {
         let node_oid = ctx.node_oid(label)?;
@@ -670,14 +638,8 @@ pub fn materialize(
                 sigma_labels(&sigma, schema);
             let vi = input_views(&ctx, &body_nodes, &body_edges)?;
             let vo = output_views(&ctx, &head_nodes, &head_edges)?;
-
-            let mut registry = SourceRegistry::new();
-            // The dictionary graph is read-only during reasoning; clone it
-            // into the registry (Arc'd) — the flush step mutates the
-            // original.
-            let dict_graph = std::mem::replace(&mut dict.graph, PropertyGraph::new());
-            let dict_arc = Arc::new(dict_graph);
-            registry.add_graph("dict", dict_arc.clone());
+            // The loaded instance relations are the chase's input.
+            let instances = std::mem::take(&mut dict.instances);
 
             let db = match mode {
                 MaterializationMode::SinglePass => {
@@ -685,29 +647,27 @@ pub fn materialize(
                     program.extend(mtv.program);
                     program.extend(vo);
                     let engine = Engine::with_config(program, EngineConfig::default())?;
-                    let mut db = FactDb::new();
-                    engine.load_inputs(&registry, &mut db)?;
+                    let mut db = instances;
                     let run = engine.run(&mut db)?;
                     stats.derived_facts = run.derived_facts;
                     stats.termination = run.termination;
                     db
                 }
                 MaterializationMode::Staged => {
-                    // Stage 1: materialize V_I into a staging area.
+                    // Stage 1: materialize V_I into a staging area, the
+                    // instance relations themselves.
                     let engine_vi = Engine::with_config(vi, EngineConfig::default())?;
-                    let mut staged = FactDb::new();
-                    engine_vi.load_inputs(&registry, &mut staged)?;
+                    let mut staged = instances;
                     let run1 = engine_vi.run(&mut staged)?;
                     // Stage 2: Σ ∪ V_O over the staged label facts only.
                     let mut program = mtv.program;
                     program.extend(vo);
                     let engine = Engine::with_config(program, EngineConfig::default())?;
                     let mut db = FactDb::new();
-                    let labels: Vec<&String> =
-                        body_nodes.iter().chain(body_edges.iter()).collect();
-                    for l in labels {
+                    for l in body_nodes.iter().chain(body_edges.iter()) {
                         db.add_facts(l, staged.facts(l))?;
                     }
+                    drop(staged);
                     let run2 = engine.run(&mut db)?;
                     stats.derived_facts = run1.derived_facts + run2.derived_facts;
                     // The earlier stage's truncation dominates: a truncated
@@ -720,17 +680,14 @@ pub fn materialize(
                     db
                 }
             };
-            drop(registry); // release the registry's Arc so the dictionary unwraps
-            Ok::<_, KgmError>((db, dict_arc))
+            Ok::<_, KgmError>(db)
         },
     );
-    let (db, dict_arc) = reasoned?;
+    let db = reasoned?;
     stats.reason_ms = reason_ms;
 
     // --- Flush (line 9).
     let (flushed, flush_ms) = telemetry::time("intensional.flush", String::new(), || {
-        dict.graph = Arc::try_unwrap(dict_arc)
-            .map_err(|_| KgmError::Internal("dictionary graph still shared".into()))?;
         flush(&db, &dict, schema, &imap, data, &mut stats)
     });
     flushed?;
@@ -747,51 +704,30 @@ fn flush(
     data: &mut PropertyGraph,
     stats: &mut MaterializationStats,
 ) -> Result<()> {
-    let g = &dict.graph;
-    // Identity → data node: ground instance OIDs map through the load map;
-    // labelled nulls / Skolems create fresh nodes on first sight.
-    let mut created: FxHashMap<Value, NodeId> = FxHashMap::default();
-    let mut resolve_new = |data: &mut PropertyGraph,
-                           id: &Value,
-                           sm_node_oid: Oid,
-                           stats: &mut MaterializationStats|
-     -> Result<NodeId> {
-        if let Some(oid) = id.as_oid() {
-            if let Some(&n) = imap.instance_to_node.get(&oid) {
-                return Ok(n);
-            }
-        }
-        if let Some(&n) = created.get(id) {
-            return Ok(n);
-        }
-        let sm = g
-            .node_by_oid(sm_node_oid)
-            .ok_or_else(|| KgmError::NotFound(format!("SM_Node oid {sm_node_oid:?}")))?;
-        let tyname = dict
-            .type_name(sm, "SM_HAS_NODE_TYPE")
-            .ok_or_else(|| KgmError::Schema("SM_Node without type".into()))?;
-        let mut labels = vec![tyname.clone()];
-        labels.extend(schema.ancestors(&tyname).iter().map(|s| s.to_string()));
-        let n = data.add_node(labels, vec![])?;
-        created.insert(id.clone(), n);
-        stats.new_nodes += 1;
-        Ok(n)
-    };
-
-    // vo_node(I, ⟨SM_Node⟩): ensure the node exists.
+    let mut names = ConstructNames::new(dict);
+    // vo_node(I, ⟨SM_Node⟩): resolve each identity to a data node once —
+    // ground instance OIDs through the load map, labelled nulls and Skolems
+    // to a node created on first sight.
+    let mut node_of: FxHashMap<Value, NodeId> = FxHashMap::default();
     for t in db.facts_iter("vo_node") {
         let sm_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_node without SM oid".into()))?;
-        resolve_new(data, &t[0], sm_oid, stats)?;
-    }
-    // vo_nattr(I, ⟨SM_Attribute⟩, V): set known, non-null values.
-    let mut node_of: FxHashMap<Value, NodeId> = FxHashMap::default();
-    for t in db.facts_iter("vo_node") {
-        let sm_oid = t[1].as_oid().expect("checked above");
-        let n = resolve_new(data, &t[0], sm_oid, stats)?;
+        let loaded = t[0]
+            .as_oid()
+            .and_then(|oid| imap.instance_to_node.get(&oid).copied());
+        if let Some(n) = loaded.or_else(|| node_of.get(&t[0]).copied()) {
+            node_of.insert(t[0].clone(), n);
+            continue;
+        }
+        let labels = names
+            .node_labels(sm_oid, schema)
+            .ok_or_else(|| KgmError::NotFound(format!("SM_Node oid {sm_oid:?}")))?;
+        let n = data.add_node(labels, vec![])?;
+        stats.new_nodes += 1;
         node_of.insert(t[0].clone(), n);
     }
+    // vo_nattr(I, ⟨SM_Attribute⟩, V): set known, non-null values.
     for t in db.facts_iter("vo_nattr") {
         if t[2].is_labelled_null() {
             continue; // unknown / absent value
@@ -802,15 +738,11 @@ fn flush(
         let attr_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_nattr without attr oid".into()))?;
-        let attr = g
-            .node_by_oid(attr_oid)
+        let name = names
+            .get(attr_oid)
             .ok_or_else(|| KgmError::NotFound("SM_Attribute".into()))?;
-        let name = g
-            .node_prop(attr, "name")
-            .map(|v| v.to_string())
-            .unwrap_or_default();
-        if data.node_prop(n, &name) != Some(&t[2]) {
-            data.set_node_prop(n, &name, t[2].clone())?;
+        if data.node_prop(n, name) != Some(&t[2]) {
+            data.set_node_prop(n, name, t[2].clone())?;
             stats.new_attrs += 1;
         }
     }
@@ -822,34 +754,27 @@ fn flush(
         let (f, t) = data.edge_endpoints(e);
         existing.insert((data.edge_label(e), f, t));
     }
+    // Endpoints must be resolvable: either loaded instance nodes or nodes
+    // created by vo_node.
+    let resolve_endpoint = |v: &Value| -> Option<NodeId> {
+        v.as_oid()
+            .and_then(|oid| imap.instance_to_node.get(&oid).copied())
+            .or_else(|| node_of.get(v).copied())
+    };
     for t in db.facts_iter("vo_edge") {
         let sm_oid = t[3]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_edge without SM oid".into()))?;
-        let sm = g
-            .node_by_oid(sm_oid)
+        let label = names
+            .get(sm_oid)
             .ok_or_else(|| KgmError::NotFound("SM_Edge".into()))?;
-        let label = dict
-            .type_name(sm, "SM_HAS_EDGE_TYPE")
-            .ok_or_else(|| KgmError::Schema("SM_Edge without type".into()))?;
-        // Endpoints must be resolvable: either loaded instance nodes or
-        // nodes created by vo_node.
-        let resolve_endpoint = |v: &Value| -> Option<NodeId> {
-            if let Some(oid) = v.as_oid() {
-                if let Some(&n) = imap.instance_to_node.get(&oid) {
-                    return Some(n);
-                }
-            }
-            node_of.get(v).copied().or_else(|| created.get(v).copied())
-        };
         let (Some(f), Some(tt)) = (resolve_endpoint(&t[1]), resolve_endpoint(&t[2])) else {
             continue;
         };
-        if existing.contains(&(label.clone(), f, tt)) {
+        if !existing.insert((label.to_string(), f, tt)) {
             continue;
         }
-        let e = data.add_edge(f, tt, &label, vec![])?;
-        existing.insert((label, f, tt));
+        let e = data.add_edge(f, tt, label, vec![])?;
         edge_of.insert(t[0].clone(), e);
         stats.new_edges += 1;
     }
@@ -863,14 +788,10 @@ fn flush(
         let attr_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_eattr without attr oid".into()))?;
-        let attr = g
-            .node_by_oid(attr_oid)
+        let name = names
+            .get(attr_oid)
             .ok_or_else(|| KgmError::NotFound("SM_Attribute".into()))?;
-        let name = g
-            .node_prop(attr, "name")
-            .map(|v| v.to_string())
-            .unwrap_or_default();
-        data.set_edge_prop(e, &name, t[2].clone())?;
+        data.set_edge_prop(e, name, t[2].clone())?;
         stats.new_attrs += 1;
     }
     Ok(())
@@ -986,7 +907,11 @@ mod tests {
         // V_I aggregates instance constructs into the Business/OWNS atoms.
         assert!(vi.contains("vi_is_Business"), "{vi}");
         assert!(vi.contains("i_sm_node"), "{vi}");
-        assert!(vi.contains("@input(sm_ref, edges, \"dict\", \"SM_REFERENCES\""), "{vi}");
+        // Its rules read the instance relations the load writes.
+        let reads_instances = |l: &str| {
+            l.contains("i_sm_node(") && l.contains("sm_ref(") && l.contains("-> vi_is_Business(")
+        };
+        assert!(vi.lines().any(reads_instances), "{vi}");
         // V_O de-normalizes CONTROLS facts into instance-construct facts.
         assert!(vo.contains("vo_edge"), "{vo}");
         assert!(vo.contains("CONTROLS"), "{vo}");

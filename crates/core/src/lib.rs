@@ -13,8 +13,8 @@
 //!   super-schemas;
 //! - [`render`] — the rendering functions Γ_MM and Γ_SM as deterministic
 //!   Graphviz DOT emitters using the grapheme vocabulary of Figure 3;
-//! - [`dictionary`] — graph dictionaries: serializing super-schemas (and
-//!   instance-level constructs) into `kgm-pgstore` graphs and back;
+//! - [`dictionary`] — graph dictionaries: serializing super-schemas into
+//!   `kgm-pgstore` graphs and back, next to the instance level's relations;
 //! - [`models`] — the model level (Section 5): the PG model (Figure 5), the
 //!   relational model (Figure 7), the RDF vocabulary model, and CSV
 //!   serialization;
@@ -22,8 +22,8 @@
 //!   translation with selectable implementation strategies, in both the
 //!   paper-faithful MetaLog-driven form and a native Rust baseline;
 //! - [`instances`] — instance-level super-constructs `I_SM_*` (Figure 9)
-//!   and instance loading / flushing with the quasi-inverse mappings of
-//!   Section 6;
+//!   as relation rows, and instance loading / flushing with the
+//!   quasi-inverse mappings of Section 6;
 //! - [`intensional`] — Algorithm 2: materialization of intensional
 //!   components via automatically generated input/output views;
 //! - [`enforce`] — schema enforcement artefacts per target system: SQL DDL,

@@ -387,6 +387,13 @@ impl PropertyGraph {
         self.edges[id.0 as usize].oid
     }
 
+    /// Mint an OID from this graph's generator without adding an element,
+    /// for records kept outside the graph that must never share an OID with
+    /// its nodes and edges.
+    pub fn fresh_oid(&self) -> Oid {
+        self.oid_gen.fresh()
+    }
+
     /// Resolve an OID back to its node.
     pub fn node_by_oid(&self, oid: Oid) -> Option<NodeId> {
         self.oid_to_node.get(&oid).copied()
