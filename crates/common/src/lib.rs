@@ -2,8 +2,9 @@
 //!
 //! Shared foundations for the KGModel workspace: object identifiers, typed
 //! values, deterministic (linker) Skolem functors, a fast non-cryptographic
-//! hasher, a string interner, and the value pool with its open-addressing
-//! id tables.
+//! hasher, a string interner, the value pool with its open-addressing id
+//! tables, and the segment arena that packs many growable lists into one
+//! allocation.
 //!
 //! Every construct in the KGModel representation stack — meta-constructs,
 //! super-constructs, model constructs, and their instances — is identified by
@@ -19,6 +20,7 @@ pub mod hash;
 pub mod interner;
 pub mod oid;
 pub mod pool;
+pub mod segments;
 pub mod skolem;
 pub mod slots;
 pub mod value;
@@ -28,6 +30,7 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Interner, Symbol};
 pub use pool::ValuePool;
 pub use oid::{Oid, OidGen, OidSpace};
+pub use segments::SegmentArena;
 pub use skolem::{SkolemFunctor, SkolemRegistry};
 pub use slots::SlotTable;
 pub use value::{Value, ValueType};

@@ -29,7 +29,7 @@
 use crate::dictionary::{ConstructNames, Dictionary};
 use crate::instances::{load_instance, InstanceMap};
 use crate::supermodel::SuperSchema;
-use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Value};
+use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Symbol, Value};
 use kgm_metalog::{parse_metalog, translate, PgSchema};
 use kgm_pgstore::{NodeId, PropertyGraph};
 use kgm_vadalog::{
@@ -749,10 +749,10 @@ fn flush(
     // vo_edge(IE, F, T, ⟨SM_Edge⟩): create missing edges, dedup on
     // (label, endpoints).
     let mut edge_of: FxHashMap<Value, kgm_pgstore::EdgeId> = FxHashMap::default();
-    let mut existing: FxHashSet<(String, NodeId, NodeId)> = FxHashSet::default();
+    let mut existing: FxHashSet<(Symbol, NodeId, NodeId)> = FxHashSet::default();
     for e in data.edges() {
         let (f, t) = data.edge_endpoints(e);
-        existing.insert((data.edge_label(e), f, t));
+        existing.insert((data.edge_label_sym(e), f, t));
     }
     // Endpoints must be resolvable: either loaded instance nodes or nodes
     // created by vo_node.
@@ -771,7 +771,7 @@ fn flush(
         let (Some(f), Some(tt)) = (resolve_endpoint(&t[1]), resolve_endpoint(&t[2])) else {
             continue;
         };
-        if !existing.insert((label.to_string(), f, tt)) {
+        if !existing.insert((data.sym(label), f, tt)) {
             continue;
         }
         let e = data.add_edge(f, tt, label, vec![])?;

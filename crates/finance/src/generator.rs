@@ -23,7 +23,7 @@
 //!   most 1, making control semantics meaningful.
 
 use kgm_common::{Result, Value};
-use kgm_pgstore::{NodeId, PropertyGraph};
+use kgm_pgstore::{EdgeId, NodeId, PropertyGraph};
 use kgm_runtime::Rng;
 
 /// Generator parameters.
@@ -86,6 +86,10 @@ pub fn generate_shareholding(config: &ShareholdingConfig) -> Result<PropertyGrap
     // once per incoming edge (+1 baseline from creation).
     let mut attachment_pool: Vec<NodeId> = Vec::new();
     let mut all: Vec<NodeId> = Vec::with_capacity(config.nodes);
+    // Each edge's drawn weight by edge id, and each node's running sum of
+    // its incoming ones, for `normalize_percentages`.
+    let mut weights: Vec<f64> = Vec::new();
+    let mut incoming: Vec<f64> = Vec::with_capacity(config.nodes);
 
     for i in 0..config.nodes {
         let is_person = rng.gen_bool(config.person_fraction.clamp(0.0, 1.0));
@@ -104,6 +108,7 @@ pub fn generate_shareholding(config: &ShareholdingConfig) -> Result<PropertyGrap
             n
         };
         all.push(node);
+        incoming.push(0.0);
         if businesses.is_empty() {
             continue;
         }
@@ -126,24 +131,18 @@ pub fn generate_shareholding(config: &ShareholdingConfig) -> Result<PropertyGrap
             if target == node {
                 continue;
             }
-            g.add_edge(
-                node,
-                target,
-                "OWNS",
-                vec![("percentage".to_string(), Value::Float(rng.gen_range(0.01..1.0)))],
-            )?;
+            // The percentage is written once, normalized, at the end.
+            let mut owns = |from: NodeId, to: NodeId, w: f64| -> Result<()> {
+                g.add_edge(from, to, "OWNS", Vec::new())?;
+                weights.push(w);
+                incoming[to.0 as usize] += w;
+                Ok(())
+            };
+            owns(node, target, rng.gen_range(0.01..1.0))?;
             attachment_pool.push(target);
             // Rare reciprocal (cross-ownership) edge from businesses only.
             if !is_person && rng.gen_bool(config.cross_ownership.clamp(0.0, 1.0)) {
-                g.add_edge(
-                    target,
-                    node,
-                    "OWNS",
-                    vec![(
-                        "percentage".to_string(),
-                        Value::Float(rng.gen_range(0.01..0.3)),
-                    )],
-                )?;
+                owns(target, node, rng.gen_range(0.01..0.3))?;
                 attachment_pool.push(node);
             }
         }
@@ -151,7 +150,7 @@ pub fn generate_shareholding(config: &ShareholdingConfig) -> Result<PropertyGrap
 
     {
         let _s = kgm_runtime::span!("finance.normalize");
-        normalize_percentages(&mut g, &mut rng)?;
+        normalize_percentages(&mut g, &mut rng, &weights, &incoming)?;
     }
     if span.is_active() {
         kgm_runtime::telemetry::record("nodes", g.node_count() as i64);
@@ -165,32 +164,31 @@ pub fn generate_shareholding(config: &ShareholdingConfig) -> Result<PropertyGrap
 /// Rescale each company's incoming `OWNS` percentages so they sum to a
 /// random total in `[0.55, 1.0]` — most companies have a well-defined
 /// majority structure, as in a real registry.
-fn normalize_percentages(g: &mut PropertyGraph, rng: &mut Rng) -> Result<()> {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    for n in nodes {
-        let incoming: Vec<_> = g
-            .incident_edges(n, kgm_pgstore::Direction::Incoming)
-            .into_iter()
-            .filter(|&e| g.edge_label(e) == "OWNS")
-            .collect();
-        if incoming.is_empty() {
-            continue;
-        }
-        let sum: f64 = incoming
-            .iter()
-            .map(|&e| g.edge_prop(e, "percentage").and_then(Value::as_f64).unwrap_or(0.0))
-            .sum();
-        if sum <= 0.0 {
-            continue;
-        }
-        let total = rng.gen_range(0.55..1.0);
-        for e in incoming {
-            let w = g
-                .edge_prop(e, "percentage")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            g.set_edge_prop(e, "percentage", Value::Float(w / sum * total))?;
-        }
+///
+/// `weights[e]` is edge `e`'s drawn weight and `incoming[n]` the sum of node
+/// `n`'s incoming ones, added in edge order as the edges were made. Totals
+/// are drawn per owned company in node order, and each edge's `percentage`
+/// property is set once, to its weight's share of the total.
+fn normalize_percentages(
+    g: &mut PropertyGraph,
+    rng: &mut Rng,
+    weights: &[f64],
+    incoming: &[f64],
+) -> Result<()> {
+    let totals: Vec<f64> = incoming
+        .iter()
+        .map(|&sum| {
+            if sum > 0.0 {
+                rng.gen_range(0.55..1.0)
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    for (e, &w) in weights.iter().enumerate() {
+        let e = EdgeId(e as u32);
+        let to = g.edge_endpoints(e).1 .0 as usize;
+        g.set_edge_prop(e, "percentage", Value::Float(w / incoming[to] * totals[to]))?;
     }
     Ok(())
 }

@@ -6,7 +6,7 @@
 //! [`PropertyGraph`] (optionally restricted to one edge label, since the
 //! paper's numbers are for the plain shareholding sub-graph).
 
-use crate::graph::{Direction, NodeId, PropertyGraph};
+use crate::graph::{Direction, EdgeId, NodeId, PropertyGraph};
 use kgm_common::{FxHashMap, FxHashSet};
 
 /// A restriction of a graph to the edges carrying one label (or all).
@@ -29,13 +29,18 @@ impl EdgeFilter {
         }
     }
 
+    /// True if edge `e` passes the filter. Compares interned symbols, so no
+    /// label string is built per edge.
+    pub(crate) fn admits(&self, g: &PropertyGraph, e: EdgeId) -> bool {
+        self.label
+            .as_ref()
+            .is_none_or(|l| g.interner().get(l) == Some(g.edge_label_sym(e)))
+    }
+
     fn out_neighbors(&self, g: &PropertyGraph, n: NodeId) -> Vec<NodeId> {
         g.incident_edges(n, Direction::Outgoing)
             .into_iter()
-            .filter(|&e| match &self.label {
-                Some(l) => g.edge_label(e) == *l,
-                None => true,
-            })
+            .filter(|&e| self.admits(g, e))
             .map(|e| g.edge_endpoints(e).1)
             .collect()
     }
@@ -43,10 +48,7 @@ impl EdgeFilter {
     fn und_neighbors(&self, g: &PropertyGraph, n: NodeId) -> Vec<NodeId> {
         g.incident_edges(n, Direction::Both)
             .into_iter()
-            .filter(|&e| match &self.label {
-                Some(l) => g.edge_label(e) == *l,
-                None => true,
-            })
+            .filter(|&e| self.admits(g, e))
             .map(|e| {
                 let (f, t) = g.edge_endpoints(e);
                 if f == n {
@@ -162,10 +164,8 @@ pub fn weakly_connected_components(g: &PropertyGraph, filter: &EdgeFilter) -> Ve
     }
 
     for e in g.edges() {
-        if let Some(l) = &filter.label {
-            if g.edge_label(e) != *l {
-                continue;
-            }
+        if !filter.admits(g, e) {
+            continue;
         }
         let (f, t) = g.edge_endpoints(e);
         let (mut a, mut b) = (find(&mut parent, slot[&f]), find(&mut parent, slot[&t]));

@@ -102,7 +102,7 @@ impl EdgePattern {
     /// direction, which the scan handles)?
     pub fn matches_edge(&self, g: &PropertyGraph, edge: EdgeId) -> bool {
         if let Some(l) = &self.label {
-            if g.edge_label(edge) != *l {
+            if g.interner().get(l) != Some(g.edge_label_sym(edge)) {
                 return false;
             }
         }

@@ -55,12 +55,12 @@ impl GraphStats {
         for n in g.nodes() {
             let (mut o, mut i) = (0usize, 0usize);
             for e in g.incident_edges(n, crate::graph::Direction::Outgoing) {
-                if filter.label.as_ref().is_none_or(|l| g.edge_label(e) == *l) {
+                if filter.admits(g, e) {
                     o += 1;
                 }
             }
             for e in g.incident_edges(n, crate::graph::Direction::Incoming) {
-                if filter.label.as_ref().is_none_or(|l| g.edge_label(e) == *l) {
+                if filter.admits(g, e) {
                     i += 1;
                 }
             }
@@ -113,7 +113,7 @@ pub fn in_degree_histogram(
         let k = g
             .incident_edges(n, crate::graph::Direction::Incoming)
             .into_iter()
-            .filter(|&e| filter.label.as_ref().is_none_or(|l| g.edge_label(e) == *l))
+            .filter(|&e| filter.admits(g, e))
             .count();
         *hist.entry(k).or_insert(0) += 1;
     }

@@ -19,7 +19,8 @@
 //!   iteration only appends the delta instead of rebuilding. A
 //!   [`SlotTable`] finds a key's dense id by comparing with the key's first
 //!   row, and each key's rows are one contiguous segment of a single `u32`
-//!   arena per index: an index allocates O(log keys) times, never per key.
+//!   arena per index ([`SegmentArena`], shared with the property graph's
+//!   adjacency): an index allocates O(log keys) times, never per key.
 //!
 //! The pool is two-level (see [`ValuePool`]): columns store **exact ids** so
 //! tuples read back with the representation they were inserted with, while
@@ -42,7 +43,9 @@
 //! appends a fresh row under a fresh id: ids name insertion events, not
 //! tuples.
 
-use kgm_common::{FxHashMap, FxHashSet, FxHasher, KgmError, Result, SlotTable, Value, ValuePool};
+use kgm_common::{
+    FxHashMap, FxHashSet, FxHasher, KgmError, Result, SegmentArena, SlotTable, Value, ValuePool,
+};
 use std::hash::Hasher;
 use std::ops::Range;
 
@@ -240,11 +243,10 @@ fn key_at<'a>(
 /// Nothing is allocated per key. `keys` maps a key's hash to its dense key
 /// id and tests equality against the key's first row in the columns (rows
 /// never move, and a tombstoned row keeps its values), so no key is stored.
-/// Key `k`'s rows are the segment of `len[k]` postings at `start[k]`, with
-/// room for `len[k].next_power_of_two()`: a push into a full segment grows
-/// it in place when it ends the arena, else moves it to the end at twice
-/// the size. A key's abandoned segments sum to less than its live one, so
-/// the arena stays under twice its live capacity without compaction.
+/// Key `k`'s rows are the segment of `len[k]` postings at `start[k]` in a
+/// [`SegmentArena`] — the same arena type the property graph keeps its
+/// adjacency in — which stays under twice its live slots without
+/// compaction.
 #[derive(Default)]
 struct Index {
     keys: SlotTable,
@@ -253,7 +255,7 @@ struct Index {
     start: Vec<u64>,
     /// Rows in each key's segment (at least one).
     len: Vec<u32>,
-    postings: Vec<u32>,
+    postings: SegmentArena,
     /// Rows `0..built_upto` are reflected in the postings; the tail is not.
     built_upto: usize,
 }
@@ -262,8 +264,7 @@ impl Index {
     /// The rows of key id `k`, ascending.
     #[inline]
     fn segment(&self, k: u32) -> &[u32] {
-        let start = self.start[k as usize] as usize;
-        &self.postings[start..start + self.len[k as usize] as usize]
+        self.postings.segment(self.start[k as usize], self.len[k as usize])
     }
 
     /// The key id under `hash` whose first row `same_key` accepts.
@@ -284,9 +285,10 @@ impl Index {
                     // At most one key per row, so key ids stay under the
                     // row cap and hence under `SlotTable::MAX_IDS`.
                     self.keys.insert(h, self.len.len() as u32);
-                    self.start.push(self.postings.len() as u64);
-                    self.len.push(1);
-                    self.postings.push(row as u32);
+                    let (mut start, mut len) = (0, 0);
+                    self.postings.push(&mut start, &mut len, row as u32);
+                    self.start.push(start);
+                    self.len.push(len);
                 }
             }
         }
@@ -295,19 +297,7 @@ impl Index {
 
     /// Append `row` to key `k`'s segment.
     fn push(&mut self, k: usize, row: u32) {
-        let len = self.len[k] as usize;
-        if len.is_power_of_two() {
-            // Full: double it at the arena's end.
-            let start = self.start[k] as usize;
-            let end = self.postings.len();
-            if start + len != end {
-                self.postings.extend_from_within(start..start + len);
-                self.start[k] = end as u64;
-            }
-            self.postings.resize(self.start[k] as usize + 2 * len, 0);
-        }
-        self.postings[self.start[k] as usize + len] = row;
-        self.len[k] += 1;
+        self.postings.push(&mut self.start[k], &mut self.len[k], row);
     }
 
     /// Heap bytes, from the capacities of the slot table and the three
@@ -316,7 +306,7 @@ impl Index {
         self.keys.approx_bytes()
             + self.start.capacity() * 8
             + self.len.capacity() * 4
-            + self.postings.capacity() * 4
+            + self.postings.approx_bytes()
     }
 }
 

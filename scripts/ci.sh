@@ -144,6 +144,15 @@ KGM_PROP_SEED=20220046 KGM_PROP_CASES=300 cargo test --release --offline -q \
     -p kgm-vadalog --lib factdb::tests::index_lookups_match_a_filtered_scan >/dev/null
 echo "ok: 300-case fixed-seed index lookups match a filtered scan"
 
+echo "== graph model check =="
+# Fixed-seed run of the property graph's layout property: random sequences
+# of every mutation (repeated labels and keys, self-loops, parallel edges,
+# removals, unique constraints, fresh_oid gaps); after each step every read
+# accessor must agree with a one-Vec-per-element model of the graph.
+KGM_PROP_SEED=20220046 KGM_PROP_CASES=300 cargo test --release --offline -q \
+    -p kgm-pgstore --lib graph::tests::arena_layout_matches_a_vec_per_element_model >/dev/null
+echo "ok: 300-case fixed-seed graph reads match a one-Vec-per-element model"
+
 echo "== text-input smoke =="
 # Fixed-seed run of the no-panic suite: seeded mutations (with multi-byte
 # characters) of the in-repo programs, GSL schema, serving queries, Cypher
