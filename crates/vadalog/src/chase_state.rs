@@ -6,12 +6,18 @@
 //! resumes. Both tables report their heap bytes from capacities and
 //! running counters — never by walking their entries — so the memory
 //! governor can add them to every check.
+//!
+//! The aggregate table keys its groups and contributors by the same 64-bit
+//! class cells as the fact store's columns (see [`kgm_common::pool`]): an
+//! OID key, the common case, is its own cell, and any other key value is
+//! interned in the table's own pool. The null table still keys on
+//! `Value`s.
 
 use crate::ast::{AggregateFunc, Var};
 use crate::engine::{combine, initial_value};
 use crate::factdb::FactId;
-use kgm_common::{FxHashMap, FxHasher, KgmError, Oid, OidGen, Result, SlotTable, Value};
-use std::hash::{Hash, Hasher};
+use kgm_common::{FxHashMap, FxHasher, KgmError, Oid, OidGen, Result, SlotTable, Value, ValuePool};
+use std::hash::Hasher;
 use std::mem::size_of;
 
 /// The chase's resumable evaluation state, persisted on the
@@ -80,18 +86,25 @@ impl NullTable {
 /// inside recursion): per `(rule, group)` the running value, and the set
 /// of `(group, contributor)` keys already counted.
 ///
-/// Groups and contributors get dense `u32` ids in creation order. Their key
-/// values sit once, flat, in `keys`; the two [`KeyIds`] indexes hold ids
-/// only. Keys hash and compare by `Value` equality, so `Int(1)` and
-/// `Float(1.0)` name the same group, and the same contributor.
+/// Groups and contributors get dense `u32` ids in creation order. Their
+/// keys sit once, flat, in `keys`, as the class cells of the table's own
+/// [`ValuePool`] (an OID is its own cell, so the pool holds only the other
+/// key values); the two [`KeyIds`] indexes hold ids only. Keys compare by
+/// class, so `Int(1)` and `Float(1.0)` name the same group, and the same
+/// contributor. The pool is the table's own because the fact store's is
+/// read-only while shard workers run.
 #[derive(Default)]
 pub(crate) struct MonoTable {
     /// Group ids, keyed by `(rule, group key)`.
     groups: KeyIds,
     /// Contributor ids, keyed by `(group, contributor key)`.
     contributors: KeyIds,
-    /// Every group and contributor key, flat.
-    keys: Vec<Value>,
+    /// Every group and contributor key, flat, as class cells of `pool`.
+    keys: Vec<u64>,
+    /// Interns the key values that are not OIDs.
+    pool: ValuePool,
+    /// The class cells of the key being probed.
+    probe: Vec<u64>,
     /// Per group: the running aggregate value.
     current: Vec<Value>,
     /// Per group, with provenance on: the parent fact ids of every counted
@@ -101,7 +114,7 @@ pub(crate) struct MonoTable {
     parent_bytes: usize,
 }
 
-/// Dense `u32` ids for `(owner, key)` pairs whose key values live in the
+/// Dense `u32` ids for `(owner, key)` pairs whose key cells live in the
 /// [`MonoTable`]'s flat `keys`. All keys of one owner (a rule for groups,
 /// a group for contributors) have the same length, so an id records only
 /// its owner and where its key starts.
@@ -123,33 +136,53 @@ fn next_id(n: usize, what: &str) -> Result<u32> {
     Ok(n as u32)
 }
 
+/// Set `out` to the class cells of the values of `vars` in `binding`,
+/// interning a value into `pool` only when no equal one is there yet.
+fn key_cells(
+    pool: &mut ValuePool,
+    vars: &[Var],
+    binding: &[Option<Value>],
+    out: &mut Vec<u64>,
+) -> Result<()> {
+    out.clear();
+    for v in vars {
+        let val = binding[v.0 as usize].as_ref().expect("aggregate key bound");
+        let cell = match pool.lookup(val) {
+            Some(class) => class,
+            None => {
+                let id = pool.intern(val)?;
+                pool.class(id)
+            }
+        };
+        out.push(cell);
+    }
+    Ok(())
+}
+
 impl KeyIds {
-    /// The id of `(owner, the values of vars in binding)` and whether it
-    /// is new. A new pair's key values are appended to `keys`.
+    /// The id of `(owner, key)` and whether it is new. A new pair's key
+    /// cells are appended to `keys`.
     fn get_or_add(
         &mut self,
         owner: u32,
-        vars: &[Var],
-        binding: &[Option<Value>],
-        keys: &mut Vec<Value>,
+        key: &[u64],
+        keys: &mut Vec<u64>,
         what: &str,
     ) -> Result<(u32, bool)> {
-        let bound = |v: &Var| binding[v.0 as usize].as_ref().expect("aggregate key bound");
         let mut h = FxHasher::default();
-        owner.hash(&mut h);
-        vars.iter().for_each(|v| bound(v).hash(&mut h));
+        h.write_u32(owner);
+        key.iter().for_each(|&c| h.write_u64(c));
         let hash = h.finish();
         let found = self.index.find(hash, |id| {
             let start = self.start[id as usize] as usize;
-            self.owner[id as usize] == owner
-                && vars.iter().zip(&keys[start..]).all(|(v, k)| k == bound(v))
+            self.owner[id as usize] == owner && keys[start..start + key.len()] == *key
         });
         if let Some(id) = found {
             return Ok((id, false));
         }
         let id = next_id(self.owner.len(), what)?;
         let start = next_id(keys.len(), "key values")?;
-        keys.extend(vars.iter().map(|v| bound(v).clone()));
+        keys.extend_from_slice(key);
         self.index.insert(hash, id);
         self.owner.push(owner);
         self.start.push(start);
@@ -185,19 +218,17 @@ impl MonoTable {
         val: &Value,
         parents: Option<&mut Vec<FactId>>,
     ) -> Result<Option<Value>> {
+        key_cells(&mut self.pool, group, binding, &mut self.probe)?;
         let (g, new_group) =
             self.groups
-                .get_or_add(ri as u32, group, binding, &mut self.keys, "groups")?;
+                .get_or_add(ri as u32, &self.probe, &mut self.keys, "groups")?;
         if new_group {
             self.current.push(initial_value(func));
         }
-        let (_, new) = self.contributors.get_or_add(
-            g,
-            contributor,
-            binding,
-            &mut self.keys,
-            "contributors",
-        )?;
+        key_cells(&mut self.pool, contributor, binding, &mut self.probe)?;
+        let (_, new) =
+            self.contributors
+                .get_or_add(g, &self.probe, &mut self.keys, "contributors")?;
         if !new {
             return Ok(None);
         }
@@ -235,12 +266,14 @@ impl MonoTable {
         self.contributors.owner.len()
     }
 
-    /// Heap bytes: both id indexes, the flat keys, the running values and
-    /// the provenance snapshots.
+    /// Heap bytes: both id indexes, the flat key cells and their pool, the
+    /// running values and the provenance snapshots.
     pub(crate) fn approx_bytes(&self) -> usize {
         self.groups.approx_bytes()
             + self.contributors.approx_bytes()
-            + (self.keys.capacity() + self.current.capacity()) * size_of::<Value>()
+            + (self.keys.capacity() + self.probe.capacity()) * size_of::<u64>()
+            + self.pool.approx_bytes()
+            + self.current.capacity() * size_of::<Value>()
             + self.parents.capacity() * size_of::<Vec<FactId>>()
             + self.parent_bytes
     }

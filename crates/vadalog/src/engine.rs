@@ -34,12 +34,12 @@ use std::time::{Duration, Instant};
 // Fact storage
 // ---------------------------------------------------------------------
 //
-// The columnar store lives in `crate::factdb`: per-column `u64` id arrays
-// over a `ValuePool` interner, a packed tuple-hash dedup table, and
-// posting-list join indexes that are built incrementally by the single
-// writer and reused (read-only) across semi-naive iterations and shard
-// workers. `FactDb` is re-exported here so `engine::FactDb` remains the
-// canonical path.
+// The columnar store lives in `crate::factdb`: per-column `u64` cell
+// arrays (OIDs held inline, every other value a `ValuePool` id), a packed
+// tuple-hash dedup table, and posting-list join indexes that are built
+// incrementally by the single writer and reused (read-only) across
+// semi-naive iterations and shard workers. `FactDb` is re-exported here
+// so `engine::FactDb` remains the canonical path.
 
 pub use crate::factdb::FactDb;
 use crate::factdb::{fact_id, FactId};
@@ -1598,9 +1598,10 @@ impl Engine {
                 rel.arity
             )));
         }
-        // Bound positions form the packed index key. A value the pool never
-        // interned cannot appear in any stored tuple, so a lookup miss ends
-        // this branch of the join immediately.
+        // Bound positions form the packed index key of class cells. A pooled
+        // value the pool never interned cannot appear in any stored tuple,
+        // so a lookup miss ends this branch of the join immediately; an OID
+        // always has its cell, and the index probe decides.
         let pool = db.pool();
         let mut positions: Vec<usize> = Vec::new();
         let mut key: Vec<u64> = Vec::new();
@@ -1641,14 +1642,13 @@ impl Engine {
                 if let Term::Var(v) = t {
                     match &binding[v.0 as usize] {
                         Some(val) => {
-                            if !keyed && *val != *pool.get(rel.id_at(row, i)) {
+                            if !keyed && *val != pool.get(rel.id_at(row, i)) {
                                 ok = false;
                                 break;
                             }
                         }
                         None => {
-                            binding[v.0 as usize] =
-                                Some(pool.get(rel.id_at(row, i)).clone());
+                            binding[v.0 as usize] = Some(pool.get(rel.id_at(row, i)));
                             assigned.push(*v);
                         }
                     }

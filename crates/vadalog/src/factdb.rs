@@ -1,14 +1,15 @@
 //! Columnar fact storage for the chase engine.
 //!
-//! Tuples are packed through a [`ValuePool`] into dense `u64` ids and stored
+//! Tuples are packed through a [`ValuePool`] into `u64` *cells* and stored
 //! as flat per-column arrays — one `Vec<u64>` per attribute — instead of the
-//! row-oriented `Vec<Vec<Value>>` of earlier revisions. Three structures hang
-//! off each relation:
+//! row-oriented `Vec<Vec<Value>>` of earlier revisions. A cell holds an OID
+//! itself and any other value as a pool id; only the pool reads a cell's
+//! bits. Three structures hang off each relation:
 //!
-//! - **Columns** (`cols[p][row]`): the id of attribute `p` in tuple `row`.
+//! - **Columns** (`cols[p][row]`): the cell of attribute `p` in tuple `row`.
 //!   Insertion order is the row order, so semi-naive delta ranges are still
 //!   plain index ranges.
-//! - **Tuple dedup**: a [`SlotTable`] from the class-id tuple hash to the
+//! - **Tuple dedup**: a [`SlotTable`] from the class-cell tuple hash to the
 //!   row, whose equality test reads the row back from the columns, so no
 //!   tuple and no hash is stored a second time. It replaces the
 //!   `FxHashSet<Vec<Value>>` that used to store every tuple twice.
@@ -22,12 +23,14 @@
 //!   arena per index ([`SegmentArena`], shared with the property graph's
 //!   adjacency): an index allocates O(log keys) times, never per key.
 //!
-//! The pool is two-level (see [`ValuePool`]): columns store **exact ids** so
+//! Cells are two-level (see [`ValuePool`]): columns store **exact cells** so
 //! tuples read back with the representation they were inserted with, while
-//! row hashes, dedup comparisons and index keys use **class ids** — the
+//! row hashes, dedup comparisons and index keys use **class cells** — the
 //! [`Value`]-equality classes under which `Int(1) == Float(1.0)` — so the
 //! columnar store deduplicates and joins exactly like its row-oriented
-//! `FxHashSet<Vec<Value>>` predecessor. A frozen `FactDb` is `Sync`; shard
+//! `FxHashSet<Vec<Value>>` predecessor. An OID is its own class, so the hot
+//! loops map a cell to its class through the pool's [`Classes`] view
+//! without a table read for OIDs. A frozen `FactDb` is `Sync`; shard
 //! workers probe columns, dedup table and posting lists concurrently without
 //! locks.
 //!
@@ -43,6 +46,7 @@
 //! appends a fresh row under a fresh id: ids name insertion events, not
 //! tuples.
 
+use kgm_common::pool::Classes;
 use kgm_common::{
     FxHashMap, FxHashSet, FxHasher, KgmError, Result, SegmentArena, SlotTable, Value, ValuePool,
 };
@@ -215,7 +219,7 @@ impl ProvStore {
     }
 }
 
-/// Hash of a class-id key: a whole tuple for dedup, the key positions for
+/// Hash of a class-cell key: a whole tuple for dedup, the key positions for
 /// a join index. Build and probe sides gather the ids differently, so the
 /// hash takes any iterator of them.
 fn hash_ids(ids: impl IntoIterator<Item = u64>) -> u64 {
@@ -226,18 +230,18 @@ fn hash_ids(ids: impl IntoIterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-/// The class-id key of `row` at `positions`.
+/// The class-cell key of `row` at `positions`.
 #[inline]
 fn key_at<'a>(
     positions: &'a [usize],
     cols: &'a [Vec<u64>],
-    class: &'a [u64],
+    class: Classes<'a>,
     row: usize,
 ) -> impl Iterator<Item = u64> + 'a {
-    positions.iter().map(move |&p| class[cols[p][row] as usize])
+    positions.iter().map(move |&p| class.of(cols[p][row]))
 }
 
-/// One join index: every distinct class-id key at its positions → the
+/// One join index: every distinct class-cell key at its positions → the
 /// key's rows, ascending.
 ///
 /// Nothing is allocated per key. `keys` maps a key's hash to its dense key
@@ -275,7 +279,7 @@ impl Index {
     }
 
     /// Fold rows `built_upto..rows` into their keys' segments.
-    fn catch_up(&mut self, positions: &[usize], cols: &[Vec<u64>], class: &[u64], rows: usize) {
+    fn catch_up(&mut self, positions: &[usize], cols: &[Vec<u64>], class: Classes, rows: usize) {
         for row in self.built_upto..rows {
             let key = || key_at(positions, cols, class, row);
             let h = hash_ids(key());
@@ -348,19 +352,19 @@ impl Iterator for Candidates<'_> {
 
 /// One predicate's extension in columnar form.
 ///
-/// Methods that compare or key rows take `class: &[u64]` — the pool's
-/// exact-id → class-id table ([`ValuePool::classes`]) — because the columns
-/// hold exact ids while equality is defined on classes.
+/// Methods that compare or key rows take `class` — the pool's exact cell →
+/// class cell view ([`ValuePool::classes`]) — because the columns hold
+/// exact cells while equality is defined on classes.
 pub(crate) struct Relation {
     pub(crate) arity: usize,
     /// Dense predicate id (creation order), the high half of this
     /// relation's [`FactId`]s.
     pub(crate) pred_id: u32,
-    /// `cols[p][row]` = exact pool id of attribute `p` of tuple `row`.
+    /// `cols[p][row]` = exact cell of attribute `p` of tuple `row`.
     cols: Vec<Vec<u64>>,
     /// Physical row count; an arity-0 relation has no column to measure.
     rows: usize,
-    /// Dedup index: class-id tuple hash → row, compared on the columns.
+    /// Dedup index: class-cell tuple hash → row, compared on the columns.
     table: SlotTable,
     indexes: FxHashMap<Vec<usize>, Index>,
     /// Tombstone bitmap (lazily sized): dead rows stay physically present
@@ -427,23 +431,23 @@ impl Relation {
         self.cols[col][row]
     }
 
-    /// Row index of a *live* tuple given its packed **class-id** key and
+    /// Row index of a *live* tuple given its packed **class-cell** key and
     /// that key's hash, if present. A dead row matching the key does not
     /// end the probe — a live re-insert of the same tuple may sit in a
     /// later slot.
-    fn find(&self, h: u64, key: &[u64], class: &[u64]) -> Option<u32> {
+    fn find(&self, h: u64, key: &[u64], class: Classes) -> Option<u32> {
         self.table.find(h, |r| {
             let row = r as usize;
             self.cols
                 .iter()
                 .zip(key)
-                .all(|(c, &k)| class[c[row] as usize] == k)
+                .all(|(c, &k)| class.of(c[row]) == k)
                 && !self.is_dead(row)
         })
     }
 
     /// Append a row known (by the caller) to be absent and under the row
-    /// cap; `h` is its class-id tuple hash. Tombstoned rows drop out of
+    /// cap; `h` is its class-cell tuple hash. Tombstoned rows drop out of
     /// the dedup table when this insert grows it.
     fn append_row(&mut self, h: u64, ids: &[u64]) {
         debug_assert!(self.rows < MAX_ROWS_PER_RELATION);
@@ -460,7 +464,7 @@ impl Relation {
     /// subsequent [`Relation::lookup`]s on that key set are O(hits). Called
     /// once per fixpoint iteration by the single writer; between calls the
     /// postings are reused as-is by every shard worker.
-    pub(crate) fn ensure_index(&mut self, positions: &[usize], class: &[u64]) {
+    pub(crate) fn ensure_index(&mut self, positions: &[usize], class: Classes) {
         if positions.is_empty() {
             return;
         }
@@ -468,7 +472,7 @@ impl Relation {
         idx.catch_up(positions, &self.cols, class, self.rows);
     }
 
-    /// Live rows matching the packed **class-id** `key` at `positions`,
+    /// Live rows matching the packed **class-cell** `key` at `positions`,
     /// restricted to `range`, ascending. Read-only: where the posting list
     /// covers the whole range a borrowed sub-slice comes back (postings are
     /// ascending, so the range restriction is two binary searches); the
@@ -480,7 +484,7 @@ impl Relation {
         positions: &[usize],
         key: &[u64],
         range: &Range<usize>,
-        class: &[u64],
+        class: Classes,
     ) -> Candidates<'_> {
         let skip_dead = |rows| Candidates {
             rows,
@@ -537,10 +541,11 @@ impl Relation {
 
 /// The fact database the engine reads from and writes to.
 ///
-/// Values are interned in a private [`ValuePool`]; all per-relation state is
-/// packed ids (see the module docs). The public API still speaks [`Value`]s:
-/// iteration materializes tuples on demand (a `Value` clone is at most an
-/// `Arc` bump), containment and insertion translate through the pool.
+/// Values are packed into cells by a private [`ValuePool`]; all
+/// per-relation state is cells and row ids (see the module docs). The
+/// public API still speaks [`Value`]s: iteration materializes tuples on
+/// demand (a `Value` clone is at most an `Arc` bump), containment and
+/// insertion translate through the pool.
 #[derive(Default)]
 pub struct FactDb {
     pool: ValuePool,
@@ -673,7 +678,7 @@ impl FactDb {
             .map(move |row| {
                 let rel = rel.expect("rows > 0 implies the relation exists");
                 (0..rel.arity)
-                    .map(|c| self.pool.get(rel.id_at(row, c)).clone())
+                    .map(|c| self.pool.get(rel.id_at(row, c)))
                     .collect()
             })
     }
@@ -696,7 +701,7 @@ impl FactDb {
                 }
                 rows.push(
                     (0..rel.arity)
-                        .map(|c| self.pool.get(rel.id_at(row, c)).clone())
+                        .map(|c| self.pool.get(rel.id_at(row, c)))
                         .collect(),
                 );
             }
@@ -766,7 +771,7 @@ impl FactDb {
         };
         for (slot, v) in ids.iter_mut().zip(tuple) {
             match self.pool.lookup(v) {
-                Some(class_id) => *slot = class_id,
+                Some(class) => *slot = class,
                 None => return None,
             }
         }
@@ -786,7 +791,7 @@ impl FactDb {
             return None;
         }
         let tuple = (0..rel.arity)
-            .map(|c| self.pool.get(rel.id_at(row, c)).clone())
+            .map(|c| self.pool.get(rel.id_at(row, c)))
             .collect();
         Some((pred.as_str(), tuple))
     }
@@ -937,7 +942,7 @@ impl FactDb {
         self.rels.get(predicate)
     }
 
-    /// The value pool, for packing join keys and resolving ids.
+    /// The value pool, for packing join keys and resolving cells.
     pub(crate) fn pool(&self) -> &ValuePool {
         &self.pool
     }
@@ -957,6 +962,7 @@ impl std::fmt::Debug for FactDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgm_common::{Oid, OidSpace};
     use kgm_runtime::prop::{check, shrink_vec, CaseError, Config};
     use kgm_runtime::{prop_assert_eq, Rng};
     use std::cell::Cell;
@@ -1279,41 +1285,61 @@ mod tests {
     /// One step of the index model check.
     #[derive(Debug, Clone)]
     enum Op {
-        /// Insert a tuple, one `(number, as a Float)` per column.
-        Insert(Vec<(i64, bool)>),
+        /// Insert a tuple, one value per column.
+        Insert(Vec<Val>),
         /// Build or catch up the index over these positions.
         Ensure(Vec<usize>),
         /// Tombstone physical row `n % rows`.
         Tombstone(usize),
         /// Look up a key at these positions over the row range `lo..hi`.
-        Lookup(Vec<usize>, Vec<(i64, bool)>, usize, usize),
+        Lookup(Vec<usize>, Vec<Val>, usize, usize),
     }
 
-    fn num((n, as_float): (i64, bool)) -> Value {
-        if as_float {
-            Value::Float(n as f64)
-        } else {
-            Value::Int(n)
+    /// A generated column value: a pooled number or an inline OID.
+    #[derive(Debug, Clone, Copy)]
+    enum Val {
+        /// A number, and whether it is drawn as an equal `Float`.
+        Num(i64, bool),
+        /// An OID of some space.
+        Oid(OidSpace, u64),
+    }
+
+    fn value(v: Val) -> Value {
+        match v {
+            Val::Num(n, false) => Value::Int(n),
+            Val::Num(n, true) => Value::Float(n as f64),
+            Val::Oid(space, payload) => Value::Oid(Oid::new(space, payload)),
         }
     }
 
     /// An arity of 1–3 and up to 300 steps over a domain of 2–40 numbers,
-    /// each drawn as an `Int` or an equal `Float`: enough distinct keys to
+    /// each drawn as an `Int` or an equal `Float`, and as many OID payloads
+    /// per space, the largest payloads included: enough distinct keys to
     /// grow an index's slot table, and enough repeats to move segments.
     fn gen_ops(rng: &mut Rng) -> (usize, Vec<Op>) {
         let arity = rng.gen_range(1usize..4);
         let domain = rng.gen_range(2i64..40);
         let steps = rng.gen_range(0usize..300);
-        let number = |rng: &mut Rng| (rng.gen_range(0..domain), rng.gen_bool(0.3));
+        let draw = |rng: &mut Rng| {
+            let n = rng.gen_range(0..domain);
+            if rng.gen_bool(0.6) {
+                return Val::Num(n, rng.gen_bool(0.3));
+            }
+            let spaces = [OidSpace::Ground, OidSpace::Null, OidSpace::Skolem];
+            let space = spaces[rng.gen_range(0usize..3)];
+            let top = (1u64 << 62) - 1;
+            let payload = if rng.gen_bool(0.2) { top - n as u64 % 2 } else { n as u64 };
+            Val::Oid(space, payload)
+        };
         let positions = |rng: &mut Rng| (0..arity).filter(|_| rng.gen_bool(0.5)).collect();
         let ops = (0..steps)
             .map(|_| match rng.gen_range(0u32..100) {
-                0..=54 => Op::Insert((0..arity).map(|_| number(rng)).collect()),
+                0..=54 => Op::Insert((0..arity).map(|_| draw(rng)).collect()),
                 55..=64 => Op::Ensure(positions(rng)),
                 65..=71 => Op::Tombstone(rng.gen_range(0usize..1_000)),
                 _ => {
                     let pos: Vec<usize> = positions(rng);
-                    let key = pos.iter().map(|_| number(rng)).collect();
+                    let key = pos.iter().map(|_| draw(rng)).collect();
                     let lo = rng.gen_range(0usize..steps + 2);
                     let hi = lo + rng.gen_range(0usize..steps + 2);
                     Op::Lookup(pos, key, lo, hi)
@@ -1333,7 +1359,7 @@ mod tests {
         for op in ops {
             match op {
                 Op::Insert(t) => {
-                    let tuple: Vec<Value> = t.iter().copied().map(num).collect();
+                    let tuple: Vec<Value> = t.iter().copied().map(value).collect();
                     let novel = !model.iter().any(|(row, live)| *live && *row == tuple);
                     let got = db.insert_id("r", &tuple).unwrap();
                     prop_assert_eq!(got, novel.then(|| fact_id(0, model.len() as u32)));
@@ -1350,7 +1376,7 @@ mod tests {
                     }
                 }
                 Op::Lookup(pos, key, lo, hi) => {
-                    let key: Vec<Value> = key.iter().copied().map(num).collect();
+                    let key: Vec<Value> = key.iter().copied().map(value).collect();
                     let want: Vec<u32> = (*lo..(*hi).min(model.len()))
                         .filter(|&r| {
                             let (row, live) = &model[r];

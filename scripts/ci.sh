@@ -137,9 +137,10 @@ echo "ok: 64-case fixed-seed differential run agrees at 1 and 4 threads"
 
 echo "== join-index model check =="
 # Fixed-seed run of the fact store's index property: random relations of
-# arity 1-3 mixing Int and equal Float values, with interleaved inserts,
-# index catch-ups and tombstones; every lookup must return exactly the
-# ascending live rows a filtered scan of a row-list model returns.
+# arity 1-3 mixing pooled values (Int and equal Float) with inline OID cells
+# of all three spaces, the largest payloads included, with interleaved
+# inserts, index catch-ups and tombstones; every lookup must return exactly
+# the ascending live rows a filtered scan of a row-list model returns.
 KGM_PROP_SEED=20220046 KGM_PROP_CASES=300 cargo test --release --offline -q \
     -p kgm-vadalog --lib factdb::tests::index_lookups_match_a_filtered_scan >/dev/null
 echo "ok: 300-case fixed-seed index lookups match a filtered scan"
