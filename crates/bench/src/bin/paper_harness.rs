@@ -200,11 +200,9 @@ fn control_digest(pairs: &kgm_common::FxHashSet<(u64, u64)>) -> u64 {
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         x ^ (x >> 31)
     }
-    pairs
-        .iter()
-        .fold(0u64, |acc, &(a, b)| {
-            acc.wrapping_add(splitmix64(splitmix64(a) ^ b.rotate_left(32)))
-        })
+    pairs.iter().fold(0u64, |acc, &(a, b)| {
+        acc.wrapping_add(splitmix64(splitmix64(a) ^ b.rotate_left(32)))
+    })
 }
 
 /// One Example 4.2 chase over `g` under `config`: the chased store, the

@@ -12,8 +12,7 @@ use kgm_core::models::pg::PgModelSchema;
 use kgm_core::models::relational::RelationalSchema;
 use kgm_core::render;
 use kgm_core::sst::{
-    translate_to_pg, translate_to_relational, PgGeneralizationStrategy,
-    RelGeneralizationStrategy,
+    translate_to_pg, translate_to_relational, PgGeneralizationStrategy, RelGeneralizationStrategy,
 };
 use kgm_core::sst_metalog::translate_to_pg_via_metalog;
 use kgm_core::SuperSchema;
@@ -86,7 +85,10 @@ pub fn e1_graph_stats(nodes: usize) -> Result<E1Result> {
         &mut report,
         "largest WCC / nodes",
         ">0.50 (6M+)".into(),
-        format!("{:.3}", stats.largest_wcc as f64 / stats.nodes.max(1) as f64),
+        format!(
+            "{:.3}",
+            stats.largest_wcc as f64 / stats.nodes.max(1) as f64
+        ),
     );
     row(
         &mut report,
@@ -158,7 +160,11 @@ pub fn e4_pg_translation() -> Result<(PgModelSchema, String)> {
     let schema = company_kg_schema()?;
     let pg = translate_to_pg(&schema, PgGeneralizationStrategy::MultiLabel)?;
     let mut report = String::new();
-    writeln!(report, "E4 — Figure 6: Company KG translated to the PG model").ok();
+    writeln!(
+        report,
+        "E4 — Figure 6: Company KG translated to the PG model"
+    )
+    .ok();
     writeln!(
         report,
         "node types: {}   relationships: {}",
@@ -221,8 +227,7 @@ pub fn e6_instance_constructs(nodes: usize) -> Result<String> {
     let data = generate_shareholding(&ShareholdingConfig::with_nodes(nodes))?;
     let mut dict = kgm_core::dictionary::Dictionary::new();
     dict.encode(&schema, 1)?;
-    let (stats, _) =
-        kgm_core::instances::load_instance(&mut dict, &schema, 1, 100, &data)?;
+    let (stats, _) = kgm_core::instances::load_instance(&mut dict, &schema, 1, 100, &data)?;
     let mut report = String::new();
     writeln!(report, "E6 — instance-level super-constructs (Figure 9)").ok();
     writeln!(
@@ -314,7 +319,11 @@ pub fn e7_report(rows: &[E7Row]) -> String {
     .ok();
     for r in rows {
         let lf = r.stats.load_ms + r.stats.flush_ms;
-        let ratio = if lf > 0.0 { r.stats.reason_ms / lf } else { 0.0 };
+        let ratio = if lf > 0.0 {
+            r.stats.reason_ms / lf
+        } else {
+            0.0
+        };
         // A truncated chase (deadline, cap, cancellation) still yields a
         // usable prefix — but the row must say so.
         let truncated = if r.stats.termination.is_complete() {
@@ -325,7 +334,12 @@ pub fn e7_report(rows: &[E7Row]) -> String {
         writeln!(
             report,
             "{:>8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>8.1}:1 {:>8}{truncated}",
-            r.nodes, r.edges, r.stats.load_ms, r.stats.reason_ms, r.stats.flush_ms, ratio,
+            r.nodes,
+            r.edges,
+            r.stats.load_ms,
+            r.stats.reason_ms,
+            r.stats.flush_ms,
+            ratio,
             r.control_edges
         )
         .ok();
@@ -363,8 +377,9 @@ pub fn e8_mtv_overhead(nodes: usize) -> Result<E8Result> {
     let (baseline, t_baseline) =
         telemetry::time("e8.baseline", String::new(), || baseline_control(&data));
 
-    let (direct, t_direct) =
-        telemetry::time("e8.direct_vadalog", String::new(), || control_vadalog(&data));
+    let (direct, t_direct) = telemetry::time("e8.direct_vadalog", String::new(), || {
+        control_vadalog(&data)
+    });
     let (direct, _) = direct?;
 
     let mut pipeline_data = generate_shareholding(&cfg)?;
@@ -388,23 +403,26 @@ pub fn e8_mtv_overhead(nodes: usize) -> Result<E8Result> {
 
     let agree = direct == baseline && pipeline_pairs == baseline.len();
     let mut report = String::new();
-    writeln!(report, "E8 — MTV / model-independence overhead at {nodes} nodes").ok();
     writeln!(
         report,
-        "{:<28} {:>12} {:>10}",
-        "path", "time (ms)", "pairs"
+        "E8 — MTV / model-independence overhead at {nodes} nodes"
+    )
+    .ok();
+    writeln!(report, "{:<28} {:>12} {:>10}", "path", "time (ms)", "pairs").ok();
+    writeln!(
+        report,
+        "{:<28} {:>12.1} {:>10}",
+        "baseline algorithm",
+        t_baseline,
+        baseline.len()
     )
     .ok();
     writeln!(
         report,
         "{:<28} {:>12.1} {:>10}",
-        "baseline algorithm", t_baseline, baseline.len()
-    )
-    .ok();
-    writeln!(
-        report,
-        "{:<28} {:>12.1} {:>10}",
-        "direct Vadalog (Ex. 4.2)", t_direct, direct.len()
+        "direct Vadalog (Ex. 4.2)",
+        t_direct,
+        direct.len()
     )
     .ok();
     writeln!(

@@ -78,7 +78,10 @@ mod tests {
     #[test]
     fn display_includes_layer_and_message() {
         let e = KgmError::parse("MetaLog", "unexpected token at 1:4");
-        assert_eq!(e.to_string(), "MetaLog parse error: unexpected token at 1:4");
+        assert_eq!(
+            e.to_string(),
+            "MetaLog parse error: unexpected token at 1:4"
+        );
         let e = KgmError::Constraint("unique(fiscalCode)".into());
         assert!(e.to_string().contains("unique(fiscalCode)"));
     }

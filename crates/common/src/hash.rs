@@ -111,7 +111,10 @@ mod tests {
     #[test]
     fn byte_prefixes_hash_differently() {
         // A zero-padded remainder must not collide with the shorter prefix.
-        assert_ne!(fx_hash_one(&b"ab".as_slice()), fx_hash_one(&b"ab\0".as_slice()));
+        assert_ne!(
+            fx_hash_one(&b"ab".as_slice()),
+            fx_hash_one(&b"ab\0".as_slice())
+        );
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub mod value;
 pub use error::{KgmError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Interner, Symbol};
-pub use pool::ValuePool;
 pub use oid::{Oid, OidGen, OidSpace};
+pub use pool::ValuePool;
 pub use segments::SegmentArena;
 pub use skolem::{SkolemFunctor, SkolemRegistry};
 pub use slots::SlotTable;

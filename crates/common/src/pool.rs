@@ -243,7 +243,11 @@ mod tests {
         assert_eq!(pool.class(a), pool.class(b), "but share one class");
         assert_eq!(pool.class(a), a, "the first member names the class");
         assert_eq!(pool.get(a), Value::Int(1));
-        assert_eq!(pool.get(b).value_type(), ValueType::Float, "exact ids resolve verbatim");
+        assert_eq!(
+            pool.get(b).value_type(),
+            ValueType::Float,
+            "exact ids resolve verbatim"
+        );
         assert_eq!(pool.len(), 2);
 
         let c = pool.intern(&Value::Float(2.5)).unwrap();
@@ -253,7 +257,11 @@ mod tests {
         let alpha = pool.intern(&Value::str("alpha")).unwrap();
         let seven = pool.intern(&Value::Int(7)).unwrap();
         let seven_f = pool.intern(&Value::Float(7.0)).unwrap();
-        assert_eq!(pool.intern(&Value::str("alpha")).unwrap(), alpha, "a repeat reuses its id");
+        assert_eq!(
+            pool.intern(&Value::str("alpha")).unwrap(),
+            alpha,
+            "a repeat reuses its id"
+        );
         assert_ne!(seven, seven_f, "Int(7) and Float(7.0) stay distinct");
         let exact = [
             (alpha, Value::str("alpha")),
@@ -301,7 +309,11 @@ mod tests {
         let mut distinct = cells.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(distinct.len(), cells.len(), "spaces and payloads stay apart");
+        assert_eq!(
+            distinct.len(),
+            cells.len(),
+            "spaces and payloads stay apart"
+        );
         for cell in cells {
             assert!(cell != int && cell != float && cell >= MAX_POOL_VALUES as u64);
             assert_eq!(pool.classes().of(cell), cell);

@@ -164,7 +164,9 @@ impl Value {
     /// Numbers compare numerically across `Int`/`Float`; otherwise values of
     /// different types compare by a fixed type order so sorting is total.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        if let (Some(a), Some(b)) = (self.as_f64(), other.as_f64()) { return a.partial_cmp(&b).unwrap_or(Ordering::Equal) }
+        if let (Some(a), Some(b)) = (self.as_f64(), other.as_f64()) {
+            return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+        }
         let rank = |v: &Value| match v {
             Value::Bool(_) => 0u8,
             Value::Int(_) | Value::Float(_) => 1,
@@ -192,9 +194,7 @@ impl PartialEq for Value {
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
             // Cross numeric equality: 1 == 1.0, as in SQL and Vadalog.
-            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
-                *a as f64 == *b
-            }
+            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => *a as f64 == *b,
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Date(a), Value::Date(b)) => a == b,
             (Value::Oid(a), Value::Oid(b)) => a == b,

@@ -89,9 +89,8 @@ mod tests {
 
     #[test]
     fn relational_artifacts_round_trip() {
-        let rel =
-            translate_to_relational(&sample(), RelGeneralizationStrategy::ForeignKeyPerChild)
-                .unwrap();
+        let rel = translate_to_relational(&sample(), RelGeneralizationStrategy::ForeignKeyPerChild)
+            .unwrap();
         let ddl = relational_ddl(&rel).unwrap();
         assert!(ddl.contains("CREATE TABLE"));
         let catalog = apply_relational(&rel).unwrap();

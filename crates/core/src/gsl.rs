@@ -308,9 +308,7 @@ impl Parser {
         let is_fun = match max.as_str() {
             "1" => true,
             "N" | "n" => false,
-            other => {
-                return Err(self.error(format!("cardinality max must be 1 or N, got {other}")))
-            }
+            other => return Err(self.error(format!("cardinality max must be 1 or N, got {other}"))),
         };
         Ok(Cardinality { is_opt, is_fun })
     }
@@ -419,8 +417,7 @@ pub fn to_gsl(schema: &SuperSchema) -> String {
             match m {
                 Modifier::Unique => line.push_str(" unique"),
                 Modifier::Enum(values) => {
-                    let vs: Vec<String> =
-                        values.iter().map(|v| format!("\"{v}\"")).collect();
+                    let vs: Vec<String> = values.iter().map(|v| format!("\"{v}\"")).collect();
                     line.push_str(&format!(" enum({})", vs.join(", ")));
                 }
             }
@@ -525,10 +522,7 @@ mod tests {
 
     #[test]
     fn default_cardinality_is_many() {
-        let s = parse_gsl(
-            "schema T { node A { id k: int; } edge R: A -> A; }",
-        )
-        .unwrap();
+        let s = parse_gsl("schema T { node A { id k: int; } edge R: A -> A; }").unwrap();
         assert_eq!(s.edge("R").unwrap().from_card, Cardinality::many());
     }
 
@@ -548,10 +542,8 @@ mod tests {
 
     #[test]
     fn comments_are_ignored() {
-        let s = parse_gsl(
-            "% header\nschema T { # inline\n node A { id k: int; } % trailing\n }",
-        )
-        .unwrap();
+        let s = parse_gsl("% header\nschema T { # inline\n node A { id k: int; } % trailing\n }")
+            .unwrap();
         assert_eq!(s.nodes.len(), 1);
     }
 

@@ -335,8 +335,13 @@ mod tests {
                 ],
             )
             .unwrap();
-        d.add_edge(p, s, "HOLDS", vec![("right".to_string(), Value::str("ownership"))])
-            .unwrap();
+        d.add_edge(
+            p,
+            s,
+            "HOLDS",
+            vec![("right".to_string(), Value::str("ownership"))],
+        )
+        .unwrap();
         d
     }
 
@@ -394,7 +399,10 @@ mod tests {
         assert_eq!(out.edge_count(), 1);
         let people = out.nodes_with_label("PhysicalPerson");
         assert_eq!(people.len(), 1);
-        assert!(out.node_has_label(people[0], "Person"), "ancestor labels restored");
+        assert!(
+            out.node_has_label(people[0], "Person"),
+            "ancestor labels restored"
+        );
         assert_eq!(
             out.node_prop(people[0], "gender"),
             Some(&Value::str("female"))

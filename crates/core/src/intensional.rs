@@ -32,10 +32,10 @@ use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Symbol, Value};
 use kgm_metalog::{parse_metalog, translate, PgSchema};
 use kgm_pgstore::{NodeId, PropertyGraph};
+use kgm_runtime::telemetry;
 use kgm_vadalog::{
     Atom, Engine, EngineConfig, FactDb, Program, Rule, RuleStep, Term, Termination, Var,
 };
-use kgm_runtime::telemetry;
 
 /// The reserved "absent optional attribute" null.
 fn absent() -> Value {
@@ -206,8 +206,7 @@ impl<'a> ViewCtx<'a> {
                     .map(|v| v.to_string())
                     .unwrap_or_default();
                 let opt = self.dict.graph.node_prop(a, "isOpt") == Some(&Value::Bool(true))
-                    || self.dict.graph.node_prop(a, "isIntensional")
-                        == Some(&Value::Bool(true));
+                    || self.dict.graph.node_prop(a, "isIntensional") == Some(&Value::Bool(true));
                 out.push((name, self.dict.graph.node_oid(a), opt));
             }
         }
@@ -231,8 +230,7 @@ impl<'a> ViewCtx<'a> {
                     .map(|v| v.to_string())
                     .unwrap_or_default();
                 let opt = self.dict.graph.node_prop(a, "isOpt") == Some(&Value::Bool(true))
-                    || self.dict.graph.node_prop(a, "isIntensional")
-                        == Some(&Value::Bool(true));
+                    || self.dict.graph.node_prop(a, "isIntensional") == Some(&Value::Bool(true));
                 (name, self.dict.graph.node_oid(a), opt)
             })
             .collect())
@@ -490,12 +488,7 @@ fn output_views(
         let mut terms = vec![ie.clone(), f.clone(), t.clone()];
         let mut heads: Vec<(String, Vec<Term>)> = vec![(
             "vo_edge".into(),
-            vec![
-                ie.clone(),
-                f,
-                t,
-                RuleBuilder::c(Value::Oid(edge_oid)),
-            ],
+            vec![ie.clone(), f, t, RuleBuilder::c(Value::Oid(edge_oid))],
         )];
         for (idx, (_, attr_oid, _)) in attrs.iter().enumerate() {
             let v = rb.v(&format!("V{idx}"));
@@ -612,77 +605,71 @@ pub fn materialize(
     let (loaded, load_ms) = telemetry::time("intensional.load", String::new(), || {
         let mut dict = Dictionary::new();
         dict.encode(schema, schema_oid)?;
-        let (_lstats, imap) =
-            load_instance(&mut dict, schema, schema_oid, instance_oid, data)?;
+        let (_lstats, imap) = load_instance(&mut dict, schema, schema_oid, instance_oid, data)?;
         Ok::<_, KgmError>((dict, imap))
     });
     let (mut dict, imap) = loaded?;
     stats.load_ms = load_ms;
 
     // --- Views + Σ (lines 5–8).
-    let (reasoned, reason_ms) = telemetry::time(
-        "intensional.reason",
-        format!("{mode:?}"),
-        || {
-            let sigma = parse_metalog(sigma_src)?;
-            let pg_schema = pg_schema_of(schema);
-            let mut mtv = translate(&sigma, &pg_schema, "unused")?;
-            mtv.program.inputs.clear(); // atoms come from V_I, not raw graph scans
-            let ctx = ViewCtx {
-                dict: &dict,
-                schema,
-                schema_oid,
-                instance_oid,
-            };
-            let (body_nodes, body_edges, head_nodes, head_edges) =
-                sigma_labels(&sigma, schema);
-            let vi = input_views(&ctx, &body_nodes, &body_edges)?;
-            let vo = output_views(&ctx, &head_nodes, &head_edges)?;
-            // The loaded instance relations are the chase's input.
-            let instances = std::mem::take(&mut dict.instances);
+    let (reasoned, reason_ms) = telemetry::time("intensional.reason", format!("{mode:?}"), || {
+        let sigma = parse_metalog(sigma_src)?;
+        let pg_schema = pg_schema_of(schema);
+        let mut mtv = translate(&sigma, &pg_schema, "unused")?;
+        mtv.program.inputs.clear(); // atoms come from V_I, not raw graph scans
+        let ctx = ViewCtx {
+            dict: &dict,
+            schema,
+            schema_oid,
+            instance_oid,
+        };
+        let (body_nodes, body_edges, head_nodes, head_edges) = sigma_labels(&sigma, schema);
+        let vi = input_views(&ctx, &body_nodes, &body_edges)?;
+        let vo = output_views(&ctx, &head_nodes, &head_edges)?;
+        // The loaded instance relations are the chase's input.
+        let instances = std::mem::take(&mut dict.instances);
 
-            let db = match mode {
-                MaterializationMode::SinglePass => {
-                    let mut program = vi;
-                    program.extend(mtv.program);
-                    program.extend(vo);
-                    let engine = Engine::with_config(program, EngineConfig::default())?;
-                    let mut db = instances;
-                    let run = engine.run(&mut db)?;
-                    stats.derived_facts = run.derived_facts;
-                    stats.termination = run.termination;
-                    db
+        let db = match mode {
+            MaterializationMode::SinglePass => {
+                let mut program = vi;
+                program.extend(mtv.program);
+                program.extend(vo);
+                let engine = Engine::with_config(program, EngineConfig::default())?;
+                let mut db = instances;
+                let run = engine.run(&mut db)?;
+                stats.derived_facts = run.derived_facts;
+                stats.termination = run.termination;
+                db
+            }
+            MaterializationMode::Staged => {
+                // Stage 1: materialize V_I into a staging area, the
+                // instance relations themselves.
+                let engine_vi = Engine::with_config(vi, EngineConfig::default())?;
+                let mut staged = instances;
+                let run1 = engine_vi.run(&mut staged)?;
+                // Stage 2: Σ ∪ V_O over the staged label facts only.
+                let mut program = mtv.program;
+                program.extend(vo);
+                let engine = Engine::with_config(program, EngineConfig::default())?;
+                let mut db = FactDb::new();
+                for l in body_nodes.iter().chain(body_edges.iter()) {
+                    db.add_facts(l, staged.facts(l))?;
                 }
-                MaterializationMode::Staged => {
-                    // Stage 1: materialize V_I into a staging area, the
-                    // instance relations themselves.
-                    let engine_vi = Engine::with_config(vi, EngineConfig::default())?;
-                    let mut staged = instances;
-                    let run1 = engine_vi.run(&mut staged)?;
-                    // Stage 2: Σ ∪ V_O over the staged label facts only.
-                    let mut program = mtv.program;
-                    program.extend(vo);
-                    let engine = Engine::with_config(program, EngineConfig::default())?;
-                    let mut db = FactDb::new();
-                    for l in body_nodes.iter().chain(body_edges.iter()) {
-                        db.add_facts(l, staged.facts(l))?;
-                    }
-                    drop(staged);
-                    let run2 = engine.run(&mut db)?;
-                    stats.derived_facts = run1.derived_facts + run2.derived_facts;
-                    // The earlier stage's truncation dominates: a truncated
-                    // staging area taints everything derived from it.
-                    stats.termination = if !run1.termination.is_complete() {
-                        run1.termination
-                    } else {
-                        run2.termination
-                    };
-                    db
-                }
-            };
-            Ok::<_, KgmError>(db)
-        },
-    );
+                drop(staged);
+                let run2 = engine.run(&mut db)?;
+                stats.derived_facts = run1.derived_facts + run2.derived_facts;
+                // The earlier stage's truncation dominates: a truncated
+                // staging area taints everything derived from it.
+                stats.termination = if !run1.termination.is_complete() {
+                    run1.termination
+                } else {
+                    run2.termination
+                };
+                db
+            }
+        };
+        Ok::<_, KgmError>(db)
+    });
     let db = reasoned?;
     stats.reason_ms = reason_ms;
 
@@ -826,18 +813,20 @@ mod tests {
         // a →60% b, a →30% c, b →30% c: a controls b directly and c jointly.
         let mut g = PropertyGraph::new();
         let mk = |g: &mut PropertyGraph, name: &str| {
-            g.add_node(
-                ["Business"],
-                vec![("name".to_string(), Value::str(name))],
-            )
-            .unwrap()
+            g.add_node(["Business"], vec![("name".to_string(), Value::str(name))])
+                .unwrap()
         };
         let a = mk(&mut g, "a");
         let b = mk(&mut g, "b");
         let c = mk(&mut g, "c");
         let own = |g: &mut PropertyGraph, f, t, p: f64| {
-            g.add_edge(f, t, "OWNS", vec![("percentage".to_string(), Value::Float(p))])
-                .unwrap();
+            g.add_edge(
+                f,
+                t,
+                "OWNS",
+                vec![("percentage".to_string(), Value::Float(p))],
+            )
+            .unwrap();
         };
         own(&mut g, a, b, 0.6);
         own(&mut g, a, c, 0.3);
@@ -866,8 +855,7 @@ mod tests {
     fn control_materializes_into_the_data_graph() {
         let schema = company_schema();
         let mut g = ownership_graph();
-        let stats =
-            materialize(&mut g, &schema, CONTROL, MaterializationMode::SinglePass).unwrap();
+        let stats = materialize(&mut g, &schema, CONTROL, MaterializationMode::SinglePass).unwrap();
         assert!(stats.new_edges >= 2, "{stats:?}");
         assert_eq!(
             controls_of(&g),
@@ -934,8 +922,7 @@ mod tests {
         g.add_node(["P"], vec![("k".to_string(), Value::str("x"))])
             .unwrap();
         let sigma = "(x: P) -> (x)[e: SELF](x).";
-        let stats =
-            materialize(&mut g, &schema, sigma, MaterializationMode::SinglePass).unwrap();
+        let stats = materialize(&mut g, &schema, sigma, MaterializationMode::SinglePass).unwrap();
         assert_eq!(stats.new_edges, 1);
         assert_eq!(g.edges_with_label("SELF").len(), 1);
     }
@@ -970,12 +957,8 @@ mod tests {
             (p: Person)[: HOLDS](b: Business), n = count(<p>)
                 -> (b: Business; numberOfStakeholders: n).
         "#;
-        let stats =
-            materialize(&mut g, &schema, sigma, MaterializationMode::SinglePass).unwrap();
+        let stats = materialize(&mut g, &schema, sigma, MaterializationMode::SinglePass).unwrap();
         assert!(stats.new_attrs >= 1, "{stats:?}");
-        assert_eq!(
-            g.node_prop(b, "numberOfStakeholders"),
-            Some(&Value::Int(2))
-        );
+        assert_eq!(g.node_prop(b, "numberOfStakeholders"), Some(&Value::Int(2)));
     }
 }

@@ -24,10 +24,7 @@ fn props(pairs: &[(&str, Value)]) -> Vec<(String, Value)> {
 /// entities; `MM_HAS_PROPERTY` attaches properties to entities and links).
 pub fn meta_model() -> Result<PropertyGraph> {
     let mut g = PropertyGraph::new();
-    let entity = g.add_node(
-        ["MM_Entity"],
-        props(&[("name", Value::str("MM_Entity"))]),
-    )?;
+    let entity = g.add_node(["MM_Entity"], props(&[("name", Value::str("MM_Entity"))]))?;
     let link = g.add_node(["MM_Link"], props(&[("name", Value::str("MM_Link"))]))?;
     let property = g.add_node(
         ["MM_Property"],
@@ -35,8 +32,18 @@ pub fn meta_model() -> Result<PropertyGraph> {
     )?;
     // A link connects a source entity to a target entity (cardinality 1 on
     // the link side, N on the entity side, as drawn in Figure 2).
-    g.add_edge(link, entity, "MM_SOURCE", props(&[("card", Value::str("N:1"))]))?;
-    g.add_edge(link, entity, "MM_TARGET", props(&[("card", Value::str("N:1"))]))?;
+    g.add_edge(
+        link,
+        entity,
+        "MM_SOURCE",
+        props(&[("card", Value::str("N:1"))]),
+    )?;
+    g.add_edge(
+        link,
+        entity,
+        "MM_TARGET",
+        props(&[("card", Value::str("N:1"))]),
+    )?;
     // Entities and links own properties.
     g.add_edge(entity, property, "MM_HAS_PROPERTY", props(&[]))?;
     g.add_edge(link, property, "MM_HAS_PROPERTY", props(&[]))?;

@@ -29,14 +29,7 @@ pub fn manifest_of(schema: &PgModelSchema) -> String {
         let props: Vec<String> = nt
             .properties
             .iter()
-            .map(|p| {
-                format!(
-                    "{}:{}{}",
-                    p.name,
-                    p.ty,
-                    if p.mandatory { "!" } else { "" }
-                )
-            })
+            .map(|p| format!("{}:{}{}", p.name, p.ty, if p.mandatory { "!" } else { "" }))
             .collect();
         out.push_str(&format!(
             "node,{},{},{}\n",
@@ -126,8 +119,13 @@ mod tests {
                 ],
             )
             .unwrap();
-        g.add_edge(a, b, "OWNS", vec![("percentage".to_string(), Value::Float(0.4))])
-            .unwrap();
+        g.add_edge(
+            a,
+            b,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(0.4))],
+        )
+        .unwrap();
         (pg, g)
     }
 

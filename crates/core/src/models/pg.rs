@@ -111,8 +111,8 @@ impl PgModelSchema {
                     match graph.node_prop(node, &p.name) {
                         Some(v) => {
                             let vt = v.value_type();
-                            let ok = vt == p.ty
-                                || (p.ty == ValueType::Float && vt == ValueType::Int);
+                            let ok =
+                                vt == p.ty || (p.ty == ValueType::Float && vt == ValueType::Int);
                             if !ok {
                                 return Err(KgmError::Constraint(format!(
                                     "{}.{} expects {}, found {v:?}",

@@ -55,11 +55,7 @@ pub fn render_super_schema(schema: &SuperSchema) -> String {
     out.push_str(&format!("digraph \"{}\" {{\n", esc(&schema.name)));
     out.push_str("  rankdir=TB;\n  node [fontname=\"Helvetica\"];\n");
     for n in &schema.nodes {
-        let style = if n.is_intensional {
-            "dashed"
-        } else {
-            "solid"
-        };
+        let style = if n.is_intensional { "dashed" } else { "solid" };
         let mut label = format!("{}\\n", n.name);
         for a in &n.attributes {
             label.push_str(&esc(&attr_row(a)));
@@ -103,10 +99,7 @@ pub fn render_super_schema(schema: &SuperSchema) -> String {
             if g.is_disjoint { ",d" } else { ",o" },
         ));
         for c in &g.children {
-            out.push_str(&format!(
-                "  \"{}\" -> \"{point}\" [dir=none];\n",
-                esc(c)
-            ));
+            out.push_str(&format!("  \"{}\" -> \"{point}\" [dir=none];\n", esc(c)));
         }
     }
     out.push_str("}\n");
@@ -155,8 +148,16 @@ pub fn render_pg(graph: &PropertyGraph, title: &str) -> String {
 /// per super-construct with its grapheme description.
 pub fn gamma_sm_table() -> String {
     let rows: &[(&str, &str, &str)] = &[
-        ("SM_Node", "isIntensional=false", "solid ellipse, name from SM_Type"),
-        ("SM_Node", "isIntensional=true", "dashed ellipse, name from SM_Type"),
+        (
+            "SM_Node",
+            "isIntensional=false",
+            "solid ellipse, name from SM_Type",
+        ),
+        (
+            "SM_Node",
+            "isIntensional=true",
+            "dashed ellipse, name from SM_Type",
+        ),
         (
             "SM_Edge",
             "isIntensional=false",
@@ -172,9 +173,21 @@ pub fn gamma_sm_table() -> String {
         ("SM_HAS_EDGE_PROPERTY", "", "(structural, not drawn)"),
         ("SM_FROM", "", "(structural, not drawn)"),
         ("SM_TO", "", "(structural, not drawn)"),
-        ("SM_Attribute", "isOpt=false, isId=false", "filled lollipop ●"),
-        ("SM_Attribute", "isOpt=true, isId=false", "hollow lollipop ○"),
-        ("SM_Attribute", "isOpt=false, isId=true", "identifier lollipop ◉"),
+        (
+            "SM_Attribute",
+            "isOpt=false, isId=false",
+            "filled lollipop ●",
+        ),
+        (
+            "SM_Attribute",
+            "isOpt=true, isId=false",
+            "hollow lollipop ○",
+        ),
+        (
+            "SM_Attribute",
+            "isOpt=false, isId=true",
+            "identifier lollipop ◉",
+        ),
         (
             "SM_Generalization",
             "isTotal=true, isDisjoint=true",

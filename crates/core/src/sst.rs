@@ -256,7 +256,8 @@ pub fn translate_to_relational(
                 } else {
                     ids.iter().map(|(c, _)| c.clone()).collect()
                 };
-                out.tables.push(TableSchema::new(tname.clone(), cols).with_pk(pk.clone()));
+                out.tables
+                    .push(TableSchema::new(tname.clone(), cols).with_pk(pk.clone()));
                 if let Some(parent) = schema.parent_of(&n.name) {
                     out.foreign_keys.push(ForeignKey {
                         name: format!("fk_{tname}_{}", snake(parent)),
@@ -369,7 +370,8 @@ fn translate_edge(
             cols.push(column(a));
         }
         let pk: Vec<String> = src_cols.iter().chain(dst_cols.iter()).cloned().collect();
-        out.tables.push(TableSchema::new(ename.clone(), cols).with_pk(pk));
+        out.tables
+            .push(TableSchema::new(ename.clone(), cols).with_pk(pk));
         out.foreign_keys.push(ForeignKey {
             name: format!("fk_{ename}_src"),
             table: ename.clone(),
@@ -478,12 +480,12 @@ mod tests {
         let pg = translate_to_pg(&s, PgGeneralizationStrategy::MultiLabel).unwrap();
         let business = pg.node_type("Business").unwrap();
         // Figure 6: Business nodes carry Business, LegalPerson, Person.
-        assert_eq!(
-            business.labels,
-            vec!["Business", "LegalPerson", "Person"]
-        );
-        let prop_names: Vec<&str> =
-            business.properties.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(business.labels, vec!["Business", "LegalPerson", "Person"]);
+        let prop_names: Vec<&str> = business
+            .properties
+            .iter()
+            .map(|p| p.name.as_str())
+            .collect();
         for p in ["numberOfStakeholders", "businessName", "fiscalCode", "name"] {
             assert!(prop_names.contains(&p), "missing {p}");
         }

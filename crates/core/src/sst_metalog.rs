@@ -167,10 +167,7 @@ pub fn pg_model_dictionary_schema() -> PgSchema {
                 "ord",
             ],
         )
-        .declare_node(
-            "Relationship",
-            ["schemaOID", "name", "isIntensional"],
-        )
+        .declare_node("Relationship", ["schemaOID", "name", "isIntensional"])
         .declare_node("UniquePropertyModifier", ["schemaOID"])
         .declare_edge("HAS_LABEL", Vec::<String>::new())
         .declare_edge("HAS_PROPERTY", Vec::<String>::new())
@@ -323,9 +320,7 @@ pub struct MetalogSstRun {
 }
 
 /// Execute Algorithm 1 for the PG model with the MetaLog mapping programs.
-pub fn translate_to_pg_via_metalog(
-    schema: &SuperSchema,
-) -> Result<MetalogSstRun> {
+pub fn translate_to_pg_via_metalog(schema: &SuperSchema) -> Result<MetalogSstRun> {
     let _span = kgm_runtime::span!("sst.metalog_pg");
     // Line "encode S into the dictionary".
     let mut dict = Dictionary::new();
@@ -423,8 +418,7 @@ pub fn decode_pg_model(g: &PropertyGraph, schema: &SuperSchema) -> Result<PgMode
                             KgmError::Schema(format!("property `{name}` has a bad type"))
                         })?;
                     let is_opt = g.node_prop(p, "isOpt") == Some(&Value::Bool(true));
-                    let intensional =
-                        g.node_prop(p, "isIntensional") == Some(&Value::Bool(true));
+                    let intensional = g.node_prop(p, "isIntensional") == Some(&Value::Bool(true));
                     properties.push(PgProperty {
                         name: name.clone(),
                         ty,
@@ -616,10 +610,9 @@ mod tests {
 
     #[test]
     fn schema_without_generalizations_translates_cleanly() {
-        let schema = parse_gsl(
-            "schema T { node A { id k: int; } node B { id j: int; } edge R: A -> B; }",
-        )
-        .unwrap();
+        let schema =
+            parse_gsl("schema T { node A { id k: int; } node B { id j: int; } edge R: A -> B; }")
+                .unwrap();
         let run = translate_to_pg_via_metalog(&schema).unwrap();
         let native = translate_to_pg(&schema, PgGeneralizationStrategy::MultiLabel).unwrap();
         assert_eq!(run.schema, native);

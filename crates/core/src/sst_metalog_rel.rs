@@ -226,34 +226,31 @@ pub fn rel_model_dictionary_schema() -> PgSchema {
     // Re-declare the super-constructs that carry the extra elimination
     // markers (the declaration order must match the encoded tuple shape,
     // so the markers go last).
-    s.declare_node(
-        "SM_Node",
-        ["schemaOID", "isIntensional", "isBridge"],
-    )
-    .declare_node(
-        "SM_Edge",
-        [
-            "schemaOID",
-            "isIntensional",
-            "isOpt1",
-            "isFun1",
-            "isOpt2",
-            "isFun2",
-            "isGen",
-        ],
-    )
-    .declare_node("Predicate", ["schemaOID"])
-    .declare_node("Relation", ["schemaOID", "name"])
-    .declare_node(
-        "Field",
-        ["schemaOID", "name", "type", "isOpt", "isId", "ord"],
-    )
-    .declare_node("ForeignKey", ["schemaOID", "name", "isOpt"])
-    .declare_edge("HAS_RELATION", Vec::<String>::new())
-    .declare_edge("HAS_FIELD", Vec::<String>::new())
-    .declare_edge("FK_FROM", Vec::<String>::new())
-    .declare_edge("FK_TO", Vec::<String>::new())
-    .declare_edge("HAS_SOURCE_FIELD", Vec::<String>::new());
+    s.declare_node("SM_Node", ["schemaOID", "isIntensional", "isBridge"])
+        .declare_node(
+            "SM_Edge",
+            [
+                "schemaOID",
+                "isIntensional",
+                "isOpt1",
+                "isFun1",
+                "isOpt2",
+                "isFun2",
+                "isGen",
+            ],
+        )
+        .declare_node("Predicate", ["schemaOID"])
+        .declare_node("Relation", ["schemaOID", "name"])
+        .declare_node(
+            "Field",
+            ["schemaOID", "name", "type", "isOpt", "isId", "ord"],
+        )
+        .declare_node("ForeignKey", ["schemaOID", "name", "isOpt"])
+        .declare_edge("HAS_RELATION", Vec::<String>::new())
+        .declare_edge("HAS_FIELD", Vec::<String>::new())
+        .declare_edge("FK_FROM", Vec::<String>::new())
+        .declare_edge("FK_TO", Vec::<String>::new())
+        .declare_edge("HAS_SOURCE_FIELD", Vec::<String>::new());
     s
 }
 
@@ -482,7 +479,10 @@ mod tests {
                 "columns of `{t}` must agree"
             );
         }
-        assert_eq!(run.structure.fk_pairs, native.fk_pairs, "FK pairs must agree");
+        assert_eq!(
+            run.structure.fk_pairs, native.fk_pairs,
+            "FK pairs must agree"
+        );
     }
 
     #[test]
@@ -519,7 +519,11 @@ mod tests {
         )
         .unwrap();
         let run = translate_to_relational_via_metalog(&schema).unwrap();
-        assert!(run.structure.tables["b"].contains("r_k"), "{:?}", run.structure);
+        assert!(
+            run.structure.tables["b"].contains("r_k"),
+            "{:?}",
+            run.structure
+        );
         assert!(run
             .structure
             .fk_pairs

@@ -380,9 +380,7 @@ impl SuperSchema {
                     )));
                 }
                 if c == &g.parent {
-                    return Err(KgmError::Schema(format!(
-                        "`{c}` cannot specialize itself"
-                    )));
+                    return Err(KgmError::Schema(format!("`{c}` cannot specialize itself")));
                 }
                 if let Some(prev) = child_seen.insert(c, &g.parent) {
                     return Err(KgmError::Schema(format!(
@@ -460,9 +458,7 @@ impl SuperSchema {
                 .edges
                 .iter()
                 .filter(|e| {
-                    !e.is_intensional
-                        && node_names.contains(&e.from)
-                        && node_names.contains(&e.to)
+                    !e.is_intensional && node_names.contains(&e.from) && node_names.contains(&e.to)
                 })
                 .cloned()
                 .collect(),

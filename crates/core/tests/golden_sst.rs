@@ -65,7 +65,11 @@ fn render_pg_schema(s: &PgModelSchema) -> String {
                 p.ty,
                 if p.mandatory { " mandatory" } else { "" },
                 if p.intensional { " intensional" } else { "" },
-                if n.unique.contains(&p.name) { " unique" } else { "" },
+                if n.unique.contains(&p.name) {
+                    " unique"
+                } else {
+                    ""
+                },
             ));
         }
     }
@@ -111,8 +115,7 @@ fn golden_relational_fk_per_child() {
 
 #[test]
 fn golden_relational_single_table() {
-    let rel =
-        translate_to_relational(&sample(), RelGeneralizationStrategy::SingleTable).unwrap();
+    let rel = translate_to_relational(&sample(), RelGeneralizationStrategy::SingleTable).unwrap();
     assert_snapshot(golden("relational_single_table"), &rel.ddl().unwrap());
 }
 

@@ -153,12 +153,27 @@ mod tests {
         let a = mk(&mut g, "a");
         let b = mk(&mut g, "b");
         let c = mk(&mut g, "c");
-        g.add_edge(a, b, "OWNS", vec![("percentage".to_string(), Value::Float(0.25))])
-            .unwrap();
-        g.add_edge(a, c, "OWNS", vec![("percentage".to_string(), Value::Float(0.1))])
-            .unwrap();
-        materialize(&mut g, &schema, CLOSE_LINKS_METALOG, MaterializationMode::SinglePass)
-            .unwrap();
+        g.add_edge(
+            a,
+            b,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(0.25))],
+        )
+        .unwrap();
+        g.add_edge(
+            a,
+            c,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(0.1))],
+        )
+        .unwrap();
+        materialize(
+            &mut g,
+            &schema,
+            CLOSE_LINKS_METALOG,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
         let links: Vec<(NodeId, NodeId)> = g
             .edges_with_label("CLOSELY_LINKED")
             .into_iter()

@@ -199,8 +199,13 @@ mod tests {
         let b = mk(&mut g, "b");
         let c = mk(&mut g, "c");
         for (f, t, w) in [(a, b, 0.6), (a, c, 0.3), (b, c, 0.3)] {
-            g.add_edge(f, t, "OWNS", vec![("percentage".to_string(), Value::Float(w))])
-                .unwrap();
+            g.add_edge(
+                f,
+                t,
+                "OWNS",
+                vec![("percentage".to_string(), Value::Float(w))],
+            )
+            .unwrap();
         }
         g
     }
@@ -300,14 +305,28 @@ mod tests {
     fn no_control_without_majority() {
         let mut g = PropertyGraph::new();
         let a = g
-            .add_node(["Business", "Person"], vec![("pid".to_string(), Value::str("a"))])
+            .add_node(
+                ["Business", "Person"],
+                vec![("pid".to_string(), Value::str("a"))],
+            )
             .unwrap();
         let b = g
-            .add_node(["Business", "Person"], vec![("pid".to_string(), Value::str("b"))])
+            .add_node(
+                ["Business", "Person"],
+                vec![("pid".to_string(), Value::str("b"))],
+            )
             .unwrap();
-        g.add_edge(a, b, "OWNS", vec![("percentage".to_string(), Value::Float(0.5))])
-            .unwrap();
-        assert!(baseline_control(&g).is_empty(), "exactly 50% is not control");
+        g.add_edge(
+            a,
+            b,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(0.5))],
+        )
+        .unwrap();
+        assert!(
+            baseline_control(&g).is_empty(),
+            "exactly 50% is not control"
+        );
         let (v, _) = control_vadalog(&g).unwrap();
         assert!(v.is_empty());
     }
@@ -317,15 +336,31 @@ mod tests {
         // a ⇄ b with 60% each: a controls b and b controls a.
         let mut g = PropertyGraph::new();
         let a = g
-            .add_node(["Business", "Person"], vec![("pid".to_string(), Value::str("a"))])
+            .add_node(
+                ["Business", "Person"],
+                vec![("pid".to_string(), Value::str("a"))],
+            )
             .unwrap();
         let b = g
-            .add_node(["Business", "Person"], vec![("pid".to_string(), Value::str("b"))])
+            .add_node(
+                ["Business", "Person"],
+                vec![("pid".to_string(), Value::str("b"))],
+            )
             .unwrap();
-        g.add_edge(a, b, "OWNS", vec![("percentage".to_string(), Value::Float(0.6))])
-            .unwrap();
-        g.add_edge(b, a, "OWNS", vec![("percentage".to_string(), Value::Float(0.6))])
-            .unwrap();
+        g.add_edge(
+            a,
+            b,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(0.6))],
+        )
+        .unwrap();
+        g.add_edge(
+            b,
+            a,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(0.6))],
+        )
+        .unwrap();
         let ctl = baseline_control(&g);
         assert_eq!(ctl.len(), 2);
         let (v, _) = control_vadalog(&g).unwrap();

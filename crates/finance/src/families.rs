@@ -86,9 +86,7 @@ pub fn baseline_related_pairs(g: &PropertyGraph) -> FxHashSet<(NodeId, NodeId)> 
 
 /// Extract the materialized family structure from a data graph after the
 /// Algorithm 2 run: `(family node, members, owned businesses)`.
-pub fn materialized_families(
-    g: &PropertyGraph,
-) -> Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> {
+pub fn materialized_families(g: &PropertyGraph) -> Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> {
     let mut out = Vec::new();
     for f in g.nodes_with_label("Family") {
         let mut members: Vec<NodeId> = g
@@ -170,9 +168,13 @@ mod tests {
         let schema = company_kg_schema().unwrap();
         let mut g = small_registry();
         assert!(g.nodes_with_label("Family").is_empty());
-        let stats =
-            materialize(&mut g, &schema, FAMILIES_METALOG, MaterializationMode::SinglePass)
-                .unwrap();
+        let stats = materialize(
+            &mut g,
+            &schema,
+            FAMILIES_METALOG,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
         let n_families = check_families(&g).unwrap();
         assert!(n_families > 0, "families must be created ({stats:?})");
         assert_eq!(stats.new_nodes, n_families, "one fresh node per family");
@@ -184,8 +186,13 @@ mod tests {
     fn related_pairs_match_the_baseline() {
         let schema = company_kg_schema().unwrap();
         let mut g = small_registry();
-        materialize(&mut g, &schema, FAMILIES_METALOG, MaterializationMode::SinglePass)
-            .unwrap();
+        materialize(
+            &mut g,
+            &schema,
+            FAMILIES_METALOG,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
         assert_eq!(related_pairs(&g), baseline_related_pairs(&g));
     }
 
@@ -193,15 +200,20 @@ mod tests {
     fn family_membership_matches_the_baseline() {
         let schema = company_kg_schema().unwrap();
         let mut g = small_registry();
-        materialize(&mut g, &schema, FAMILIES_METALOG, MaterializationMode::SinglePass)
-            .unwrap();
+        materialize(
+            &mut g,
+            &schema,
+            FAMILIES_METALOG,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
         let expected = baseline_families(&g);
         let fams = materialized_families(&g);
         // Each baseline (members, business) group must exist as a family.
         for (members, business) in &expected {
-            let found = fams.iter().any(|(_, m, owns)| {
-                m == members && owns.contains(business)
-            });
+            let found = fams
+                .iter()
+                .any(|(_, m, owns)| m == members && owns.contains(business));
             assert!(found, "missing family for business {business:?}");
         }
     }
@@ -216,11 +228,21 @@ mod tests {
         // concepts once per refresh, or gives them identifiers.
         let schema = company_kg_schema().unwrap();
         let mut g = small_registry();
-        materialize(&mut g, &schema, FAMILIES_METALOG, MaterializationMode::SinglePass)
-            .unwrap();
+        materialize(
+            &mut g,
+            &schema,
+            FAMILIES_METALOG,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
         let n1 = g.nodes_with_label("Family").len();
-        materialize(&mut g, &schema, FAMILIES_METALOG, MaterializationMode::SinglePass)
-            .unwrap();
+        materialize(
+            &mut g,
+            &schema,
+            FAMILIES_METALOG,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
         assert_eq!(
             g.nodes_with_label("Family").len(),
             2 * n1,

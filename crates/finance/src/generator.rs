@@ -304,9 +304,8 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let max_out = |g: &kgm_pgstore::PropertyGraph| {
-            g.nodes().map(|n| g.degree(n).0).max().unwrap_or(0)
-        };
+        let max_out =
+            |g: &kgm_pgstore::PropertyGraph| g.nodes().map(|n| g.degree(n).0).max().unwrap_or(0);
         assert!(
             max_out(&with) > 2 * max_out(&without),
             "institutional investors must dominate the out-degree tail: {} vs {}",
@@ -323,7 +322,11 @@ mod tests {
                 .incident_edges(n, kgm_pgstore::Direction::Incoming)
                 .into_iter()
                 .filter(|&e| g.edge_label(e) == "OWNS")
-                .map(|e| g.edge_prop(e, "percentage").and_then(Value::as_f64).unwrap())
+                .map(|e| {
+                    g.edge_prop(e, "percentage")
+                        .and_then(Value::as_f64)
+                        .unwrap()
+                })
                 .sum();
             assert!(sum <= 1.0 + 1e-9, "incoming shares sum to {sum}");
         }

@@ -11,10 +11,7 @@ use kgm_pgstore::NodeId;
 /// head belongs to one group. Input: non-reflexive control pairs.
 pub fn company_groups(controls: &FxHashSet<(u64, u64)>) -> Vec<Vec<u64>> {
     // Union-find over the payload ids.
-    let mut ids: Vec<u64> = controls
-        .iter()
-        .flat_map(|&(a, b)| [a, b])
-        .collect();
+    let mut ids: Vec<u64> = controls.iter().flat_map(|&(a, b)| [a, b]).collect();
     ids.sort_unstable();
     ids.dedup();
     let index: FxHashMap<u64, usize> = ids.iter().enumerate().map(|(i, &v)| (v, i)).collect();

@@ -48,7 +48,9 @@ impl Default for RegistryConfig {
     }
 }
 
-const GIVEN: &[&str] = &["Ada", "Bruno", "Carla", "Dario", "Elena", "Fabio", "Gaia", "Hugo"];
+const GIVEN: &[&str] = &[
+    "Ada", "Bruno", "Carla", "Dario", "Elena", "Fabio", "Gaia", "Hugo",
+];
 const FAMILY: &[&str] = &["Rossi", "Bianchi", "Ferrari", "Russo", "Colombo", "Ricci"];
 const LEGAL_NATURE: &[&str] = &["SpA", "Srl", "SApA", "Scarl"];
 const RIGHTS: &[&str] = &["ownership", "bare ownership", "usufruct"];
@@ -132,7 +134,10 @@ pub fn generate_registry(config: &RegistryConfig) -> Result<PropertyGraph> {
             vec![
                 ("fiscalCode".to_string(), Value::str(format!("NB{i:06}"))),
                 ("name".to_string(), Value::str(format!("Entity {i}"))),
-                ("businessName".to_string(), Value::str(format!("Entity {i}"))),
+                (
+                    "businessName".to_string(),
+                    Value::str(format!("Entity {i}")),
+                ),
                 ("legalNature".to_string(), Value::str("Ente")),
                 ("isGovernmental".to_string(), Value::Bool(rng.gen_bool(0.5))),
             ],
@@ -164,7 +169,10 @@ pub fn generate_registry(config: &RegistryConfig) -> Result<PropertyGraph> {
             let share = g.add_node(
                 ["Share"],
                 vec![
-                    ("shareId".to_string(), Value::str(format!("SH{share_seq:07}"))),
+                    (
+                        "shareId".to_string(),
+                        Value::str(format!("SH{share_seq:07}")),
+                    ),
                     ("percentage".to_string(), Value::Float(w)),
                 ],
             )?;
@@ -218,7 +226,10 @@ pub fn generate_registry(config: &RegistryConfig) -> Result<PropertyGraph> {
                     "type".to_string(),
                     Value::str(EVENT_TYPES[i % EVENT_TYPES.len()]),
                 ),
-                ("date".to_string(), Value::Date(rng.gen_range(15_000..20_000))),
+                (
+                    "date".to_string(),
+                    Value::Date(rng.gen_range(15_000..20_000)),
+                ),
             ],
         )?;
         let a = businesses[rng.gen_range(0..businesses.len())];
@@ -298,6 +309,9 @@ mod tests {
                     > 1
             })
             .count();
-        assert!(multi > 0, "multi-holder shares must exist (§3.3 motivation)");
+        assert!(
+            multi > 0,
+            "multi-holder shares must exist (§3.3 motivation)"
+        );
     }
 }

@@ -34,7 +34,10 @@ fn golden_control_explanation() {
     };
     let g = generate_shareholding(&cfg).unwrap();
     let (engine, db, stats) = control_vadalog_prov(&g, 4).unwrap();
-    assert!(stats.profile.prov_edges > 0, "seeded graph derives control facts");
+    assert!(
+        stats.profile.prov_edges > 0,
+        "seeded graph derives control facts"
+    );
 
     let mut best: Option<(usize, (u64, u64), DerivationTree)> = None;
     for t in db.facts_iter("controls") {

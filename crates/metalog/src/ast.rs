@@ -215,15 +215,14 @@ mod tests {
     fn nullable_is_star_only() {
         assert!(!edge("R").nullable());
         assert!(PathRegex::Star(Box::new(edge("R"))).nullable());
-        assert!(!PathRegex::Concat(vec![edge("R"), PathRegex::Star(Box::new(edge("S")))])
-            .nullable());
         assert!(
-            PathRegex::Concat(vec![
-                PathRegex::Star(Box::new(edge("R"))),
-                PathRegex::Star(Box::new(edge("S")))
-            ])
-            .nullable()
+            !PathRegex::Concat(vec![edge("R"), PathRegex::Star(Box::new(edge("S")))]).nullable()
         );
+        assert!(PathRegex::Concat(vec![
+            PathRegex::Star(Box::new(edge("R"))),
+            PathRegex::Star(Box::new(edge("S")))
+        ])
+        .nullable());
         assert!(PathRegex::Alt(vec![edge("R"), PathRegex::Star(Box::new(edge("S")))]).nullable());
     }
 

@@ -21,9 +21,7 @@
 //! atoms are required to bind the same OID — preserving the reflexive
 //! semi-path semantics of Section 4.
 
-use crate::ast::{
-    EdgeAtom, MetaBodyElem, MetaProgram, MetaRule, NodeAtom, PathPattern, PathRegex,
-};
+use crate::ast::{EdgeAtom, MetaBodyElem, MetaProgram, MetaRule, NodeAtom, PathPattern, PathRegex};
 use crate::schema::PgSchema;
 use kgm_common::{FxHashMap, FxHashSet, KgmError, Result, Value};
 use kgm_runtime::telemetry;
@@ -115,16 +113,21 @@ fn edge_atom_text(
     to: &str,
     allow_named: bool,
 ) -> Result<String> {
-    let label = atom.label.as_ref().ok_or_else(|| {
-        KgmError::Translation("edge atoms must carry a label".to_string())
-    })?;
+    let label = atom
+        .label
+        .as_ref()
+        .ok_or_else(|| KgmError::Translation("edge atoms must carry a label".to_string()))?;
     if !allow_named {
         if atom.var.is_some() {
             return Err(KgmError::Translation(format!(
                 "edge atom `[{label}]` under `*`/`|` cannot bind a named identifier"
             )));
         }
-        if atom.props.iter().any(|(_, t)| matches!(t, TermLike::Var(_))) {
+        if atom
+            .props
+            .iter()
+            .any(|(_, t)| matches!(t, TermLike::Var(_)))
+        {
             return Err(KgmError::Translation(format!(
                 "edge atom `[{label}]` under `*`/`|` cannot bind named property variables"
             )));
@@ -158,7 +161,13 @@ fn strip_nullable(r: &PathRegex) -> PathRegex {
         PathRegex::Star(i) => strip_nullable(i),
         PathRegex::Alt(xs) => PathRegex::Alt(
             xs.iter()
-                .map(|x| if x.nullable() { strip_nullable(x) } else { x.clone() })
+                .map(|x| {
+                    if x.nullable() {
+                        strip_nullable(x)
+                    } else {
+                        x.clone()
+                    }
+                })
                 .collect(),
         ),
         PathRegex::Concat(xs) => {
@@ -372,17 +381,9 @@ fn is_recursive(meta: &MetaProgram) -> bool {
 
     /// Collect (label, tag) atoms of one path pattern, resolving edge tags
     /// through endpoint variables.
-    fn collect_path(
-        p: &PathPattern,
-        var_tags: &FxHashMap<String, i64>,
-        out: &mut Vec<Tagged>,
-    ) {
+    fn collect_path(p: &PathPattern, var_tags: &FxHashMap<String, i64>, out: &mut Vec<Tagged>) {
         let node_tag = |n: &crate::ast::NodeAtom| -> Option<i64> {
-            tag_of_node(n).or_else(|| {
-                n.var
-                    .as_ref()
-                    .and_then(|v| var_tags.get(v).copied())
-            })
+            tag_of_node(n).or_else(|| n.var.as_ref().and_then(|v| var_tags.get(v).copied()))
         };
         if let Some(l) = &p.src.label {
             out.push((l.clone(), node_tag(&p.src)));
@@ -503,9 +504,7 @@ pub fn translate(meta: &MetaProgram, schema: &PgSchema, graph: &str) -> Result<M
         let _s = kgm_runtime::span!("mtv.tractability");
         let uses_star = meta.rules.iter().any(|r| {
             r.body.iter().any(|b| match b {
-                MetaBodyElem::Path(p) => {
-                    p.segments.iter().any(|(regex, _)| regex.has_star())
-                }
+                MetaBodyElem::Path(p) => p.segments.iter().any(|(regex, _)| regex.has_star()),
                 _ => false,
             })
         });
@@ -792,7 +791,11 @@ mod tests {
         // Inverse of SM_CHILD swaps endpoints: SM_CHILD(_, mid, h) pattern.
         assert!(out.vadalog_source.contains("SM_CHILD(_, "));
         // ε-variant: endpoints equal.
-        assert!(out.vadalog_source.contains("x == y"), "{}", out.vadalog_source);
+        assert!(
+            out.vadalog_source.contains("x == y"),
+            "{}",
+            out.vadalog_source
+        );
         Engine::new(out.program).unwrap();
     }
 
@@ -817,8 +820,7 @@ mod tests {
             .declare_edge("R", Vec::<String>::new())
             .declare_edge("S", Vec::<String>::new())
             .declare_edge("OUT", Vec::<String>::new());
-        let meta =
-            parse_metalog("(x: A) ([: R] | [: S]) (y: B) -> (x)[e: OUT](y).").unwrap();
+        let meta = parse_metalog("(x: A) ([: R] | [: S]) (y: B) -> (x)[e: OUT](y).").unwrap();
         let out = translate(&meta, &schema, "g").unwrap();
         let alpha_rules = out
             .vadalog_source
@@ -836,8 +838,7 @@ mod tests {
             .declare_node("A", Vec::<String>::new())
             .declare_edge("R", ["w"])
             .declare_edge("OUT", Vec::<String>::new());
-        let meta =
-            parse_metalog("(x: A) ([: R; w: v])* (y: A) -> (x)[e: OUT](y).").unwrap();
+        let meta = parse_metalog("(x: A) ([: R; w: v])* (y: A) -> (x)[e: OUT](y).").unwrap();
         assert!(translate(&meta, &schema, "g").is_err());
         let meta = parse_metalog("(x: A) ([z: R])* (y: A) -> (x)[e: OUT](y).").unwrap();
         assert!(translate(&meta, &schema, "g").is_err());
@@ -886,8 +887,14 @@ mod tests {
         let facts: Vec<(&str, Vec<Vec<Value>>)> = vec![
             ("SM_Node", vec![vec![n(1)], vec![n(2)], vec![n(3)]]),
             // g10: parent 1, child 2;  g11: parent 2, child 3.
-            ("SM_PARENT", vec![vec![n(100), n(1), n(10)], vec![n(101), n(2), n(11)]]),
-            ("SM_CHILD", vec![vec![n(200), n(10), n(2)], vec![n(201), n(11), n(3)]]),
+            (
+                "SM_PARENT",
+                vec![vec![n(100), n(1), n(10)], vec![n(101), n(2), n(11)]],
+            ),
+            (
+                "SM_CHILD",
+                vec![vec![n(200), n(10), n(2)], vec![n(201), n(11), n(3)]],
+            ),
         ];
         let (db, _) = engine.run_with_facts(&facts).unwrap();
         // Pairs (x descendant-or-self, y ancestor): with ε every node pairs
@@ -911,10 +918,9 @@ mod tests {
             .declare_node("SM_Generalization", Vec::<String>::new())
             .declare_edge("SM_PARENT", Vec::<String>::new())
             .declare_edge("OUT", Vec::<String>::new());
-        let meta = parse_metalog(
-            "(a: SM_Node)[: SM_PARENT](g: SM_Generalization) -> (a)[e: OUT](g).",
-        )
-        .unwrap();
+        let meta =
+            parse_metalog("(a: SM_Node)[: SM_PARENT](g: SM_Generalization) -> (a)[e: OUT](g).")
+                .unwrap();
         let out = translate(&meta, &schema, "g").unwrap();
         assert!(
             out.vadalog_source.contains("SM_PARENT(_, a, g)"),

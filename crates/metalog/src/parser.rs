@@ -379,10 +379,7 @@ mod tests {
 
     #[test]
     fn parse_alternation() {
-        let p = parse_metalog(
-            "(x: A) ([: R] | [: S]- . [: T]) (y: B) -> (x)[e: OUT](y).",
-        )
-        .unwrap();
+        let p = parse_metalog("(x: A) ([: R] | [: S]- . [: T]) (y: B) -> (x)[e: OUT](y).").unwrap();
         match &p.rules[0].body[0] {
             MetaBodyElem::Path(path) => match &path.segments[0].0 {
                 PathRegex::Alt(alts) => {
@@ -398,10 +395,8 @@ mod tests {
 
     #[test]
     fn head_with_inverse_edge_as_in_example_5_2() {
-        let p = parse_metalog(
-            "(c: SM_Node) -> (x)[u: SM_FROM]-(f: SM_Edge)[t: SM_TO](z).",
-        )
-        .unwrap();
+        let p =
+            parse_metalog("(c: SM_Node) -> (x)[u: SM_FROM]-(f: SM_Edge)[t: SM_TO](z).").unwrap();
         let head = &p.rules[0].head[0];
         assert_eq!(head.segments.len(), 2);
         assert!(matches!(head.segments[0].0, PathRegex::Inverse(_)));
@@ -458,10 +453,8 @@ mod tests {
 
     #[test]
     fn labels_are_collected() {
-        let p = parse_metalog(
-            "(x: Business)[: OWNS](y: Business) -> (x)[c: CONTROLS](y).",
-        )
-        .unwrap();
+        let p =
+            parse_metalog("(x: Business)[: OWNS](y: Business) -> (x)[c: CONTROLS](y).").unwrap();
         assert_eq!(p.node_labels(), vec!["Business"]);
         assert_eq!(p.edge_labels(), vec!["CONTROLS", "OWNS"]);
     }
@@ -469,8 +462,14 @@ mod tests {
     #[test]
     fn comparison_inside_scalar_does_not_open_angle() {
         let p = parse_metalog("(x: A; v: w), w < 3, w > 1 -> (x)[e: OK](x).").unwrap();
-        assert_eq!(p.rules[0].body[1], MetaBodyElem::Scalar("w < 3".to_string()));
-        assert_eq!(p.rules[0].body[2], MetaBodyElem::Scalar("w > 1".to_string()));
+        assert_eq!(
+            p.rules[0].body[1],
+            MetaBodyElem::Scalar("w < 3".to_string())
+        );
+        assert_eq!(
+            p.rules[0].body[2],
+            MetaBodyElem::Scalar("w > 1".to_string())
+        );
     }
 
     #[test]

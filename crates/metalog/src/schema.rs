@@ -90,7 +90,10 @@ mod tests {
         let mut s = PgSchema::new();
         s.declare_node("Business", ["fiscalCode", "businessName"])
             .declare_edge("OWNS", ["percentage"]);
-        assert_eq!(s.node_props("Business").unwrap(), ["fiscalCode", "businessName"]);
+        assert_eq!(
+            s.node_props("Business").unwrap(),
+            ["fiscalCode", "businessName"]
+        );
         assert_eq!(s.edge_props("OWNS").unwrap(), ["percentage"]);
         assert!(s.node_props("Missing").is_err());
         assert!(s.has_node("Business"));

@@ -9,10 +9,7 @@ use kgm_metalog::{parse_metalog, translate, PgSchema};
 use kgm_runtime::snapshot::assert_snapshot;
 
 fn golden(name: &str) -> String {
-    format!(
-        "{}/tests/golden/{name}.vadalog",
-        env!("CARGO_MANIFEST_DIR")
-    )
+    format!("{}/tests/golden/{name}.vadalog", env!("CARGO_MANIFEST_DIR"))
 }
 
 fn catalog() -> PgSchema {

@@ -102,30 +102,38 @@ fn star_of_star_collapses() {
 #[test]
 fn alternation_of_stars_becomes_star_of_alternation() {
     // (R* | S*)* ≡ (R | S)*: ε-elimination inside the star.
-    let meta =
-        parse_metalog("(x: A) (([: R]* | [: S]*))* (y: B) -> (x)[o: OUT](y).").unwrap();
+    let meta = parse_metalog("(x: A) (([: R]* | [: S]*))* (y: B) -> (x)[o: OUT](y).").unwrap();
     let out = translate(&meta, &catalog(), "g").unwrap();
     // One β with two base rules through an α or direct alternation.
-    assert!(out.vadalog_source.contains("ml_tc_1"), "{}", out.vadalog_source);
+    assert!(
+        out.vadalog_source.contains("ml_tc_1"),
+        "{}",
+        out.vadalog_source
+    );
     Engine::new(out.program).unwrap();
 }
 
 #[test]
 fn edge_property_constants_are_allowed_under_composites() {
     // Constants (unlike named variables) are fine under `|` and `*`.
-    let meta = parse_metalog(
-        r#"(x: A) ([: R; w: 3] | [: S]) (y: B) -> (x)[o: OUT](y)."#,
-    )
-    .unwrap();
+    let meta = parse_metalog(r#"(x: A) ([: R; w: 3] | [: S]) (y: B) -> (x)[o: OUT](y)."#).unwrap();
     let out = translate(&meta, &catalog(), "g").unwrap();
-    assert!(out.vadalog_source.contains("R(_, h, q, 3)"), "{}", out.vadalog_source);
+    assert!(
+        out.vadalog_source.contains("R(_, h, q, 3)"),
+        "{}",
+        out.vadalog_source
+    );
 }
 
 #[test]
 fn negated_node_atom_translates_to_not() {
     let meta = parse_metalog("(x: A), not (x: B) -> (x)[o: OUT](x).").unwrap();
     let out = translate(&meta, &catalog(), "g").unwrap();
-    assert!(out.vadalog_source.contains("not B(x)"), "{}", out.vadalog_source);
+    assert!(
+        out.vadalog_source.contains("not B(x)"),
+        "{}",
+        out.vadalog_source
+    );
 }
 
 #[test]

@@ -241,10 +241,7 @@ pub fn power_law_alpha(degrees: &[usize], k_min: usize) -> Option<f64> {
     if tail.len() < 2 {
         return None;
     }
-    let denom: f64 = tail
-        .iter()
-        .map(|&k| (k / (k_min as f64 - 0.5)).ln())
-        .sum();
+    let denom: f64 = tail.iter().map(|&k| (k / (k_min as f64 - 0.5)).ln()).sum();
     if denom <= 0.0 {
         return None;
     }

@@ -52,14 +52,11 @@ fn parse_document(text: &str) -> Result<Vec<Vec<String>>> {
     let mut field = String::new();
     let mut state = FieldState::Start;
     let mut chars = text.chars().peekable();
-    let bad = |what: String, field: &str| {
-        KgmError::parse("CSV", format!("{what} (near `{field}`)"))
-    };
+    let bad =
+        |what: String, field: &str| KgmError::parse("CSV", format!("{what} (near `{field}`)"));
     while let Some(c) = chars.next() {
         // Normalize CRLF to a record terminator outside quotes.
-        let c = if c == '\r'
-            && chars.peek() == Some(&'\n')
-            && !matches!(state, FieldState::Quoted)
+        let c = if c == '\r' && chars.peek() == Some(&'\n') && !matches!(state, FieldState::Quoted)
         {
             chars.next();
             '\n'
@@ -122,12 +119,7 @@ fn parse_document(text: &str) -> Result<Vec<Vec<String>>> {
                     records.push(std::mem::take(&mut fields));
                     state = FieldState::Start;
                 }
-                other => {
-                    return Err(bad(
-                        format!("`{other}` after a closing quote"),
-                        &field,
-                    ))
-                }
+                other => return Err(bad(format!("`{other}` after a closing quote"), &field)),
             },
         }
     }
@@ -350,7 +342,10 @@ mod tests {
             )
             .unwrap();
         let b = g
-            .add_node(["Business"], vec![("capital".to_string(), Value::Float(0.5))])
+            .add_node(
+                ["Business"],
+                vec![("capital".to_string(), Value::Float(0.5))],
+            )
             .unwrap();
         let c = g.add_node(["Place"], vec![]).unwrap();
         g.add_edge(
@@ -449,7 +444,11 @@ mod tests {
 
     #[test]
     fn malformed_rows_are_rejected() {
-        assert!(import("oid,labels,key,type,value\n1,2\n", "oid,label,from,to,key,type,value\n").is_err());
+        assert!(import(
+            "oid,labels,key,type,value\n1,2\n",
+            "oid,label,from,to,key,type,value\n"
+        )
+        .is_err());
         assert!(import(
             "oid,labels,key,type,value\n",
             "oid,label,from,to,key,type,value\nnope,R,1,2,,,\n"

@@ -231,12 +231,7 @@ pub fn run(g: &PropertyGraph, q: &CypherQuery) -> Vec<Vec<Value>> {
             };
             g.match_nodes(&pat)
                 .into_iter()
-                .map(|n| {
-                    returns
-                        .iter()
-                        .map(|_| Value::Oid(g.node_oid(n)))
-                        .collect()
-                })
+                .map(|n| returns.iter().map(|_| Value::Oid(g.node_oid(n))).collect())
                 .collect()
         }
         CypherQuery::TripleScan {

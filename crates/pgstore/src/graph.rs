@@ -783,7 +783,10 @@ mod tests {
     use super::*;
 
     fn props(pairs: &[(&str, Value)]) -> Vec<(String, Value)> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect()
     }
 
     #[test]
@@ -833,11 +836,8 @@ mod tests {
     fn unique_constraint_rejects_duplicates() {
         let mut g = PropertyGraph::new();
         g.add_unique_constraint("Person", "fiscalCode").unwrap();
-        g.add_node(
-            ["Person"],
-            props(&[("fiscalCode", Value::str("AAA"))]),
-        )
-        .unwrap();
+        g.add_node(["Person"], props(&[("fiscalCode", Value::str("AAA"))]))
+            .unwrap();
         let err = g
             .add_node(["Person"], props(&[("fiscalCode", Value::str("AAA"))]))
             .unwrap_err();

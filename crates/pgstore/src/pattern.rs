@@ -266,8 +266,7 @@ impl PropertyGraph {
                 .collect(),
             PathPattern::Seq(parts) => {
                 // ε: the identity relation over all nodes.
-                let mut acc: BTreeSet<(NodeId, NodeId)> =
-                    self.nodes().map(|n| (n, n)).collect();
+                let mut acc: BTreeSet<(NodeId, NodeId)> = self.nodes().map(|n| (n, n)).collect();
                 for p in parts {
                     let rel = self.eval_path(p);
                     acc = acc
@@ -281,14 +280,10 @@ impl PropertyGraph {
                 }
                 acc
             }
-            PathPattern::Alt(parts) => parts
-                .iter()
-                .flat_map(|p| self.eval_path(p))
-                .collect(),
+            PathPattern::Alt(parts) => parts.iter().flat_map(|p| self.eval_path(p)).collect(),
             PathPattern::Star(inner) => {
                 let step = self.eval_path(inner);
-                let mut acc: BTreeSet<(NodeId, NodeId)> =
-                    self.nodes().map(|n| (n, n)).collect();
+                let mut acc: BTreeSet<(NodeId, NodeId)> = self.nodes().map(|n| (n, n)).collect();
                 loop {
                     let next: Vec<(NodeId, NodeId)> = acc
                         .iter()
@@ -325,7 +320,10 @@ mod tests {
             .add_node(["Business"], vec![("name".to_string(), Value::str("ACME"))])
             .unwrap();
         let c = g
-            .add_node(["Business"], vec![("name".to_string(), Value::str("Globex"))])
+            .add_node(
+                ["Business"],
+                vec![("name".to_string(), Value::str("Globex"))],
+            )
             .unwrap();
         g.add_edge(
             p,
@@ -350,13 +348,11 @@ mod tests {
         let (g, p, ..) = sample();
         let hits = g.match_nodes(&NodePattern::label("PhysicalPerson"));
         assert_eq!(hits, vec![p]);
-        let hits = g.match_nodes(
-            &NodePattern::label("Business").with_prop("name", Value::str("ACME")),
-        );
+        let hits =
+            g.match_nodes(&NodePattern::label("Business").with_prop("name", Value::str("ACME")));
         assert_eq!(hits.len(), 1);
-        let none = g.match_nodes(
-            &NodePattern::label("Business").with_prop("name", Value::str("NONE")),
-        );
+        let none =
+            g.match_nodes(&NodePattern::label("Business").with_prop("name", Value::str("NONE")));
         assert!(none.is_empty());
     }
 
@@ -454,8 +450,7 @@ mod tests {
             PathPattern::edge("HAS_ROLE").inverse(),
         ]));
         let inv_of_alt = g.match_pairs(
-            &PathPattern::alt([PathPattern::edge("OWNS"), PathPattern::edge("HAS_ROLE")])
-                .inverse(),
+            &PathPattern::alt([PathPattern::edge("OWNS"), PathPattern::edge("HAS_ROLE")]).inverse(),
         );
         assert_eq!(alt_of_inv, inv_of_alt);
         assert_eq!(alt_of_inv, reversed(fwd));

@@ -126,8 +126,10 @@ pub fn in_degree_histogram(
 /// (skipping degree 0, which has no log).
 pub fn degree_distribution_table(hist: &[(usize, usize)]) -> String {
     let mut out = String::new();
-    out.push_str("degree    count   log10(k)  log10(n)  
-");
+    out.push_str(
+        "degree    count   log10(k)  log10(n)  
+",
+    );
     for &(k, n) in hist {
         if k == 0 {
             continue;
@@ -231,8 +233,13 @@ mod tests {
         assert_eq!(hist, vec![(0, 2), (2, 1)]);
         let table = degree_distribution_table(&hist);
         assert!(table.contains("log10"));
-        assert!(!table.contains("
-     0"), "degree 0 skipped");
+        assert!(
+            !table.contains(
+                "
+     0"
+            ),
+            "degree 0 skipped"
+        );
     }
 
     #[test]

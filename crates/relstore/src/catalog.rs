@@ -294,9 +294,9 @@ impl Catalog {
         let schema = self.schema(table)?.clone();
         let mut row: Row = vec![None; schema.columns.len()];
         for (k, v) in values {
-            let i = schema.column_index(k).ok_or_else(|| {
-                KgmError::NotFound(format!("column `{k}` in `{table}`"))
-            })?;
+            let i = schema
+                .column_index(k)
+                .ok_or_else(|| KgmError::NotFound(format!("column `{k}` in `{table}`")))?;
             row[i] = Some(v.clone());
         }
         self.insert(table, row)
@@ -321,11 +321,7 @@ impl Catalog {
             .collect::<Result<_>>()?;
         Ok(t.rows
             .iter()
-            .filter(|row| {
-                resolved
-                    .iter()
-                    .all(|(i, v)| row[*i].as_ref() == Some(*v))
-            })
+            .filter(|row| resolved.iter().all(|(i, v)| row[*i].as_ref() == Some(*v)))
             .cloned()
             .collect())
     }
@@ -376,7 +372,10 @@ mod tests {
         c.create_table(person_schema()).unwrap();
         c.insert_named(
             "person",
-            &[("fiscal_code", Value::str("A")), ("name", Value::str("Ada"))],
+            &[
+                ("fiscal_code", Value::str("A")),
+                ("name", Value::str("Ada")),
+            ],
         )
         .unwrap();
         c.insert_named(
@@ -416,7 +415,9 @@ mod tests {
     fn null_pk_rejected() {
         let mut c = Catalog::new();
         c.create_table(person_schema()).unwrap();
-        assert!(c.insert_named("person", &[("name", Value::str("x"))]).is_err());
+        assert!(c
+            .insert_named("person", &[("name", Value::str("x"))])
+            .is_err());
     }
 
     #[test]
@@ -480,12 +481,18 @@ mod tests {
         })
         .unwrap();
         assert!(c
-            .insert_named("share", &[("id", Value::Int(1)), ("holder", Value::str("A"))])
+            .insert_named(
+                "share",
+                &[("id", Value::Int(1)), ("holder", Value::str("A"))]
+            )
             .is_err());
         c.insert_named("person", &[("fiscal_code", Value::str("A"))])
             .unwrap();
-        c.insert_named("share", &[("id", Value::Int(1)), ("holder", Value::str("A"))])
-            .unwrap();
+        c.insert_named(
+            "share",
+            &[("id", Value::Int(1)), ("holder", Value::str("A"))],
+        )
+        .unwrap();
         // NULL FK is allowed.
         c.insert_named("share", &[("id", Value::Int(2))]).unwrap();
     }
@@ -494,9 +501,10 @@ mod tests {
     fn foreign_key_must_reference_pk() {
         let mut c = Catalog::new();
         c.create_table(person_schema()).unwrap();
-        c.create_table(
-            TableSchema::new("t", vec![Column::new("x", ValueType::Str)]),
-        )
+        c.create_table(TableSchema::new(
+            "t",
+            vec![Column::new("x", ValueType::Str)],
+        ))
         .unwrap();
         let err = c
             .add_foreign_key(ForeignKey {
@@ -525,8 +533,11 @@ mod tests {
             .with_pk(["id"]),
         )
         .unwrap();
-        c.insert_named("share", &[("id", Value::Int(1)), ("holder", Value::str("Z"))])
-            .unwrap();
+        c.insert_named(
+            "share",
+            &[("id", Value::Int(1)), ("holder", Value::str("Z"))],
+        )
+        .unwrap();
         assert!(c
             .add_foreign_key(ForeignKey {
                 name: "fk".into(),

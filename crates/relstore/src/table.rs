@@ -55,8 +55,8 @@ impl Column {
                 let vt = v.value_type();
                 // Ints are acceptable wherever floats are expected (numeric
                 // widening), mirroring Value's cross-numeric equality.
-                let compatible = vt == self.ty
-                    || (self.ty == ValueType::Float && vt == ValueType::Int);
+                let compatible =
+                    vt == self.ty || (self.ty == ValueType::Float && vt == ValueType::Int);
                 if compatible {
                     Ok(())
                 } else {

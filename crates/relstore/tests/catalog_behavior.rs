@@ -87,8 +87,11 @@ fn composite_primary_keys_and_fks() {
     )
     .unwrap();
     // Partially-NULL FK tuples skip the check (SQL semantics).
-    c.insert_named("restated", &[("id", Value::Int(2)), ("code", Value::str("Z"))])
-        .unwrap();
+    c.insert_named(
+        "restated",
+        &[("id", Value::Int(2)), ("code", Value::str("Z"))],
+    )
+    .unwrap();
 }
 
 #[test]
@@ -113,7 +116,10 @@ fn composite_pk_lookup() {
         .unwrap()
         .is_none());
     // Wrong arity key: simply no match.
-    assert!(c.get_by_pk("balance", &[Value::str("A")]).unwrap().is_none());
+    assert!(c
+        .get_by_pk("balance", &[Value::str("A")])
+        .unwrap()
+        .is_none());
 }
 
 #[test]
@@ -182,7 +188,6 @@ fn ddl_of_composite_schema_is_deployable_text() {
     let c = composite_catalog();
     let sql = kgm_relstore::ddl::catalog_sql(&c);
     assert!(sql.contains("PRIMARY KEY (\"code\", \"year\")"));
-    assert!(sql.contains(
-        "FOREIGN KEY (\"code\", \"year\") REFERENCES \"balance\" (\"code\", \"year\")"
-    ));
+    assert!(sql
+        .contains("FOREIGN KEY (\"code\", \"year\") REFERENCES \"balance\" (\"code\", \"year\")"));
 }

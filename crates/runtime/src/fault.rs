@@ -212,7 +212,10 @@ mod tests {
         assert!(FaultConfig::parse("site:1.5:1").is_err(), "prob > 1");
         assert!(FaultConfig::parse("site:-0.1:1").is_err(), "prob < 0");
         assert!(FaultConfig::parse("site:x:1").is_err(), "non-numeric prob");
-        assert!(FaultConfig::parse("site:0.5:x").is_err(), "non-numeric seed");
+        assert!(
+            FaultConfig::parse("site:0.5:x").is_err(),
+            "non-numeric seed"
+        );
         assert!(FaultConfig::parse(":0.5:1").is_err(), "empty site");
     }
 

@@ -162,9 +162,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("bad escape sequence")),
                     }
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
+                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => self.pos += 1,
             }
         }

@@ -100,10 +100,12 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_shards(items, threads, |shard| shard.iter().map(&f).collect::<Vec<R>>())
-        .into_iter()
-        .flatten()
-        .collect()
+    map_shards(items, threads, |shard| {
+        shard.iter().map(&f).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

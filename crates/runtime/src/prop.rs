@@ -65,7 +65,9 @@ impl Default for Config {
     fn default() -> Self {
         let env_u64 = |k: &str| std::env::var(k).ok().and_then(|v| v.parse().ok());
         Config {
-            cases: env_u64("KGM_PROP_CASES").map(|v: u64| v as usize).unwrap_or(64),
+            cases: env_u64("KGM_PROP_CASES")
+                .map(|v: u64| v as usize)
+                .unwrap_or(64),
             seed: env_u64("KGM_PROP_SEED").unwrap_or(DEFAULT_SEED),
             max_shrink_steps: 400,
             max_rejects: 1_000,

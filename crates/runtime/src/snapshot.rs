@@ -19,7 +19,9 @@ use std::fs;
 use std::path::Path;
 
 fn env_flag(name: &str) -> bool {
-    std::env::var(name).map(|v| v == "1" || v == "true").unwrap_or(false)
+    std::env::var(name)
+        .map(|v| v == "1" || v == "true")
+        .unwrap_or(false)
 }
 
 /// A compact line diff of `expected` vs `actual` for failure messages:
@@ -145,10 +147,9 @@ mod tests {
             || assert_snapshot(&p, "hello\nworld\n"),
         );
         assert_eq!(fs::read_to_string(&p).unwrap(), "hello\nworld\n");
-        with_env(
-            &[("KGM_BLESS", None), ("KGM_GOLDEN_FROZEN", None)],
-            || assert_snapshot(&p, "hello\nworld\n"),
-        );
+        with_env(&[("KGM_BLESS", None), ("KGM_GOLDEN_FROZEN", None)], || {
+            assert_snapshot(&p, "hello\nworld\n")
+        });
         let _ = fs::remove_file(&p);
     }
 
@@ -156,15 +157,9 @@ mod tests {
     fn mismatch_panics_with_line_diff() {
         let p = tmp_path("diff");
         fs::write(&p, "same\nold line\n").unwrap();
-        let err = with_env(
-            &[("KGM_BLESS", None), ("KGM_GOLDEN_FROZEN", None)],
-            || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    assert_snapshot(&p, "same\nnew line\n")
-                }))
-                .unwrap_err()
-            },
-        );
+        let err = with_env(&[("KGM_BLESS", None), ("KGM_GOLDEN_FROZEN", None)], || {
+            catch_unwind(AssertUnwindSafe(|| assert_snapshot(&p, "same\nnew line\n"))).unwrap_err()
+        });
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("differs from golden"), "{msg}");
         assert!(msg.contains("old line"), "{msg}");
@@ -180,9 +175,7 @@ mod tests {
         // Bless under frozen must panic…
         let err = with_env(
             &[("KGM_BLESS", Some("1")), ("KGM_GOLDEN_FROZEN", Some("1"))],
-            || {
-                catch_unwind(AssertUnwindSafe(|| assert_snapshot(&p, "x"))).unwrap_err()
-            },
+            || catch_unwind(AssertUnwindSafe(|| assert_snapshot(&p, "x"))).unwrap_err(),
         );
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("forbidden in CI"), "{msg}");
@@ -190,9 +183,7 @@ mod tests {
         // …and a missing golden is an error, not a silent create.
         let err = with_env(
             &[("KGM_BLESS", None), ("KGM_GOLDEN_FROZEN", Some("1"))],
-            || {
-                catch_unwind(AssertUnwindSafe(|| assert_snapshot(&p, "x"))).unwrap_err()
-            },
+            || catch_unwind(AssertUnwindSafe(|| assert_snapshot(&p, "x"))).unwrap_err(),
         );
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("cannot read golden"), "{msg}");

@@ -227,7 +227,9 @@ mod tests {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());
         let observer = token.clone();
-        std::thread::spawn(move || observer.cancel()).join().unwrap();
+        std::thread::spawn(move || observer.cancel())
+            .join()
+            .unwrap();
         assert!(token.is_cancelled(), "cancel on a clone is visible");
         token.cancel(); // idempotent
         assert!(token.clone().is_cancelled());

@@ -136,7 +136,11 @@ impl SpanNode {
 
     /// Total number of spans in this subtree (including `self`).
     pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(SpanNode::span_count).sum::<usize>()
+        1 + self
+            .children
+            .iter()
+            .map(SpanNode::span_count)
+            .sum::<usize>()
     }
 
     /// Depth-first search for the first span named `name`.
@@ -261,9 +265,7 @@ thread_local! {
 }
 
 fn listening() -> bool {
-    verbosity() != Verbosity::Off
-        || trace_enabled()
-        || STATE.with(|s| s.borrow().capture.is_some())
+    verbosity() != Verbosity::Off || trace_enabled() || STATE.with(|s| s.borrow().capture.is_some())
 }
 
 /// RAII guard for one span. Create via [`span!`] (or [`SpanGuard::enter`]);
@@ -284,8 +286,7 @@ impl SpanGuard {
         let keep = match level {
             Level::Info => listening(),
             Level::Debug => {
-                verbosity() >= Verbosity::Debug
-                    || STATE.with(|s| s.borrow().capture.is_some())
+                verbosity() >= Verbosity::Debug || STATE.with(|s| s.borrow().capture.is_some())
             }
         };
         if !keep {
@@ -315,7 +316,9 @@ impl Drop for SpanGuard {
         let elapsed = start.elapsed().as_nanos();
         STATE.with(|s| {
             let mut st = s.borrow_mut();
-            let Some(mut node) = st.stack.pop() else { return };
+            let Some(mut node) = st.stack.pop() else {
+                return;
+            };
             node.elapsed_ns = elapsed;
             if let Some(parent) = st.stack.last_mut() {
                 parent.children.push(node);
@@ -344,12 +347,7 @@ pub fn record(key: &str, value: i64) {
 /// Append a fully-measured leaf child to the innermost open span — for
 /// metrics whose time is accumulated across many disjoint slices (per-rule
 /// chase totals) rather than scoped by one guard.
-pub fn annotate_child(
-    name: &str,
-    detail: &str,
-    elapsed_ns: u128,
-    counters: Vec<(String, i64)>,
-) {
+pub fn annotate_child(name: &str, detail: &str, elapsed_ns: u128, counters: Vec<(String, i64)>) {
     STATE.with(|s| {
         let mut st = s.borrow_mut();
         if let Some(top) = st.stack.last_mut() {
@@ -654,7 +652,10 @@ pub fn counter_add(name: &str, delta: i64) {
 /// Record one observation into the named log-scale histogram.
 pub fn histogram_record(name: &str, value: u64) {
     let mut m = metrics().lock();
-    m.histograms.entry(name.to_string()).or_default().record(value);
+    m.histograms
+        .entry(name.to_string())
+        .or_default()
+        .record(value);
 }
 
 /// A point-in-time copy of the metrics registry.

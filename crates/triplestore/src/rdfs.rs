@@ -81,8 +81,16 @@ impl RdfsVocabulary {
             ts.insert(self.iri(child), Term::iri(RDFS_SUBCLASS), self.iri(parent));
         }
         for p in &self.properties {
-            ts.insert(self.iri(&p.name), Term::iri(RDF_TYPE), Term::iri(RDF_PROPERTY));
-            ts.insert(self.iri(&p.name), Term::iri(RDFS_DOMAIN), self.iri(&p.domain));
+            ts.insert(
+                self.iri(&p.name),
+                Term::iri(RDF_TYPE),
+                Term::iri(RDF_PROPERTY),
+            );
+            ts.insert(
+                self.iri(&p.name),
+                Term::iri(RDFS_DOMAIN),
+                self.iri(&p.domain),
+            );
             let range = match &p.range {
                 Ok(ty) => Term::iri(xsd_iri(*ty)),
                 Err(class) => self.iri(class),
@@ -326,7 +334,11 @@ mod tests {
         // x : PhysicalPerson, PhysicalPerson ⊑ Person ⇒ x : Person (rdfs9),
         // where the type itself arrives via a domain axiom (rdfs2).
         let mut ts = TripleStore::new();
-        ts.insert(iri("PhysicalPerson"), Term::iri(RDFS_SUBCLASS), iri("Person"));
+        ts.insert(
+            iri("PhysicalPerson"),
+            Term::iri(RDFS_SUBCLASS),
+            iri("Person"),
+        );
         ts.insert(iri("gender"), Term::iri(RDFS_DOMAIN), iri("PhysicalPerson"));
         ts.insert(iri("x"), iri("gender"), Term::Literal("F".into()));
         let added = infer(&mut ts);

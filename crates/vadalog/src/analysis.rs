@@ -326,9 +326,7 @@ fn affected_positions(program: &Program) -> FxHashSet<(String, usize)> {
                 if all_affected {
                     for h in &r.head {
                         for (i, t) in h.terms.iter().enumerate() {
-                            if t.as_var() == Some(v)
-                                && affected.insert((h.predicate.clone(), i))
-                            {
+                            if t.as_var() == Some(v) && affected.insert((h.predicate.clone(), i)) {
                                 changed = true;
                             }
                         }
@@ -344,10 +342,7 @@ fn affected_positions(program: &Program) -> FxHashSet<(String, usize)> {
 }
 
 /// Check wardedness given the affected positions.
-fn check_warded(
-    program: &Program,
-    affected: &FxHashSet<(String, usize)>,
-) -> (bool, Vec<String>) {
+fn check_warded(program: &Program, affected: &FxHashSet<(String, usize)>) -> (bool, Vec<String>) {
     let mut violations = Vec::new();
     for (ri, r) in program.rules.iter().enumerate() {
         // Classify body variables.
@@ -473,10 +468,8 @@ mod tests {
 
     #[test]
     fn transitive_closure_is_one_stratum_and_pwl() {
-        let p = parse_program(
-            "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-        )
-        .unwrap();
+        let p =
+            parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
         let a = ProgramAnalysis::analyze(&p).unwrap();
         assert_eq!(a.stratification.count, 1);
         assert!(a.warded);
@@ -485,10 +478,8 @@ mod tests {
 
     #[test]
     fn nonlinear_closure_is_not_pwl() {
-        let p = parse_program(
-            "edge(X,Y) -> path(X,Y). path(X,Y), path(Y,Z) -> path(X,Z).",
-        )
-        .unwrap();
+        let p =
+            parse_program("edge(X,Y) -> path(X,Y). path(X,Y), path(Y,Z) -> path(X,Z).").unwrap();
         let a = ProgramAnalysis::analyze(&p).unwrap();
         assert!(!a.piecewise_linear);
         assert!(a.warded);
@@ -496,10 +487,7 @@ mod tests {
 
     #[test]
     fn negation_raises_stratum() {
-        let p = parse_program(
-            "a(X) -> b(X). a(X), not b(X) -> c(X).",
-        )
-        .unwrap();
+        let p = parse_program("a(X) -> b(X). a(X), not b(X) -> c(X).").unwrap();
         let a = ProgramAnalysis::analyze(&p).unwrap();
         assert!(a.stratification.of("c") > a.stratification.of("b"));
     }
@@ -524,10 +512,9 @@ mod tests {
 
     #[test]
     fn recursive_sum_is_promoted_to_msum() {
-        let p = parse_program(
-            "controls(X,Z), own(Z,Y,W), V = sum(W, <Z>), V > 0.5 -> controls(X,Y).",
-        )
-        .unwrap();
+        let p =
+            parse_program("controls(X,Z), own(Z,Y,W), V = sum(W, <Z>), V > 0.5 -> controls(X,Y).")
+                .unwrap();
         let a = ProgramAnalysis::analyze(&p).unwrap();
         assert_eq!(
             a.agg_modes.get(&0),
@@ -537,19 +524,13 @@ mod tests {
 
     #[test]
     fn recursive_avg_is_rejected() {
-        let p = parse_program(
-            "f(X,Z), g(Z,Y,W), V = avg(W, <Z>) -> f(X,V).",
-        )
-        .unwrap();
+        let p = parse_program("f(X,Z), g(Z,Y,W), V = avg(W, <Z>) -> f(X,V).").unwrap();
         assert!(ProgramAnalysis::analyze(&p).is_err());
     }
 
     #[test]
     fn nonrecursive_aggregate_is_exact_and_stratified() {
-        let p = parse_program(
-            "holds(P, S), N = count(<P>) -> stakeholders(S, N).",
-        )
-        .unwrap();
+        let p = parse_program("holds(P, S), N = count(<P>) -> stakeholders(S, N).").unwrap();
         let a = ProgramAnalysis::analyze(&p).unwrap();
         assert_eq!(a.agg_modes.get(&0), Some(&AggMode::Exact));
         assert!(a.stratification.of("stakeholders") > a.stratification.of("holds"));
@@ -601,10 +582,7 @@ mod tests {
 
     #[test]
     fn two_aggregates_are_rejected() {
-        let p = parse_program(
-            "a(X, Y), U = sum(Y, <X>), V = sum(X, <Y>) -> b(U, V).",
-        )
-        .unwrap();
+        let p = parse_program("a(X, Y), U = sum(Y, <X>), V = sum(X, <Y>) -> b(U, V).").unwrap();
         assert!(ProgramAnalysis::analyze(&p).is_err());
     }
 }

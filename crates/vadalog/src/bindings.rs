@@ -196,11 +196,8 @@ mod tests {
     #[test]
     fn node_binding_loads_oid_and_props() {
         let mut g = PropertyGraph::new();
-        g.add_node(
-            ["Business"],
-            vec![("name".to_string(), Value::str("ACME"))],
-        )
-        .unwrap();
+        g.add_node(["Business"], vec![("name".to_string(), Value::str("ACME"))])
+            .unwrap();
         g.add_node(["Person"], vec![]).unwrap();
         let mut reg = SourceRegistry::new();
         reg.add_graph("kg", Arc::new(g));

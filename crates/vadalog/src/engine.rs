@@ -784,7 +784,7 @@ impl Engine {
                         }
                         // Tail expression (no semicolon): the macro has type `!`
                         // so it can sit in expression position (match arms).
-                        break 'stratum Some(t)
+                        break 'stratum Some(t);
                     }};
                 }
                 macro_rules! governed {
@@ -865,8 +865,17 @@ impl Engine {
                         let rule = &self.program.rules[ri];
                         let result = if first {
                             self.eval_rule(
-                                db, ri, rule, None, &null_gen, &mut nulls, &mut mono, &mut out,
-                                &mut prov_out, &mut stats.profile, &interrupt,
+                                db,
+                                ri,
+                                rule,
+                                None,
+                                &null_gen,
+                                &mut nulls,
+                                &mut mono,
+                                &mut out,
+                                &mut prov_out,
+                                &mut stats.profile,
+                                &interrupt,
                             )
                         } else {
                             // Delta-restricted runs: one per body atom whose
@@ -1029,7 +1038,10 @@ impl Engine {
         }
         telemetry::counter_add("chase.runs", 1);
         telemetry::counter_add("chase.facts_derived", stats.derived_facts as i64);
-        telemetry::counter_add("chase.duplicates_rejected", stats.duplicates_rejected as i64);
+        telemetry::counter_add(
+            "chase.duplicates_rejected",
+            stats.duplicates_rejected as i64,
+        );
         telemetry::counter_add("chase.nulls_created", stats.nulls_created as i64);
         // Event counters (shards, fallbacks) stay out of the registry until
         // their event first happens.
@@ -1078,17 +1090,14 @@ impl Engine {
             Termination::Cancelled => {
                 KgmError::Cancelled("chase cancelled via CancelToken".to_string())
             }
-            Termination::Complete | Termination::IterationCap => KgmError::Internal(
-                "budget_error called for a non-erroring termination".to_string(),
-            ),
+            Termination::Complete | Termination::IterationCap => {
+                KgmError::Internal("budget_error called for a non-erroring termination".to_string())
+            }
         }
     }
 
     /// Convenience: run over the given input facts and return the database.
-    pub fn run_with_facts(
-        &self,
-        inputs: &[(&str, Vec<Vec<Value>>)],
-    ) -> Result<(FactDb, RunStats)> {
+    pub fn run_with_facts(&self, inputs: &[(&str, Vec<Vec<Value>>)]) -> Result<(FactDb, RunStats)> {
         let mut db = FactDb::new();
         for (pred, tuples) in inputs {
             db.add_facts(pred, tuples.clone())?;
@@ -1134,7 +1143,10 @@ impl Engine {
             update.deletes.len()
         );
         let mut state = db.take_chase_state();
-        if state.as_ref().is_some_and(|st| st.engine_token != self.token) {
+        if state
+            .as_ref()
+            .is_some_and(|st| st.engine_token != self.token)
+        {
             db.set_chase_state(*state.take().expect("checked above"));
             return Err(KgmError::Constraint(
                 "apply_update requires the engine that materialized the database: \
@@ -1175,7 +1187,9 @@ impl Engine {
                     inserted_new += 1;
                 }
             }
-            let resume = *state.take().expect("fallback covers the missing-state case");
+            let resume = *state
+                .take()
+                .expect("fallback covers the missing-state case");
             stats = self.run_inner(db, Some(&base), Some(resume))?;
         } else if !fallback {
             // DRed over-deletion: resolve the requested deletions to live
@@ -1183,7 +1197,9 @@ impl Engine {
             // recorded edge is each fact's single support — first
             // derivation wins — so a child dies with any parent), then
             // re-derive; survivors with alternative supports come back.
-            let st = *state.take().expect("fallback covers the missing-state case");
+            let st = *state
+                .take()
+                .expect("fallback covers the missing-state case");
             let mut seeds: Vec<FactId> = Vec::new();
             let mut seed_set: FxHashSet<FactId> = FxHashSet::default();
             for (pred, tuple) in &update.deletes {
@@ -1308,7 +1324,10 @@ impl Engine {
         prov: ProvOut,
     ) -> Result<usize> {
         let record = self.config.provenance;
-        debug_assert!(!record || prov.len() == out.len(), "prov sidecar misaligned");
+        debug_assert!(
+            !record || prov.len() == out.len(),
+            "prov sidecar misaligned"
+        );
         let mut inserted = 0usize;
         for (i, (pred, tuple)) in out.into_iter().enumerate() {
             if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
@@ -1400,8 +1419,8 @@ impl Engine {
                 ..ShardOut::default()
             };
             let r = self.eval_shard(
-                db, ri, rule, &order, &shards[0], all_steps, true, null_gen, nulls, mono,
-                &mut so, interrupt,
+                db, ri, rule, &order, &shards[0], all_steps, true, null_gen, nulls, mono, &mut so,
+                interrupt,
             );
             *out = std::mem::take(&mut so.heads);
             *prov_out = std::mem::take(&mut so.head_prov);
@@ -1422,8 +1441,17 @@ impl Engine {
                     // an emitting worker's rule mints no nulls: both tables
                     // stay empty.
                     self.eval_shard(
-                        db, ri, rule, &order, r, pure_end, emit, null_gen,
-                        &mut NullTable::default(), &mut MonoTable::default(), &mut so,
+                        db,
+                        ri,
+                        rule,
+                        &order,
+                        r,
+                        pure_end,
+                        emit,
+                        null_gen,
+                        &mut NullTable::default(),
+                        &mut MonoTable::default(),
+                        &mut so,
                         interrupt,
                     )?;
                     Ok(so)
@@ -1452,7 +1480,13 @@ impl Engine {
                 let mut parents: Vec<FactId> =
                     trails.next().map(|t| t.into_vec()).unwrap_or_default();
                 let keep = self.run_steps(
-                    db, ri, rule, pure_end..all_steps, &mut binding, &mut Vec::new(), mono,
+                    db,
+                    ri,
+                    rule,
+                    pure_end..all_steps,
+                    &mut binding,
+                    &mut Vec::new(),
+                    mono,
                     &mut parents,
                 )?;
                 if keep {
@@ -1527,14 +1561,27 @@ impl Engine {
                 // sibling matches start clean.
                 let mut assigned: Vec<Var> = Vec::new();
                 let keep = self.run_steps(
-                    db, ri, rule, 0..steps_end, binding, &mut assigned, mono, &mut parents,
+                    db,
+                    ri,
+                    rule,
+                    0..steps_end,
+                    binding,
+                    &mut assigned,
+                    mono,
+                    &mut parents,
                 );
                 let result = match keep {
                     Ok(true) => {
                         so.survived += 1;
                         if emit {
                             self.emit_heads(
-                                ri, rule, binding, null_gen, nulls, &mut so.heads, &parents,
+                                ri,
+                                rule,
+                                binding,
+                                null_gen,
+                                nulls,
+                                &mut so.heads,
+                                &parents,
                                 &mut so.head_prov,
                             )
                         } else {
@@ -1659,7 +1706,15 @@ impl Engine {
                     trail.push(fact_id(rel.pred_id, ci));
                 }
                 self.join(
-                    db, rule, order, pos + 1, delta, binding, trail, interrupt, on_match,
+                    db,
+                    rule,
+                    order,
+                    pos + 1,
+                    delta,
+                    binding,
+                    trail,
+                    interrupt,
+                    on_match,
                 )?;
                 if self.config.provenance {
                     trail.pop();
@@ -1701,17 +1756,15 @@ impl Engine {
         {
             for step in &rule.steps[range] {
                 match step {
-                    RuleStep::Condition(e) => {
-                        match eval(e, binding, &ctx)? {
-                            Value::Bool(true) => {}
-                            Value::Bool(false) => return Ok(false),
-                            other => {
-                                return Err(KgmError::Type(format!(
-                                    "condition evaluated to non-bool {other:?}"
-                                )))
-                            }
+                    RuleStep::Condition(e) => match eval(e, binding, &ctx)? {
+                        Value::Bool(true) => {}
+                        Value::Bool(false) => return Ok(false),
+                        other => {
+                            return Err(KgmError::Type(format!(
+                                "condition evaluated to non-bool {other:?}"
+                            )))
                         }
-                    }
+                    },
                     RuleStep::Assign(v, e) => {
                         let val = eval(e, binding, &ctx)?;
                         binding[v.0 as usize] = Some(val);
@@ -1723,9 +1776,9 @@ impl Engine {
                             .iter()
                             .map(|t| match t {
                                 Term::Const(v) => v.clone(),
-                                Term::Var(v) => binding[v.0 as usize]
-                                    .clone()
-                                    .expect("safety-checked bound"),
+                                Term::Var(v) => {
+                                    binding[v.0 as usize].clone().expect("safety-checked bound")
+                                }
                             })
                             .collect();
                         if db.contains(&a.predicate, &tuple) {
@@ -1858,51 +1911,67 @@ impl Engine {
         let group_vars = meta.group_vars.clone();
         // Natural atom order — so the trail is already in body-atom order.
         let order: Vec<usize> = (0..rule.body.len()).collect();
-        self.join(db, rule, &order, 0, &None, &mut binding, &mut trail, interrupt, &mut |binding, trail| {
-            let mut assigned: Vec<Var> = Vec::new();
-            // Pre-aggregate steps never reach an aggregate, so the
-            // monotonic-aggregate table and edge parents stay untouched.
-            let keep = self.run_steps(
-                db, ri, rule, 0..agg_step, binding, &mut assigned, &mut MonoTable::default(),
-                &mut Vec::new(),
-            )?;
-            if keep {
-                let gk: Vec<Value> = group_vars
-                    .iter()
-                    .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                    .collect();
-                // Contributor key: the ⟨z̄⟩ variables if given, otherwise the
-                // full binding of positive vars (every match contributes).
-                let ck: Vec<Value> = if agg.contributors.is_empty() {
-                    binding.iter().flatten().cloned().collect()
-                } else {
-                    agg.contributors
+        self.join(
+            db,
+            rule,
+            &order,
+            0,
+            &None,
+            &mut binding,
+            &mut trail,
+            interrupt,
+            &mut |binding, trail| {
+                let mut assigned: Vec<Var> = Vec::new();
+                // Pre-aggregate steps never reach an aggregate, so the
+                // monotonic-aggregate table and edge parents stay untouched.
+                let keep = self.run_steps(
+                    db,
+                    ri,
+                    rule,
+                    0..agg_step,
+                    binding,
+                    &mut assigned,
+                    &mut MonoTable::default(),
+                    &mut Vec::new(),
+                )?;
+                if keep {
+                    let gk: Vec<Value> = group_vars
                         .iter()
                         .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                        .collect()
-                };
-                let val = match &agg.arg {
-                    Some(e) => eval(e, binding, &ctx)?,
-                    None => Value::Int(1),
-                };
-                let g = groups.entry(gk).or_insert_with(|| Group {
-                    contributors: FxHashMap::default(),
-                    order: Vec::new(),
-                    parents: Vec::new(),
-                });
-                if !g.contributors.contains_key(&ck) {
-                    g.contributors.insert(ck.clone(), val);
-                    g.order.push(ck);
-                    if prov {
-                        g.parents.extend_from_slice(trail);
+                        .collect();
+                    // Contributor key: the ⟨z̄⟩ variables if given, otherwise the
+                    // full binding of positive vars (every match contributes).
+                    let ck: Vec<Value> = if agg.contributors.is_empty() {
+                        binding.iter().flatten().cloned().collect()
+                    } else {
+                        agg.contributors
+                            .iter()
+                            .map(|v| binding[v.0 as usize].clone().expect("bound"))
+                            .collect()
+                    };
+                    let val = match &agg.arg {
+                        Some(e) => eval(e, binding, &ctx)?,
+                        None => Value::Int(1),
+                    };
+                    let g = groups.entry(gk).or_insert_with(|| Group {
+                        contributors: FxHashMap::default(),
+                        order: Vec::new(),
+                        parents: Vec::new(),
+                    });
+                    if !g.contributors.contains_key(&ck) {
+                        g.contributors.insert(ck.clone(), val);
+                        g.order.push(ck);
+                        if prov {
+                            g.parents.extend_from_slice(trail);
+                        }
                     }
                 }
-            }
-            for v in assigned {
-                binding[v.0 as usize] = None;
-            }
-            Ok(())
-        })?;
+                for v in assigned {
+                    binding[v.0 as usize] = None;
+                }
+                Ok(())
+            },
+        )?;
 
         // Pass 2: fold each group and run post-aggregate steps + heads.
         let mut out = Vec::new();
@@ -1915,11 +1984,7 @@ impl Engine {
                 n += 1;
             }
             if func == AggregateFunc::Avg && n > 0 {
-                acc = crate::eval::bin(
-                    crate::ast::BinOp::Div,
-                    &acc,
-                    &Value::Int(n as i64),
-                )?;
+                acc = crate::eval::bin(crate::ast::BinOp::Div, &acc, &Value::Int(n as i64))?;
             }
             let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
             for (v, val) in group_vars.iter().zip(gk.iter()) {
@@ -1927,12 +1992,24 @@ impl Engine {
             }
             binding[agg.target.0 as usize] = Some(acc);
             let keep = self.run_steps(
-                db, ri, rule, agg_step + 1..rule.steps.len(), &mut binding, &mut Vec::new(),
-                &mut MonoTable::default(), &mut Vec::new(),
+                db,
+                ri,
+                rule,
+                agg_step + 1..rule.steps.len(),
+                &mut binding,
+                &mut Vec::new(),
+                &mut MonoTable::default(),
+                &mut Vec::new(),
             )?;
             if keep {
                 self.emit_heads(
-                    ri, rule, &binding, null_gen, nulls, &mut out, &group.parents,
+                    ri,
+                    rule,
+                    &binding,
+                    null_gen,
+                    nulls,
+                    &mut out,
+                    &group.parents,
                     &mut prov_out,
                 )?;
             }
@@ -2107,10 +2184,7 @@ mod tests {
 
     #[test]
     fn assignments_compute() {
-        let db = run(
-            "n(X), Y = X * X + 1 -> sq(X, Y).",
-            &[("n", ints(&[&[3]]))],
-        );
+        let db = run("n(X), Y = X * X + 1 -> sq(X, Y).", &[("n", ints(&[&[3]]))]);
         assert_eq!(db.facts("sq"), vec![vec![Value::Int(3), Value::Int(10)]]);
     }
 
@@ -2168,9 +2242,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (db, stats) = engine
-            .run_with_facts(&[("person", ints(&[&[1]]))])
-            .unwrap();
+        let (db, stats) = engine.run_with_facts(&[("person", ints(&[&[1]]))]).unwrap();
         assert_eq!(stats.termination, Termination::FactCap);
         assert!(db.total_facts() > 1000, "the crossing batch is kept");
     }
@@ -2179,10 +2251,7 @@ mod tests {
     fn exact_count_aggregate() {
         let db = run(
             "holds(P, S), N = count(<P>) -> stakeholders(S, N).",
-            &[(
-                "holds",
-                ints(&[&[1, 10], &[2, 10], &[3, 10], &[1, 20]]),
-            )],
+            &[("holds", ints(&[&[1, 10], &[2, 10], &[3, 10], &[1, 20]]))],
         );
         let mut facts = db.facts("stakeholders");
         facts.sort_by(|a, b| a[0].total_cmp(&b[0]));
@@ -2199,10 +2268,9 @@ mod tests {
     fn exact_sum_with_duplicate_contributors_counts_once() {
         // Two `holds` rows with the same contributor key P share one
         // contribution (first wins), like the paper's sum over ⟨z⟩.
-        let engine = Engine::new(
-            parse_program("holds(P, S, W), V = sum(W, <P>) -> total(S, V).").unwrap(),
-        )
-        .unwrap();
+        let engine =
+            Engine::new(parse_program("holds(P, S, W), V = sum(W, <P>) -> total(S, V).").unwrap())
+                .unwrap();
         let (db, _) = engine
             .run_with_facts(&[(
                 "holds",
@@ -2452,7 +2520,11 @@ mod tests {
         // control edge needs two msum contributions.
         for i in 0..n - 5 {
             own.push(vec![Value::Int(i), Value::Int(i + 5), Value::Float(0.3)]);
-            own.push(vec![Value::Int(i + 2), Value::Int(i + 5), Value::Float(0.3)]);
+            own.push(vec![
+                Value::Int(i + 2),
+                Value::Int(i + 5),
+                Value::Float(0.3),
+            ]);
         }
         vec![("company", companies), ("own", own)]
     }
@@ -2536,9 +2608,22 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn shard_invariant_counters(
         s: &RunStats,
-    ) -> (usize, usize, usize, usize, usize, Termination, Vec<[usize; 4]>) {
+    ) -> (
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        Termination,
+        Vec<[usize; 4]>,
+    ) {
         let rules = s.profile.rules.iter().map(|r| {
-            [r.evaluations, r.delta_evaluations, r.bindings_enumerated, r.facts_emitted]
+            [
+                r.evaluations,
+                r.delta_evaluations,
+                r.bindings_enumerated,
+                r.facts_emitted,
+            ]
         });
         (
             s.strata,
@@ -2561,7 +2646,11 @@ mod tests {
         let (db1, s1) = run_with_threads(src, inputs, 1);
         let (db4, s4) = run_with_threads(src, inputs, 4);
         assert_eq!(db_fingerprint(&db1), db_fingerprint(&db4), "{src}");
-        assert_eq!(shard_invariant_counters(&s1), shard_invariant_counters(&s4), "{src}");
+        assert_eq!(
+            shard_invariant_counters(&s1),
+            shard_invariant_counters(&s4),
+            "{src}"
+        );
         (db1, s1)
     }
 
@@ -2573,7 +2662,10 @@ mod tests {
         assert_eq!(db.facts("p"), ints(&[&[1, 2]]));
         assert_eq!(db.facts("q"), ints(&[&[20]]));
         let rp = &stats.profile.rules[0];
-        assert_eq!((rp.evaluations, rp.bindings_enumerated, rp.facts_emitted), (1, 1, 1));
+        assert_eq!(
+            (rp.evaluations, rp.bindings_enumerated, rp.facts_emitted),
+            (1, 1, 1)
+        );
     }
 
     #[test]
@@ -2634,7 +2726,10 @@ mod tests {
         let src = "v(G, X), not banned(X), Y = X + 1, S = sum(Y, <X>), S > 10, \
                    T = S * 2 -> total(G, S).";
         let inputs = vec![
-            ("v", ints(&[&[1, 5], &[1, 7], &[1, 9], &[2, 3], &[2, 4], &[3, 20]])),
+            (
+                "v",
+                ints(&[&[1, 5], &[1, 7], &[1, 9], &[2, 3], &[2, 4], &[3, 20]]),
+            ),
             ("banned", ints(&[&[9]])),
         ];
         let (db, _) = run_one_and_many_shards(src, &inputs);
@@ -2647,7 +2742,10 @@ mod tests {
     fn non_bool_condition_is_the_same_type_error_at_any_shard_count() {
         for (src, want) in [
             ("p(X), X + 1 -> q(X).", "condition evaluated to non-bool 2"),
-            ("p(X), S = sum(X, <X>), S + 1 -> t(S).", "condition evaluated to non-bool 4"),
+            (
+                "p(X), S = sum(X, <X>), S + 1 -> t(S).",
+                "condition evaluated to non-bool 4",
+            ),
         ] {
             for threads in [1, 4] {
                 let engine = Engine::with_config(
@@ -2732,7 +2830,11 @@ mod tests {
         );
         for threads in [2, 4, 8] {
             let (db, stats) = run_prov_with_threads(PARALLEL_MIX_SRC, &inputs, threads);
-            assert_eq!(db_fingerprint(&base_db), db_fingerprint(&db), "threads={threads}");
+            assert_eq!(
+                db_fingerprint(&base_db),
+                db_fingerprint(&db),
+                "threads={threads}"
+            );
             assert_eq!(base_prov, prov_fingerprint(&db), "threads={threads}");
             assert_eq!(stats.profile.prov_edges, prov_stats.profile.prov_edges);
             assert_eq!(stats.profile.prov_parents, prov_stats.profile.prov_parents);
@@ -2783,8 +2885,7 @@ mod tests {
 
     // ---- incremental updates (apply_update) ----
 
-    const TC_SRC: &str =
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).";
+    const TC_SRC: &str = "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).";
 
     const CONTROL_SRC: &str = r#"
         company(X) -> controls(X, X).
@@ -3031,8 +3132,7 @@ mod tests {
     fn negation_forces_fallback_and_stays_correct() {
         // Inserting a(2) must *retract* only_c(2): non-monotone in the
         // insert direction, so the incremental path refuses and rebuilds.
-        let engine =
-            update_engine("a(X) -> b(X). c(X), not b(X) -> only_c(X).", true);
+        let engine = update_engine("a(X) -> b(X). c(X), not b(X) -> only_c(X).", true);
         let (mut db, _) = engine
             .run_with_facts(&[("a", ints(&[&[1]])), ("c", ints(&[&[1], &[2]]))])
             .unwrap();

@@ -33,7 +33,9 @@ fn finite(x: f64, op: &str) -> Result<f64> {
     if x.is_finite() {
         Ok(x)
     } else {
-        Err(KgmError::Type(format!("`{op}` produced a non-finite value")))
+        Err(KgmError::Type(format!(
+            "`{op}` produced a non-finite value"
+        )))
     }
 }
 
@@ -139,9 +141,7 @@ pub fn bin(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
             }
         }
         BinOp::Mod => match (a.as_i64(), b.as_i64()) {
-            (Some(x), Some(y)) if y != 0 => {
-                checked_int(x.checked_rem_euclid(y), "%")
-            }
+            (Some(x), Some(y)) if y != 0 => checked_int(x.checked_rem_euclid(y), "%"),
             (Some(_), Some(_)) => Err(KgmError::Type("modulo by zero".to_string())),
             _ => Err(KgmError::Type(format!(
                 "`%` expects integers, got {a:?} and {b:?}"
@@ -174,7 +174,9 @@ fn call(name: &str, args: &[Value]) -> Result<Value> {
         ("abs", [v]) => match v {
             Value::Int(i) => checked_int(i.checked_abs(), "abs"),
             Value::Float(f) => Ok(Value::Float(f.abs())),
-            other => Err(KgmError::Type(format!("abs expects a number, got {other:?}"))),
+            other => Err(KgmError::Type(format!(
+                "abs expects a number, got {other:?}"
+            ))),
         },
         ("min2", [a, b]) => Ok(if a.total_cmp(b) == Ordering::Greater {
             b.clone()
@@ -216,7 +218,10 @@ mod tests {
 
     #[test]
     fn arithmetic_preserves_int_when_possible() {
-        assert_eq!(bin(BinOp::Add, &Value::Int(2), &Value::Int(3)).unwrap(), Value::Int(5));
+        assert_eq!(
+            bin(BinOp::Add, &Value::Int(2), &Value::Int(3)).unwrap(),
+            Value::Int(5)
+        );
         assert_eq!(
             bin(BinOp::Add, &Value::Int(2), &Value::Float(0.5)).unwrap(),
             Value::Float(2.5)
@@ -272,14 +277,17 @@ mod tests {
     #[test]
     fn abs_and_mod_overflow_are_errors() {
         assert!(call("abs", &[Value::Int(i64::MIN)]).is_err());
-        assert_eq!(call("abs", &[Value::Int(i64::MIN + 1)]).unwrap(), Value::Int(i64::MAX));
+        assert_eq!(
+            call("abs", &[Value::Int(i64::MIN + 1)]).unwrap(),
+            Value::Int(i64::MAX)
+        );
         assert!(bin(BinOp::Mod, &Value::Int(i64::MIN), &Value::Int(-1)).is_err());
     }
 
     #[test]
     fn exact_int_division_keeps_full_precision() {
         const BIG: i64 = (1i64 << 53) + 1; // not representable in f64
-        // (2^53 + 1) / 1 used to come back as 2^53.0, off by one.
+                                           // (2^53 + 1) / 1 used to come back as 2^53.0, off by one.
         assert_eq!(
             bin(BinOp::Div, &Value::Int(BIG), &Value::Int(1)).unwrap(),
             Value::Int(BIG)
@@ -357,7 +365,11 @@ mod tests {
     #[test]
     fn builtin_functions() {
         assert_eq!(
-            ev(&Expr::Call("abs".into(), vec![Expr::Const(Value::Int(-4))]), &[]).unwrap(),
+            ev(
+                &Expr::Call("abs".into(), vec![Expr::Const(Value::Int(-4))]),
+                &[]
+            )
+            .unwrap(),
             Value::Int(4)
         );
         assert_eq!(

@@ -46,12 +46,21 @@ pub struct DerivationTree {
 impl DerivationTree {
     /// Number of nodes in the tree (shared stubs count once).
     pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(DerivationTree::node_count).sum::<usize>()
+        1 + self
+            .children
+            .iter()
+            .map(DerivationTree::node_count)
+            .sum::<usize>()
     }
 
     /// Depth of the tree (a single leaf has depth 1).
     pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(DerivationTree::depth).max().unwrap_or(0)
+        1 + self
+            .children
+            .iter()
+            .map(DerivationTree::depth)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -69,7 +78,9 @@ pub fn explain(db: &FactDb, predicate: &str, tuple: &[Value]) -> Option<Derivati
 }
 
 fn build(db: &FactDb, id: FactId, seen: &mut FxHashSet<FactId>) -> DerivationTree {
-    let (pred, tuple) = db.fact_values(id).expect("provenance edges point at stored facts");
+    let (pred, tuple) = db
+        .fact_values(id)
+        .expect("provenance edges point at stored facts");
     let predicate = pred.to_string();
     match db.prov_edge(id) {
         None => DerivationTree {
@@ -127,16 +138,15 @@ fn node_label(tree: &DerivationTree, program: &Program) -> String {
     }
 }
 
-fn render_into(
-    tree: &DerivationTree,
-    program: &Program,
-    prefix: &str,
-    out: &mut String,
-) {
+fn render_into(tree: &DerivationTree, program: &Program, prefix: &str, out: &mut String) {
     let n = tree.children.len();
     for (i, child) in tree.children.iter().enumerate() {
         let last = i + 1 == n;
-        let (branch, cont) = if last { ("└─ ", "   ") } else { ("├─ ", "│  ") };
+        let (branch, cont) = if last {
+            ("└─ ", "   ")
+        } else {
+            ("├─ ", "│  ")
+        };
         let _ = writeln!(out, "{prefix}{branch}{}", node_label(child, program));
         render_into(child, program, &format!("{prefix}{cont}"), out);
     }
@@ -253,6 +263,9 @@ mod tests {
         assert!(!expanded[0].children.is_empty());
         assert!(stubs[0].children.is_empty());
         let text = render(&t, engine.program());
-        assert!(text.contains("[shared: derived above via rule 0]"), "{text}");
+        assert!(
+            text.contains("[shared: derived above via rule 0]"),
+            "{text}"
+        );
     }
 }

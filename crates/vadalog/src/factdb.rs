@@ -268,7 +268,8 @@ impl Index {
     /// The rows of key id `k`, ascending.
     #[inline]
     fn segment(&self, k: u32) -> &[u32] {
-        self.postings.segment(self.start[k as usize], self.len[k as usize])
+        self.postings
+            .segment(self.start[k as usize], self.len[k as usize])
     }
 
     /// The key id under `hash` whose first row `same_key` accepts.
@@ -301,7 +302,8 @@ impl Index {
 
     /// Append `row` to key `k`'s segment.
     fn push(&mut self, k: usize, row: u32) {
-        self.postings.push(&mut self.start[k], &mut self.len[k], row);
+        self.postings
+            .push(&mut self.start[k], &mut self.len[k], row);
     }
 
     /// Heap bytes, from the capacities of the slot table and the three
@@ -599,7 +601,8 @@ impl FactDb {
             guard_pred_capacity(self.pred_names.len())?;
             let pid = self.pred_names.len() as u32;
             self.pred_names.push(predicate.to_string());
-            self.rels.insert(predicate.to_string(), Relation::new(tuple.len(), pid));
+            self.rels
+                .insert(predicate.to_string(), Relation::new(tuple.len(), pid));
         }
         let rel = self.rels.get_mut(predicate).expect("created above");
         if rel.arity != tuple.len() {
@@ -967,9 +970,16 @@ mod tests {
     use kgm_runtime::{prop_assert_eq, Rng};
     use std::cell::Cell;
 
-    fn ids(db: &FactDb, pred: &str, positions: &[usize], key: &[u64], range: Range<usize>) -> Vec<u32> {
+    fn ids(
+        db: &FactDb,
+        pred: &str,
+        positions: &[usize],
+        key: &[u64],
+        range: Range<usize>,
+    ) -> Vec<u32> {
         let rel = db.rel(pred).unwrap();
-        rel.lookup(positions, key, &range, db.pool().classes()).collect()
+        rel.lookup(positions, key, &range, db.pool().classes())
+            .collect()
     }
 
     #[test]
@@ -978,7 +988,9 @@ mod tests {
         assert!(db.insert("p", vec![Value::Int(1), Value::Int(2)]).unwrap());
         // Float(1.0) == Int(1): the columnar store must reject it like the
         // old row-oriented FxHashSet<Vec<Value>> did.
-        assert!(!db.insert("p", vec![Value::Float(1.0), Value::Int(2)]).unwrap());
+        assert!(!db
+            .insert("p", vec![Value::Float(1.0), Value::Int(2)])
+            .unwrap());
         assert!(db.contains("p", &[Value::Float(1.0), Value::Float(2.0)]));
         assert_eq!(db.len("p"), 1);
         assert_eq!(db.facts("p"), vec![vec![Value::Int(1), Value::Int(2)]]);
@@ -988,10 +1000,14 @@ mod tests {
     fn dedup_table_survives_growth() {
         let mut db = FactDb::new();
         for i in 0..10_000i64 {
-            assert!(db.insert("p", vec![Value::Int(i), Value::Int(i % 7)]).unwrap());
+            assert!(db
+                .insert("p", vec![Value::Int(i), Value::Int(i % 7)])
+                .unwrap());
         }
         for i in 0..10_000i64 {
-            assert!(!db.insert("p", vec![Value::Int(i), Value::Int(i % 7)]).unwrap());
+            assert!(!db
+                .insert("p", vec![Value::Int(i), Value::Int(i % 7)])
+                .unwrap());
             assert!(db.contains("p", &[Value::Int(i), Value::Int(i % 7)]));
         }
         assert!(!db.contains("p", &[Value::Int(3), Value::Int(4)]));
@@ -1023,7 +1039,8 @@ mod tests {
     fn lookup_range_restricts_delta_evaluation() {
         let mut db = FactDb::new();
         for i in 0..6i64 {
-            db.insert("r", vec![Value::Int(i % 2), Value::Int(i)]).unwrap();
+            db.insert("r", vec![Value::Int(i % 2), Value::Int(i)])
+                .unwrap();
         }
         db.ensure_index("r", &[0]);
         let zero = db.pool().lookup(&Value::Int(0)).unwrap();
@@ -1061,7 +1078,10 @@ mod tests {
         let mut db = FactDb::new();
         db.insert("a", vec![Value::Float(3.0)]).unwrap();
         db.insert("b", vec![Value::Int(3)]).unwrap();
-        assert_eq!(db.facts("a")[0][0].value_type(), kgm_common::ValueType::Float);
+        assert_eq!(
+            db.facts("a")[0][0].value_type(),
+            kgm_common::ValueType::Float
+        );
         assert_eq!(db.facts("b")[0][0].value_type(), kgm_common::ValueType::Int);
         // Joins and dedup still see them as equal.
         assert!(db.contains("a", &[Value::Int(3)]));
@@ -1071,7 +1091,8 @@ mod tests {
     #[test]
     fn index_lookups_match_across_numeric_representations() {
         let mut db = FactDb::new();
-        db.insert("r", vec![Value::Float(1.0), Value::Int(10)]).unwrap();
+        db.insert("r", vec![Value::Float(1.0), Value::Int(10)])
+            .unwrap();
         db.insert("r", vec![Value::Int(1), Value::Int(20)]).unwrap();
         db.insert("r", vec![Value::Int(2), Value::Int(30)]).unwrap();
         db.ensure_index("r", &[0]);
@@ -1108,13 +1129,19 @@ mod tests {
     fn fact_ids_round_trip_and_dups_return_none() {
         let mut db = FactDb::new();
         let a = db.insert_id("p", &[Value::Int(1)]).unwrap().unwrap();
-        let b = db.insert_id("q", &[Value::Int(1), Value::Int(2)]).unwrap().unwrap();
+        let b = db
+            .insert_id("q", &[Value::Int(1), Value::Int(2)])
+            .unwrap()
+            .unwrap();
         let c = db.insert_id("p", &[Value::Int(2)]).unwrap().unwrap();
         assert_eq!(db.insert_id("p", &[Value::Int(1)]).unwrap(), None);
         // Equal-class duplicate is still a duplicate.
         assert_eq!(db.insert_id("p", &[Value::Float(1.0)]).unwrap(), None);
         assert_eq!(db.fact_values(a), Some(("p", vec![Value::Int(1)])));
-        assert_eq!(db.fact_values(b), Some(("q", vec![Value::Int(1), Value::Int(2)])));
+        assert_eq!(
+            db.fact_values(b),
+            Some(("q", vec![Value::Int(1), Value::Int(2)]))
+        );
         assert_eq!(db.fact_values(c), Some(("p", vec![Value::Int(2)])));
         assert_eq!(db.find_id("p", &[Value::Int(1)]), Some(a));
         assert_eq!(db.find_id("p", &[Value::Float(2.0)]), Some(c));
@@ -1136,9 +1163,17 @@ mod tests {
         db.enable_provenance();
         let d = db.insert_id("d", &[Value::Int(3)]).unwrap().unwrap();
         db.record_prov(d, 2, &[e1, e2, e1]);
-        assert_eq!(db.prov_edge(d), Some((2, &[e1, e2][..])), "parents dedup in order");
+        assert_eq!(
+            db.prov_edge(d),
+            Some((2, &[e1, e2][..])),
+            "parents dedup in order"
+        );
         db.record_prov(d, 5, &[e2]);
-        assert_eq!(db.prov_edge(d), Some((2, &[e1, e2][..])), "first derivation wins");
+        assert_eq!(
+            db.prov_edge(d),
+            Some((2, &[e1, e2][..])),
+            "first derivation wins"
+        );
         assert_eq!(db.prov_edge(e1), None, "EDB facts stay edge-less");
         assert_eq!((db.prov_edges(), db.prov_parent_refs()), (1, 2));
     }
@@ -1272,8 +1307,11 @@ mod tests {
         let mut db = FactDb::new();
         let empty = db.approx_bytes();
         for i in 0..10_000i64 {
-            db.insert("p", vec![Value::Int(i), Value::Int(i + 1), Value::Int(i + 2)])
-                .unwrap();
+            db.insert(
+                "p",
+                vec![Value::Int(i), Value::Int(i + 1), Value::Int(i + 2)],
+            )
+            .unwrap();
         }
         let grown = db.approx_bytes();
         // 10k rows × 3 columns × 8 bytes = 240kB of columns alone; the old
@@ -1328,7 +1366,11 @@ mod tests {
             let spaces = [OidSpace::Ground, OidSpace::Null, OidSpace::Skolem];
             let space = spaces[rng.gen_range(0usize..3)];
             let top = (1u64 << 62) - 1;
-            let payload = if rng.gen_bool(0.2) { top - n as u64 % 2 } else { n as u64 };
+            let payload = if rng.gen_bool(0.2) {
+                top - n as u64 % 2
+            } else {
+                n as u64
+            };
             Val::Oid(space, payload)
         };
         let positions = |rng: &mut Rng| (0..arity).filter(|_| rng.gen_bool(0.5)).collect();

@@ -291,7 +291,10 @@ impl GenState<'_> {
                 cols.push(t);
             }
         }
-        self.register(PredSig { name: name.clone(), cols });
+        self.register(PredSig {
+            name: name.clone(),
+            cols,
+        });
         format!("{name}({})", args.join(", "))
     }
 
@@ -374,7 +377,10 @@ impl GenState<'_> {
             head_args.push(vars.fresh()); // head-only variable → existential
             cols.push(Ty::Anon);
         }
-        self.register(PredSig { name: name.clone(), cols });
+        self.register(PredSig {
+            name: name.clone(),
+            cols,
+        });
         vec![format!(
             "{}({}) -> {name}({}).",
             sig.name,
@@ -406,8 +412,15 @@ impl GenState<'_> {
             head_args.push(args[i].clone());
             cols.push(sig.cols[i]);
         }
-        self.register(PredSig { name: name.clone(), cols });
-        vec![format!("{} -> {name}({}).", parts.join(", "), head_args.join(", "))]
+        self.register(PredSig {
+            name: name.clone(),
+            cols,
+        });
+        vec![format!(
+            "{} -> {name}({}).",
+            parts.join(", "),
+            head_args.join(", ")
+        )]
     }
 
     fn shape_negation(&mut self, edb: &[PredSig]) -> Vec<String> {
@@ -453,7 +466,9 @@ impl GenState<'_> {
                 if self.rng.gen_bool(0.5) {
                     Vec::new()
                 } else {
-                    vars.pick_any(self.rng).map(|(v, _)| vec![v]).unwrap_or_default()
+                    vars.pick_any(self.rng)
+                        .map(|(v, _)| vec![v])
+                        .unwrap_or_default()
                 }
             }
             Some(a) => {
@@ -497,8 +512,15 @@ impl GenState<'_> {
         head_args.push(target);
         let mut cols: Vec<Ty> = group.iter().map(|(_, t)| *t).collect();
         cols.push(target_ty);
-        self.register(PredSig { name: name.clone(), cols });
-        vec![format!("{} -> {name}({}).", parts.join(", "), head_args.join(", "))]
+        self.register(PredSig {
+            name: name.clone(),
+            cols,
+        });
+        vec![format!(
+            "{} -> {name}({}).",
+            parts.join(", "),
+            head_args.join(", ")
+        )]
     }
 
     fn shape_tc(&mut self) -> Vec<String> {
@@ -516,7 +538,13 @@ impl GenState<'_> {
         // Seed rule: project the first two columns.
         let mut vars = Vars::new();
         let args: Vec<String> = e.cols.iter().map(|&ty| vars.fresh_bound(ty)).collect();
-        let seed = format!("{}({}) -> {t}({}, {}).", e.name, args.join(", "), args[0], args[1]);
+        let seed = format!(
+            "{}({}) -> {t}({}, {}).",
+            e.name,
+            args.join(", "),
+            args[0],
+            args[1]
+        );
         // Recursive rule: t(X, Y), e(Y, Z, ...) -> t(X, Z). No value
         // invention in the cycle, so the closure is finite.
         let mut vars = Vars::new();
@@ -553,7 +581,13 @@ impl GenState<'_> {
         let t = self.fresh_pred("t");
         let mut vars = Vars::new();
         let args: Vec<String> = e.cols.iter().map(|&ty| vars.fresh_bound(ty)).collect();
-        let seed = format!("{}({}) -> {t}({}, {}).", e.name, args.join(", "), args[0], args[1]);
+        let seed = format!(
+            "{}({}) -> {t}({}, {}).",
+            e.name,
+            args.join(", "),
+            args[0],
+            args[1]
+        );
         // Recursive monotonic-aggregate rule, constrained so the emitted
         // fact set is independent of contribution order: the aggregate is
         // non-decreasing with non-negative contributions, gated by a
@@ -620,14 +654,25 @@ impl GenState<'_> {
         if sk_args.is_empty() {
             return self.shape_join();
         }
-        parts.push(format!("{k} = skolem({}, {})", str_lit(&functor), sk_args.join(", ")));
+        parts.push(format!(
+            "{k} = skolem({}, {})",
+            str_lit(&functor),
+            sk_args.join(", ")
+        ));
         let name = self.fresh_pred("s");
         let mut head_args = sk_args.clone();
         head_args.push(k);
         let mut cols = vec![Ty::Int; sk_args.len()]; // advisory only
         cols.push(Ty::Anon);
-        self.register(PredSig { name: name.clone(), cols });
-        vec![format!("{} -> {name}({}).", parts.join(", "), head_args.join(", "))]
+        self.register(PredSig {
+            name: name.clone(),
+            cols,
+        });
+        vec![format!(
+            "{} -> {name}({}).",
+            parts.join(", "),
+            head_args.join(", ")
+        )]
     }
 }
 
@@ -656,11 +701,7 @@ fn gen_candidate(rng: &mut Rng, cfg: &GenConfig) -> GenCase {
         };
         let n_facts = rng.gen_range(1..cfg.max_facts as i64 + 1) as usize;
         for _ in 0..n_facts {
-            let vals: Vec<String> = sig
-                .cols
-                .iter()
-                .map(|&t| const_lit(rng, t, cfg))
-                .collect();
+            let vals: Vec<String> = sig.cols.iter().map(|&t| const_lit(rng, t, cfg)).collect();
             fact_lines.push(format!("{}({}).", sig.name, vals.join(", ")));
         }
         edb.push(sig);
@@ -938,7 +979,9 @@ mod tests {
             let mut rng = Rng::seed_from_u64(seed);
             all.push_str(&gen_case(&mut rng, &cfg).source());
         }
-        for needle in ["not ", "skolem(", "msum(", "mcount(", " = sum(", "count(", "mod"] {
+        for needle in [
+            "not ", "skolem(", "msum(", "mcount(", " = sum(", "count(", "mod",
+        ] {
             assert!(all.contains(needle), "corpus never generated `{needle}`");
         }
     }

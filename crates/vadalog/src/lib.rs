@@ -58,22 +58,19 @@ pub mod printer;
 pub mod serving;
 
 pub use analysis::{ProgramAnalysis, Stratification};
-pub use ast::{
-    Aggregate, AggregateFunc, Atom, Expr, Program, Rule, RuleStep, Term, Var,
-};
+pub use ast::{Aggregate, AggregateFunc, Atom, Expr, Program, Rule, RuleStep, Term, Var};
 pub use bindings::{InputBinding, InputSource, OutputBinding, SourceRegistry};
 pub use engine::{
-    ChaseProfile, Engine, EngineConfig, FactDb, RuleProfile, RunStats, StratumProfile,
-    Termination, Update,
+    ChaseProfile, Engine, EngineConfig, FactDb, RuleProfile, RunStats, StratumProfile, Termination,
+    Update,
 };
 pub use explain::{explain, render, DerivationTree};
 pub use factdb::{FactId, ProvStore};
 pub use genprog::{GenCase, GenConfig, UpdateBatch};
 pub use oracle::{
     canonical_diff, canonical_diff_oracle, canonical_fact_lines, canonical_facts,
-    canonical_facts_rows,
-    isomorphic, naive_chase, naive_chase_prov, naive_chase_updated, OracleConfig,
-    RowDb,
+    canonical_facts_rows, isomorphic, naive_chase, naive_chase_prov, naive_chase_updated,
+    OracleConfig, RowDb,
 };
 pub use parser::parse_program;
 pub use printer::{rule_to_source, to_source};

@@ -255,11 +255,7 @@ pub fn naive_chase_updated(
     inserts: &[(String, Vec<Value>)],
     config: &OracleConfig,
 ) -> Result<RowDb> {
-    fn push_to(
-        grouped: &mut Vec<(String, Vec<Vec<Value>>)>,
-        pred: &str,
-        tuple: Vec<Value>,
-    ) {
+    fn push_to(grouped: &mut Vec<(String, Vec<Vec<Value>>)>, pred: &str, tuple: Vec<Value>) {
         if let Some((_, rows)) = grouped.iter_mut().find(|(p, _)| p == pred) {
             rows.push(tuple);
         } else {
@@ -332,8 +328,7 @@ fn naive_chase_impl(
                 .unwrap_or(0);
             let mut group_vars: Vec<Var> = Vec::new();
             if let Some(agg) = rule.aggregate() {
-                let bound: std::collections::HashSet<Var> =
-                    rule.bound_vars().into_iter().collect();
+                let bound: std::collections::HashSet<Var> = rule.bound_vars().into_iter().collect();
                 group_vars = rule.head[0]
                     .vars()
                     .filter(|v| *v != agg.target && bound.contains(v))
@@ -403,12 +398,30 @@ fn naive_chase_impl(
                     on: prov,
                     items: Vec::new(),
                 };
-                enumerate(&db, rule, 0, &mut binding, &mut trail, &mut |binding, parents| {
-                    fire(
-                        &db, ri, rule, &meta[ri], binding, parents, &skolems, &null_gen,
-                        &mut nulls, &mut mono, &mut out, prov, &mut prov_out,
-                    )
-                })?;
+                enumerate(
+                    &db,
+                    rule,
+                    0,
+                    &mut binding,
+                    &mut trail,
+                    &mut |binding, parents| {
+                        fire(
+                            &db,
+                            ri,
+                            rule,
+                            &meta[ri],
+                            binding,
+                            parents,
+                            &skolems,
+                            &null_gen,
+                            &mut nulls,
+                            &mut mono,
+                            &mut out,
+                            prov,
+                            &mut prov_out,
+                        )
+                    },
+                )?;
             }
             let mut inserted = 0usize;
             for (i, (pred, tuple)) in out.into_iter().enumerate() {
@@ -608,7 +621,17 @@ fn fire(
                         ));
                     }
                 };
-                match contribute(agg, func, ri, meta, binding, mono, &ctx, prov, &mut edge_parents) {
+                match contribute(
+                    agg,
+                    func,
+                    ri,
+                    meta,
+                    binding,
+                    mono,
+                    &ctx,
+                    prov,
+                    &mut edge_parents,
+                ) {
                     Ok(Some(updated)) => {
                         binding[agg.target.0 as usize] = Some(updated);
                         assigned.push(agg.target);
@@ -626,7 +649,18 @@ fn fire(
         }
     }
     if emit {
-        emit_heads(ri, rule, meta, binding, null_gen, nulls, out, prov, &edge_parents, prov_out);
+        emit_heads(
+            ri,
+            rule,
+            meta,
+            binding,
+            null_gen,
+            nulls,
+            out,
+            prov,
+            &edge_parents,
+            prov_out,
+        );
     }
     undo(binding, &assigned);
     Ok(())
@@ -774,101 +808,108 @@ fn eval_exact_rule(
         items: Vec::new(),
     };
     let pre_steps = &rule.steps[..agg_step];
-    enumerate(db, rule, 0, &mut binding, &mut trail, &mut |binding, parents| {
-        let mut assigned: Vec<Var> = Vec::new();
-        let mut keep = true;
-        for step in pre_steps {
-            match step {
-                RuleStep::Condition(e) => match eval(e, binding, &ctx) {
-                    Ok(Value::Bool(true)) => {}
-                    Ok(Value::Bool(false)) => {
-                        keep = false;
-                        break;
+    enumerate(
+        db,
+        rule,
+        0,
+        &mut binding,
+        &mut trail,
+        &mut |binding, parents| {
+            let mut assigned: Vec<Var> = Vec::new();
+            let mut keep = true;
+            for step in pre_steps {
+                match step {
+                    RuleStep::Condition(e) => match eval(e, binding, &ctx) {
+                        Ok(Value::Bool(true)) => {}
+                        Ok(Value::Bool(false)) => {
+                            keep = false;
+                            break;
+                        }
+                        Ok(other) => {
+                            undo(binding, &assigned);
+                            return Err(KgmError::Type(format!(
+                                "condition evaluated to non-bool {other:?}"
+                            )));
+                        }
+                        Err(e) => {
+                            undo(binding, &assigned);
+                            return Err(e);
+                        }
+                    },
+                    RuleStep::Assign(v, e) => match eval(e, binding, &ctx) {
+                        Ok(val) => {
+                            binding[v.0 as usize] = Some(val);
+                            assigned.push(*v);
+                        }
+                        Err(e) => {
+                            undo(binding, &assigned);
+                            return Err(e);
+                        }
+                    },
+                    RuleStep::Negated(a) => {
+                        let tuple: Vec<Value> = a
+                            .terms
+                            .iter()
+                            .map(|t| match t {
+                                Term::Const(v) => v.clone(),
+                                Term::Var(v) => binding[v.0 as usize].clone().expect("bound"),
+                            })
+                            .collect();
+                        if db.contains(&a.predicate, &tuple) {
+                            keep = false;
+                            break;
+                        }
                     }
-                    Ok(other) => {
-                        undo(binding, &assigned);
-                        return Err(KgmError::Type(format!(
-                            "condition evaluated to non-bool {other:?}"
-                        )));
-                    }
-                    Err(e) => {
-                        undo(binding, &assigned);
-                        return Err(e);
-                    }
-                },
-                RuleStep::Assign(v, e) => match eval(e, binding, &ctx) {
-                    Ok(val) => {
-                        binding[v.0 as usize] = Some(val);
-                        assigned.push(*v);
-                    }
-                    Err(e) => {
-                        undo(binding, &assigned);
-                        return Err(e);
-                    }
-                },
-                RuleStep::Negated(a) => {
-                    let tuple: Vec<Value> = a
-                        .terms
-                        .iter()
-                        .map(|t| match t {
-                            Term::Const(v) => v.clone(),
-                            Term::Var(v) => binding[v.0 as usize].clone().expect("bound"),
-                        })
-                        .collect();
-                    if db.contains(&a.predicate, &tuple) {
-                        keep = false;
-                        break;
-                    }
+                    RuleStep::Aggregate(_) => unreachable!("pre-aggregate steps only"),
                 }
-                RuleStep::Aggregate(_) => unreachable!("pre-aggregate steps only"),
             }
-        }
-        if keep {
-            let gk: Vec<Value> = meta
-                .group_vars
-                .iter()
-                .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                .collect();
-            // Contributor key: the ⟨z̄⟩ variables if given, otherwise the
-            // full binding (every distinct match contributes once).
-            let ck: Vec<Value> = if agg.contributors.is_empty() {
-                binding.iter().flatten().cloned().collect()
-            } else {
-                agg.contributors
+            if keep {
+                let gk: Vec<Value> = meta
+                    .group_vars
                     .iter()
                     .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                    .collect()
-            };
-            let val = match &agg.arg {
-                Some(e) => eval(e, binding, &ctx),
-                None => Ok(Value::Int(1)),
-            };
-            let val = match val {
-                Ok(v) => v,
-                Err(e) => {
-                    undo(binding, &assigned);
-                    return Err(e);
+                    .collect();
+                // Contributor key: the ⟨z̄⟩ variables if given, otherwise the
+                // full binding (every distinct match contributes once).
+                let ck: Vec<Value> = if agg.contributors.is_empty() {
+                    binding.iter().flatten().cloned().collect()
+                } else {
+                    agg.contributors
+                        .iter()
+                        .map(|v| binding[v.0 as usize].clone().expect("bound"))
+                        .collect()
+                };
+                let val = match &agg.arg {
+                    Some(e) => eval(e, binding, &ctx),
+                    None => Ok(Value::Int(1)),
+                };
+                let val = match val {
+                    Ok(v) => v,
+                    Err(e) => {
+                        undo(binding, &assigned);
+                        return Err(e);
+                    }
+                };
+                if !groups.contains_key(&gk) {
+                    group_order.push(gk.clone());
                 }
-            };
-            if !groups.contains_key(&gk) {
-                group_order.push(gk.clone());
-            }
-            let g = groups.entry(gk).or_insert_with(|| Group {
-                contributors: FxHashMap::default(),
-                order: Vec::new(),
-                parents: Vec::new(),
-            });
-            if !g.contributors.contains_key(&ck) {
-                g.contributors.insert(ck.clone(), val);
-                g.order.push(ck);
-                if prov {
-                    g.parents.extend_from_slice(parents);
+                let g = groups.entry(gk).or_insert_with(|| Group {
+                    contributors: FxHashMap::default(),
+                    order: Vec::new(),
+                    parents: Vec::new(),
+                });
+                if !g.contributors.contains_key(&ck) {
+                    g.contributors.insert(ck.clone(), val);
+                    g.order.push(ck);
+                    if prov {
+                        g.parents.extend_from_slice(parents);
+                    }
                 }
             }
-        }
-        undo(binding, &assigned);
-        Ok(())
-    })?;
+            undo(binding, &assigned);
+            Ok(())
+        },
+    )?;
 
     let mut out = Vec::new();
     let mut prov_out: Vec<(usize, ProvParents)> = Vec::new();
@@ -926,7 +967,15 @@ fn eval_exact_rule(
         }
         if keep {
             emit_heads(
-                ri, rule, meta, &binding, null_gen, nulls, &mut out, prov, &group.parents,
+                ri,
+                rule,
+                meta,
+                &binding,
+                null_gen,
+                nulls,
+                &mut out,
+                prov,
+                &group.parents,
                 &mut prov_out,
             );
         }
@@ -1208,10 +1257,7 @@ mod tests {
         )
         .unwrap();
         let (_, edges) = naive_chase_prov(&program, &[], &OracleConfig::default()).unwrap();
-        let (ri, parents) = &edges[&(
-            "total".to_string(),
-            vec![Value::Int(1), Value::Int(30)],
-        )];
+        let (ri, parents) = &edges[&("total".to_string(), vec![Value::Int(1), Value::Int(30)])];
         assert_eq!(*ri, 0);
         assert_eq!(
             parents,
@@ -1221,9 +1267,11 @@ mod tests {
             ],
             "an exact-aggregate edge holds every contributing match of its group"
         );
-        let (_, parents2) =
-            &edges[&("total".to_string(), vec![Value::Int(2), Value::Int(5)])];
-        assert_eq!(parents2, &vec![("s".to_string(), vec![Value::Int(2), Value::Int(5)])]);
+        let (_, parents2) = &edges[&("total".to_string(), vec![Value::Int(2), Value::Int(5)])];
+        assert_eq!(
+            parents2,
+            &vec![("s".to_string(), vec![Value::Int(2), Value::Int(5)])]
+        );
     }
 
     #[test]
@@ -1236,8 +1284,7 @@ mod tests {
         .unwrap();
         let (db, edges) = naive_chase_prov(&program, &[], &OracleConfig::default()).unwrap();
         assert!(db.contains("control", &[Value::Int(1), Value::Int(3)]));
-        let (ri, parents) =
-            &edges[&("control".to_string(), vec![Value::Int(1), Value::Int(3)])];
+        let (ri, parents) = &edges[&("control".to_string(), vec![Value::Int(1), Value::Int(3)])];
         assert_eq!(*ri, 1);
         // control(1,3) needs both ownership paths (0.2 + 0.6 > 0.5): the
         // firing's edge must carry the accumulated contributions, not just
@@ -1270,7 +1317,8 @@ mod tests {
             cols.insert(db_insert.0, db_insert.1).unwrap();
         }
         assert_eq!(canonical_diff_oracle(&rows, &cols), None);
-        cols.insert("p", vec![Value::Int(2), Value::str("y")]).unwrap();
+        cols.insert("p", vec![Value::Int(2), Value::str("y")])
+            .unwrap();
         let diff = canonical_diff_oracle(&rows, &cols).unwrap();
         assert!(diff.contains("+ p(I:2, S:y)"), "{diff}");
     }

@@ -21,9 +21,7 @@
 //! Skolem functor. Comments run from `%` or `#` to end of line; the tokens
 //! are those of [`crate::lexer`], which MetaLog shares.
 
-use crate::ast::{
-    Aggregate, AggregateFunc, Atom, BinOp, Expr, Program, Rule, RuleStep, Term, Var,
-};
+use crate::ast::{Aggregate, AggregateFunc, Atom, BinOp, Expr, Program, Rule, RuleStep, Term, Var};
 use crate::bindings::{InputBinding, InputSource, OutputBinding};
 use crate::lexer::{Cursor, Tok};
 use kgm_common::{FxHashMap, Result, Value};
@@ -169,10 +167,7 @@ impl Parser {
             }
             for a in &body {
                 if a.vars().next().is_some() {
-                    return Err(self.error(format!(
-                        "fact `{}` contains variables",
-                        a.predicate
-                    )));
+                    return Err(self.error(format!("fact `{}` contains variables", a.predicate)));
                 }
             }
             prog.facts.extend(body);
@@ -255,7 +250,12 @@ impl Parser {
     }
 
     /// Parses the inside of `func( ... )` after the opening paren.
-    fn aggregate(&mut self, ctx: &mut RuleCtx, target: Var, func: AggregateFunc) -> Result<Aggregate> {
+    fn aggregate(
+        &mut self,
+        ctx: &mut RuleCtx,
+        target: Var,
+        func: AggregateFunc,
+    ) -> Result<Aggregate> {
         let mut arg = None;
         let mut contributors = Vec::new();
         if !matches!(self.peek(), Some(Tok::Punct(")"))) {
@@ -462,9 +462,9 @@ impl Parser {
                         let fname = match args.first() {
                             Some(Expr::Const(Value::Str(s))) => s.to_string(),
                             _ => {
-                                return Err(self.error(
-                                    "skolem's first argument must be a string literal",
-                                ))
+                                return Err(
+                                    self.error("skolem's first argument must be a string literal")
+                                )
                             }
                         };
                         return Ok(Expr::Skolem(fname, args.into_iter().skip(1).collect()));

@@ -107,11 +107,7 @@ fn agg_name(f: AggregateFunc) -> &'static str {
 }
 
 fn rule_source(rule: &Rule, parseable: &mut bool) -> String {
-    let mut parts: Vec<String> = rule
-        .body
-        .iter()
-        .map(|a| atom(a, rule, parseable))
-        .collect();
+    let mut parts: Vec<String> = rule.body.iter().map(|a| atom(a, rule, parseable)).collect();
     for step in &rule.steps {
         match step {
             RuleStep::Condition(e) => parts.push(expr(e, rule, parseable)),
@@ -134,8 +130,7 @@ fn rule_source(rule: &Rule, parseable: &mut bool) -> String {
                     if !inner.is_empty() {
                         inner.push_str(", ");
                     }
-                    let cs: Vec<&str> =
-                        contributors.iter().map(|v| rule.var_name(*v)).collect();
+                    let cs: Vec<&str> = contributors.iter().map(|v| rule.var_name(*v)).collect();
                     inner.push_str(&format!("<{}>", cs.join(", ")));
                 }
                 parts.push(format!(
@@ -200,7 +195,10 @@ pub fn to_source(program: &Program) -> (String, bool) {
                 props.join(",")
             ),
             InputSource::RelTable { catalog, table } => {
-                format!("@input({}, table, \"{catalog}\", \"{table}\").", b.predicate)
+                format!(
+                    "@input({}, table, \"{catalog}\", \"{table}\").",
+                    b.predicate
+                )
             }
         };
         writeln!(out, "{line}").ok();

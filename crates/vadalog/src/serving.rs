@@ -284,11 +284,7 @@ impl EpochSnapshot {
                 let proj = self.projection();
                 cypher::run(&proj.graph, q)
                     .into_iter()
-                    .map(|row| {
-                        row.into_iter()
-                            .map(|v| proj.to_value(v))
-                            .collect()
-                    })
+                    .map(|row| row.into_iter().map(|v| proj.to_value(v)).collect())
                     .collect()
             }
         };
@@ -310,14 +306,10 @@ impl EpochSnapshot {
                 vec![vec![Value::Float(nums.fold(0.0, |a, b| a + b))]]
             }
             AggKind::Min => nums
-                .fold(None::<f64>, |acc, v| {
-                    Some(acc.map_or(v, |a| a.min(v)))
-                })
+                .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.min(v))))
                 .map_or_else(Vec::new, |v| vec![vec![Value::Float(v)]]),
             AggKind::Max => nums
-                .fold(None::<f64>, |acc, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                })
+                .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.max(v))))
                 .map_or_else(Vec::new, |v| vec![vec![Value::Float(v)]]),
         }
     }
@@ -366,9 +358,7 @@ impl Projection {
         let mut graph = PropertyGraph::new();
         let mut node_values: Vec<Value> = Vec::new();
         let mut node_of: FxHashMap<Value, kgm_pgstore::graph::NodeId> = FxHashMap::default();
-        let mut node = |graph: &mut PropertyGraph,
-                        node_values: &mut Vec<Value>,
-                        v: &Value| {
+        let mut node = |graph: &mut PropertyGraph, node_values: &mut Vec<Value>, v: &Value| {
             *node_of.entry(v.clone()).or_insert_with(|| {
                 let id = graph
                     .add_node(["v"], Vec::new())
@@ -862,7 +852,10 @@ mod tests {
         let r = pin.query("rel edge").unwrap();
         assert_eq!(r.rows.len(), 3);
         // Unknown predicates answer empty/zero, not an error.
-        assert_eq!(pin.query("count nope").unwrap().rows, vec![vec![Value::Int(0)]]);
+        assert_eq!(
+            pin.query("count nope").unwrap().rows,
+            vec![vec![Value::Int(0)]]
+        );
         assert!(pin.query("min nope 0").unwrap().rows.is_empty());
     }
 

@@ -103,10 +103,8 @@ fn approx_bytes_tracks_measured_allocation_within_2x() {
 #[test]
 fn approx_bytes_tracks_allocation_with_provenance_on() {
     let _guard = MEASURING.lock();
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     let engine = Engine::with_config(
         program,
         EngineConfig {
@@ -143,10 +141,8 @@ fn approx_bytes_tracks_allocation_with_provenance_on() {
 #[test]
 fn approx_bytes_tracks_allocation_after_a_chase() {
     let _guard = MEASURING.lock();
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     let engine = Engine::with_config(
         program,
         EngineConfig {

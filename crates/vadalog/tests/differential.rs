@@ -23,10 +23,10 @@
 
 use kgm_runtime::prop::{check, CaseError, CaseResult, Config};
 use kgm_runtime::rng::Rng;
+use kgm_vadalog::genprog::{gen_case, shrink_case};
 use kgm_vadalog::{
     canonical_diff_oracle, naive_chase, Engine, EngineConfig, FactDb, GenCase, GenConfig,
 };
-use kgm_vadalog::genprog::{gen_case, shrink_case};
 
 /// Engine configuration for a differential run: explicit thread count,
 /// `min_parallel_batch: 1` so even one-tuple deltas take the sharded path,
@@ -61,8 +61,8 @@ fn engine_run(case: &GenCase, threads: usize) -> Result<FactDb, CaseError> {
 
 /// The differential property: oracle vs engine at 1, 2, and 8 threads.
 fn differential(case: &GenCase) -> CaseResult {
-    let oracle = naive_chase(&case.program())
-        .map_err(|e| CaseError::fail(format!("oracle error: {e}")))?;
+    let oracle =
+        naive_chase(&case.program()).map_err(|e| CaseError::fail(format!("oracle error: {e}")))?;
     for threads in [1usize, 2, 8] {
         let db = engine_run(case, threads)?;
         if let Some(diff) = canonical_diff_oracle(&oracle, &db) {

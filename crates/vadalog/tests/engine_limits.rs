@@ -4,9 +4,7 @@
 
 use kgm_common::{KgmError, Value};
 use kgm_pgstore::PropertyGraph;
-use kgm_vadalog::{
-    parse_program, to_source, Engine, EngineConfig, FactDb, SourceRegistry,
-};
+use kgm_vadalog::{parse_program, to_source, Engine, EngineConfig, FactDb, SourceRegistry};
 use std::sync::Arc;
 
 fn ints(rows: &[&[i64]]) -> Vec<Vec<Value>> {
@@ -19,10 +17,8 @@ fn ints(rows: &[&[i64]]) -> Vec<Vec<Value>> {
 fn max_iterations_cap_stops_long_chains() {
     // A chain of length 1000 needs ~1000 iterations to close transitively;
     // capping at 5 leaves the closure incomplete but terminates cleanly.
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     let engine = Engine::with_config(
         program,
         EngineConfig {
@@ -49,10 +45,8 @@ fn max_iterations_cap_stops_long_chains() {
 
 #[test]
 fn fact_cap_reports_resource_exhaustion() {
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     let engine = Engine::with_config(
         program,
         EngineConfig {
@@ -114,7 +108,9 @@ fn delta_watermarks_cover_facts_inserted_mid_iteration() {
         c(X), b(Y), X == Y * 10 -> d(X, Y).
     "#;
     let engine = Engine::new(parse_program(src).unwrap()).unwrap();
-    let (db, stats) = engine.run_with_facts(&[("seed", ints(&[&[1], &[2]]))]).unwrap();
+    let (db, stats) = engine
+        .run_with_facts(&[("seed", ints(&[&[1], &[2]]))])
+        .unwrap();
     // seed {1,2} → a {1,2} → b {2,3} → c {20,30} → d {(20,2),(30,3)}.
     // The d rule joins c (inserted in a later iteration than b) against b;
     // if a watermark skipped the mid-iteration inserts, d would be empty.
@@ -132,10 +128,8 @@ fn delta_watermarks_cover_facts_inserted_mid_iteration() {
 
 #[test]
 fn chase_profile_reports_per_stratum_and_per_rule_counters() {
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     let engine = Engine::new(program).unwrap();
     let edges: Vec<Vec<Value>> = (0..10i64)
         .map(|i| vec![Value::Int(i), Value::Int(i + 1)])
@@ -146,11 +140,14 @@ fn chase_profile_reports_per_stratum_and_per_rule_counters() {
     assert_eq!(stats.profile.strata.len(), stats.strata);
     let strata_iters: usize = stats.profile.strata.iter().map(|s| s.iterations).sum();
     assert_eq!(strata_iters, stats.iterations);
-    let strata_derived: usize =
-        stats.profile.strata.iter().map(|s| s.derived_facts).sum();
+    let strata_derived: usize = stats.profile.strata.iter().map(|s| s.derived_facts).sum();
     assert_eq!(strata_derived, stats.derived_facts);
-    let strata_dups: usize =
-        stats.profile.strata.iter().map(|s| s.duplicates_rejected).sum();
+    let strata_dups: usize = stats
+        .profile
+        .strata
+        .iter()
+        .map(|s| s.duplicates_rejected)
+        .sum();
     assert_eq!(strata_dups, stats.duplicates_rejected);
 
     // Per-rule counters: both rules ran, the recursive one under deltas.
@@ -160,7 +157,10 @@ fn chase_profile_reports_per_stratum_and_per_rule_counters() {
     assert_eq!(copy.head, "path");
     assert!(copy.evaluations >= 1);
     assert_eq!(copy.facts_emitted, 10, "one path per edge");
-    assert!(rec.delta_evaluations >= 1, "recursion runs delta-restricted");
+    assert!(
+        rec.delta_evaluations >= 1,
+        "recursion runs delta-restricted"
+    );
     assert!(rec.bindings_enumerated >= rec.facts_emitted);
     // The transitive closure of a 10-chain has 55 pairs; 10 were copies.
     assert_eq!(stats.derived_facts, 55);
@@ -170,14 +170,13 @@ fn chase_profile_reports_per_stratum_and_per_rule_counters() {
 
 #[test]
 fn stratum_null_counts_sum_to_the_run_total() {
-    let engine = Engine::new(
-        parse_program("b(X) -> c(X, N). c(X, N) -> d(N, X).").unwrap(),
-    )
-    .unwrap();
-    let (_, stats) = engine.run_with_facts(&[("b", ints(&[&[1], &[2]]))]).unwrap();
+    let engine =
+        Engine::new(parse_program("b(X) -> c(X, N). c(X, N) -> d(N, X).").unwrap()).unwrap();
+    let (_, stats) = engine
+        .run_with_facts(&[("b", ints(&[&[1], &[2]]))])
+        .unwrap();
     assert!(stats.nulls_created >= 2);
-    let nulls_by_stratum: usize =
-        stats.profile.strata.iter().map(|s| s.nulls_minted).sum();
+    let nulls_by_stratum: usize = stats.profile.strata.iter().map(|s| s.nulls_minted).sum();
     assert_eq!(nulls_by_stratum, stats.nulls_created);
 }
 
@@ -203,8 +202,13 @@ fn annotation_driven_inputs_load_from_a_registered_graph() {
     let b = g
         .add_node(["Company"], vec![("name".to_string(), Value::str("b"))])
         .unwrap();
-    g.add_edge(a, b, "OWNS", vec![("percentage".to_string(), Value::Float(0.9))])
-        .unwrap();
+    g.add_edge(
+        a,
+        b,
+        "OWNS",
+        vec![("percentage".to_string(), Value::Float(0.9))],
+    )
+    .unwrap();
     let (ao, bo) = (g.node_oid(a), g.node_oid(b));
 
     let mut registry = SourceRegistry::new();
@@ -275,8 +279,7 @@ fn multiple_strata_execute_in_order() {
 
 #[test]
 fn missing_registry_source_is_a_clean_error() {
-    let program =
-        parse_program(r#"@input(p, table, "nowhere", "t"). p(X) -> q(X)."#).unwrap();
+    let program = parse_program(r#"@input(p, table, "nowhere", "t"). p(X) -> q(X)."#).unwrap();
     let engine = Engine::new(program).unwrap();
     let registry = SourceRegistry::new();
     let mut db = FactDb::new();

@@ -129,10 +129,7 @@ fn remap_invented(tuple: &[Value], map: &mut std::collections::HashMap<Oid, Oid>
 
 /// Soundness of one internal node: a single-rule program whose EDB is
 /// exactly the node's recorded parents must re-derive the node's fact.
-fn check_node_sound(
-    program: &Program,
-    tree: &DerivationTree,
-) -> Result<(), CaseError> {
+fn check_node_sound(program: &Program, tree: &DerivationTree) -> Result<(), CaseError> {
     let ri = tree.rule.expect("internal node");
     let mut restricted = Program {
         rules: vec![program.rules[ri].clone()],

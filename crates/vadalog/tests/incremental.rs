@@ -27,8 +27,8 @@ use kgm_runtime::prop::{check, CaseError, CaseResult, Config};
 use kgm_runtime::rng::Rng;
 use kgm_vadalog::genprog::{gen_case, gen_updates, shrink_case};
 use kgm_vadalog::{
-    canonical_diff_oracle, naive_chase_updated, Engine, EngineConfig, FactDb, GenCase,
-    GenConfig, OracleConfig, Program, Term, Update, UpdateBatch,
+    canonical_diff_oracle, naive_chase_updated, Engine, EngineConfig, FactDb, GenCase, GenConfig,
+    OracleConfig, Program, Term, Update, UpdateBatch,
 };
 
 type Case = (GenCase, Vec<UpdateBatch>);
@@ -66,11 +66,7 @@ fn drain_facts(case: &GenCase) -> (Program, Vec<(String, Vec<Value>)>) {
 
 /// The property: materialize once, then for each batch compare the
 /// incremental database against a from-scratch chase over the updated EDB.
-fn incremental_matches_scratch(
-    case: &Case,
-    threads: usize,
-    provenance: bool,
-) -> CaseResult {
+fn incremental_matches_scratch(case: &Case, threads: usize, provenance: bool) -> CaseResult {
     let (case, batches) = case;
     let (program, mut edb) = drain_facts(case);
     let engine = Engine::with_config(program.clone(), config(threads, provenance))
@@ -98,9 +94,7 @@ fn incremental_matches_scratch(
                     deletes: batch.deletes.clone(),
                 },
             )
-            .map_err(|e| {
-                CaseError::fail(format!("batch {bi} ({threads} threads): {e}"))
-            })?;
+            .map_err(|e| CaseError::fail(format!("batch {bi} ({threads} threads): {e}")))?;
         if !stats.termination.is_complete() {
             return Err(CaseError::fail(format!(
                 "batch {bi} truncated: {:?}",

@@ -104,19 +104,14 @@ fn sharded_chase_matches_sequential_on_generated_programs() {
                 prop_assert_eq!(fingerprint(&seq_db), fingerprint(&par_db));
                 prop_assert_eq!(seq_stats.derived_facts, par_stats.derived_facts);
                 prop_assert_eq!(seq_stats.nulls_created, par_stats.nulls_created);
-                prop_assert_eq!(
-                    seq_stats.duplicates_rejected,
-                    par_stats.duplicates_rejected
-                );
+                prop_assert_eq!(seq_stats.duplicates_rejected, par_stats.duplicates_rejected);
                 // The stratum schedule (order, per-stratum iteration and
                 // derivation counts) must be untouched by sharding.
                 let schedule = |s: &RunStats| {
                     s.profile
                         .strata
                         .iter()
-                        .map(|st| {
-                            (st.stratum, st.iterations, st.derived_facts, st.nulls_minted)
-                        })
+                        .map(|st| (st.stratum, st.iterations, st.derived_facts, st.nulls_minted))
                         .collect::<Vec<_>>()
                 };
                 prop_assert_eq!(schedule(&seq_stats), schedule(&par_stats));

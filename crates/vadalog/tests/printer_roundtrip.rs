@@ -17,8 +17,8 @@ use kgm_vadalog::genprog::{gen_case, shrink_case};
 use kgm_vadalog::{parse_program, to_source, GenConfig};
 
 fn round_trips(src: &str) -> CaseResult {
-    let p1 = parse_program(src)
-        .map_err(|e| CaseError::fail(format!("original does not parse: {e}")))?;
+    let p1 =
+        parse_program(src).map_err(|e| CaseError::fail(format!("original does not parse: {e}")))?;
     let (printed, parseable) = to_source(&p1);
     if !parseable {
         return Err(CaseError::fail(format!(

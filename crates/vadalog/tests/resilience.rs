@@ -22,7 +22,9 @@ static LOCK: Mutex<()> = Mutex::new(());
 const CHAIN: &str = "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).";
 
 fn chain_edges(n: i64) -> Vec<Vec<Value>> {
-    (0..n).map(|i| vec![Value::Int(i), Value::Int(i + 1)]).collect()
+    (0..n)
+        .map(|i| vec![Value::Int(i), Value::Int(i + 1)])
+        .collect()
 }
 
 fn engine(threads: usize, cfg: EngineConfig) -> Engine {
@@ -45,8 +47,7 @@ fn run_chain(threads: usize, n: i64, cfg: EngineConfig) -> Result<(FactDb, RunSt
 fn fingerprint(db: &FactDb) -> String {
     let mut out = String::new();
     for p in db.predicates() {
-        let mut rows: Vec<String> =
-            db.facts_iter(&p).map(|t| format!("{t:?}")).collect();
+        let mut rows: Vec<String> = db.facts_iter(&p).map(|t| format!("{t:?}")).collect();
         rows.sort();
         out.push_str(&format!("{p}:{}\n", rows.join(";")));
     }
@@ -79,7 +80,11 @@ fn complete_runs_report_complete_with_watermark() {
     fault::set(None);
     for threads in [1, 4] {
         let (db, stats) = run_chain(threads, 20, EngineConfig::default()).unwrap();
-        assert_eq!(stats.termination, Termination::Complete, "threads={threads}");
+        assert_eq!(
+            stats.termination,
+            Termination::Complete,
+            "threads={threads}"
+        );
         assert!(stats.termination.is_complete());
         assert_eq!(stats.stopped_stratum, stats.strata - 1);
         assert!(stats.stopped_iteration > 0);
@@ -102,7 +107,11 @@ fn iteration_cap_yields_prefix_consistent_partial_results() {
             },
         )
         .unwrap();
-        assert_eq!(stats.termination, Termination::IterationCap, "threads={threads}");
+        assert_eq!(
+            stats.termination,
+            Termination::IterationCap,
+            "threads={threads}"
+        );
         assert_eq!(stats.stopped_iteration, 3);
         assert!(partial.len("path") < complete.len("path"));
         assert_prefix(&partial, &complete);
@@ -124,7 +133,11 @@ fn zero_deadline_stops_immediately_with_partial_db() {
             },
         )
         .unwrap();
-        assert_eq!(stats.termination, Termination::Deadline, "threads={threads}");
+        assert_eq!(
+            stats.termination,
+            Termination::Deadline,
+            "threads={threads}"
+        );
         assert_eq!(stats.stopped_stratum, 0);
         assert_eq!(stats.derived_facts, 0, "stopped before any derivation");
         assert_eq!(partial.len("edge"), 32, "input facts are kept");
@@ -243,7 +256,11 @@ fn pre_cancelled_token_stops_before_any_derivation() {
             },
         )
         .unwrap();
-        assert_eq!(stats.termination, Termination::Cancelled, "threads={threads}");
+        assert_eq!(
+            stats.termination,
+            Termination::Cancelled,
+            "threads={threads}"
+        );
         assert_eq!(stats.derived_facts, 0);
         assert_eq!(db.len("path"), 0);
         // Strict mode surfaces the dedicated error variant.
@@ -428,7 +445,10 @@ fn cancel_polls_are_counted_only_when_configured() {
     let _g = LOCK.lock();
     fault::set(None);
     let (_, plain) = run_chain(1, 64, EngineConfig::default()).unwrap();
-    assert_eq!(plain.profile.cancel_polls, 0, "no token, no deadline → no polls");
+    assert_eq!(
+        plain.profile.cancel_polls, 0,
+        "no token, no deadline → no polls"
+    );
     let (_, with_deadline) = run_chain(
         1,
         64,

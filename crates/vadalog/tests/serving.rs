@@ -31,9 +31,8 @@ use kgm_runtime::prop::{check, CaseError, CaseResult, Config};
 use kgm_runtime::rng::Rng;
 use kgm_vadalog::genprog::{gen_case, gen_updates, shrink_case};
 use kgm_vadalog::{
-    canonical_fact_lines, canonical_facts_rows, naive_chase_updated, Engine, EngineConfig,
-    FactDb, GenCase, GenConfig, OracleConfig, Program, ServingLayer, Term, Update,
-    UpdateBatch,
+    canonical_fact_lines, canonical_facts_rows, naive_chase_updated, Engine, EngineConfig, FactDb,
+    GenCase, GenConfig, OracleConfig, Program, ServingLayer, Term, Update, UpdateBatch,
 };
 
 type Case = (GenCase, Vec<UpdateBatch>);
@@ -281,8 +280,7 @@ fn schedule_is_consistent(case: &Case, readers: usize, provenance: bool) -> Case
             if &obs.canon != want {
                 let missing: Vec<&String> =
                     want.iter().filter(|l| !obs.canon.contains(l)).collect();
-                let extra: Vec<&String> =
-                    obs.canon.iter().filter(|l| !want.contains(l)).collect();
+                let extra: Vec<&String> = obs.canon.iter().filter(|l| !want.contains(l)).collect();
                 return Err(CaseError::fail(format!(
                     "reader {ri}/{readers} (provenance={provenance}) observed a fact set \
                      that is not epoch {}'s (torn read?): missing {missing:?}, extra {extra:?}",

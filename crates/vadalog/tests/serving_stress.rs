@@ -22,15 +22,13 @@ use kgm_runtime::prop::{check, CaseError, CaseResult, Config};
 use kgm_runtime::rng::Rng;
 use kgm_vadalog::genprog::{gen_case, gen_updates, shrink_case};
 use kgm_vadalog::{
-    parse_program, Engine, EngineConfig, FactDb, GenCase, GenConfig, Program, ServingLayer,
-    Term, Termination, Update, UpdateBatch,
+    parse_program, Engine, EngineConfig, FactDb, GenCase, GenConfig, Program, ServingLayer, Term,
+    Termination, Update, UpdateBatch,
 };
 
 fn tc_engine(provenance: bool, max_iterations: usize) -> Engine {
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     Engine::with_config(
         program,
         EngineConfig {
@@ -368,10 +366,8 @@ fn truncated_chase_marks_responses_partial() {
 /// surface its marker (the update path shares the publish contract).
 #[test]
 fn truncated_update_marks_responses_partial() {
-    let program = parse_program(
-        "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-    )
-    .unwrap();
+    let program =
+        parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).").unwrap();
     let engine = Engine::with_config(
         program,
         EngineConfig {
@@ -389,7 +385,10 @@ fn truncated_update_marks_responses_partial() {
     }
     let layer = ServingLayer::new();
     let stats = engine.run_serving(&mut db, &layer).unwrap();
-    assert!(stats.termination.is_complete(), "3-edge closure fits the cap");
+    assert!(
+        stats.termination.is_complete(),
+        "3-edge closure fits the cap"
+    );
     assert!(layer.pin().is_complete());
 
     // Growing the chain past the fact cap truncates the update run.

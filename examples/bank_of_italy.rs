@@ -8,17 +8,16 @@
 //! Run with `cargo run --release --example bank_of_italy [nodes]`.
 
 use kgmodel::core::enforce;
-use kgmodel::finance::families::{check_families, FAMILIES_METALOG};
-use kgmodel::finance::registry::{generate_registry, RegistryConfig};
 use kgmodel::core::intensional::{materialize, MaterializationMode};
 use kgmodel::core::render;
 use kgmodel::core::sst::{
-    translate_to_pg, translate_to_relational, PgGeneralizationStrategy,
-    RelGeneralizationStrategy,
+    translate_to_pg, translate_to_relational, PgGeneralizationStrategy, RelGeneralizationStrategy,
 };
 use kgmodel::finance::control::{baseline_control, CONTROL_METALOG};
+use kgmodel::finance::families::{check_families, FAMILIES_METALOG};
 use kgmodel::finance::generator::{generate_shareholding, ShareholdingConfig};
 use kgmodel::finance::groups::company_groups;
+use kgmodel::finance::registry::{generate_registry, RegistryConfig};
 use kgmodel::finance::schema::{company_kg_schema, simple_ownership_schema};
 use kgmodel::pgstore::algo::EdgeFilter;
 use kgmodel::pgstore::GraphStats;
@@ -82,7 +81,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\ncontrol materialized: {} edges in {:.0} ms reasoning \
          ({:.0} ms load, {:.0} ms flush); baseline agrees on {} pairs",
-        mstats.new_edges, mstats.reason_ms, mstats.load_ms, mstats.flush_ms,
+        mstats.new_edges,
+        mstats.reason_ms,
+        mstats.load_ms,
+        mstats.flush_ms,
         controls.len()
     );
 

@@ -8,13 +8,12 @@
 //!
 //! Run with `cargo run --example model_translation`.
 
+use kgmodel::core::enforce;
 use kgmodel::core::parse_gsl;
 use kgmodel::core::sst::{
-    translate_to_pg, translate_to_relational, PgGeneralizationStrategy,
-    RelGeneralizationStrategy,
+    translate_to_pg, translate_to_relational, PgGeneralizationStrategy, RelGeneralizationStrategy,
 };
 use kgmodel::core::sst_metalog::translate_to_pg_via_metalog;
-use kgmodel::core::enforce;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = parse_gsl(

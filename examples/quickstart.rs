@@ -11,8 +11,7 @@
 use kgmodel::common::Value;
 use kgmodel::core::intensional::{materialize, MaterializationMode};
 use kgmodel::core::sst::{
-    translate_to_pg, translate_to_relational, PgGeneralizationStrategy,
-    RelGeneralizationStrategy,
+    translate_to_pg, translate_to_relational, PgGeneralizationStrategy, RelGeneralizationStrategy,
 };
 use kgmodel::core::{parse_gsl, render};
 use kgmodel::pgstore::PropertyGraph;
@@ -83,8 +82,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let beta = mk(&mut data, "BETA");
     let gamma = mk(&mut data, "GAMMA");
     let own = |g: &mut PropertyGraph, f, t, pct: f64| {
-        g.add_edge(f, t, "OWNS", vec![("percentage".to_string(), Value::Float(pct))])
-            .unwrap();
+        g.add_edge(
+            f,
+            t,
+            "OWNS",
+            vec![("percentage".to_string(), Value::Float(pct))],
+        )
+        .unwrap();
     };
     own(&mut data, alpha, beta, 0.6); // ALPHA holds 60% of BETA
     own(&mut data, alpha, gamma, 0.3); // …30% of GAMMA directly

@@ -102,7 +102,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let io = integrated_ownership(&g, 1e-9, 200);
     println!("integrated ownership: {} (owner, owned) entries", io.len());
     let links = close_links(&io);
-    println!("ECB close links (≥ 20% direct or indirect): {} pairs", links.len());
+    println!(
+        "ECB close links (≥ 20% direct or indirect): {} pairs",
+        links.len()
+    );
 
     // Show a couple of concrete links.
     for (a, b) in links.iter().take(3) {

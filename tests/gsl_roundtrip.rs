@@ -111,8 +111,8 @@ fn emit_parse_round_trip() {
             // Only valid schemas are in scope for the inverse property.
             prop_assume!(schema.validate().is_ok());
             let text = to_gsl(schema);
-            let parsed = parse_gsl(&text)
-                .unwrap_or_else(|e| panic!("emitted GSL must parse: {e}\n{text}"));
+            let parsed =
+                parse_gsl(&text).unwrap_or_else(|e| panic!("emitted GSL must parse: {e}\n{text}"));
             prop_assert_eq!(&parsed.nodes, &schema.nodes);
             prop_assert_eq!(&parsed.edges, &schema.edges);
             let mut g1 = schema.generalizations.clone();

@@ -35,8 +35,7 @@ fn normalize(r: &PathRegex, flipped: bool) -> Vec<NfaRegex> {
         )],
         PathRegex::Inverse(i) => normalize(i, !flipped),
         PathRegex::Concat(xs) => {
-            let mut parts: Vec<Vec<NfaRegex>> =
-                xs.iter().map(|x| normalize(x, flipped)).collect();
+            let mut parts: Vec<Vec<NfaRegex>> = xs.iter().map(|x| normalize(x, flipped)).collect();
             if flipped {
                 parts.reverse();
             }
@@ -45,7 +44,9 @@ fn normalize(r: &PathRegex, flipped: bool) -> Vec<NfaRegex> {
             )]
         }
         PathRegex::Alt(xs) => vec![NfaRegex::Alt(
-            xs.iter().map(|x| NfaRegex::seq(normalize(x, flipped))).collect(),
+            xs.iter()
+                .map(|x| NfaRegex::seq(normalize(x, flipped)))
+                .collect(),
         )],
         PathRegex::Star(i) => vec![NfaRegex::Star(Box::new(NfaRegex::seq(normalize(
             i, flipped,
@@ -232,12 +233,7 @@ fn mtv_pairs(g: Arc<PropertyGraph>, regex: &PathRegex) -> Result<BTreeSet<(u64, 
     engine.run(&mut db).map_err(|e| e.to_string())?;
     Ok(db
         .facts_iter("RESULT")
-        .filter_map(|t| {
-            Some((
-                t[1].as_oid()?.payload(),
-                t[2].as_oid()?.payload(),
-            ))
-        })
+        .filter_map(|t| Some((t[1].as_oid()?.payload(), t[2].as_oid()?.payload())))
         .collect())
 }
 

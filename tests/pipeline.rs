@@ -6,8 +6,7 @@ use kgmodel::common::Value;
 use kgmodel::core::enforce;
 use kgmodel::core::intensional::{materialize, MaterializationMode};
 use kgmodel::core::sst::{
-    translate_to_pg, translate_to_relational, PgGeneralizationStrategy,
-    RelGeneralizationStrategy,
+    translate_to_pg, translate_to_relational, PgGeneralizationStrategy, RelGeneralizationStrategy,
 };
 use kgmodel::finance::control::{baseline_control, CONTROL_METALOG};
 use kgmodel::finance::generator::{generate_shareholding, ShareholdingConfig};

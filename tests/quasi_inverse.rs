@@ -9,8 +9,8 @@
 //! cases per property, with the failing seed reported for reproduction.
 
 use kgm_runtime::prop::{check, no_shrink, CaseResult, Config};
-use kgm_runtime::rng::Rng;
 use kgm_runtime::prop_assert_eq;
+use kgm_runtime::rng::Rng;
 use kgmodel::common::Value;
 use kgmodel::core::dictionary::Dictionary;
 use kgmodel::core::instances::{flush_instance, load_instance};
@@ -166,8 +166,13 @@ fn build(inst: &RandomInstance) -> PropertyGraph {
         }
         let f = all_persons[p % all_persons.len()];
         let t = companies[c % companies.len()];
-        g.add_edge(f, t, "WORKS_AT", vec![("since".to_string(), Value::Int(since))])
-            .unwrap();
+        g.add_edge(
+            f,
+            t,
+            "WORKS_AT",
+            vec![("since".to_string(), Value::Int(since))],
+        )
+        .unwrap();
     }
     for &(c, l) in &inst.located {
         if companies.is_empty() || places.is_empty() {

@@ -73,12 +73,10 @@ fn transitive_closure_matches_floyd_warshall() {
         shrink_graph,
         |(n, raw)| -> CaseResult {
             let n = *n;
-            let edges: Vec<(usize, usize)> =
-                raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
-            let program = parse_program(
-                "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
-            )
-            .unwrap();
+            let edges: Vec<(usize, usize)> = raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
+            let program =
+                parse_program("edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).")
+                    .unwrap();
             let engine = Engine::new(program).unwrap();
             let facts: Vec<Vec<Value>> = edges
                 .iter()
@@ -87,7 +85,12 @@ fn transitive_closure_matches_floyd_warshall() {
             let (db, _) = engine.run_with_facts(&[("edge", facts)]).unwrap();
             let derived: BTreeSet<(usize, usize)> = db
                 .facts_iter("path")
-                .map(|t| (t[0].as_i64().unwrap() as usize, t[1].as_i64().unwrap() as usize))
+                .map(|t| {
+                    (
+                        t[0].as_i64().unwrap() as usize,
+                        t[1].as_i64().unwrap() as usize,
+                    )
+                })
                 .collect();
             prop_assert_eq!(derived, reachability(n, &edges));
             Ok(())
@@ -197,8 +200,7 @@ fn scc_matches_mutual_reachability() {
         shrink_graph,
         |(n, raw)| -> CaseResult {
             let n = *n;
-            let edges: Vec<(usize, usize)> =
-                raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
+            let edges: Vec<(usize, usize)> = raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
             let mut g = PropertyGraph::new();
             let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(["N"], vec![]).unwrap()).collect();
             for &(a, b) in &edges {
@@ -207,9 +209,8 @@ fn scc_matches_mutual_reachability() {
             let sccs = strongly_connected_components(&g, &EdgeFilter::all());
             // Oracle: i ≡ j iff i reaches j and j reaches i (or i == j).
             let reach = reachability(n, &edges);
-            let same = |i: usize, j: usize| {
-                i == j || (reach.contains(&(i, j)) && reach.contains(&(j, i)))
-            };
+            let same =
+                |i: usize, j: usize| i == j || (reach.contains(&(i, j)) && reach.contains(&(j, i)));
             // Build the expected partition sizes.
             let mut expected: Vec<BTreeSet<usize>> = Vec::new();
             for i in 0..n {
@@ -244,8 +245,7 @@ fn wcc_matches_undirected_reachability() {
         shrink_graph,
         |(n, raw)| -> CaseResult {
             let n = *n;
-            let edges: Vec<(usize, usize)> =
-                raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
+            let edges: Vec<(usize, usize)> = raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
             let mut und: Vec<(usize, usize)> = edges.clone();
             und.extend(edges.iter().map(|&(a, b)| (b, a)));
             let reach = reachability(n, &und);
