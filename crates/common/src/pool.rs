@@ -70,9 +70,13 @@ fn exact_hash(v: &Value) -> u64 {
     fx_hash_one(&(v.value_type(), v))
 }
 
-/// Same exact representation (type and payload)?
+/// Same exact representation (type and payload)? Floats compare by bits,
+/// so `-0.0` keeps an exact cell of its own in `0.0`'s class.
 fn same_exact(a: &Value, b: &Value) -> bool {
-    a.value_type() == b.value_type() && a == b
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a.value_type() == b.value_type() && a == b,
+    }
 }
 
 /// An append-only `Value` ↔ `u64` cell codec (see the module docs for the

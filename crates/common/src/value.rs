@@ -60,8 +60,11 @@ impl ValueType {
 
 /// A runtime value.
 ///
-/// `Float` wraps its bits for `Eq`/`Hash` purposes (NaN never occurs in the
-/// engines: every arithmetic producer checks for it).
+/// Equality is an equivalence: floats compare by bits, except that `0.0`
+/// and `-0.0` are equal, and an `Int` equals a `Float` exactly when the
+/// float is that integer. `Hash` follows the same classes. NaN never occurs
+/// in the engines (every arithmetic producer checks for it); if one is
+/// built, it equals itself.
 #[derive(Clone)]
 pub enum Value {
     /// Boolean constant.
@@ -187,14 +190,29 @@ impl Value {
     }
 }
 
+/// The `Int` a float equals: its value when it is integral and lies in
+/// `[-2^63, 2^63)`, where `as i64` is exact. 2^63 itself is excluded,
+/// because `as i64` saturates there; ±0.0 both give 0. Equality and hashing
+/// both go through this, so `Value` equality is an equivalence.
+fn float_as_int(f: f64) -> Option<i64> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    (f.fract() == 0.0 && (-TWO_63..TWO_63).contains(&f)).then_some(f as i64)
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-            // Cross numeric equality: 1 == 1.0, as in SQL and Vadalog.
-            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => *a as f64 == *b,
+            // Same bits, or both zero: -0.0 == 0.0, since both equal 0.
+            (Value::Float(a), Value::Float(b)) => {
+                a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0)
+            }
+            // Cross numeric equality: 1 == 1.0, as in SQL and Vadalog, but
+            // only where the float is exactly that integer.
+            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
+                float_as_int(*b) == Some(*a)
+            }
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Date(a), Value::Date(b)) => a == b,
             (Value::Oid(a), Value::Oid(b)) => a == b,
@@ -212,21 +230,22 @@ impl Hash for Value {
                 state.write_u8(0);
                 b.hash(state);
             }
-            // Ints and integral floats must hash identically because they
-            // compare equal. Non-integral floats hash by bits.
+            // A float equal to an `Int` hashes as that `Int`; any other
+            // float equals only itself and hashes by bits.
             Value::Int(i) => {
                 state.write_u8(1);
                 state.write_i64(*i);
             }
-            Value::Float(f) => {
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+            Value::Float(f) => match float_as_int(*f) {
+                Some(i) => {
                     state.write_u8(1);
-                    state.write_i64(*f as i64);
-                } else {
+                    state.write_i64(i);
+                }
+                None => {
                     state.write_u8(2);
                     state.write_u64(f.to_bits());
                 }
-            }
+            },
             Value::Str(s) => {
                 state.write_u8(3);
                 s.hash(state);
@@ -398,6 +417,88 @@ mod tests {
             let text = Value::str(s).to_text();
             assert!(!text.contains('\n') && !text.contains('|'), "{text:?}");
         }
+    }
+
+    /// Values at the edges of cross-numeric equality: both zeros, NaN,
+    /// where `f64` stops holding every integer (2^53), where `as i64`
+    /// saturates (2^63), the `i64` extremes, and a few ordinary values.
+    fn edge_values() -> Vec<Value> {
+        let p53 = 1i64 << 53;
+        let mut vals: Vec<Value> = [0, 1, -1, 3, p53, p53 - 1, p53 + 1, -p53, i64::MIN, i64::MAX]
+            .into_iter()
+            .map(Value::Int)
+            .collect();
+        let two_63 = 9_223_372_036_854_775_808.0;
+        vals.extend(
+            [
+                0.0,
+                -0.0,
+                f64::NAN,
+                p53 as f64,
+                -(p53 as f64),
+                (p53 - 1) as f64,
+                (p53 + 2) as f64,
+                two_63,
+                -two_63,
+                1.0,
+                0.5,
+                3.0,
+            ]
+            .into_iter()
+            .map(Value::Float),
+        );
+        vals.extend([Value::str("0"), Value::str("a")]);
+        vals
+    }
+
+    /// Over every triple of edge values (the set is small enough to check
+    /// them all, not a sample): equality is reflexive, symmetric and
+    /// transitive, equal values hash equally, and a pool that interns the
+    /// triple in order puts two of them in one class exactly when they are
+    /// equal, while each reads back with its own representation.
+    #[test]
+    fn equality_is_an_equivalence_that_hashing_and_the_pool_follow() {
+        use crate::pool::ValuePool;
+        let vals = edge_values();
+        for a in &vals {
+            assert!(a == a, "not reflexive: {a:?}");
+            for b in &vals {
+                assert_eq!(a == b, b == a, "not symmetric: {a:?} {b:?}");
+                if a == b {
+                    assert_eq!(fx_hash_one(a), fx_hash_one(b), "{a:?} == {b:?}");
+                }
+                for c in &vals {
+                    if a == b && b == c {
+                        assert!(a == c, "not transitive: {a:?} {b:?} {c:?}");
+                    }
+                    let triple = [a, b, c];
+                    let mut pool = ValuePool::new();
+                    let cells = triple.map(|v| pool.intern(v).unwrap());
+                    for (x, &cx) in triple.iter().zip(&cells) {
+                        assert_eq!(pool.get(cx).to_text(), x.to_text());
+                        for (y, &cy) in triple.iter().zip(&cells) {
+                            let same = pool.class(cx) == pool.class(cy);
+                            assert_eq!(same, x == y, "pool classes of {triple:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zeros_are_one_class_and_large_ints_equal_only_exact_floats() {
+        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        assert_eq!(
+            fx_hash_one(&Value::Float(-0.0)),
+            fx_hash_one(&Value::Int(0))
+        );
+        let p53 = 1i64 << 53;
+        assert_ne!(Value::Int(p53 + 1), Value::Float(p53 as f64));
+        assert_eq!(Value::Int(p53), Value::Float(p53 as f64));
+        // `i64::MAX as f64` rounds up to 2^63, which no `i64` equals.
+        assert_ne!(Value::Int(i64::MAX), Value::Float(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
     }
 
     #[test]

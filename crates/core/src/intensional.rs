@@ -588,11 +588,34 @@ pub fn view_programs(schema: &SuperSchema, sigma_src: &str) -> Result<(String, S
 
 /// Materialize the intensional component `sigma` (MetaLog source) into the
 /// data graph. Returns statistics mirroring the §6 load/reason/flush split.
+/// Every chase runs with [`EngineConfig::default()`]; see
+/// [`materialize_with`] for budgets.
 pub fn materialize(
     data: &mut PropertyGraph,
     schema: &SuperSchema,
     sigma_src: &str,
     mode: MaterializationMode,
+) -> Result<MaterializationStats> {
+    materialize_with(data, schema, sigma_src, mode, EngineConfig::default())
+}
+
+/// [`materialize`] with every chase it runs configured by `config`, so its
+/// budgets (`max_bytes`, `deadline_ms`, `max_stratum_ms`, `cancel`) reach
+/// Algorithm 2. The chase runs on the loaded instance relations, so
+/// `max_bytes` counts them too. In [`MaterializationMode::Staged`] each of
+/// the two chases gets the whole budget.
+///
+/// A budget that stops the chase gracefully still flushes: the data graph
+/// gets the prefix-consistent partial result, and
+/// [`MaterializationStats::termination`] names the stop. With
+/// `config.strict`, the budget error returns before the flush, and the data
+/// graph is left as it was.
+pub fn materialize_with(
+    data: &mut PropertyGraph,
+    schema: &SuperSchema,
+    sigma_src: &str,
+    mode: MaterializationMode,
+    config: EngineConfig,
 ) -> Result<MaterializationStats> {
     let _span = kgm_runtime::span!("intensional.materialize", "{mode:?}");
     let mut stats = MaterializationStats::default();
@@ -634,7 +657,7 @@ pub fn materialize(
                 let mut program = vi;
                 program.extend(mtv.program);
                 program.extend(vo);
-                let engine = Engine::with_config(program, EngineConfig::default())?;
+                let engine = Engine::with_config(program, config)?;
                 let mut db = instances;
                 let run = engine.run(&mut db)?;
                 stats.derived_facts = run.derived_facts;
@@ -644,13 +667,13 @@ pub fn materialize(
             MaterializationMode::Staged => {
                 // Stage 1: materialize V_I into a staging area, the
                 // instance relations themselves.
-                let engine_vi = Engine::with_config(vi, EngineConfig::default())?;
+                let engine_vi = Engine::with_config(vi, config.clone())?;
                 let mut staged = instances;
                 let run1 = engine_vi.run(&mut staged)?;
                 // Stage 2: Σ ∪ V_O over the staged label facts only.
                 let mut program = mtv.program;
                 program.extend(vo);
-                let engine = Engine::with_config(program, EngineConfig::default())?;
+                let engine = Engine::with_config(program, config)?;
                 let mut db = FactDb::new();
                 for l in body_nodes.iter().chain(body_edges.iter()) {
                     db.add_facts(l, staged.facts(l))?;
@@ -875,6 +898,46 @@ mod tests {
         materialize(&mut g1, &schema, CONTROL, MaterializationMode::SinglePass).unwrap();
         materialize(&mut g2, &schema, CONTROL, MaterializationMode::Staged).unwrap();
         assert_eq!(controls_of(&g1), controls_of(&g2));
+    }
+
+    /// A `max_bytes` of one byte, which the loaded instance relations
+    /// already exceed, under `strict` or not.
+    fn one_byte_budget(strict: bool) -> EngineConfig {
+        EngineConfig {
+            max_bytes: Some(1),
+            strict,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_graceful_budget_stop_flushes_the_partial_result_and_names_the_stop() {
+        let schema = company_schema();
+        for mode in [MaterializationMode::SinglePass, MaterializationMode::Staged] {
+            let mut g = ownership_graph();
+            let edges = g.edge_count();
+            let stats =
+                materialize_with(&mut g, &schema, CONTROL, mode, one_byte_budget(false)).unwrap();
+            assert_eq!(stats.termination, Termination::MemoryBudget, "{mode:?}");
+            // The budget stopped the chase before its first derivation, so
+            // the flushed prefix is empty.
+            assert_eq!((stats.derived_facts, stats.new_edges), (0, 0), "{mode:?}");
+            assert_eq!(g.edge_count(), edges, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_strict_budget_stop_errs_before_the_flush() {
+        let schema = company_schema();
+        let mut g = ownership_graph();
+        let edges = g.edge_count();
+        let mode = MaterializationMode::SinglePass;
+        match materialize_with(&mut g, &schema, CONTROL, mode, one_byte_budget(true)) {
+            Err(KgmError::ResourceExhausted(msg)) => assert!(msg.contains("max_bytes"), "{msg}"),
+            other => panic!("strict mode must fail with ResourceExhausted, got {other:?}"),
+        }
+        assert_eq!(g.edge_count(), edges, "the data graph gets no edge");
+        assert!(g.edges_with_label("CONTROLS").is_empty());
     }
 
     #[test]

@@ -38,6 +38,14 @@ pub fn invalid(key: &str, raw: &str, expected: &str) {
     eprintln!("warning: ignoring {key}={raw:?}: expected {expected}");
 }
 
+/// Serializes the unit tests that read, bump or clear the process-global
+/// `config.env.invalid` counter. The harness runs tests on parallel threads,
+/// so another test's bump or registry reset could land between one test's
+/// before and after readings. Non-poisoning, so a failing test does not
+/// cascade.
+#[cfg(test)]
+pub(crate) static INVALID_COUNTER: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,6 +64,7 @@ mod tests {
 
     #[test]
     fn unset_is_silently_none() {
+        let _serial = INVALID_COUNTER.lock();
         let before = invalid_count();
         assert_eq!(parsed::<usize>("KGM_TEST_ENV_UNSET", "an integer"), None);
         assert_eq!(invalid_count(), before);
@@ -63,6 +72,7 @@ mod tests {
 
     #[test]
     fn well_formed_values_parse_with_whitespace() {
+        let _serial = INVALID_COUNTER.lock();
         std::env::set_var("KGM_TEST_ENV_OK", " 42 ");
         let before = invalid_count();
         assert_eq!(parsed::<u64>("KGM_TEST_ENV_OK", "an integer"), Some(42));
@@ -72,6 +82,7 @@ mod tests {
 
     #[test]
     fn malformed_values_warn_and_count() {
+        let _serial = INVALID_COUNTER.lock();
         std::env::set_var("KGM_TEST_ENV_BAD", "5s");
         let before = invalid_count();
         assert_eq!(

@@ -114,6 +114,7 @@ mod tests {
 
     #[test]
     fn malformed_or_zero_kgm_threads_warns_and_falls_back() {
+        let _serial = crate::env::INVALID_COUNTER.lock();
         // One test owns the KGM_THREADS mutations (env vars are
         // process-global; concurrent tests must not race on this key).
         let count = || {

@@ -804,6 +804,8 @@ mod tests {
 
     #[test]
     fn metrics_registry_counts_gauges_histograms() {
+        // Resetting clears `config.env.invalid` under the env tests too.
+        let _serial = crate::env::INVALID_COUNTER.lock();
         reset_metrics();
         counter_add("t.c", 4);
         counter_add("t.c", 1);

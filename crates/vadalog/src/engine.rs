@@ -330,10 +330,14 @@ struct RuleMeta {
     /// everything from `pure_steps` on must run on the single writer in
     /// deterministic match order.
     pure_steps: usize,
-    /// `(predicate, key positions)` of every hash index any of this rule's
-    /// join orders can probe — built eagerly once per fixpoint iteration so
-    /// the parallel phase reads a frozen database.
-    index_needs: Vec<(String, Vec<usize>)>,
+    /// `(predicate, key positions)` of the join indexes each of this
+    /// rule's join orders probes: entry `ai` for `join_order(rule, ai)`,
+    /// the order of a delta pass over body atom `ai` (a full pass runs
+    /// entry 0's), and one last entry for the natural order exact
+    /// aggregates run. The writer builds the entries of exactly the passes
+    /// an iteration evaluates before evaluating them, so the parallel phase
+    /// reads a frozen database and no index is built that nothing probes.
+    index_needs: Vec<Vec<(String, Vec<usize>)>>,
 }
 
 /// The resource governor: one cheap check, run at stratum boundaries and
@@ -803,7 +807,8 @@ impl Engine {
                     if self.meta[ri].agg_mode == Some(AggMode::Exact) {
                         governed!();
                         let t_rule = Instant::now();
-                        for (pred, positions) in &self.meta[ri].index_needs {
+                        let natural = rule.body.len();
+                        for (pred, positions) in &self.meta[ri].index_needs[natural] {
                             db.ensure_index(pred, positions);
                         }
                         let (new_facts, new_prov) = match self
@@ -850,25 +855,33 @@ impl Engine {
                 for _iter in 0..self.config.max_iterations {
                     governed!();
                     sp.iterations += 1;
-                    // Freeze the database for this iteration: build every index
-                    // any rule's join order can probe, so the evaluation phase
-                    // (possibly running on shard workers) is strictly read-only.
-                    for &ri in &rules {
-                        for (pred, positions) in &self.meta[ri].index_needs {
-                            db.ensure_index(pred, positions);
+                    // Plan the iteration's passes, then freeze the database
+                    // for them: build the indexes of exactly the join orders
+                    // they run, so the evaluation phase (possibly on shard
+                    // workers) is strictly read-only.
+                    let plan: Vec<(usize, Vec<Pass>)> = rules
+                        .iter()
+                        .map(|&ri| (ri, passes(&self.program.rules[ri], db, first, &watermark)))
+                        .collect();
+                    for (ri, passes) in &plan {
+                        for pass in passes {
+                            let ai = pass.as_ref().map_or(0, |(ai, _)| *ai);
+                            for (pred, positions) in &self.meta[*ri].index_needs[ai] {
+                                db.ensure_index(pred, positions);
+                            }
                         }
                     }
                     let mut out: Vec<(String, Vec<Value>)> = Vec::new();
                     let mut prov_out: ProvOut = Vec::new();
                     let mut hit: Option<Termination> = None;
-                    for &ri in &rules {
+                    'rules: for (ri, passes) in plan {
                         let rule = &self.program.rules[ri];
-                        let result = if first {
-                            self.eval_rule(
+                        for pass in passes {
+                            let result = self.eval_rule(
                                 db,
                                 ri,
                                 rule,
-                                None,
+                                pass,
                                 &null_gen,
                                 &mut nulls,
                                 &mut mono,
@@ -876,42 +889,15 @@ impl Engine {
                                 &mut prov_out,
                                 &mut stats.profile,
                                 &interrupt,
-                            )
-                        } else {
-                            // Delta-restricted runs: one per body atom whose
-                            // predicate changed in the previous iteration.
-                            let mut r = Ok(());
-                            for (ai, atom) in rule.body.iter().enumerate() {
-                                let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
-                                let cur = db.rows_of(&atom.predicate);
-                                if cur > prev {
-                                    r = self.eval_rule(
-                                        db,
-                                        ri,
-                                        rule,
-                                        Some((ai, prev..cur)),
-                                        &null_gen,
-                                        &mut nulls,
-                                        &mut mono,
-                                        &mut out,
-                                        &mut prov_out,
-                                        &mut stats.profile,
-                                        &interrupt,
-                                    );
-                                    if r.is_err() {
-                                        break;
+                            );
+                            if let Err(e) = result {
+                                match interrupt.hit() {
+                                    Some(t) => {
+                                        hit = Some(t);
+                                        break 'rules;
                                     }
+                                    None => return Err(e),
                                 }
-                            }
-                            r
-                        };
-                        if let Err(e) = result {
-                            match interrupt.hit() {
-                                Some(t) => {
-                                    hit = Some(t);
-                                    break;
-                                }
-                                None => return Err(e),
                             }
                         }
                     }
@@ -2060,20 +2046,21 @@ fn expr_has_skolem(e: &Expr) -> bool {
     }
 }
 
-/// Statically enumerate every `(predicate, key positions)` pair the join of
-/// `rule` can probe, across the natural order (exact aggregates) and every
-/// delta order (a full pass uses atom 0's). At atom `p` of an order, the
-/// index key is the constant positions plus the positions of variables
-/// bound by atoms earlier in the order — repeated variables *within* an
-/// atom do not contribute (the runtime key is built before the tuple
-/// extends the binding), matching [`Engine::join`] exactly.
-fn static_index_needs(rule: &Rule) -> Vec<(String, Vec<usize>)> {
-    let mut needs: FxHashSet<(String, Vec<usize>)> = FxHashSet::default();
+/// Statically enumerate the `(predicate, key positions)` pairs each join
+/// order of `rule` probes: one list per delta order (`join_order(rule,
+/// ai)` for body atom `ai`; a full pass uses atom 0's), then one for the
+/// natural order exact aggregates use. At atom `p` of an order, the index
+/// key is the constant positions plus the positions of variables bound by
+/// atoms earlier in the order — repeated variables *within* an atom do not
+/// contribute (the runtime key is built before the tuple extends the
+/// binding), matching [`Engine::join`] exactly.
+fn static_index_needs(rule: &Rule) -> Vec<Vec<(String, Vec<usize>)>> {
     let natural: Vec<usize> = (0..rule.body.len()).collect();
     let deltas = (0..rule.body.len()).map(|ai| join_order(rule, ai));
-    for order in std::iter::once(natural).chain(deltas) {
+    let order_needs = |order: Vec<usize>| {
+        let mut needs: Vec<(String, Vec<usize>)> = Vec::new();
         let mut bound: FxHashSet<Var> = FxHashSet::default();
-        for &idx in &order {
+        for idx in order {
             let atom = &rule.body[idx];
             let mut positions: Vec<usize> = Vec::new();
             for (i, t) in atom.terms.iter().enumerate() {
@@ -2086,15 +2073,48 @@ fn static_index_needs(rule: &Rule) -> Vec<(String, Vec<usize>)> {
                     }
                 }
             }
-            if !positions.is_empty() {
-                needs.insert((atom.predicate.clone(), positions));
+            let need = (atom.predicate.clone(), positions);
+            if !need.1.is_empty() && !needs.contains(&need) {
+                needs.push(need);
             }
             bound.extend(atom.vars());
         }
+        needs
+    };
+    deltas
+        .chain(std::iter::once(natural))
+        .map(order_needs)
+        .collect()
+}
+
+/// One evaluation of a rule within a fixpoint iteration: a full pass
+/// (`None`, in atom 0's join order) or a delta pass over the rows one body
+/// atom gained (`Some((atom, rows))`, in that atom's join order).
+type Pass = Option<(usize, Range<usize>)>;
+
+/// The passes one semi-naive iteration evaluates for `rule`: the first
+/// iteration of a from-scratch stratum runs one full pass; every other
+/// iteration runs one delta pass per body atom whose predicate grew past
+/// its watermark. The writer plans each iteration with this once, builds
+/// the indexes of exactly these passes, then evaluates them.
+fn passes(
+    rule: &Rule,
+    db: &FactDb,
+    first: bool,
+    watermark: &FxHashMap<String, usize>,
+) -> Vec<Pass> {
+    if first {
+        return vec![None];
     }
-    let mut v: Vec<(String, Vec<usize>)> = needs.into_iter().collect();
-    v.sort();
-    v
+    rule.body
+        .iter()
+        .enumerate()
+        .filter_map(|(ai, atom)| {
+            let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
+            let cur = db.rows_of(&atom.predicate);
+            (cur > prev).then_some(Some((ai, prev..cur)))
+        })
+        .collect()
 }
 
 pub(crate) fn initial_value(func: AggregateFunc) -> Value {

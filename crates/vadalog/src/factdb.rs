@@ -15,13 +15,17 @@
 //!   `FxHashSet<Vec<Value>>` that used to store every tuple twice.
 //! - **Join indexes**: per key-position set, the ascending rows of every
 //!   distinct key, built incrementally by the single writer via
-//!   [`Relation::ensure_index`] and *reused across semi-naive iterations* —
-//!   `built_upto` records how far the postings reach, so each fixpoint
-//!   iteration only appends the delta instead of rebuilding. A
-//!   [`SlotTable`] finds a key's dense id by comparing with the key's first
-//!   row, and each key's rows are one contiguous segment of a single `u32`
-//!   arena per index ([`SegmentArena`], shared with the property graph's
-//!   adjacency): an index allocates O(log keys) times, never per key.
+//!   [`Relation::ensure_index`] for the join orders an iteration evaluates,
+//!   and *reused across semi-naive iterations* — `built_upto` records how
+//!   far an index reaches, so a catch-up only folds in the rows added since
+//!   instead of rebuilding. An index starts *unique*: while no key repeats,
+//!   it is a [`SlotTable`] from the key hash to the key's one row, compared
+//!   on the columns, and nothing else. The first repeated key rebuilds it
+//!   once in the *segment* layout: the slot table finds a key's dense id by
+//!   comparing with the key's first row, and each key's rows are one
+//!   contiguous segment of a single `u32` arena per index
+//!   ([`SegmentArena`], shared with the property graph's adjacency). Either
+//!   way an index allocates O(log keys) times, never per key.
 //!
 //! Cells are two-level (see [`ValuePool`]): columns store **exact cells** so
 //! tuples read back with the representation they were inserted with, while
@@ -244,66 +248,118 @@ fn key_at<'a>(
 /// One join index: every distinct class-cell key at its positions → the
 /// key's rows, ascending.
 ///
-/// Nothing is allocated per key. `keys` maps a key's hash to its dense key
-/// id and tests equality against the key's first row in the columns (rows
-/// never move, and a tombstoned row keeps its values), so no key is stored.
-/// Key `k`'s rows are the segment of `len[k]` postings at `start[k]` in a
-/// [`SegmentArena`] — the same arena type the property graph keeps its
-/// adjacency in — which stays under twice its live slots without
-/// compaction.
+/// Nothing is allocated per key, and no key is stored: `keys` is a
+/// [`SlotTable`] over key hashes whose equality test reads a row back from
+/// the columns (rows never move, and a tombstoned row keeps its values).
+/// An index has one of two layouts:
+///
+/// - **Unique**, where every index starts: no key has repeated, so `keys`
+///   maps each key to its one row and the slot table is the whole index.
+/// - **Segments**: the first repeated key rebuilds the index from row 0,
+///   once. `keys` then maps a key to a dense key id, tested through the
+///   key's first row, and key `k`'s rows are the segment of `len[k]`
+///   postings at `start[k]` in a [`SegmentArena`] — the same arena type the
+///   property graph keeps its adjacency in — which stays under twice its
+///   live slots without compaction.
 #[derive(Default)]
 struct Index {
+    /// Key hash → the key's row (unique) or its key id (segments).
     keys: SlotTable,
-    /// Arena offset of each key's segment. `u64`, because the arena can
-    /// outgrow the 32-bit row space: up to four slots per row.
+    /// Arena offset of each key's segment; empty while unique. `u64`,
+    /// because the arena can outgrow the 32-bit row space: up to four
+    /// slots per row.
     start: Vec<u64>,
-    /// Rows in each key's segment (at least one).
+    /// Rows in each key's segment (at least one); empty while unique.
     len: Vec<u32>,
     postings: SegmentArena,
-    /// Rows `0..built_upto` are reflected in the postings; the tail is not.
+    /// Rows `0..built_upto` are reflected in the index; the tail is not.
     built_upto: usize,
 }
 
 impl Index {
-    /// The rows of key id `k`, ascending.
+    /// True in the unique layout. A segment index always has a key: the
+    /// rebuild that made it covered two rows holding one.
+    #[inline]
+    fn is_unique(&self) -> bool {
+        self.len.is_empty()
+    }
+
+    /// The rows of key id `k`, ascending (segment layout).
     #[inline]
     fn segment(&self, k: u32) -> &[u32] {
         self.postings
             .segment(self.start[k as usize], self.len[k as usize])
     }
 
-    /// The key id under `hash` whose first row `same_key` accepts.
-    #[inline]
-    fn find(&self, hash: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
-        self.keys
+    /// The indexed rows in `range` of the key under `hash`, ascending;
+    /// `same_key` tests a row for holding that key.
+    fn rows(
+        &self,
+        hash: u64,
+        mut same_key: impl FnMut(usize) -> bool,
+        range: Range<usize>,
+    ) -> Rows<'_> {
+        if self.is_unique() {
+            return Rows::Range(match self.keys.find(hash, |r| same_key(r as usize)) {
+                Some(r) if range.contains(&(r as usize)) => r..r + 1,
+                _ => 0..0,
+            });
+        }
+        let v = self
+            .keys
             .find(hash, |k| same_key(self.segment(k)[0] as usize))
+            .map_or(&[][..], |k| self.segment(k));
+        let lo = v.partition_point(|&i| (i as usize) < range.start);
+        let up = v.partition_point(|&i| (i as usize) < range.end);
+        Rows::Slice(v[lo..up].iter())
     }
 
-    /// Fold rows `built_upto..rows` into their keys' segments.
+    /// Fold rows `built_upto..rows` into the index. In the unique layout,
+    /// the first row whose key an indexed row already holds rebuilds the
+    /// index in the segment layout from row 0.
     fn catch_up(&mut self, positions: &[usize], cols: &[Vec<u64>], class: Classes, rows: usize) {
+        let key = |row: usize| key_at(positions, cols, class, row);
         for row in self.built_upto..rows {
-            let key = || key_at(positions, cols, class, row);
-            let h = hash_ids(key());
-            match self.find(h, |rep| key_at(positions, cols, class, rep).eq(key())) {
-                Some(k) => self.push(k as usize, row as u32),
-                None => {
-                    // At most one key per row, so key ids stay under the
-                    // row cap and hence under `SlotTable::MAX_IDS`.
-                    self.keys.insert(h, self.len.len() as u32);
-                    let (mut start, mut len) = (0, 0);
-                    self.postings.push(&mut start, &mut len, row as u32);
-                    self.start.push(start);
-                    self.len.push(len);
+            let h = hash_ids(key(row));
+            if self.is_unique() {
+                if self
+                    .keys
+                    .find(h, |r| key(r as usize).eq(key(row)))
+                    .is_none()
+                {
+                    self.keys.insert(h, row as u32);
+                    continue;
+                }
+                self.keys = SlotTable::default();
+                for earlier in 0..row {
+                    self.add(hash_ids(key(earlier)), earlier, key);
                 }
             }
+            self.add(h, row, key);
         }
         self.built_upto = rows;
     }
 
-    /// Append `row` to key `k`'s segment.
-    fn push(&mut self, k: usize, row: u32) {
-        self.postings
-            .push(&mut self.start[k], &mut self.len[k], row);
+    /// Append `row`, whose key hashes to `h`, to its key's segment, or open
+    /// a segment for a new key (segment layout).
+    fn add<K: Iterator<Item = u64>>(&mut self, h: u64, row: usize, key: impl Fn(usize) -> K) {
+        let same_key = |k: u32| key(self.segment(k)[0] as usize).eq(key(row));
+        match self.keys.find(h, same_key) {
+            Some(k) => {
+                let k = k as usize;
+                self.postings
+                    .push(&mut self.start[k], &mut self.len[k], row as u32);
+            }
+            None => {
+                // At most one key per row, so key ids stay under the row
+                // cap and hence under `SlotTable::MAX_IDS`.
+                self.keys.insert(h, self.len.len() as u32);
+                let (mut start, mut len) = (0, 0);
+                self.postings.push(&mut start, &mut len, row as u32);
+                self.start.push(start);
+                self.len.push(len);
+            }
+        }
     }
 
     /// Heap bytes, from the capacities of the slot table and the three
@@ -334,21 +390,26 @@ enum Rows<'a> {
     Owned(std::vec::IntoIter<u32>),
 }
 
+impl Iterator for Rows<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Rows::Range(r) => r.next(),
+            Rows::Slice(it) => it.next().copied(),
+            Rows::Owned(it) => it.next(),
+        }
+    }
+}
+
 impl Iterator for Candidates<'_> {
     type Item = u32;
 
     #[inline]
     fn next(&mut self) -> Option<u32> {
-        loop {
-            let row = match &mut self.rows {
-                Rows::Range(r) => r.next(),
-                Rows::Slice(it) => it.next().copied(),
-                Rows::Owned(it) => it.next(),
-            }?;
-            if !bit_get(self.dead, row as usize) {
-                return Some(row);
-            }
-        }
+        let dead = self.dead;
+        self.rows.find(|&row| !bit_get(dead, row as usize))
     }
 }
 
@@ -462,10 +523,10 @@ impl Relation {
         }
     }
 
-    /// Create (or catch up) the posting-list index over `positions` so that
+    /// Create (or catch up) the join index over `positions` so that
     /// subsequent [`Relation::lookup`]s on that key set are O(hits). Called
-    /// once per fixpoint iteration by the single writer; between calls the
-    /// postings are reused as-is by every shard worker.
+    /// by the single writer before the join orders that probe the index
+    /// run; between calls the index is reused as-is by every shard worker.
     pub(crate) fn ensure_index(&mut self, positions: &[usize], class: Classes) {
         if positions.is_empty() {
             return;
@@ -475,12 +536,13 @@ impl Relation {
     }
 
     /// Live rows matching the packed **class-cell** `key` at `positions`,
-    /// restricted to `range`, ascending. Read-only: where the posting list
-    /// covers the whole range a borrowed sub-slice comes back (postings are
-    /// ascending, so the range restriction is two binary searches); the
-    /// unindexed tail is scanned linearly. Postings cover dead rows too:
-    /// deletion does not rebuild them, the returned [`Candidates`] skip
-    /// dead rows instead.
+    /// restricted to `range`, ascending. Read-only: where the index covers
+    /// the whole range, the key's one row (unique layout) or a borrowed
+    /// sub-slice of its postings (segment layout: postings are ascending, so
+    /// the range restriction is two binary searches) comes back; the
+    /// unindexed tail is scanned linearly. The index covers dead rows too:
+    /// deletion does not rebuild it, the returned [`Candidates`] skip dead
+    /// rows instead.
     pub(crate) fn lookup(
         &self,
         positions: &[usize],
@@ -498,25 +560,20 @@ impl Relation {
         }
         let (hits, indexed_upto) = match self.indexes.get(positions) {
             Some(idx) => {
-                let covered = hi.min(idx.built_upto);
                 let same_key =
                     |rep| key_at(positions, &self.cols, class, rep).eq(key.iter().copied());
-                let hits = idx.find(hash_ids(key.iter().copied()), same_key).map(|k| {
-                    let v = idx.segment(k);
-                    let lo = v.partition_point(|&i| (i as usize) < range.start);
-                    let up = v.partition_point(|&i| (i as usize) < covered);
-                    &v[lo..up]
-                });
-                (hits.unwrap_or(&[]), idx.built_upto)
+                let covered = range.start..hi.min(idx.built_upto);
+                let hash = hash_ids(key.iter().copied());
+                (idx.rows(hash, same_key, covered), idx.built_upto)
             }
-            None => (&[][..], 0),
+            None => (Rows::Range(0..0), 0),
         };
         let tail_start = range.start.max(indexed_upto);
         if tail_start >= hi {
-            // Fully covered by the index: no allocation, borrow the postings.
-            return skip_dead(Rows::Slice(hits.iter()));
+            // Fully covered by the index: no allocation.
+            return skip_dead(hits);
         }
-        let mut out: Vec<u32> = hits.to_vec();
+        let mut out: Vec<u32> = hits.collect();
         for i in tail_start..hi {
             if key_at(positions, &self.cols, class, i).eq(key.iter().copied()) {
                 out.push(i as u32);
@@ -997,6 +1054,18 @@ mod tests {
     }
 
     #[test]
+    fn signed_zeros_dedup_alike_in_either_order() {
+        let zeros = [Value::Float(0.0), Value::Float(-0.0), Value::Int(0)];
+        for order in [[0, 1, 2], [2, 1, 0]] {
+            let mut db = FactDb::new();
+            for i in order {
+                db.insert("p", vec![zeros[i].clone()]).unwrap();
+            }
+            assert_eq!(db.len("p"), 1, "insertion order {order:?}");
+        }
+    }
+
+    #[test]
     fn dedup_table_survives_growth() {
         let mut db = FactDb::new();
         for i in 0..10_000i64 {
@@ -1354,6 +1423,9 @@ mod tests {
     /// each drawn as an `Int` or an equal `Float`, and as many OID payloads
     /// per space, the largest payloads included: enough distinct keys to
     /// grow an index's slot table, and enough repeats to move segments.
+    /// Both index layouts occur: an index over every position stays unique
+    /// (dedup keeps its keys distinct) until a tombstoned tuple comes back,
+    /// and one over fewer positions converts on its first repeated key.
     fn gen_ops(rng: &mut Rng) -> (usize, Vec<Op>) {
         let arity = rng.gen_range(1usize..4);
         let domain = rng.gen_range(2i64..40);
@@ -1391,13 +1463,32 @@ mod tests {
         (arity, ops)
     }
 
+    /// What one model-check case made its indexes do.
+    #[derive(Default)]
+    struct Seen {
+        /// An index outgrew its first slot table.
+        grew: bool,
+        /// A segment moved.
+        moved: bool,
+        /// An index kept the unique layout to the end, past a slot-table
+        /// growth.
+        unique: bool,
+        /// An index left the unique layout after holding several keys.
+        converted: bool,
+    }
+
     /// Runs `ops` against a store and a row-list model; every insert must
     /// agree on novelty, and every lookup must return the ascending live
-    /// model rows in range whose values equal the key. Reports whether an
-    /// index outgrew its first slot table and whether one moved a segment.
-    fn index_matches_scan(ops: &[Op]) -> std::result::Result<(bool, bool), CaseError> {
+    /// model rows in range whose values equal the key.
+    fn index_matches_scan(ops: &[Op]) -> std::result::Result<Seen, CaseError> {
         let mut db = FactDb::new();
         let mut model: Vec<(Vec<Value>, bool)> = Vec::new();
+        let mut seen = Seen::default();
+        // Is the index over `pos` unique over at least two keys?
+        let unique_over_several = |db: &FactDb, pos: &Vec<usize>| {
+            let idx = db.rel("r").and_then(|rel| rel.indexes.get(pos));
+            idx.is_some_and(|idx| idx.is_unique() && idx.built_upto > 1)
+        };
         for op in ops {
             match op {
                 Op::Insert(t) => {
@@ -1409,7 +1500,12 @@ mod tests {
                         model.push((tuple, true));
                     }
                 }
-                Op::Ensure(pos) => db.ensure_index("r", pos),
+                Op::Ensure(pos) => {
+                    let was_unique = unique_over_several(&db, pos);
+                    db.ensure_index("r", pos);
+                    let idx = db.rel("r").and_then(|rel| rel.indexes.get(pos));
+                    seen.converted |= was_unique && idx.is_some_and(|idx| !idx.is_unique());
+                }
                 Op::Tombstone(n) => {
                     if !model.is_empty() {
                         let row = n % model.len();
@@ -1445,11 +1541,13 @@ mod tests {
         let indexes: Vec<&Index> = db
             .rel("r")
             .map_or(Vec::new(), |rel| rel.indexes.values().collect());
-        let grew = indexes.iter().any(|idx| idx.keys.approx_bytes() > 16 * 8);
-        let moved = indexes
+        let grew = |idx: &Index| idx.keys.approx_bytes() > 16 * 8;
+        seen.grew = indexes.iter().any(|idx| grew(idx));
+        seen.moved = indexes
             .iter()
             .any(|idx| idx.postings.len() > live_capacity(idx));
-        Ok((grew, moved))
+        seen.unique = indexes.iter().any(|idx| idx.is_unique() && grew(idx));
+        Ok(seen)
     }
 
     /// Arena slots the live segments of `idx` reserve.
@@ -1462,21 +1560,25 @@ mod tests {
 
     #[test]
     fn index_lookups_match_a_filtered_scan() {
-        let (grew, moved) = (Cell::new(0), Cell::new(0));
+        let [grew, moved, unique, converted] = [(); 4].map(|()| Cell::new(0));
         check(
             "index_lookups_match_a_filtered_scan",
             &Config::with_cases(64),
             gen_ops,
             |(arity, ops)| shrink_vec(ops).into_iter().map(|o| (*arity, o)).collect(),
             |(_, ops)| {
-                let (g, m) = index_matches_scan(ops)?;
-                grew.set(grew.get() + g as usize);
-                moved.set(moved.get() + m as usize);
+                let seen = index_matches_scan(ops)?;
+                grew.set(grew.get() + seen.grew as usize);
+                moved.set(moved.get() + seen.moved as usize);
+                unique.set(unique.get() + seen.unique as usize);
+                converted.set(converted.get() + seen.converted as usize);
                 Ok(())
             },
         );
         assert!(grew.get() > 0, "no case grew an index's slot table");
         assert!(moved.get() > 0, "no case moved a posting segment");
+        assert!(unique.get() > 0, "no case kept an index unique");
+        assert!(converted.get() > 0, "no case converted a unique index");
     }
 
     #[test]
@@ -1502,7 +1604,10 @@ mod tests {
         db.ensure_index("hot", &[0]);
         let r = db.rel("r").unwrap();
         let distinct = &r.indexes[&vec![1]];
-        assert_eq!(distinct.len.len(), 1_000);
+        assert!(
+            distinct.is_unique(),
+            "1,000 distinct keys keep the unique layout"
+        );
         assert!(
             distinct.keys.approx_bytes() >= 1_000 * 8 * 8 / 7,
             "slot table grew"

@@ -8,15 +8,17 @@
 //! set entirely) while leaving room for allocator slack the estimate cannot
 //! see. Two tests pin the same bound on a chase whose monotonic-aggregate
 //! state outweighs the store, and check that the `max_bytes` governor sees
-//! that state while the chase runs. The last one counts allocations too: a
-//! join index over 100,000 distinct keys must not allocate per key.
+//! that state while the chase runs. The last three pin join indexes: one
+//! over 100,000 distinct keys must not allocate per key and keeps only its
+//! slot table, and a chase builds no index that no join order it evaluates
+//! probes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kgm_common::{FxHashSet, KgmError, Value};
 use kgm_runtime::{Mutex, Rng};
-use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb, Termination};
+use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb, Termination, Update};
 
 /// System allocator wrapper tracking live (allocated minus freed) bytes
 /// and the number of allocations and reallocations.
@@ -344,4 +346,70 @@ fn a_join_index_allocates_nothing_per_key() {
         "the run kept {bytes} bytes, {:.1} per key (at most 48)",
         bytes as f64 / KEYS as f64
     );
+}
+
+/// Rows of `big`, one distinct first column each, in the join-index runs.
+const BIG_ROWS: usize = 100_000;
+
+/// Chase `src` at 1 thread over `BIG_ROWS` rows `big(i, i + 1)` and the
+/// one fact `probe(key)`, and return the engine, the store and the bytes
+/// the run kept.
+fn probe_big_run(src: &str, key: i64) -> (Engine, FactDb, usize) {
+    let engine = Engine::with_config(
+        parse_program(src).unwrap(),
+        EngineConfig {
+            threads: 1,
+            deadline_ms: None,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let mut db = FactDb::new();
+    let big = (0..BIG_ROWS as i64).map(|i| vec![Value::Int(i), Value::Int(i + 1)]);
+    db.add_facts("big", big.collect()).unwrap();
+    db.insert("probe", vec![Value::Int(key)]).unwrap();
+    let before = live();
+    engine.run(&mut db).unwrap();
+    let bytes = live().saturating_sub(before);
+    assert_eq!(db.facts("hit"), vec![vec![Value::Int(key + 1)]]);
+    (engine, db, bytes)
+}
+
+/// An index whose keys never repeat is its slot table alone: no segment
+/// header and no posting per key. The run of
+/// `a_join_index_allocates_nothing_per_key` keeps at most 12 B per key,
+/// where the segment layout would keep 31.5.
+#[test]
+fn a_unique_key_index_keeps_only_its_slot_table() {
+    let _guard = MEASURING.lock();
+    let (_, _, bytes) = probe_big_run("probe(X), big(X, Y) -> hit(Y).", BIG_ROWS as i64 / 2);
+    let per_key = bytes as f64 / BIG_ROWS as f64;
+    assert!(
+        per_key <= 12.0,
+        "the run kept {bytes} bytes, {per_key:.1} per key (at most 12)"
+    );
+}
+
+/// A from-scratch chase evaluates `big`'s order, which probes `probe[0]`,
+/// and never the delta order that starts at `probe`, which would probe
+/// `big[0]`: `probe` does not grow. So the run builds no index over `big`
+/// and keeps under 1 B per `big` row. An update that does grow `probe`
+/// builds `big[0]` then, and derives through it.
+#[test]
+fn a_chase_builds_only_the_indexes_its_join_orders_probe() {
+    let _guard = MEASURING.lock();
+    let (engine, mut db, bytes) = probe_big_run("big(X, Y), probe(X) -> hit(Y).", 7);
+    assert!(
+        bytes < BIG_ROWS,
+        "the run kept {bytes} bytes, {:.2} per big row (under 1)",
+        bytes as f64 / BIG_ROWS as f64
+    );
+    let update = Update {
+        inserts: vec![("probe".to_string(), vec![Value::Int(50_000)])],
+        deletes: Vec::new(),
+    };
+    let stats = engine.apply_update(&mut db, update).unwrap();
+    assert_eq!(stats.profile.update_fallbacks, 0);
+    assert_eq!(db.len("hit"), 2);
+    assert!(db.contains("hit", &[Value::Int(50_001)]));
 }

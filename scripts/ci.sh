@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI for the hermetic workspace.
 #
+# 0. Format: `cargo fmt --all --check` must report nothing.
 # 1. Guard: no workspace manifest may depend on anything outside the
 #    workspace (all deps must be kgm-* path crates).
 # 2. Build + test fully offline — proves an empty cargo registry suffices.
@@ -36,6 +37,10 @@ cd "$(dirname "$0")/.."
 # No smoke may leave a trace in the working tree: the last step compares
 # `git status --porcelain` with this reading.
 tree_at_start=$(git status --porcelain)
+
+echo "== format check =="
+cargo fmt --all --check
+echo "ok: the workspace is formatted"
 
 echo "== dependency guard =="
 fail=0
@@ -140,7 +145,9 @@ echo "== join-index model check =="
 # arity 1-3 mixing pooled values (Int and equal Float) with inline OID cells
 # of all three spaces, the largest payloads included, with interleaved
 # inserts, index catch-ups and tombstones; every lookup must return exactly
-# the ascending live rows a filtered scan of a row-list model returns.
+# the ascending live rows a filtered scan of a row-list model returns. The
+# cases cover both index layouts: indexes that keep unique keys to the end,
+# and unique indexes that convert to posting segments on a repeated key.
 KGM_PROP_SEED=20220046 KGM_PROP_CASES=300 cargo test --release --offline -q \
     -p kgm-vadalog --lib factdb::tests::index_lookups_match_a_filtered_scan >/dev/null
 echo "ok: 300-case fixed-seed index lookups match a filtered scan"
