@@ -180,8 +180,10 @@ KGM_GOLDEN_FROZEN=1 cargo test --release --offline -q \
 KGM_GOLDEN_FROZEN=1 cargo test --release --offline -q \
     -p kgm-core --test golden_instances >/dev/null
 KGM_GOLDEN_FROZEN=1 cargo test --release --offline -q \
+    -p kgm-core --test golden_views >/dev/null
+KGM_GOLDEN_FROZEN=1 cargo test --release --offline -q \
     -p kgm-finance --test golden_explain >/dev/null
-echo "ok: MTV + SSST + instance-relation + explanation goldens match byte-for-byte"
+echo "ok: MTV + SSST + instance-relation + view-program + explanation goldens match byte-for-byte"
 
 echo "== why-provenance smoke =="
 # Provenance must be a pure sidecar: the provenance-on chase at 1 and 4
