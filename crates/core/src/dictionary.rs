@@ -152,22 +152,62 @@ impl Dictionary {
         self.graph.node_prop(id, "schemaOID") == Some(&Value::Int(schema_oid))
     }
 
-    /// The `SM_Node` dictionary node whose type name is `name`.
-    pub fn sm_node_by_name(&self, name: &str, schema_oid: i64) -> Option<NodeId> {
+    /// Resolve every node and edge label of `schema`, encoded under
+    /// `schema_oid`, in one walk of the dictionary. A label the dictionary
+    /// lacks is a `NotFound` error.
+    pub(crate) fn catalog(&self, schema: &SuperSchema, schema_oid: i64) -> Result<Catalog> {
         let g = &self.graph;
-        g.nodes_with_label("SM_Node")
-            .into_iter()
-            .filter(|&n| self.schema_filter(n, schema_oid))
-            .find(|&n| self.type_name(n, "SM_HAS_NODE_TYPE").as_deref() == Some(name))
-    }
-
-    /// The `SM_Edge` dictionary node whose type name is `name`.
-    pub fn sm_edge_by_name(&self, name: &str, schema_oid: i64) -> Option<NodeId> {
-        let g = &self.graph;
-        g.nodes_with_label("SM_Edge")
-            .into_iter()
-            .filter(|&n| self.schema_filter(n, schema_oid))
-            .find(|&n| self.type_name(n, "SM_HAS_EDGE_TYPE").as_deref() == Some(name))
+        // Each SM_Node and SM_Edge of the schema, with its own attributes.
+        let own = |construct: &str, type_link: &str, attr_link: &str| {
+            let constructs = g.nodes_with_label(construct).into_iter();
+            constructs
+                .filter(|&c| self.schema_filter(c, schema_oid))
+                .filter_map(|c| {
+                    let attrs = self.attributes_of(c, attr_link).into_iter();
+                    let attrs = attrs.filter_map(|a| {
+                        let flag = |key| g.node_prop(a, key) == Some(&Value::Bool(true));
+                        Some(CatalogAttr {
+                            name: g.node_prop(a, "name")?.to_string(),
+                            oid: g.node_oid(a),
+                            optional: flag("isOpt") || flag("isIntensional"),
+                        })
+                    });
+                    Some((
+                        self.type_name(c, type_link)?,
+                        (g.node_oid(c), attrs.collect()),
+                    ))
+                })
+                .collect::<FxHashMap<String, (Oid, Vec<CatalogAttr>)>>()
+        };
+        let nodes = own("SM_Node", "SM_HAS_NODE_TYPE", "SM_HAS_NODE_ATTR");
+        let mut edges = own("SM_Edge", "SM_HAS_EDGE_TYPE", "SM_HAS_EDGE_ATTR");
+        let missing = |construct, name: &str| KgmError::NotFound(format!("{construct} `{name}`"));
+        let mut catalog = Catalog::default();
+        for n in &schema.nodes {
+            // The label itself, then its ancestors, nearest first.
+            let chain = std::iter::once(n.name.as_str()).chain(schema.ancestors(&n.name));
+            let chain = chain
+                .map(|l| nodes.get(l).ok_or_else(|| missing("SM_Node", l)))
+                .collect::<Result<Vec<_>>>()?;
+            let label = CatalogLabel {
+                oid: chain[0].0,
+                depth: chain.len() - 1,
+                attrs: chain.iter().flat_map(|(_, a)| a.iter().cloned()).collect(),
+            };
+            catalog.nodes.insert(n.name.clone(), label);
+        }
+        for e in &schema.edges {
+            let (oid, attrs) = edges
+                .remove(&e.name)
+                .ok_or_else(|| missing("SM_Edge", &e.name))?;
+            let label = CatalogLabel {
+                oid,
+                depth: 0,
+                attrs,
+            };
+            catalog.edges.insert(e.name.clone(), label);
+        }
+        Ok(catalog)
     }
 
     /// The type name attached to a construct via the given `SM_HAS_*_TYPE`
@@ -315,6 +355,42 @@ impl Dictionary {
         schema.validate()?;
         Ok(schema)
     }
+}
+
+/// The labels of one encoded schema as the instance load reads them and
+/// the generated views (Algorithm 2, lines 4–6) write them:
+/// [`Dictionary::catalog`].
+#[derive(Debug, Default)]
+pub(crate) struct Catalog {
+    pub(crate) nodes: FxHashMap<String, CatalogLabel>,
+    pub(crate) edges: FxHashMap<String, CatalogLabel>,
+}
+
+/// A node or edge label, resolved to its dictionary construct.
+#[derive(Debug)]
+pub(crate) struct CatalogLabel {
+    /// The `SM_Node` or `SM_Edge` OID its instances reference.
+    pub(crate) oid: Oid,
+    /// Ancestor count, 0 for an edge: a data node's most specific label
+    /// wins.
+    pub(crate) depth: usize,
+    /// Own attributes in declaration order, then each ancestor's, nearest
+    /// first: the attribute columns of the label's atom, as
+    /// [`crate::intensional::pg_schema_of`] declares them.
+    pub(crate) attrs: Vec<CatalogAttr>,
+}
+
+/// An attribute of a label.
+#[derive(Debug, Clone)]
+pub(crate) struct CatalogAttr {
+    pub(crate) name: String,
+    /// The `SM_Attribute` OID its instances reference.
+    pub(crate) oid: Oid,
+    /// `isOpt || isIntensional`: an instance may lack a value. The views
+    /// do not read it yet; they give every attribute the absent-null
+    /// default.
+    #[allow(dead_code)]
+    pub(crate) optional: bool,
 }
 
 /// Names of schema-level constructs, each looked up in the dictionary graph
@@ -538,20 +614,104 @@ mod tests {
 
     #[test]
     fn lookups_by_type_name() {
+        let schema = sample();
         let mut dict = Dictionary::new();
-        dict.encode(&sample(), 7).unwrap();
-        let person = dict.sm_node_by_name("Person", 7).unwrap();
+        dict.encode(&schema, 7).unwrap();
+        let catalog = dict.catalog(&schema, 7).unwrap();
+        let person = dict.graph.node_by_oid(catalog.nodes["Person"].oid).unwrap();
         assert_eq!(
             dict.type_name(person, "SM_HAS_NODE_TYPE").as_deref(),
             Some("Person")
         );
         assert_eq!(dict.attributes_of(person, "SM_HAS_NODE_ATTR").len(), 3);
-        assert!(dict.sm_node_by_name("Person", 8).is_none());
-        let owns = dict.sm_edge_by_name("OWNS", 7).unwrap();
+        assert!(matches!(
+            dict.catalog(&schema, 8),
+            Err(KgmError::NotFound(m)) if m == "SM_Node `Person`"
+        ));
+        let owns = dict.graph.node_by_oid(catalog.edges["OWNS"].oid).unwrap();
         assert_eq!(
             dict.graph.node_prop(owns, "isIntensional"),
             Some(&Value::Bool(true))
         );
+    }
+
+    /// The columns `V_I` writes for a label (the catalog's attributes) are
+    /// the columns Σ reads (`pg_schema_of`'s properties), in order.
+    #[test]
+    fn catalog_columns_match_the_mtv_label_catalog() {
+        let schema = parse_gsl(
+            r#"
+            schema Chain {
+              node Party { id code: string; opt alias: string; }
+              node Firm { name: string; intensional stakeholders: int; }
+              node Bank { opt swift: string; rating: int; }
+              generalization Party -> Firm;
+              generalization Firm -> Bank;
+              edge OWNS: Party -> Firm { share: float; opt since: date; }
+              intensional edge CONTROLS: Party -> Firm { intensional weight: float; }
+            }
+            "#,
+        )
+        .unwrap();
+        let mut dict = Dictionary::new();
+        dict.encode(&schema, 3).unwrap();
+        let catalog = dict.catalog(&schema, 3).unwrap();
+        let pg = crate::intensional::pg_schema_of(&schema);
+        let columns = |label: &CatalogLabel| -> Vec<(String, bool)> {
+            label
+                .attrs
+                .iter()
+                .map(|a| (a.name.clone(), a.optional))
+                .collect()
+        };
+        let cols = |pairs: &[(&str, bool)]| -> Vec<(String, bool)> {
+            pairs.iter().map(|&(n, o)| (n.to_string(), o)).collect()
+        };
+        let nodes = [
+            ("Party", 0, cols(&[("code", false), ("alias", true)])),
+            (
+                "Firm",
+                1,
+                cols(&[
+                    ("name", false),
+                    ("stakeholders", true),
+                    ("code", false),
+                    ("alias", true),
+                ]),
+            ),
+            (
+                "Bank",
+                2,
+                cols(&[
+                    ("swift", true),
+                    ("rating", false),
+                    ("name", false),
+                    ("stakeholders", true),
+                    ("code", false),
+                    ("alias", true),
+                ]),
+            ),
+        ];
+        assert_eq!(catalog.nodes.len(), nodes.len());
+        for (name, depth, want) in nodes {
+            let label = &catalog.nodes[name];
+            assert_eq!(label.depth, depth, "{name}");
+            assert_eq!(columns(label), want, "{name}");
+            let names: Vec<String> = want.into_iter().map(|(n, _)| n).collect();
+            assert_eq!(pg.node_props(name).unwrap(), names.as_slice(), "{name}");
+        }
+        let edges = [
+            ("OWNS", cols(&[("share", false), ("since", true)])),
+            ("CONTROLS", cols(&[("weight", true)])),
+        ];
+        assert_eq!(catalog.edges.len(), edges.len());
+        for (name, want) in edges {
+            let label = &catalog.edges[name];
+            assert_eq!(label.depth, 0, "{name}");
+            assert_eq!(columns(label), want, "{name}");
+            let names: Vec<String> = want.into_iter().map(|(n, _)| n).collect();
+            assert_eq!(pg.edge_props(name).unwrap(), names.as_slice(), "{name}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! tuple shapes of the PG-to-relational mapping (Section 4, step (1)) that
 //! the generated input views `V_I` read.
 
-use crate::dictionary::{ConstructNames, Dictionary};
+use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, KgmError, Oid, Result, Symbol, Value};
 use kgm_pgstore::{NodeId, PropertyGraph};
@@ -59,37 +59,9 @@ pub struct InstanceMap {
     pub instance_to_node: FxHashMap<Oid, NodeId>,
 }
 
-/// A schema node label, resolved against the dictionary once per load.
-struct NodeType<'s> {
-    name: &'s str,
-    /// Ancestor count: a data node's most specific label wins.
-    depth: usize,
-    /// The label's `SM_Node`, if the dictionary has it.
-    sm: Option<Oid>,
-    /// `(name, SM_Attribute)`: own attributes, then inherited ones.
-    attrs: Vec<(String, Oid)>,
-}
-
-/// A schema edge label, resolved against the dictionary once per load.
-struct EdgeType {
-    sm: Oid,
-    attrs: Vec<(String, Oid)>,
-}
-
-/// `(name, OID)` of a construct's `SM_Attribute`s, in declaration order.
-fn named_attributes(dict: &Dictionary, construct: NodeId, link: &str) -> Vec<(String, Oid)> {
-    let g = &dict.graph;
-    dict.attributes_of(construct, link)
-        .into_iter()
-        .filter_map(|a| {
-            g.node_prop(a, "name")
-                .map(|v| (v.to_string(), g.node_oid(a)))
-        })
-        .collect()
-}
-
 /// Load a data graph (an instance of the PG schema generated from
-/// `schema`) into the instance-level relations of `dict`.
+/// `schema`) into the instance-level relations of `dict`, where `schema` is
+/// encoded under `schema_oid`.
 pub fn load_instance(
     dict: &mut Dictionary,
     schema: &SuperSchema,
@@ -97,51 +69,33 @@ pub fn load_instance(
     instance_oid: i64,
     data: &PropertyGraph,
 ) -> Result<(LoadStats, InstanceMap)> {
+    let catalog = dict.catalog(schema, schema_oid)?;
+    load_with(dict, &catalog, instance_oid, data)
+}
+
+/// [`load_instance`] against the schema's catalog.
+pub(crate) fn load_with(
+    dict: &mut Dictionary,
+    catalog: &Catalog,
+    instance_oid: i64,
+    data: &PropertyGraph,
+) -> Result<(LoadStats, InstanceMap)> {
     let mut stats = LoadStats::default();
     let mut map = InstanceMap::default();
     let iv = Value::Int(instance_oid);
 
-    // Resolve every schema label the data graph knows, keyed by its
-    // data-graph symbol, before touching any data.
-    let mut node_types: FxHashMap<Symbol, NodeType<'_>> = FxHashMap::default();
-    for n in &schema.nodes {
-        let Some(sym) = data.interner().get(&n.name) else {
-            continue;
-        };
-        let ancestors = schema.ancestors(&n.name);
-        let sm = dict.sm_node_by_name(&n.name, schema_oid);
-        // Own attributes, then the inherited ones of the ancestor SM_Nodes.
-        let attrs = sm
-            .into_iter()
-            .chain(
-                ancestors
-                    .iter()
-                    .filter_map(|a| dict.sm_node_by_name(a, schema_oid)),
-            )
-            .flat_map(|c| named_attributes(dict, c, "SM_HAS_NODE_ATTR"))
-            .collect();
-        let ty = NodeType {
-            name: &n.name,
-            depth: ancestors.len(),
-            sm: sm.map(|sm| dict.graph.node_oid(sm)),
-            attrs,
-        };
-        node_types.insert(sym, ty);
-    }
-    let mut edge_types: FxHashMap<Symbol, EdgeType> = FxHashMap::default();
-    for e in &schema.edges {
-        let (Some(sym), Some(sm)) = (
-            data.interner().get(&e.name),
-            dict.sm_edge_by_name(&e.name, schema_oid),
-        ) else {
-            continue;
-        };
-        let ty = EdgeType {
-            sm: dict.graph.node_oid(sm),
-            attrs: named_attributes(dict, sm, "SM_HAS_EDGE_ATTR"),
-        };
-        edge_types.insert(sym, ty);
-    }
+    // The schema labels the data graph knows, keyed by data-graph symbol.
+    let known = |name: &str| data.interner().get(name);
+    let node_types: FxHashMap<Symbol, &CatalogLabel> = catalog
+        .nodes
+        .iter()
+        .filter_map(|(n, l)| Some((known(n)?, l)))
+        .collect();
+    let edge_types: FxHashMap<Symbol, &CatalogLabel> = catalog
+        .edges
+        .iter()
+        .filter_map(|(e, l)| Some((known(e)?, l)))
+        .collect();
 
     // OIDs are minted one per construct and one per link, in the order the
     // rows are written.
@@ -159,26 +113,14 @@ pub fn load_instance(
             stats.skipped_nodes += 1;
             continue;
         };
-        let sm = ty
-            .sm
-            .ok_or_else(|| KgmError::NotFound(format!("SM_Node `{}` in dictionary", ty.name)))?;
         let inode = g.fresh_oid();
         db.insert_ref("i_sm_node", &[o(inode), iv.clone()])?;
-        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(inode), o(sm)])?;
+        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(inode), o(ty.oid)])?;
         stats.nodes += 1;
         instance_of.insert(n, inode);
         map.instance_to_node.insert(inode, n);
-
-        // Attributes: every schema-known property of the node.
-        for (name, attr) in &ty.attrs {
-            if let Some(value) = data.node_prop(n, name) {
-                let ia = g.fresh_oid();
-                db.insert_ref("i_sm_attr", &[o(ia), value.clone()])?;
-                db.insert_ref("i_has_nattr", &[o(g.fresh_oid()), o(inode), o(ia)])?;
-                db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(ia), o(*attr)])?;
-                stats.attributes += 1;
-            }
-        }
+        let props = |name: &str| data.node_prop(n, name);
+        stats.attributes += load_attributes(g, db, inode, "i_has_nattr", &ty.attrs, props)?;
     }
 
     for e in data.edges() {
@@ -193,21 +135,39 @@ pub fn load_instance(
         };
         let iedge = g.fresh_oid();
         db.insert_ref("i_sm_edge", &[o(iedge), iv.clone()])?;
-        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(iedge), o(ty.sm)])?;
+        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(iedge), o(ty.oid)])?;
         db.insert_ref("i_from", &[o(g.fresh_oid()), o(iedge), o(fi)])?;
         db.insert_ref("i_to", &[o(g.fresh_oid()), o(iedge), o(ti)])?;
         stats.edges += 1;
-        for (name, attr) in &ty.attrs {
-            if let Some(value) = data.edge_prop(e, name) {
-                let ia = g.fresh_oid();
-                db.insert_ref("i_sm_attr", &[o(ia), value.clone()])?;
-                db.insert_ref("i_has_eattr", &[o(g.fresh_oid()), o(iedge), o(ia)])?;
-                db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(ia), o(*attr)])?;
-                stats.attributes += 1;
-            }
-        }
+        let props = |name: &str| data.edge_prop(e, name);
+        stats.attributes += load_attributes(g, db, iedge, "i_has_eattr", &ty.attrs, props)?;
     }
     Ok((stats, map))
+}
+
+/// Write an `I_SM_Attribute`, its `link` row from `owner` and its `sm_ref`
+/// for every attribute of `attrs` the element has a value for; returns how
+/// many.
+fn load_attributes<'d>(
+    g: &PropertyGraph,
+    db: &mut FactDb,
+    owner: Oid,
+    link: &str,
+    attrs: &[CatalogAttr],
+    value_of: impl Fn(&str) -> Option<&'d Value>,
+) -> Result<usize> {
+    let o = Value::Oid;
+    let mut written = 0;
+    for attr in attrs {
+        if let Some(value) = value_of(&attr.name) {
+            let ia = g.fresh_oid();
+            db.insert_ref("i_sm_attr", &[o(ia), value.clone()])?;
+            db.insert_ref(link, &[o(g.fresh_oid()), o(owner), o(ia)])?;
+            db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(ia), o(attr.oid)])?;
+            written += 1;
+        }
+    }
+    Ok(written)
 }
 
 /// The `(from, to)` pairs of a link relation, in row order.

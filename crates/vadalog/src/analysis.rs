@@ -409,8 +409,7 @@ fn check_warded(program: &Program, affected: &FxHashSet<(String, usize)>) -> (bo
 impl ProgramAnalysis {
     /// Analyze `program`; fails on safety or stratification errors.
     /// Wardedness and piecewise-linearity are reported, not enforced —
-    /// callers decide (the engine refuses non-warded programs unless
-    /// configured otherwise).
+    /// callers decide (the engine refuses non-warded programs).
     pub fn analyze(program: &Program) -> Result<ProgramAnalysis> {
         for (ri, r) in program.rules.iter().enumerate() {
             check_safety(ri, r)?;

@@ -80,8 +80,6 @@ pub struct EngineConfig {
     pub max_iterations: usize,
     /// Global derived-fact cap (chase safety net).
     pub max_facts: usize,
-    /// Refuse to run programs that fail the wardedness check.
-    pub require_warded: bool,
     /// Worker threads. Every rule evaluation splits the outermost join
     /// atom's scan range into shards and runs them through one path: `1`
     /// keeps the whole range in one shard on the calling thread, larger
@@ -101,9 +99,6 @@ pub struct EngineConfig {
     /// degradation paths deterministically. Defaults to the
     /// `KGM_DEADLINE_MS` environment variable when set.
     pub deadline_ms: Option<u64>,
-    /// Wall-clock budget per stratum in milliseconds (`None` = unbounded).
-    /// An overrun terminates the run with [`Termination::Deadline`].
-    pub max_stratum_ms: Option<u64>,
     /// Approximate memory budget in bytes (`None` = unbounded), measured
     /// against [`FactDb::approx_bytes`] — which includes the persisted
     /// resume state — plus the labelled-null and monotonic-aggregate
@@ -134,14 +129,12 @@ impl Default for EngineConfig {
         EngineConfig {
             max_iterations: 1_000_000,
             max_facts: 50_000_000,
-            require_warded: true,
             threads: kgm_runtime::par::threads_from_env(),
             min_parallel_batch: 256,
             deadline_ms: kgm_runtime::env::parsed(
                 "KGM_DEADLINE_MS",
                 "milliseconds (an unsigned integer)",
             ),
-            max_stratum_ms: None,
             max_bytes: None,
             strict: false,
             cancel: None,
@@ -168,7 +161,7 @@ pub enum Termination {
     FactCap,
     /// At least one stratum hit `max_iterations` before its fixpoint.
     IterationCap,
-    /// `deadline_ms` (or `max_stratum_ms`) elapsed.
+    /// `deadline_ms` elapsed.
     Deadline,
     /// The configured [`CancelToken`] was tripped.
     Cancelled,
@@ -340,37 +333,55 @@ struct RuleMeta {
     index_needs: Vec<Vec<(String, Vec<usize>)>>,
 }
 
-/// The resource governor: one cheap check, run at stratum boundaries and
-/// once per fixpoint iteration, that maps an exceeded budget (or a tripped
-/// cancel token) to the [`Termination`] that stops the run. Checks are
-/// ordered most- to least-urgent: cancellation, wall-clock deadlines,
-/// memory proxy, fact cap.
-struct Governor<'a> {
+/// The resource governor: the one place a run's budgets and its cancel
+/// token are held.
+///
+/// [`Governor::check`] runs at stratum boundaries and once per fixpoint
+/// iteration, and maps an exceeded budget (or a tripped cancel token) to
+/// the [`Termination`] that stops the run, most urgent first: cancellation,
+/// the deadline, the memory proxy, the fact cap.
+///
+/// [`Governor::interrupted`] is polled inside binding loops. The one-shard
+/// join and every spawned shard worker poll the same governor (its counters
+/// are atomics), so a cancel or deadline stops a parallel chase within one
+/// batch. Polling is counter-gated: the cancel token and the clock are
+/// consulted once every `POLL_MASK + 1` join steps. When neither is
+/// configured the whole poll is two branches on immutable `None`s, so the
+/// default path costs nothing measurable.
+struct Governor {
+    cancel: Option<CancelToken>,
     deadline: Option<Instant>,
-    stratum_budget: Option<Duration>,
     max_bytes: Option<usize>,
     max_facts: usize,
-    cancel: Option<&'a CancelToken>,
+    steps: AtomicU32,
+    polls: AtomicUsize,
+    /// 0 = not interrupted, 1 = cancelled, 2 = deadline.
+    hit: AtomicU8,
 }
 
-impl Governor<'_> {
+impl Governor {
+    const POLL_MASK: u32 = 1023;
+
+    /// The governor of a run that started at `t_run`.
+    fn new(config: &EngineConfig, t_run: Instant) -> Governor {
+        Governor {
+            cancel: config.cancel.clone(),
+            deadline: config
+                .deadline_ms
+                .map(|ms| t_run + Duration::from_millis(ms)),
+            max_bytes: config.max_bytes,
+            max_facts: config.max_facts,
+            steps: AtomicU32::new(0),
+            polls: AtomicUsize::new(0),
+            hit: AtomicU8::new(0),
+        }
+    }
+
     /// `run_bytes` is the heap the run holds outside `db`: its null and
     /// aggregate tables, which reach the database only when the run ends.
-    fn check(&self, db: &FactDb, run_bytes: usize, t_stratum: Instant) -> Option<Termination> {
-        if let Some(tok) = self.cancel {
-            if tok.is_cancelled() {
-                return Some(Termination::Cancelled);
-            }
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return Some(Termination::Deadline);
-            }
-        }
-        if let Some(b) = self.stratum_budget {
-            if t_stratum.elapsed() >= b {
-                return Some(Termination::Deadline);
-            }
+    fn check(&self, db: &FactDb, run_bytes: usize) -> Option<Termination> {
+        if let Some(t) = self.interruption() {
+            return Some(t);
         }
         if let Some(b) = self.max_bytes {
             if db.approx_bytes() + run_bytes > b {
@@ -382,37 +393,23 @@ impl Governor<'_> {
         }
         None
     }
-}
 
-/// Shared interruption state polled cooperatively inside binding loops —
-/// the one-shard join and every spawned shard worker poll the same instance
-/// (all fields are atomics), so a cancel or deadline stops a parallel chase
-/// within one batch. Polling is counter-gated: the cancel token and the
-/// clock are consulted once every `POLL_MASK + 1` join steps. When nothing
-/// is configured the whole check is two branches on immutable `None`s, so
-/// the default path costs nothing measurable.
-struct InterruptState {
-    cancel: Option<CancelToken>,
-    deadline: Option<Instant>,
-    steps: AtomicU32,
-    polls: AtomicUsize,
-    /// 0 = not interrupted, 1 = cancelled, 2 = deadline.
-    hit: AtomicU8,
-}
-
-impl InterruptState {
-    const POLL_MASK: u32 = 1023;
-
-    fn new(cancel: Option<CancelToken>, deadline: Option<Instant>) -> Self {
-        InterruptState {
-            cancel,
-            deadline,
-            steps: AtomicU32::new(0),
-            polls: AtomicUsize::new(0),
-            hit: AtomicU8::new(0),
+    /// The tripped cancel token or the elapsed deadline, if either.
+    fn interruption(&self) -> Option<Termination> {
+        if let Some(tok) = &self.cancel {
+            if tok.is_cancelled() {
+                return Some(Termination::Cancelled);
+            }
         }
+        if let Some(d) = self.deadline {
+            if Instant::now() >= d {
+                return Some(Termination::Deadline);
+            }
+        }
+        None
     }
 
+    /// What [`Governor::interrupted`] has observed, if anything.
     fn hit(&self) -> Option<Termination> {
         match self.hit.load(Ordering::Acquire) {
             0 => None,
@@ -435,25 +432,18 @@ impl InterruptState {
             return false;
         }
         self.polls.fetch_add(1, Ordering::Relaxed);
-        if let Some(tok) = &self.cancel {
-            if tok.is_cancelled() {
-                self.hit.store(1, Ordering::Release);
-                return true;
-            }
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.hit.store(2, Ordering::Release);
-                return true;
-            }
-        }
-        false
+        let Some(t) = self.interruption() else {
+            return false;
+        };
+        let code = if t == Termination::Cancelled { 1 } else { 2 };
+        self.hit.store(code, Ordering::Release);
+        true
     }
 }
 
 /// The sentinel error binding loops raise to unwind out of a join when
-/// [`InterruptState::interrupted`] fires. `Engine::run` inspects
-/// `InterruptState::hit` before propagating evaluation errors, so this
+/// [`Governor::interrupted`] fires. `Engine::run` inspects
+/// [`Governor::hit`] before propagating evaluation errors, so this
 /// never escapes to callers (in graceful mode it becomes a recorded
 /// [`Termination`]; in strict mode it is rebuilt with a proper message).
 fn interrupt_sentinel() -> KgmError {
@@ -508,7 +498,7 @@ impl Engine {
     /// Build an engine with an explicit configuration.
     pub fn with_config(program: Program, config: EngineConfig) -> Result<Engine> {
         let analysis = ProgramAnalysis::analyze(&program)?;
-        if config.require_warded && !analysis.warded {
+        if !analysis.warded {
             return Err(KgmError::Analysis(format!(
                 "program is not warded: {}",
                 analysis.warded_violations.join("; ")
@@ -715,18 +705,7 @@ impl Engine {
         resume: Option<ChaseState>,
     ) -> Result<RunStats> {
         let t_run = Instant::now();
-        let deadline = self
-            .config
-            .deadline_ms
-            .map(|ms| t_run + Duration::from_millis(ms));
-        let governor = Governor {
-            deadline,
-            stratum_budget: self.config.max_stratum_ms.map(Duration::from_millis),
-            max_bytes: self.config.max_bytes,
-            max_facts: self.config.max_facts,
-            cancel: self.config.cancel.as_ref(),
-        };
-        let interrupt = InterruptState::new(self.config.cancel.clone(), deadline);
+        let governor = Governor::new(&self.config, t_run);
         let faults_before = kgm_runtime::fault::injected_total();
         // Graceful-stop reason, set when a stratum breaks out below; `None`
         // means the run either completed or soft-stopped on the iteration cap.
@@ -794,7 +773,7 @@ impl Engine {
                 macro_rules! governed {
                     () => {
                         let run_bytes = nulls.approx_bytes() + mono.approx_bytes();
-                        if let Some(t) = governor.check(db, run_bytes, t_stratum) {
+                        if let Some(t) = governor.check(db, run_bytes) {
                             stop_run!(t);
                         }
                     };
@@ -812,14 +791,14 @@ impl Engine {
                             db.ensure_index(pred, positions);
                         }
                         let (new_facts, new_prov) = match self
-                            .eval_exact_agg_rule(db, ri, rule, &null_gen, &mut nulls, &interrupt)
+                            .eval_exact_agg_rule(db, ri, rule, &null_gen, &mut nulls, &governor)
                         {
                             Ok(v) => v,
                             // Interrupted mid-join: the whole rule evaluation is
                             // discarded (nothing was inserted yet), keeping the
                             // database prefix-consistent. Genuine errors still
                             // propagate.
-                            Err(e) => match interrupt.hit() {
+                            Err(e) => match governor.hit() {
                                 Some(t) => stop_run!(t),
                                 None => return Err(e),
                             },
@@ -888,10 +867,10 @@ impl Engine {
                                 &mut out,
                                 &mut prov_out,
                                 &mut stats.profile,
-                                &interrupt,
+                                &governor,
                             );
                             if let Err(e) = result {
-                                match interrupt.hit() {
+                                match governor.hit() {
                                     Some(t) => {
                                         hit = Some(t);
                                         break 'rules;
@@ -976,7 +955,7 @@ impl Engine {
             stats.stopped_stratum = last.map_or(0, |sp| sp.stratum);
             stats.stopped_iteration = last.map_or(0, |sp| sp.iterations);
         }
-        stats.profile.cancel_polls = interrupt.polls.load(Ordering::Relaxed);
+        stats.profile.cancel_polls = governor.polls.load(Ordering::Relaxed);
         stats.profile.faults_injected =
             (kgm_runtime::fault::injected_total() - faults_before) as usize;
         stats.profile.prov_edges = db.prov_edges() - prov_edges_before;
@@ -1064,8 +1043,8 @@ impl Engine {
                 self.config.max_facts
             )),
             Termination::Deadline => KgmError::ResourceExhausted(format!(
-                "chase deadline exceeded (deadline_ms={:?}, max_stratum_ms={:?})",
-                self.config.deadline_ms, self.config.max_stratum_ms
+                "chase deadline exceeded (deadline_ms={:?})",
+                self.config.deadline_ms
             )),
             Termination::MemoryBudget => KgmError::ResourceExhausted(format!(
                 "memory budget exceeded: ~{} bytes (store and chase tables) > configured \
@@ -1374,7 +1353,7 @@ impl Engine {
         out: &mut Vec<(String, Vec<Value>)>,
         prov_out: &mut ProvOut,
         profile: &mut ChaseProfile,
-        interrupt: &InterruptState,
+        governor: &Governor,
     ) -> Result<()> {
         let t_rule = Instant::now();
         let emitted_before = out.len();
@@ -1406,7 +1385,7 @@ impl Engine {
             };
             let r = self.eval_shard(
                 db, ri, rule, &order, &shards[0], all_steps, true, null_gen, nulls, mono, &mut so,
-                interrupt,
+                governor,
             );
             *out = std::mem::take(&mut so.heads);
             *prov_out = std::mem::take(&mut so.head_prov);
@@ -1438,7 +1417,7 @@ impl Engine {
                         &mut NullTable::default(),
                         &mut MonoTable::default(),
                         &mut so,
-                        interrupt,
+                        governor,
                     )?;
                     Ok(so)
                 }))
@@ -1517,7 +1496,7 @@ impl Engine {
         nulls: &mut NullTable,
         mono: &mut MonoTable,
         so: &mut ShardOut,
-        interrupt: &InterruptState,
+        governor: &Governor,
     ) -> Result<()> {
         let prov = self.config.provenance;
         let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
@@ -1531,7 +1510,7 @@ impl Engine {
             &delta,
             &mut binding,
             &mut trail,
-            interrupt,
+            governor,
             &mut |binding, trail| {
                 so.enumerated += 1;
                 // Reorder the join-order trail to body-atom order: parent ids
@@ -1607,10 +1586,10 @@ impl Engine {
         delta: &Option<(usize, Range<usize>)>,
         binding: &mut Vec<Option<Value>>,
         trail: &mut Vec<FactId>,
-        interrupt: &InterruptState,
+        governor: &Governor,
         on_match: &mut dyn FnMut(&mut Vec<Option<Value>>, &[FactId]) -> Result<()>,
     ) -> Result<()> {
-        if interrupt.interrupted() {
+        if governor.interrupted() {
             // Unwind out of the binding loops with the sentinel; `run`
             // translates it into a graceful stop (or a proper strict error).
             return Err(interrupt_sentinel());
@@ -1699,7 +1678,7 @@ impl Engine {
                     delta,
                     binding,
                     trail,
-                    interrupt,
+                    governor,
                     on_match,
                 )?;
                 if self.config.provenance {
@@ -1871,7 +1850,7 @@ impl Engine {
         rule: &Rule,
         null_gen: &OidGen,
         nulls: &mut NullTable,
-        interrupt: &InterruptState,
+        governor: &Governor,
     ) -> Result<(Vec<(String, Vec<Value>)>, ProvOut)> {
         let meta = &self.meta[ri];
         let agg_step = meta.agg_step.expect("exact agg rule");
@@ -1905,7 +1884,7 @@ impl Engine {
             &None,
             &mut binding,
             &mut trail,
-            interrupt,
+            governor,
             &mut |binding, trail| {
                 let mut assigned: Vec<Var> = Vec::new();
                 // Pre-aggregate steps never reach an aggregate, so the
@@ -2456,24 +2435,13 @@ mod tests {
     }
 
     #[test]
-    fn non_warded_program_is_refused_by_default() {
+    fn non_warded_program_is_refused() {
         let p = parse_program(
             "p(X) -> q(X, N).
              q(X, N), q(Y, N) -> r(N).",
         )
         .unwrap();
-        assert!(Engine::new(p.clone()).is_err());
-        // …but can be forced.
-        let engine = Engine::with_config(
-            p,
-            EngineConfig {
-                require_warded: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (db, _) = engine.run_with_facts(&[("p", ints(&[&[1]]))]).unwrap();
-        assert_eq!(db.len("r"), 1);
+        assert!(matches!(Engine::new(p), Err(KgmError::Analysis(_))));
     }
 
     #[test]
@@ -2722,7 +2690,7 @@ mod tests {
                     &mut out,
                     &mut Vec::new(),
                     &mut profile,
-                    &InterruptState::new(None, None),
+                    &Governor::new(&engine.config, Instant::now()),
                 )
                 .unwrap();
             assert!(out.is_empty(), "threads={threads}");

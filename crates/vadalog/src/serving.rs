@@ -262,6 +262,11 @@ impl EpochSnapshot {
                 vec![vec![Value::Int(self.rows(pred).len() as i64)]]
             }
             Plan::Agg(kind, pred, col) => {
+                if let Some(arity) = self.arity(pred).filter(|arity| col >= arity) {
+                    return Err(parse_err(format!(
+                        "column {col} of `{pred}`, whose arity is {arity}"
+                    )));
+                }
                 telemetry::counter_add("serving.query.aggregate", 1);
                 self.aggregate(*kind, pred, *col)
             }
@@ -457,9 +462,10 @@ impl Plan {
                     .rfind(')')
                     .filter(|&c| c > open)
                     .ok_or_else(|| parse_err(format!("point query `{rest}` lacks `)`")))?;
-                let pred = rest[..open].trim();
-                if pred.is_empty() {
-                    return Err(parse_err("point query lacks a predicate"));
+                let pred = predicate(rest[..open].trim())?;
+                let trailing = rest[close + 1..].trim();
+                if !trailing.is_empty() {
+                    return Err(parse_err(format!("text `{trailing}` after a point query")));
                 }
                 let inner = rest[open + 1..close].trim();
                 let tuple = if inner.is_empty() {
@@ -475,10 +481,10 @@ impl Plan {
                         .map(|t| parse_value(t.trim()))
                         .collect::<Result<Vec<Value>>>()?
                 };
-                Ok(Plan::Point(pred.to_string(), tuple))
+                Ok(Plan::Point(pred, tuple))
             }
-            "rel" => Ok(Plan::Rel(rest.to_string())),
-            "count" => Ok(Plan::Count(rest.to_string())),
+            "rel" => Ok(Plan::Rel(predicate(rest)?)),
+            "count" => Ok(Plan::Count(predicate(rest)?)),
             "sum" | "min" | "max" => {
                 let (pred, col) = rest
                     .split_once(char::is_whitespace)
@@ -492,7 +498,7 @@ impl Plan {
                     "min" => AggKind::Min,
                     _ => AggKind::Max,
                 };
-                Ok(Plan::Agg(kind, pred.trim().to_string(), col))
+                Ok(Plan::Agg(kind, predicate(pred)?, col))
             }
             "path" => Ok(Plan::Path(parse_path(rest)?)),
             "cypher" => Ok(Plan::Cypher(cypher::parse(rest)?)),
@@ -500,6 +506,18 @@ impl Plan {
                 "unknown query verb `{other}` (expected point/rel/count/sum/min/max/path/cypher)"
             ))),
         }
+    }
+}
+
+/// A predicate name: one identifier, as the Vadalog lexer reads them (a
+/// letter or `_`, then letters, digits or `_`).
+fn predicate(text: &str) -> Result<String> {
+    let mut chars = text.chars();
+    let first = chars.next().is_some_and(|c| c.is_alphabetic() || c == '_');
+    if first && chars.all(|c| c.is_alphanumeric() || c == '_') {
+        Ok(text.to_string())
+    } else {
+        Err(parse_err(format!("`{text}` is not a predicate name")))
     }
 }
 
@@ -956,6 +974,32 @@ mod tests {
         assert!(pin.query("path (edge").is_err());
         assert!(pin.query("point p(@bad)").is_err());
         assert!(pin.query("rel").is_err());
+        // Text after a point query's `)`, a predicate of two words, and a
+        // column at or past a known predicate's arity.
+        let (_, db) = tc_db();
+        layer.publish(&db, Termination::Complete);
+        let pin = layer.pin();
+        for text in [
+            "point path(1, 3) junk",
+            "count path extra",
+            "rel path extra",
+            "max path.x 1",
+            "point path x(1, 3)",
+            "sum edge 7",
+            "max edge 5",
+            "min edge 2",
+        ] {
+            match pin.query(text) {
+                Err(KgmError::Parse { .. }) => {}
+                other => panic!("`{text}` must be a Parse error, got {other:?}"),
+            }
+        }
+        // Unknown predicates still answer empty or zero.
+        assert_eq!(
+            pin.query("sum nope 7").unwrap().rows,
+            vec![vec![Value::Float(0.0)]]
+        );
+        assert!(pin.query("max nope 5").unwrap().rows.is_empty());
     }
 
     #[test]

@@ -148,22 +148,6 @@ fn zero_deadline_stops_immediately_with_partial_db() {
 }
 
 #[test]
-fn max_stratum_ms_zero_degrades_like_a_deadline() {
-    let _g = LOCK.lock();
-    fault::set(None);
-    let (_, stats) = run_chain(
-        1,
-        16,
-        EngineConfig {
-            max_stratum_ms: Some(0),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(stats.termination, Termination::Deadline);
-}
-
-#[test]
 fn strict_deadline_errors_and_names_the_budget() {
     let _g = LOCK.lock();
     fault::set(None);
