@@ -191,7 +191,7 @@ impl Vars {
 }
 
 const STR_POOL: [&str; 8] = ["a", "b", "c", "d e", "f\"g", "h\\i", "nl\nnl", "tab\tx"];
-const FLOAT_POOL: [f64; 4] = [0.5, 1.5, 2.25, 3.0];
+const FLOAT_POOL: [f64; 6] = [0.0, -0.0, 0.5, 1.5, 2.25, 3.0];
 
 /// Render a string constant as a source literal with the lexer's escapes.
 fn str_lit(s: &str) -> String {
