@@ -233,22 +233,23 @@ fn input_views(labels: &[Construct<'_>]) -> Program {
         let e = kind.tag();
         let is_pred = format!("vi_is{e}_{label}");
         // is_L(I) ← i_sm_node(I, inst), sm_ref(_, I, ⟨L⟩), and
-        // is_E(IE, F, T) ← i_sm_edge(IE, _), sm_ref(_, IE, ⟨E⟩),
+        // is_E(IE, F, T) ← i_sm_edge(IE, inst), sm_ref(_, IE, ⟨E⟩),
         //                  i_from(_, IE, F), i_to(_, IE, T).
         let mut rb = RuleBuilder::new();
         let k = rb.vars(keys);
+        let inst = c(Value::Int(INSTANCE_OID));
         let rb = match kind {
             Kind::Node => {
                 let x = rb.fresh();
-                rb.body("i_sm_node", vec![k[0].clone(), c(Value::Int(INSTANCE_OID))])
+                rb.body("i_sm_node", vec![k[0].clone(), inst])
                     .body("sm_ref", vec![x, k[0].clone(), oid(construct.oid)])
             }
             Kind::Edge => {
-                let (x0, x1, x2, x3) = (rb.fresh(), rb.fresh(), rb.fresh(), rb.fresh());
-                rb.body("i_sm_edge", vec![k[0].clone(), x0])
-                    .body("sm_ref", vec![x1, k[0].clone(), oid(construct.oid)])
-                    .body("i_from", vec![x2, k[0].clone(), k[1].clone()])
-                    .body("i_to", vec![x3, k[0].clone(), k[2].clone()])
+                let (x0, x1, x2) = (rb.fresh(), rb.fresh(), rb.fresh());
+                rb.body("i_sm_edge", vec![k[0].clone(), inst])
+                    .body("sm_ref", vec![x0, k[0].clone(), oid(construct.oid)])
+                    .body("i_from", vec![x1, k[0].clone(), k[1].clone()])
+                    .body("i_to", vec![x2, k[0].clone(), k[2].clone()])
             }
         };
         prog.rules.push(rb.head(&is_pred, k).build());
@@ -771,6 +772,25 @@ mod tests {
         // V_O de-normalizes CONTROLS facts into instance-construct facts.
         assert!(vo.contains("vo_edge"), "{vo}");
         assert!(vo.contains("CONTROLS"), "{vo}");
+    }
+
+    #[test]
+    fn input_views_read_only_their_instance() {
+        // One graph loaded twice, as instances 100 and 200, into one
+        // dictionary: the views of instance 100 see each element once.
+        let schema = company_schema();
+        let g = ownership_graph();
+        let mut dict = Dictionary::new();
+        dict.encode(&schema, SCHEMA_OID).unwrap();
+        let catalog = dict.catalog(&schema, SCHEMA_OID).unwrap();
+        for instance in [INSTANCE_OID, 200] {
+            load_with(&mut dict, &catalog, instance, &g).unwrap();
+        }
+        let (vi, _, _) = views(&parse_metalog(CONTROL).unwrap(), &catalog);
+        let mut db = std::mem::take(&mut dict.instances);
+        Engine::new(vi).unwrap().run(&mut db).unwrap();
+        assert_eq!(db.len("vi_is_Business"), g.node_count());
+        assert_eq!(db.len("vi_ise_OWNS"), g.edge_count());
     }
 
     #[test]
