@@ -51,7 +51,7 @@ pub enum RelGeneralizationStrategy {
     SingleTable,
 }
 
-fn snake(name: &str) -> String {
+pub(crate) fn snake(name: &str) -> String {
     let mut out = String::new();
     let mut prev_lower = false;
     for c in name.chars() {

@@ -29,12 +29,12 @@
 
 use crate::dictionary::Dictionary;
 use crate::models::relational::RelationalSchema;
-use crate::sst_metalog::{materialize_facts, pg_model_dictionary_schema};
+use crate::sst::snake;
+use crate::sst_metalog::{pg_model_dictionary_schema, run_mapping};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, KgmError, Result};
-use kgm_metalog::{parse_metalog, translate, PgSchema};
+use kgm_metalog::PgSchema;
 use kgm_pgstore::{Direction, PropertyGraph};
-use kgm_vadalog::{Engine, EngineConfig, FactDb, SourceRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -254,27 +254,6 @@ pub fn rel_model_dictionary_schema() -> PgSchema {
     s
 }
 
-fn snake(name: &str) -> String {
-    let mut out = String::new();
-    let mut prev_lower = false;
-    for c in name.chars() {
-        if c.is_uppercase() {
-            if prev_lower {
-                out.push('_');
-            }
-            out.extend(c.to_lowercase());
-            prev_lower = false;
-        } else if c == '-' || c == ' ' {
-            out.push('_');
-            prev_lower = false;
-        } else {
-            out.push(c);
-            prev_lower = c.is_lowercase() || c.is_ascii_digit();
-        }
-    }
-    out
-}
-
 /// A naming-convention-independent structural summary of a relational
 /// schema: used to compare the MetaLog-driven output with the native one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -367,37 +346,9 @@ pub fn translate_to_relational_via_metalog(schema: &SuperSchema) -> Result<RelMe
     dict.encode(schema, 1)?;
     let catalog = rel_model_dictionary_schema();
 
-    let run = |graph: Arc<PropertyGraph>,
-               src: &str,
-               nodes: &[&str],
-               edges: &[&str]|
-     -> Result<(PropertyGraph, String)> {
-        let meta = parse_metalog(src)?;
-        let out = translate(&meta, &catalog, "dict")?;
-        // Strict: a truncated schema-transformation chase would silently
-        // drop result constructs, so budget overruns must error.
-        let engine = Engine::with_config(
-            out.program,
-            EngineConfig {
-                strict: true,
-                ..EngineConfig::default()
-            },
-        )?;
-        let mut registry = SourceRegistry::new();
-        registry.add_graph("dict", graph);
-        let mut db = FactDb::new();
-        engine.load_inputs(&registry, &mut db)?;
-        let mut watermarks: FxHashMap<String, usize> = FxHashMap::default();
-        for l in nodes.iter().chain(edges.iter()) {
-            watermarks.insert((*l).to_string(), db.len(l));
-        }
-        engine.run(&mut db)?;
-        let g = materialize_facts(&db, &catalog, nodes, edges, &watermarks)?;
-        Ok((g, out.vadalog_source))
-    };
-
-    let (s_minus, eliminate_vadalog) = run(
+    let (s_minus, eliminate_vadalog) = run_mapping(
         Arc::new(std::mem::take(&mut dict.graph)),
+        &catalog,
         REL_ELIMINATE,
         &["SM_Node", "SM_Type", "SM_Attribute", "SM_Edge"],
         &[
@@ -409,8 +360,9 @@ pub fn translate_to_relational_via_metalog(schema: &SuperSchema) -> Result<RelMe
             "SM_TO",
         ],
     )?;
-    let (s_prime, copy_vadalog) = run(
+    let (s_prime, copy_vadalog) = run_mapping(
         Arc::new(s_minus),
+        &catalog,
         REL_COPY,
         &["Predicate", "Relation", "Field", "ForeignKey"],
         &[
