@@ -241,11 +241,11 @@ echo "== timing gates =="
 #   < 0.10x a full provenance-on chase of the 2,000-node registry (fastest
 #   samples), or incremental maintenance has stopped paying for itself;
 # - readers: 4,096-query mixed point/aggregate/path/cypher batches on 4
-#   reader threads must take <= 1.10x the batch on 1 reader (medians: the
-#   writer thread streaming updates meanwhile grows the registry, so the
-#   fastest sample drifts). A global lock across readers would show up as
-#   a multiple; the gate is about lock-freedom, not speed-up, so it holds
-#   on fewer cores than readers too.
+#   reader threads must take <= 1.10x the batch on 1 reader (medians of
+#   legs timed in ABBA order: the writer thread streaming updates
+#   meanwhile grows the registry, so the fastest sample drifts). The gate
+#   is about lock-freedom, not speed-up, so it holds on fewer cores than
+#   readers too; on 2 vCPUs it does not reliably catch one global lock.
 "$harness" gates
 echo "ok: provenance, update and reader timing gates hold"
 
