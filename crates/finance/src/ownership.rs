@@ -9,8 +9,7 @@
 //! series converges even through cross-ownership cycles.
 //!
 //! Computed by sparse fixpoint iteration `IO ← W + IO·W` with an absolute
-//! tolerance, per source node (embarrassingly parallel; the benchmark uses
-//! the single-threaded form for comparability).
+//! tolerance, per source node.
 
 use kgm_common::{FxHashMap, FxHashSet};
 use kgm_pgstore::{NodeId, PropertyGraph};
@@ -166,99 +165,5 @@ mod tests {
         let (g, ids) = graph(&[(0, 1, 0.001)], 2);
         let io = integrated_ownership(&g, 0.01, 100);
         assert!(!io.contains_key(&(ids[0], ids[1])));
-    }
-}
-
-/// Parallel variant of [`integrated_ownership`]: per-source series are
-/// independent, so sources are sharded across `threads` scoped workers
-/// ([`kgm_runtime::par::map_shards`]). Produces exactly the same table as
-/// the sequential version (tested), and backs the scaling comparison in the
-/// `control_pipeline` bench group.
-pub fn integrated_ownership_parallel(
-    g: &PropertyGraph,
-    tolerance: f64,
-    max_rounds: usize,
-    threads: usize,
-) -> IntegratedOwnership {
-    let mut w: FxHashMap<NodeId, FxHashMap<NodeId, f64>> = FxHashMap::default();
-    for e in g.edges_with_label("OWNS") {
-        let (f, t) = g.edge_endpoints(e);
-        let pct = g
-            .edge_prop(e, "percentage")
-            .and_then(kgm_common::Value::as_f64)
-            .unwrap_or(0.0);
-        *w.entry(f).or_default().entry(t).or_insert(0.0) += pct;
-    }
-    let sources: Vec<NodeId> = w.keys().copied().collect();
-    let w = &w;
-    let partials = kgm_runtime::par::map_shards(&sources, threads, |shard| {
-        let mut io: IntegratedOwnership = FxHashMap::default();
-        for &x in shard {
-            let mut total: FxHashMap<NodeId, f64> = FxHashMap::default();
-            let mut frontier: FxHashMap<NodeId, f64> = FxHashMap::default();
-            frontier.insert(x, 1.0);
-            for _ in 0..max_rounds {
-                let mut next: FxHashMap<NodeId, f64> = FxHashMap::default();
-                for (&z, &p) in &frontier {
-                    if let Some(holdings) = w.get(&z) {
-                        for (&y, &pct) in holdings {
-                            *next.entry(y).or_insert(0.0) += p * pct;
-                        }
-                    }
-                }
-                let mut mass = 0.0f64;
-                for (&y, &p) in &next {
-                    *total.entry(y).or_insert(0.0) += p;
-                    mass = mass.max(p);
-                }
-                frontier = next;
-                if mass < tolerance {
-                    break;
-                }
-            }
-            for (y, p) in total {
-                if y != x && p > tolerance {
-                    io.insert((x, y), p);
-                }
-            }
-        }
-        io
-    });
-    let mut out: IntegratedOwnership = FxHashMap::default();
-    for p in partials {
-        out.extend(p);
-    }
-    out
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::generator::{generate_shareholding, ShareholdingConfig};
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = generate_shareholding(&ShareholdingConfig {
-            nodes: 1_500,
-            person_fraction: 0.3,
-            cross_ownership: 0.02,
-            ..Default::default()
-        })
-        .unwrap();
-        let seq = integrated_ownership(&g, 1e-9, 100);
-        for threads in [1, 2, 8] {
-            let par = integrated_ownership_parallel(&g, 1e-9, 100, threads);
-            assert_eq!(par.len(), seq.len(), "threads={threads}");
-            for (k, v) in &seq {
-                let pv = par.get(k).unwrap_or_else(|| panic!("missing {k:?}"));
-                assert!((pv - v).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_handles_degenerate_inputs() {
-        let g = kgm_pgstore::PropertyGraph::new();
-        assert!(integrated_ownership_parallel(&g, 1e-9, 10, 4).is_empty());
     }
 }

@@ -7,8 +7,9 @@
 //! running counters — never by walking their entries — so the memory
 //! governor can add them to every check.
 //!
-//! The aggregate table keys its groups and contributors by the same 64-bit
-//! class cells as the fact store's columns (see [`kgm_common::pool`]): an
+//! The aggregate table stores its group and contributor keys as the same
+//! 64-bit exact cells as the fact store's columns, and hashes and compares
+//! them by class, as the store's dedup does (see [`kgm_common::pool`]): an
 //! OID key, the common case, is its own cell, and any other key value is
 //! interned in the table's own pool. The null table still keys on
 //! `Value`s.
@@ -16,6 +17,7 @@
 use crate::ast::{AggregateFunc, Var};
 use crate::engine::{combine, initial_value};
 use crate::factdb::FactId;
+use kgm_common::pool::Classes;
 use kgm_common::{FxHashMap, FxHasher, KgmError, Oid, OidGen, Result, SlotTable, Value, ValuePool};
 use std::hash::Hasher;
 use std::mem::size_of;
@@ -82,28 +84,30 @@ impl NullTable {
     }
 }
 
-/// The state of every monotonic aggregate (Vadalog's `msum`, `mcount`, …
-/// inside recursion): per `(rule, group)` the running value, and the set
-/// of `(group, contributor)` keys already counted.
+/// The state of an aggregate: per `(rule, group)` the running value, and
+/// the set of `(group, contributor)` keys already counted. The chase keeps
+/// one table for every monotonic aggregate (Vadalog's `msum`, `mcount`, …
+/// inside recursion) and gives each exact aggregate's pass a fresh one.
 ///
 /// Groups and contributors get dense `u32` ids in creation order. Their
-/// keys sit once, flat, in `keys`, as the class cells of the table's own
+/// keys sit once, flat, in `keys`, as the exact cells of the table's own
 /// [`ValuePool`] (an OID is its own cell, so the pool holds only the other
-/// key values); the two [`KeyIds`] indexes hold ids only. Keys compare by
-/// class, so `Int(1)` and `Float(1.0)` name the same group, and the same
-/// contributor. The pool is the table's own because the fact store's is
-/// read-only while shard workers run.
+/// key values); the two [`KeyIds`] indexes hold ids only. Keys hash and
+/// compare by class, so `Int(1)` and `Float(1.0)` name the same group, and
+/// the same contributor, and a group's key reads back in the
+/// representation of its first contribution. The pool is the table's own
+/// because the fact store's is read-only while shard workers run.
 #[derive(Default)]
 pub(crate) struct MonoTable {
     /// Group ids, keyed by `(rule, group key)`.
     groups: KeyIds,
     /// Contributor ids, keyed by `(group, contributor key)`.
     contributors: KeyIds,
-    /// Every group and contributor key, flat, as class cells of `pool`.
+    /// Every group and contributor key, flat, as exact cells of `pool`.
     keys: Vec<u64>,
     /// Interns the key values that are not OIDs.
     pool: ValuePool,
-    /// The class cells of the key being probed.
+    /// The exact cells of the key being probed.
     probe: Vec<u64>,
     /// Per group: the running aggregate value.
     current: Vec<Value>,
@@ -136,8 +140,7 @@ fn next_id(n: usize, what: &str) -> Result<u32> {
     Ok(n as u32)
 }
 
-/// Set `out` to the class cells of the values of `vars` in `binding`,
-/// interning a value into `pool` only when no equal one is there yet.
+/// Set `out` to the exact cells of the values of `vars` in `binding`.
 fn key_cells(
     pool: &mut ValuePool,
     vars: &[Var],
@@ -147,35 +150,33 @@ fn key_cells(
     out.clear();
     for v in vars {
         let val = binding[v.0 as usize].as_ref().expect("aggregate key bound");
-        let cell = match pool.lookup(val) {
-            Some(class) => class,
-            None => {
-                let id = pool.intern(val)?;
-                pool.class(id)
-            }
-        };
-        out.push(cell);
+        out.push(pool.intern(val)?);
     }
     Ok(())
 }
 
 impl KeyIds {
-    /// The id of `(owner, key)` and whether it is new. A new pair's key
-    /// cells are appended to `keys`.
+    /// The id of `(owner, key)` and whether it is new, comparing key cells
+    /// by class. A new pair's key cells are appended to `keys`.
     fn get_or_add(
         &mut self,
         owner: u32,
         key: &[u64],
         keys: &mut Vec<u64>,
+        class: Classes,
         what: &str,
     ) -> Result<(u32, bool)> {
         let mut h = FxHasher::default();
         h.write_u32(owner);
-        key.iter().for_each(|&c| h.write_u64(c));
+        key.iter().for_each(|&c| h.write_u64(class.of(c)));
         let hash = h.finish();
         let found = self.index.find(hash, |id| {
             let start = self.start[id as usize] as usize;
-            self.owner[id as usize] == owner && keys[start..start + key.len()] == *key
+            self.owner[id as usize] == owner
+                && keys[start..start + key.len()]
+                    .iter()
+                    .zip(key)
+                    .all(|(&a, &b)| class.of(a) == class.of(b))
         });
         if let Some(id) = found {
             return Ok((id, false));
@@ -195,13 +196,16 @@ impl KeyIds {
 }
 
 impl MonoTable {
-    /// Count one match of the monotonic-aggregate rule `ri`, which adds
-    /// `val` under `func`. The match's group key is the values of `group`
-    /// in `binding` and its contributor key the values of `contributor`.
+    /// Count one match of the aggregate rule `ri`, which adds `val` under
+    /// `func`. The match's group key is the values of `group` in `binding`
+    /// and its contributor key the values of `contributor`.
     ///
-    /// Returns the group's new value when the contributor is new and moved
-    /// the aggregate, and `None` when it was already counted (an idempotent
-    /// re-contribution) or left the value where it was.
+    /// A monotonic aggregate's match (`fire` set) fires when its
+    /// contributor is new and moved the aggregate: the group's new value
+    /// comes back. `None` comes back when the contributor was already
+    /// counted (an idempotent re-contribution), left the value where it
+    /// was, or belongs to an exact aggregate, whose matches only contribute
+    /// and whose groups are read back with [`MonoTable::groups_in_order`].
     ///
     /// With provenance on, `parents` carries the match's parent fact ids:
     /// they join the group's snapshot when the contributor is new, and a
@@ -216,25 +220,28 @@ impl MonoTable {
         contributor: &[Var],
         binding: &[Option<Value>],
         val: &Value,
+        fire: bool,
         parents: Option<&mut Vec<FactId>>,
     ) -> Result<Option<Value>> {
         key_cells(&mut self.pool, group, binding, &mut self.probe)?;
+        let class = self.pool.classes();
         let (g, new_group) =
             self.groups
-                .get_or_add(ri as u32, &self.probe, &mut self.keys, "groups")?;
+                .get_or_add(ri as u32, &self.probe, &mut self.keys, class, "groups")?;
         if new_group {
             self.current.push(initial_value(func));
         }
         key_cells(&mut self.pool, contributor, binding, &mut self.probe)?;
+        let class = self.pool.classes();
         let (_, new) =
             self.contributors
-                .get_or_add(g, &self.probe, &mut self.keys, "contributors")?;
+                .get_or_add(g, &self.probe, &mut self.keys, class, "contributors")?;
         if !new {
             return Ok(None);
         }
         let gi = g as usize;
         let updated = combine(func, &self.current[gi], val)?;
-        let moved = updated != self.current[gi];
+        let moved = fire && updated != self.current[gi];
         self.current[gi] = updated;
         if let Some(edge) = parents {
             if self.parents.len() <= gi {
@@ -252,6 +259,29 @@ impl MonoTable {
             }
         }
         Ok(moved.then(|| self.current[gi].clone()))
+    }
+
+    /// Every group in creation order: its key (the values of its `arity`
+    /// group variables), its value, its number of contributors and the
+    /// parent fact ids of its contributions (empty with provenance off).
+    /// An exact aggregate's pass reads its fresh table back through this.
+    pub(crate) fn groups_in_order(
+        &self,
+        arity: usize,
+    ) -> impl Iterator<Item = (Vec<Value>, &Value, usize, &[FactId])> + '_ {
+        let mut contributors = vec![0usize; self.current.len()];
+        for &g in &self.contributors.owner {
+            contributors[g as usize] += 1;
+        }
+        self.current.iter().enumerate().map(move |(g, value)| {
+            let start = self.groups.start[g] as usize;
+            let key = self.keys[start..start + arity]
+                .iter()
+                .map(|&c| self.pool.get(c))
+                .collect();
+            let parents = self.parents.get(g).map_or(&[][..], Vec::as_slice);
+            (key, value, contributors[g], parents)
+        })
     }
 
     /// Number of groups.

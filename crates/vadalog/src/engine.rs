@@ -254,16 +254,18 @@ pub struct ChaseProfile {
     /// New EDB facts an [`Engine::apply_update`] call inserted (0 for plain
     /// runs and for updates whose inserts were all duplicates).
     pub update_inserted: usize,
-    /// EDB facts an update tombstoned on direct request.
+    /// Facts an update tombstoned on direct request, derived ones named by
+    /// a delete included.
     pub update_deleted: usize,
-    /// Derived facts DRed over-deletion tombstoned as (transitively)
-    /// supported by a deleted fact.
+    /// Derived facts the over-deletion tombstoned: those (transitively)
+    /// supported by a deleted fact, or every derived row.
     pub update_overdeleted: usize,
     /// Over-deleted facts the re-derivation pass brought back through an
-    /// alternative support (not tracked — 0 — on the fallback path).
+    /// alternative support (not tracked — 0 — when every derived row was
+    /// over-deleted).
     pub update_rederived: usize,
-    /// 1 when the update could not run incrementally and fell back to a
-    /// tombstone-everything-derived + from-scratch re-derivation.
+    /// 1 when the update over-deleted every derived row, because the
+    /// provenance closure of its deletes could not be trusted.
     pub update_fallbacks: usize,
 }
 
@@ -318,18 +320,22 @@ struct RuleMeta {
     agg_mode: Option<AggMode>,
     /// Index of the aggregate step in `rule.steps`.
     agg_step: Option<usize>,
-    /// Steps `[0..pure_steps)` are order-independent (no monotonic-aggregate
-    /// state update, no Skolem minting) and safe to run on shard workers;
+    /// The aggregate's contributor variables: its `⟨…⟩` list, or, for an
+    /// exact aggregate without one, every variable bound at the aggregate
+    /// step (each distinct match then contributes).
+    contributors: Vec<Var>,
+    /// Steps `[0..pure_steps)` are order-independent (no aggregate state
+    /// update, no Skolem minting) and safe to run on shard workers;
     /// everything from `pure_steps` on must run on the single writer in
     /// deterministic match order.
     pure_steps: usize,
     /// `(predicate, key positions)` of the join indexes each of this
     /// rule's join orders probes: entry `ai` for `join_order(rule, ai)`,
     /// the order of a delta pass over body atom `ai` (a full pass runs
-    /// entry 0's), and one last entry for the natural order exact
-    /// aggregates run. The writer builds the entries of exactly the passes
-    /// an iteration evaluates before evaluating them, so the parallel phase
-    /// reads a frozen database and no index is built that nothing probes.
+    /// entry 0's, which an empty body has too). The writer builds the
+    /// entries of exactly the passes it evaluates before evaluating them,
+    /// so the parallel phase reads a frozen database and no index is built
+    /// that nothing probes.
     index_needs: Vec<Vec<(String, Vec<usize>)>>,
 }
 
@@ -461,8 +467,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// One incremental change to the extensional database, applied by
 /// [`Engine::apply_update`]: facts to retract and facts to assert. Deletes
-/// apply before inserts; deleting an absent fact and inserting a present
-/// one are no-ops.
+/// apply before inserts. Deleting an absent fact and inserting a present
+/// input fact are no-ops; inserting a fact the chase derived makes it an
+/// input fact, which outlives its derivations.
 #[derive(Debug, Clone, Default)]
 pub struct Update {
     /// EDB facts to insert, as `(predicate, tuple)` pairs.
@@ -518,6 +525,7 @@ impl Engine {
                 .iter()
                 .position(|s| matches!(s, RuleStep::Aggregate(_)));
             let mut group_vars: Vec<Var> = Vec::new();
+            let mut contributors: Vec<Var> = Vec::new();
             if let Some(agg) = rule.aggregate() {
                 if rule.head.len() != 1 {
                     return Err(KgmError::Analysis(format!(
@@ -531,6 +539,17 @@ impl Engine {
                     .collect();
                 group_vars.sort_unstable();
                 group_vars.dedup();
+                let agg_at = agg_step.expect("agg exists");
+                contributors = agg.contributors.clone();
+                if contributors.is_empty() && agg_mode == Some(AggMode::Exact) {
+                    contributors = rule.positive_vars();
+                    contributors.extend(rule.steps[..agg_at].iter().filter_map(|s| match s {
+                        RuleStep::Assign(v, _) => Some(*v),
+                        _ => None,
+                    }));
+                    contributors.sort_unstable();
+                    contributors.dedup();
+                }
                 // Exact mode: post-aggregate steps and the head may only use
                 // group vars + the target (other body vars are collapsed by
                 // grouping).
@@ -540,7 +559,7 @@ impl Engine {
                         .copied()
                         .chain(std::iter::once(agg.target))
                         .collect();
-                    for s in &rule.steps[agg_step.expect("agg exists") + 1..] {
+                    for s in &rule.steps[agg_at + 1..] {
                         let mut vs = Vec::new();
                         match s {
                             RuleStep::Condition(e) => e.vars(&mut vs),
@@ -576,6 +595,7 @@ impl Engine {
                 frontier: rule.frontier(),
                 agg_mode,
                 agg_step,
+                contributors,
                 pure_steps,
                 index_needs: static_index_needs(rule),
             });
@@ -778,40 +798,46 @@ impl Engine {
                         }
                     };
                 }
-                // 1. Exact aggregate rules of this stratum (body is complete).
+                // 1. Exact aggregate rules of this stratum (body is complete):
+                //    one full pass each, with a fresh aggregate table.
                 for (ri, rule) in self.program.rules.iter().enumerate() {
-                    if self.meta[ri].stratum != s {
+                    let meta = &self.meta[ri];
+                    if meta.stratum != s || meta.agg_mode != Some(AggMode::Exact) {
                         continue;
                     }
-                    if self.meta[ri].agg_mode == Some(AggMode::Exact) {
-                        governed!();
-                        let t_rule = Instant::now();
-                        let natural = rule.body.len();
-                        for (pred, positions) in &self.meta[ri].index_needs[natural] {
-                            db.ensure_index(pred, positions);
-                        }
-                        let (new_facts, new_prov) = match self
-                            .eval_exact_agg_rule(db, ri, rule, &null_gen, &mut nulls, &governor)
-                        {
-                            Ok(v) => v,
-                            // Interrupted mid-join: the whole rule evaluation is
-                            // discarded (nothing was inserted yet), keeping the
-                            // database prefix-consistent. Genuine errors still
-                            // propagate.
-                            Err(e) => match governor.hit() {
-                                Some(t) => stop_run!(t),
-                                None => return Err(e),
-                            },
-                        };
-                        let emitted = new_facts.len();
-                        let inserted = self.insert_out(db, new_facts, new_prov)?;
-                        sp.derived_facts += inserted;
-                        sp.duplicates_rejected += emitted - inserted;
-                        let prof = &mut stats.profile.rules[ri];
-                        prof.evaluations += 1;
-                        prof.facts_emitted += emitted;
-                        prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
+                    governed!();
+                    for (pred, positions) in &meta.index_needs[0] {
+                        db.ensure_index(pred, positions);
                     }
+                    let mut out: Vec<(String, Vec<Value>)> = Vec::new();
+                    let mut prov_out: ProvOut = Vec::new();
+                    let result = self.eval_rule(
+                        db,
+                        ri,
+                        rule,
+                        None,
+                        &null_gen,
+                        &mut nulls,
+                        &mut MonoTable::default(),
+                        &mut out,
+                        &mut prov_out,
+                        &mut stats.profile,
+                        &governor,
+                    );
+                    if let Err(e) = result {
+                        // Interrupted mid-join: the whole rule evaluation is
+                        // discarded (nothing was inserted yet), keeping the
+                        // database prefix-consistent. Genuine errors still
+                        // propagate.
+                        match governor.hit() {
+                            Some(t) => stop_run!(t),
+                            None => return Err(e),
+                        }
+                    }
+                    let emitted = out.len();
+                    let inserted = self.insert_out(db, out, prov_out)?;
+                    sp.derived_facts += inserted;
+                    sp.duplicates_rejected += emitted - inserted;
                 }
                 // 2. Semi-naive fixpoint over the remaining rules of the stratum.
                 let rules: Vec<usize> = (0..self.program.rules.len())
@@ -1076,24 +1102,25 @@ impl Engine {
     /// insertions — leaving `db` in the state a from-scratch chase over the
     /// updated input would produce (up to labelled-null renaming).
     ///
-    /// Three regimes, picked automatically:
+    /// Two paths, picked automatically:
     ///
     /// - **Insert-only** (the fast path): the new EDB facts become the
     ///   initial semi-naive delta and every stratum runs delta passes
     ///   against the persisted [`ChaseState`] — existing derivations are
     ///   never re-enumerated, so a small update on a large database costs a
     ///   small fraction of full materialization.
-    /// - **Deletions with provenance on**: DRed-style maintenance. The
-    ///   recorded `(rule, parents)` edges give each derived fact its single
-    ///   recorded support; the downward closure of the deleted facts is
-    ///   over-deleted (tombstoned), then a re-derivation pass restores
-    ///   every fact that still has an alternative support. The number that
-    ///   came back is reported as `update_rederived`.
-    /// - **Fallback** (no persisted state, stratified negation, exact
+    /// - **Over-delete and re-derive**: the requested deletes are
+    ///   tombstoned, then everything they may have supported is
+    ///   over-deleted. With provenance on, that is DRed's downward closure
+    ///   over the recorded `(rule, parents)` edges, each derived fact's
+    ///   single recorded support; the over-deleted facts that come back are
+    ///   reported as `update_rederived`. Where that closure cannot be
+    ///   trusted (no persisted state, stratified negation, exact
     ///   aggregation combined with inserts, or deletions without
-    ///   provenance): every derived row is tombstoned and the chase re-runs
-    ///   from the surviving EDB. Always correct, never incremental;
-    ///   `update_fallbacks` counts it.
+    ///   provenance), every derived row is over-deleted, which
+    ///   `update_fallbacks` counts. The inserts are applied, and full
+    ///   passes over the surviving store re-derive every fact that still
+    ///   has a support.
     ///
     /// The update's effect is recorded in the returned stats
     /// (`profile.update_*`) and on the `chase.update.*` telemetry
@@ -1126,143 +1153,99 @@ impl Engine {
             .any(|r| r.steps.iter().any(|s| matches!(s, RuleStep::Negated(_))));
         let has_exact_agg = self.meta.iter().any(|m| m.agg_mode == Some(AggMode::Exact));
         // Negation is non-monotone in both directions; an exact aggregate's
-        // stale output rows are only cleaned up by deletion's over-delete
-        // pass, so inserts alongside one must rebuild; deletions need the
-        // recorded provenance edges to know what a fact supported.
+        // stale output rows are only cleaned up by over-deletion, so inserts
+        // alongside one must over-delete too; deletions need the recorded
+        // provenance edges to know what a fact supported.
         let fallback = state.is_none()
             || has_negation
             || (has_exact_agg && !update.inserts.is_empty())
             || (!update.deletes.is_empty() && !self.config.provenance);
-        let mut inserted_new = 0usize;
+        let insert_only = !fallback && update.deletes.is_empty();
+        // Insert-only: seed every stratum's watermarks with the pre-update
+        // physical sizes, making the new EDB facts (and the update run's own
+        // derivations) the delta.
+        let seed: Option<FxHashMap<String, usize>> = insert_only.then(|| {
+            let preds = db.predicates().into_iter();
+            preds.map(|p| (p.clone(), db.rows_of(&p))).collect()
+        });
         let mut deleted = 0usize;
         let mut overdeleted = 0usize;
-        let mut rederived = 0usize;
-        let mut stats;
-        if !fallback && update.deletes.is_empty() {
-            // Insert-only: seed every stratum's watermarks with the
-            // pre-update physical sizes, making the new EDB facts (and the
-            // update run's own derivations) the delta.
-            let mut base: FxHashMap<String, usize> = FxHashMap::default();
-            for p in db.predicates() {
-                let n = db.rows_of(&p);
-                base.insert(p, n);
-            }
-            for (pred, tuple) in &update.inserts {
-                if db.insert_ref(pred, tuple)? {
-                    inserted_new += 1;
-                }
-            }
-            let resume = *state
-                .take()
-                .expect("fallback covers the missing-state case");
-            stats = self.run_inner(db, Some(&base), Some(resume))?;
-        } else if !fallback {
-            // DRed over-deletion: resolve the requested deletions to live
-            // rows, close downward over the recorded provenance edges (the
-            // recorded edge is each fact's single support — first
-            // derivation wins — so a child dies with any parent), then
-            // re-derive; survivors with alternative supports come back.
-            let st = *state
-                .take()
-                .expect("fallback covers the missing-state case");
+        // The tuples DRed over-deleted, to count how many come back.
+        let mut closure_tuples: Vec<(String, Vec<Value>)> = Vec::new();
+        if !insert_only {
+            // Tombstone the requested deletes, then over-delete what they may
+            // have supported: the downward closure of their provenance edges
+            // (the recorded edge is each fact's single support — first
+            // derivation wins — so a child dies with any parent) or, where
+            // that closure cannot be trusted, every derived row.
             let mut seeds: Vec<FactId> = Vec::new();
-            let mut seed_set: FxHashSet<FactId> = FxHashSet::default();
             for (pred, tuple) in &update.deletes {
                 if let Some(id) = db.find_id(pred, tuple) {
-                    if seed_set.insert(id) {
+                    if db.tombstone(id) {
                         seeds.push(id);
                     }
                 }
             }
-            let mut children: FxHashMap<FactId, Vec<FactId>> = FxHashMap::default();
-            for (child, parents) in db.prov_edges_iter() {
-                for &p in parents {
-                    children.entry(p).or_default().push(child);
+            deleted = seeds.len();
+            if fallback {
+                overdeleted = db.tombstone_derived();
+            } else {
+                let mut children: FxHashMap<FactId, Vec<FactId>> = FxHashMap::default();
+                for (child, parents) in db.prov_edges_iter() {
+                    for &p in parents {
+                        children.entry(p).or_default().push(child);
+                    }
                 }
-            }
-            let mut dead = seed_set.clone();
-            let mut queue = seeds.clone();
-            while let Some(f) = queue.pop() {
-                if let Some(kids) = children.get(&f) {
-                    for &k in kids {
-                        if dead.insert(k) {
-                            queue.push(k);
+                let mut dead: FxHashSet<FactId> = seeds.iter().copied().collect();
+                while let Some(f) = seeds.pop() {
+                    for &k in children.get(&f).into_iter().flatten() {
+                        if !dead.insert(k) {
+                            continue;
+                        }
+                        seeds.push(k);
+                        let tuple = db.fact_values(k).map(|(p, t)| (p.to_string(), t));
+                        if db.tombstone(k) {
+                            overdeleted += 1;
+                            closure_tuples.extend(tuple);
                         }
                     }
                 }
             }
-            for &f in &seeds {
-                if db.tombstone(f) {
-                    deleted += 1;
-                }
-            }
-            // Over-delete the derived remainder, remembering its tuples so
-            // the re-derivation pass can report how many came back.
-            let mut closure_tuples: Vec<(String, Vec<Value>)> = Vec::new();
-            for &f in &dead {
-                if seed_set.contains(&f) {
-                    continue;
-                }
-                let tuple = db.fact_values(f).map(|(p, t)| (p.to_string(), t));
-                if db.tombstone(f) {
-                    overdeleted += 1;
-                    if let Some(pt) = tuple {
-                        closure_tuples.push(pt);
-                    }
-                }
-            }
-            for (pred, tuple) in &update.inserts {
-                if db.insert_ref(pred, tuple)? {
-                    inserted_new += 1;
-                }
-            }
-            // Full re-derivation passes rebuild alternative supports. The
-            // null table is kept (re-derived existential facts reuse their
-            // nulls, so surviving facts referencing them stay linked); the
-            // monotonic-aggregate accumulators are rebuilt from zero — the
-            // old sums may count deleted contributors.
-            let resume = ChaseState {
-                engine_token: self.token,
-                null_count: st.null_count,
-                nulls: st.nulls,
-                mono: MonoTable::default(),
-            };
-            stats = self.run_inner(db, None, Some(resume))?;
-            rederived = closure_tuples
-                .iter()
-                .filter(|(p, t)| db.contains(p, t))
-                .count();
-        } else {
-            // Fallback: tombstone everything rule-derived, forget the
-            // provenance edges, apply the update to the surviving EDB and
-            // re-derive from scratch. The null *counter* still resumes so
-            // fresh nulls never collide with ones embedded in kept rows.
-            overdeleted = db.tombstone_derived();
-            db.clear_prov();
-            for (pred, tuple) in &update.deletes {
-                if let Some(id) = db.find_id(pred, tuple) {
-                    if db.tombstone(id) {
-                        deleted += 1;
-                    }
-                }
-            }
-            for (pred, tuple) in &update.inserts {
-                if db.insert_ref(pred, tuple)? {
-                    inserted_new += 1;
-                }
-            }
-            let resume = ChaseState {
-                engine_token: self.token,
-                null_count: state.map_or(0, |st| st.null_count),
-                nulls: NullTable::default(),
-                mono: MonoTable::default(),
-            };
-            stats = self.run_inner(db, None, Some(resume))?;
         }
+        let mut inserted_new = 0usize;
+        for (pred, tuple) in &update.inserts {
+            if db.insert_input(pred, tuple)? {
+                inserted_new += 1;
+            }
+        }
+        let resume = match state {
+            Some(st) if insert_only => *st,
+            // After an over-deletion, full passes over the surviving store
+            // re-derive. The null table and counter are kept (re-derived
+            // existential facts reuse their nulls, so surviving facts
+            // referencing them stay linked, and fresh nulls never collide
+            // with ones embedded in kept rows); the aggregate accumulators
+            // restart from zero, since the old ones may count deleted
+            // contributors.
+            st => {
+                let (null_count, nulls) =
+                    st.map_or((0, NullTable::default()), |st| (st.null_count, st.nulls));
+                ChaseState {
+                    engine_token: self.token,
+                    null_count,
+                    nulls,
+                    mono: MonoTable::default(),
+                }
+            }
+        };
+        let mut stats = self.run_inner(db, seed.as_ref(), Some(resume))?;
         stats.profile.update_inserted = inserted_new;
         stats.profile.update_deleted = deleted;
         stats.profile.update_overdeleted = overdeleted;
-        stats.profile.update_rederived = rederived;
+        stats.profile.update_rederived = closure_tuples
+            .iter()
+            .filter(|(p, t)| db.contains(p, t))
+            .count();
         stats.profile.update_fallbacks = usize::from(fallback);
         self.emit_telemetry(&stats, &root_span, true);
         Ok(stats)
@@ -1336,6 +1319,11 @@ impl Engine {
     ///   minting) and the head emission (labelled-null minting). A rule
     ///   with no suffix and no existentials has nothing to replay, so its
     ///   workers emit the heads themselves.
+    ///
+    /// An exact aggregate's rule runs as one full pass with a fresh `mono`,
+    /// which its matches only contribute to. After the pass, its groups are
+    /// folded in creation order, run through the post-aggregate steps and
+    /// emitted with the parents of all their contributions.
     ///
     /// Output is therefore bit-identical at any thread count. Workers never
     /// touch telemetry (spans are thread-local) nor shared mutable state;
@@ -1456,6 +1444,38 @@ impl Engine {
                 )?;
                 if keep {
                     self.emit_heads(ri, rule, &binding, null_gen, nulls, out, &parents, prov_out)?;
+                }
+            }
+        }
+        if self.meta[ri].agg_mode == Some(AggMode::Exact) {
+            let agg = rule.aggregate().expect("exact aggregate rule");
+            let after = self.meta[ri].agg_step.expect("exact aggregate rule") + 1;
+            let group_vars = &self.meta[ri].group_vars;
+            for (key, value, contributors, parents) in mono.groups_in_order(group_vars.len()) {
+                let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+                for (v, val) in group_vars.iter().zip(key) {
+                    binding[v.0 as usize] = Some(val);
+                }
+                binding[agg.target.0 as usize] = Some(match agg.func {
+                    AggregateFunc::Avg => crate::eval::bin(
+                        crate::ast::BinOp::Div,
+                        value,
+                        &Value::Int(contributors as i64),
+                    )?,
+                    _ => value.clone(),
+                });
+                let keep = self.run_steps(
+                    db,
+                    ri,
+                    rule,
+                    after..all_steps,
+                    &mut binding,
+                    &mut Vec::new(),
+                    &mut MonoTable::default(),
+                    &mut Vec::new(),
+                )?;
+                if keep {
+                    self.emit_heads(ri, rule, &binding, null_gen, nulls, out, parents, prov_out)?;
                 }
             }
         }
@@ -1751,14 +1771,10 @@ impl Engine {
                         }
                     }
                     RuleStep::Aggregate(agg) => {
-                        // Only monotonic aggregates reach the fixpoint path.
-                        let func = match self.meta[ri].agg_mode {
-                            Some(AggMode::Monotonic(f)) => f,
-                            _ => {
-                                return Err(KgmError::Internal(
-                                    "exact aggregate in fixpoint path".to_string(),
-                                ))
-                            }
+                        let meta = &self.meta[ri];
+                        let (func, fire) = match meta.agg_mode {
+                            Some(AggMode::Monotonic(f)) => (f, true),
+                            _ => (agg.func, false),
                         };
                         let val = match &agg.arg {
                             Some(e) => eval(e, binding, &ctx)?,
@@ -1768,15 +1784,17 @@ impl Engine {
                         let Some(updated) = mono.contribute(
                             ri,
                             func,
-                            &self.meta[ri].group_vars,
-                            &agg.contributors,
+                            &meta.group_vars,
+                            &meta.contributors,
                             binding,
                             &val,
+                            fire,
                             prov,
                         )?
                         else {
-                            // Already counted, or the aggregate did not
-                            // move: nothing new to emit.
+                            // Already counted, the aggregate did not move, or
+                            // an exact aggregate's match, whose group
+                            // `eval_rule` emits after the pass.
                             return Ok(false);
                         };
                         binding[agg.target.0 as usize] = Some(updated);
@@ -1836,151 +1854,6 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// Evaluate one exact-aggregate rule: body relations are complete, so a
-    /// single pass collects contributions, grouping produces the final
-    /// values, and post-aggregate steps run once per group. Returns the
-    /// emitted head tuples together with their provenance sidecar (each
-    /// group's heads carry the parents of all its contributing matches;
-    /// empty sidecar when provenance is off).
-    fn eval_exact_agg_rule(
-        &self,
-        db: &FactDb,
-        ri: usize,
-        rule: &Rule,
-        null_gen: &OidGen,
-        nulls: &mut NullTable,
-        governor: &Governor,
-    ) -> Result<(Vec<(String, Vec<Value>)>, ProvOut)> {
-        let meta = &self.meta[ri];
-        let agg_step = meta.agg_step.expect("exact agg rule");
-        let agg = rule.aggregate().expect("exact agg rule").clone();
-        let func = agg.func;
-        let ctx = EvalCtx {
-            skolems: &self.skolems,
-        };
-
-        // Pass 1: collect (group, contributor, value) from all body matches,
-        // running pre-aggregate steps inline.
-        struct Group {
-            contributors: FxHashMap<Vec<Value>, Value>,
-            order: Vec<Vec<Value>>,
-            /// Provenance: parent fact ids of every counted contribution,
-            /// in contribution order (empty when provenance is off).
-            parents: Vec<FactId>,
-        }
-        let prov = self.config.provenance;
-        let mut groups: FxHashMap<Vec<Value>, Group> = FxHashMap::default();
-        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-        let mut trail: Vec<FactId> = Vec::new();
-        let group_vars = meta.group_vars.clone();
-        // Natural atom order — so the trail is already in body-atom order.
-        let order: Vec<usize> = (0..rule.body.len()).collect();
-        self.join(
-            db,
-            rule,
-            &order,
-            0,
-            &None,
-            &mut binding,
-            &mut trail,
-            governor,
-            &mut |binding, trail| {
-                let mut assigned: Vec<Var> = Vec::new();
-                // Pre-aggregate steps never reach an aggregate, so the
-                // monotonic-aggregate table and edge parents stay untouched.
-                let keep = self.run_steps(
-                    db,
-                    ri,
-                    rule,
-                    0..agg_step,
-                    binding,
-                    &mut assigned,
-                    &mut MonoTable::default(),
-                    &mut Vec::new(),
-                )?;
-                if keep {
-                    let gk: Vec<Value> = group_vars
-                        .iter()
-                        .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                        .collect();
-                    // Contributor key: the ⟨z̄⟩ variables if given, otherwise the
-                    // full binding of positive vars (every match contributes).
-                    let ck: Vec<Value> = if agg.contributors.is_empty() {
-                        binding.iter().flatten().cloned().collect()
-                    } else {
-                        agg.contributors
-                            .iter()
-                            .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                            .collect()
-                    };
-                    let val = match &agg.arg {
-                        Some(e) => eval(e, binding, &ctx)?,
-                        None => Value::Int(1),
-                    };
-                    let g = groups.entry(gk).or_insert_with(|| Group {
-                        contributors: FxHashMap::default(),
-                        order: Vec::new(),
-                        parents: Vec::new(),
-                    });
-                    if !g.contributors.contains_key(&ck) {
-                        g.contributors.insert(ck.clone(), val);
-                        g.order.push(ck);
-                        if prov {
-                            g.parents.extend_from_slice(trail);
-                        }
-                    }
-                }
-                for v in assigned {
-                    binding[v.0 as usize] = None;
-                }
-                Ok(())
-            },
-        )?;
-
-        // Pass 2: fold each group and run post-aggregate steps + heads.
-        let mut out = Vec::new();
-        let mut prov_out: ProvOut = Vec::new();
-        for (gk, group) in groups {
-            let mut acc = initial_value(func);
-            let mut n = 0usize;
-            for ck in &group.order {
-                acc = combine(func, &acc, &group.contributors[ck])?;
-                n += 1;
-            }
-            if func == AggregateFunc::Avg && n > 0 {
-                acc = crate::eval::bin(crate::ast::BinOp::Div, &acc, &Value::Int(n as i64))?;
-            }
-            let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-            for (v, val) in group_vars.iter().zip(gk.iter()) {
-                binding[v.0 as usize] = Some(val.clone());
-            }
-            binding[agg.target.0 as usize] = Some(acc);
-            let keep = self.run_steps(
-                db,
-                ri,
-                rule,
-                agg_step + 1..rule.steps.len(),
-                &mut binding,
-                &mut Vec::new(),
-                &mut MonoTable::default(),
-                &mut Vec::new(),
-            )?;
-            if keep {
-                self.emit_heads(
-                    ri,
-                    rule,
-                    &binding,
-                    null_gen,
-                    nulls,
-                    &mut out,
-                    &group.parents,
-                    &mut prov_out,
-                )?;
-            }
-        }
-        Ok((out, prov_out))
-    }
 }
 
 /// Choose the atom evaluation order: the outermost (delta) atom first, then
@@ -2027,15 +1900,13 @@ fn expr_has_skolem(e: &Expr) -> bool {
 
 /// Statically enumerate the `(predicate, key positions)` pairs each join
 /// order of `rule` probes: one list per delta order (`join_order(rule,
-/// ai)` for body atom `ai`; a full pass uses atom 0's), then one for the
-/// natural order exact aggregates use. At atom `p` of an order, the index
-/// key is the constant positions plus the positions of variables bound by
-/// atoms earlier in the order — repeated variables *within* an atom do not
+/// ai)` for body atom `ai`; a full pass uses atom 0's, so an empty body
+/// gets one empty list). At atom `p` of an order, the index key is the
+/// constant positions plus the positions of variables bound by atoms
+/// earlier in the order — repeated variables *within* an atom do not
 /// contribute (the runtime key is built before the tuple extends the
 /// binding), matching [`Engine::join`] exactly.
 fn static_index_needs(rule: &Rule) -> Vec<Vec<(String, Vec<usize>)>> {
-    let natural: Vec<usize> = (0..rule.body.len()).collect();
-    let deltas = (0..rule.body.len()).map(|ai| join_order(rule, ai));
     let order_needs = |order: Vec<usize>| {
         let mut needs: Vec<(String, Vec<usize>)> = Vec::new();
         let mut bound: FxHashSet<Var> = FxHashSet::default();
@@ -2060,9 +1931,8 @@ fn static_index_needs(rule: &Rule) -> Vec<Vec<(String, Vec<usize>)>> {
         }
         needs
     };
-    deltas
-        .chain(std::iter::once(natural))
-        .map(order_needs)
+    (0..rule.body.len().max(1))
+        .map(|ai| order_needs(join_order(rule, ai)))
         .collect()
 }
 
@@ -2727,6 +2597,45 @@ mod tests {
     }
 
     #[test]
+    fn exact_aggregate_shards_like_any_rule() {
+        let src = "v(G, X), S = sum(X, <X>) -> total(G, S).";
+        let rows: Vec<Vec<Value>> = (0..64)
+            .map(|i| vec![Value::Int(i % 4), Value::Int(i)])
+            .collect();
+        let (db, stats) = run_with_threads(src, &[("v", rows)], 4);
+        assert!(stats.profile.shards_spawned > 0);
+        assert_eq!(stats.profile.rules[0].bindings_enumerated, 64);
+        // Group g sums 4k + g over k = 0..16.
+        let want: Vec<Vec<Value>> = (0..4)
+            .map(|g| vec![Value::Int(g), Value::Int(480 + 16 * g)])
+            .collect();
+        assert_eq!(
+            db.facts("total"),
+            want,
+            "one head per group, in creation order"
+        );
+    }
+
+    #[test]
+    fn exact_aggregate_groups_read_back_as_first_contributed() {
+        // `Int(0)` shares a class with the `Float(0.0)` contributor the
+        // aggregate table saw first: group 0 must still read back as `Int`.
+        let db = run(
+            "v(G, Z), N = count(<Z>) -> n(G, N).",
+            &[(
+                "v",
+                vec![
+                    vec![Value::Int(5), Value::Float(0.0)],
+                    vec![Value::Int(0), Value::Int(7)],
+                ],
+            )],
+        );
+        let facts = db.facts("n");
+        assert_eq!(facts.len(), 2);
+        assert!(matches!(facts[1][0], Value::Int(0)), "{facts:?}");
+    }
+
+    #[test]
     fn non_bool_condition_is_the_same_type_error_at_any_shard_count() {
         for (src, want) in [
             ("p(X), X + 1 -> q(X).", "condition evaluated to non-bool 2"),
@@ -3215,6 +3124,30 @@ mod tests {
         let stats = engine.apply_update(&mut db, Update::default()).unwrap();
         assert_eq!(stats.derived_facts, 0);
         assert_eq!(db_fingerprint(&db), before);
+    }
+
+    #[test]
+    fn asserting_a_derived_fact_makes_it_an_input_fact() {
+        // b(1) is derived from a(1), then asserted: it must outlive a(1), as
+        // in a from-scratch chase over the final input {b(1)}.
+        for provenance in [false, true] {
+            let engine = update_engine("a(X) -> b(X).", provenance);
+            let (mut db, _) = engine.run_with_facts(&[("a", ints(&[&[1]]))]).unwrap();
+            for (inserts, deletes) in [
+                (vec![("b".to_string(), vec![Value::Int(1)])], vec![]),
+                (vec![], vec![("a".to_string(), vec![Value::Int(1)])]),
+            ] {
+                engine
+                    .apply_update(&mut db, Update { inserts, deletes })
+                    .unwrap();
+            }
+            let (scratch, _) = engine.run_with_facts(&[("b", ints(&[&[1]]))]).unwrap();
+            assert_eq!(
+                crate::oracle::canonical_diff(&db, &scratch),
+                None,
+                "provenance={provenance}"
+            );
+        }
     }
 
     #[test]

@@ -113,6 +113,13 @@ fn bit_set(bits: &mut Vec<u64>, i: usize) {
     bits[w] |= 1 << (i & 63);
 }
 
+/// Clear a bit in a lazily-sized bitmap (absent words already read as zero).
+fn bit_clear(bits: &mut [u64], i: usize) {
+    if let Some(w) = bits.get_mut(i >> 6) {
+        *w &= !(1 << (i & 63));
+    }
+}
+
 /// Pack a `(predicate id, row)` pair into a [`FactId`].
 #[inline]
 pub fn fact_id(pred: u32, row: u32) -> FactId {
@@ -189,14 +196,15 @@ impl ProvStore {
     }
 
     /// Drop the edge of `fact` — a tombstoned fact must not explain anything
-    /// anymore. The parent slice stays behind as arena garbage: deletion
-    /// batches are small relative to the arena, and the fallback path that
-    /// deletes wholesale calls [`ProvStore::clear`] instead.
+    /// anymore, nor an asserted one. The parent slice stays behind as arena
+    /// garbage: deletion batches are small relative to the arena, and the
+    /// wholesale over-deletion calls [`ProvStore::clear`] instead.
     pub(crate) fn remove(&mut self, fact: FactId) {
         self.index.remove(&fact);
     }
 
-    /// Forget every edge (used when the engine re-derives from scratch).
+    /// Forget every edge and reset the arena (used when every derived row
+    /// is tombstoned).
     pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.parents.clear();
@@ -694,6 +702,25 @@ impl FactDb {
         Ok(Some(fact_id(rel.pred_id, (rel.rows() - 1) as u32)))
     }
 
+    /// Assert an input fact, as an update does: a new tuple is inserted as
+    /// by [`FactDb::insert_ref`], and a stored one becomes input, losing its
+    /// derived mark and its provenance edge, so it outlives its
+    /// derivations. Returns `true` if the tuple was new.
+    pub(crate) fn insert_input(&mut self, predicate: &str, tuple: &[Value]) -> Result<bool> {
+        let Some(id) = self.find_id(predicate, tuple) else {
+            return self.insert_ref(predicate, tuple);
+        };
+        let rel = self
+            .rels
+            .get_mut(predicate)
+            .expect("find_id found the relation");
+        bit_clear(&mut rel.derived, fact_row(id) as usize);
+        if let Some(p) = self.prov.as_mut() {
+            p.remove(id);
+        }
+        Ok(false)
+    }
+
     /// Bulk insert.
     pub fn add_facts(&mut self, predicate: &str, tuples: Vec<Vec<Value>>) -> Result<usize> {
         let mut n = 0;
@@ -908,22 +935,22 @@ impl FactDb {
         }
     }
 
-    /// Tombstone every row marked derived (dropping their provenance
-    /// edges); returns how many were newly tombstoned. This is the
-    /// "rewind to EDB" primitive behind the incremental-update fallback:
-    /// what survives is exactly the loaded input, ready for a from-scratch
-    /// re-derivation.
+    /// Tombstone every row marked derived; returns how many were newly
+    /// tombstoned. This is the "rewind to EDB" primitive behind the
+    /// incremental update's wholesale over-deletion: what survives is
+    /// exactly the input, ready for a full re-derivation. Only derived rows
+    /// have provenance edges, so every edge goes too.
     pub(crate) fn tombstone_derived(&mut self) -> usize {
         let mut n = 0;
         for rel in self.rels.values_mut() {
             for row in 0..rel.rows() {
                 if rel.is_derived_row(row) && rel.mark_dead(row) {
                     n += 1;
-                    if let Some(p) = self.prov.as_mut() {
-                        p.remove(fact_id(rel.pred_id, row as u32));
-                    }
                 }
             }
+        }
+        if let Some(p) = self.prov.as_mut() {
+            p.clear();
         }
         self.total -= n;
         n
@@ -986,14 +1013,6 @@ impl FactDb {
     /// (empty when provenance is off). Order is unspecified.
     pub(crate) fn prov_edges_iter(&self) -> impl Iterator<Item = (FactId, &[FactId])> + '_ {
         self.prov.iter().flat_map(ProvStore::edges_iter)
-    }
-
-    /// Forget every provenance edge (used by the incremental-update
-    /// fallback before re-deriving from scratch). Recording stays enabled.
-    pub(crate) fn clear_prov(&mut self) {
-        if let Some(p) = self.prov.as_mut() {
-            p.clear();
-        }
     }
 
     /// All predicate names, sorted.
@@ -1363,9 +1382,7 @@ mod tests {
         assert!(!db.contains("p", &[Value::Int(3)]));
         assert!(!db.contains("q", &[Value::Int(2)]));
         assert_eq!(db.prov_edges(), 0, "derived edges dropped with the rows");
-        // clear_prov after a wholesale wipe leaves recording enabled.
-        db.clear_prov();
-        assert!(db.provenance_enabled());
+        assert!(db.provenance_enabled(), "the wipe leaves recording enabled");
     }
 
     #[test]
