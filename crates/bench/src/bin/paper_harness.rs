@@ -8,10 +8,13 @@
 //! paper-harness e4             # Figure 6 (PG translation)
 //! paper-harness e5             # Figure 8 (relational translation + DDL)
 //! paper-harness e6 [nodes]     # Figure 9 (instance constructs)
-//! paper-harness e7 [n1,n2,..]  # §6 control pipeline sweep
+//! paper-harness e7 [n1,n2,..]  # §6 control pipeline sweep; exits 1
+//!                              # unless each complete row's control
+//!                              # pairs equal baseline_control's
 //! paper-harness e8 [nodes]     # MTV overhead comparison
 //! paper-harness e9             # §5.1 strategy ablation
-//! paper-harness e10 [nodes]    # §6 staging ablation
+//! paper-harness e10 [nodes]    # §6 staging ablation; exits 1 unless
+//!                              # both modes flush the same control pairs
 //! ```
 //!
 //! Artefact files (DOT diagrams, DDL, RDF-S) are written under
@@ -156,7 +159,8 @@ fn run_e7(sizes: &[usize]) -> Result<()> {
         .collect::<Result<Vec<E7Row>>>()?;
     let report = e7_report(&rows);
     println!("{report}");
-    save("e7_control_pipeline.txt", &report)
+    save("e7_control_pipeline.txt", &report)?;
+    e7_check(&rows)
 }
 
 fn run_e8(nodes: usize) -> Result<()> {

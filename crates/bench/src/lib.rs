@@ -6,7 +6,7 @@
 //! `paper-harness` binary is a thin wrapper; the `kgbench` binary is the
 //! repository's benchmark.
 
-use kgm_common::Result;
+use kgm_common::{FxHashSet, KgmError, Result};
 use kgm_core::intensional::{materialize, MaterializationMode, MaterializationStats};
 use kgm_core::models::pg::PgModelSchema;
 use kgm_core::models::relational::RelationalSchema;
@@ -265,8 +265,12 @@ pub struct E7Row {
     pub edges: usize,
     /// Materialization statistics (load/reason/flush split).
     pub stats: MaterializationStats,
-    /// Control edges produced (non-reflexive).
-    pub control_edges: usize,
+    /// The non-reflexive `CONTROLS` edges flushed into the graph, as
+    /// `(controller, controlled)` node-OID payloads.
+    pub controls: FxHashSet<(u64, u64)>,
+    /// Whether `controls` equals [`baseline_control`] of the registry;
+    /// `None` for a truncated chase, whose prefix is not checked.
+    pub agrees: Option<bool>,
 }
 
 /// E7 — the §6 performance experiment: the control intensional component
@@ -282,20 +286,43 @@ pub fn e7_control_pipeline(nodes: usize, mode: MaterializationMode) -> Result<E7
     })?;
     let edges = data.edge_count();
     let stats = materialize(&mut data, &schema, CONTROL_METALOG, mode)?;
-    let control_edges = data
+    let controls: FxHashSet<(u64, u64)> = data
         .edges_with_label("CONTROLS")
         .into_iter()
-        .filter(|&e| {
-            let (f, t) = data.edge_endpoints(e);
-            f != t
-        })
-        .count();
+        .map(|e| data.edge_endpoints(e))
+        .filter(|(f, t)| f != t)
+        .map(|(f, t)| (data.node_oid(f).payload(), data.node_oid(t).payload()))
+        .collect();
+    // The baseline reads only the OWNS edges, which the flush leaves as
+    // they were; running it afterwards keeps it out of the pipeline's peak.
+    let agrees = stats
+        .termination
+        .is_complete()
+        .then(|| controls == baseline_control(&data));
     Ok(E7Row {
         nodes,
         edges,
         stats,
-        control_edges,
+        controls,
+        agrees,
     })
+}
+
+/// Fail unless every complete E7 row flushed exactly the control pairs of
+/// [`baseline_control`]; the error names each row that did not.
+pub fn e7_check(rows: &[E7Row]) -> Result<()> {
+    let wrong: Vec<String> = rows
+        .iter()
+        .filter(|r| r.agrees == Some(false))
+        .map(|r| r.nodes.to_string())
+        .collect();
+    if wrong.is_empty() {
+        return Ok(());
+    }
+    Err(KgmError::Internal(format!(
+        "the control pairs at {} nodes differ from baseline_control",
+        wrong.join(", ")
+    )))
 }
 
 /// Format an E7 sweep as the paper-vs-measured report.
@@ -326,21 +353,21 @@ pub fn e7_report(rows: &[E7Row]) -> String {
         };
         // A truncated chase (deadline, cap, cancellation) still yields a
         // usable prefix — but the row must say so.
-        let truncated = if r.stats.termination.is_complete() {
-            String::new()
-        } else {
-            format!("  [truncated: {}]", r.stats.termination)
+        let note = match r.agrees {
+            None => format!("  [truncated: {}]", r.stats.termination),
+            Some(false) => "  [differs from baseline_control]".to_string(),
+            Some(true) => String::new(),
         };
         writeln!(
             report,
-            "{:>8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>8.1}:1 {:>8}{truncated}",
+            "{:>8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>8.1}:1 {:>8}{note}",
             r.nodes,
             r.edges,
             r.stats.load_ms,
             r.stats.reason_ms,
             r.stats.flush_ms,
             ratio,
-            r.control_edges
+            r.controls.len()
         )
         .ok();
     }
@@ -528,10 +555,21 @@ fn rel_mapping_input() -> Result<SuperSchema> {
 }
 
 /// E10 — the §6 staging optimization: single-pass vs staged view
-/// materialization.
+/// materialization. An error unless both modes flush the same control
+/// pairs, and those of [`baseline_control`].
 pub fn e10_staging(nodes: usize) -> Result<String> {
     let single = e7_control_pipeline(nodes, MaterializationMode::SinglePass)?;
     let staged = e7_control_pipeline(nodes, MaterializationMode::Staged)?;
+    let agree = single.controls == staged.controls;
+    if !agree && single.agrees.is_some() && staged.agrees.is_some() {
+        return Err(KgmError::Internal(format!(
+            "E10: the single-pass and the staged run flushed different control \
+             pairs ({} and {})",
+            single.controls.len(),
+            staged.controls.len()
+        )));
+    }
+    e7_check(std::slice::from_ref(&single))?;
     let mut report = String::new();
     writeln!(report, "E10 — §6 staging ablation at {nodes} nodes").ok();
     writeln!(
@@ -540,24 +578,16 @@ pub fn e10_staging(nodes: usize) -> Result<String> {
         "mode", "reason ms", "controls"
     )
     .ok();
-    writeln!(
-        report,
-        "{:<12} {:>12.1} {:>10}",
-        "single-pass", single.stats.reason_ms, single.control_edges
-    )
-    .ok();
-    writeln!(
-        report,
-        "{:<12} {:>12.1} {:>10}",
-        "staged", staged.stats.reason_ms, staged.control_edges
-    )
-    .ok();
-    writeln!(
-        report,
-        "results agree: {}",
-        single.control_edges == staged.control_edges
-    )
-    .ok();
+    for (mode, row) in [("single-pass", &single), ("staged", &staged)] {
+        writeln!(
+            report,
+            "{mode:<12} {:>12.1} {:>10}",
+            row.stats.reason_ms,
+            row.controls.len()
+        )
+        .ok();
+    }
+    writeln!(report, "results agree: {agree}").ok();
     Ok(report)
 }
 
@@ -619,7 +649,8 @@ mod tests {
     #[test]
     fn e7_small_run_completes() {
         let row = e7_control_pipeline(150, MaterializationMode::SinglePass).unwrap();
-        assert!(row.control_edges > 0);
+        assert!(!row.controls.is_empty());
+        assert_eq!(row.agrees, Some(true));
         let report = e7_report(&[row]);
         assert!(report.contains("reason ms"));
     }

@@ -386,10 +386,9 @@ pub(crate) struct CatalogAttr {
     pub(crate) name: String,
     /// The `SM_Attribute` OID its instances reference.
     pub(crate) oid: Oid,
-    /// `isOpt || isIntensional`: an instance may lack a value. The views
-    /// do not read it yet; they give every attribute the absent-null
-    /// default.
-    #[allow(dead_code)]
+    /// `isOpt || isIntensional`: an instance may lack a value. The load
+    /// rejects an instance that lacks a mandatory one, and only an
+    /// optional one gets the views' absent-null default.
     pub(crate) optional: bool,
 }
 

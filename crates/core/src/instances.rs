@@ -11,7 +11,10 @@
 //! For the PG model the copy phase is label/attribute renaming, so the
 //! quasi-inverse resolves each data node to its most specific `SM_Node`
 //! (the label with the longest ancestor chain among the node's labels) and
-//! records one attribute instance per schema-known property.
+//! records one attribute instance per schema-known property. An element
+//! without a value for a mandatory attribute (neither `opt` nor
+//! `intensional`) is a `Constraint` error: the input views join mandatory
+//! attributes without a default.
 //!
 //! The quasi-inverse writes relations, not graph elements: every instance
 //! construct is a row in [`Dictionary::instances`], keyed by an OID minted
@@ -84,17 +87,18 @@ pub(crate) fn load_with(
     let mut map = InstanceMap::default();
     let iv = Value::Int(instance_oid);
 
-    // The schema labels the data graph knows, keyed by data-graph symbol.
+    // The schema labels the data graph knows, with their names, keyed by
+    // data-graph symbol.
     let known = |name: &str| data.interner().get(name);
-    let node_types: FxHashMap<Symbol, &CatalogLabel> = catalog
+    let node_types: FxHashMap<Symbol, (&str, &CatalogLabel)> = catalog
         .nodes
         .iter()
-        .filter_map(|(n, l)| Some((known(n)?, l)))
+        .filter_map(|(n, l)| Some((known(n)?, (n.as_str(), l))))
         .collect();
-    let edge_types: FxHashMap<Symbol, &CatalogLabel> = catalog
+    let edge_types: FxHashMap<Symbol, (&str, &CatalogLabel)> = catalog
         .edges
         .iter()
-        .filter_map(|(e, l)| Some((known(e)?, l)))
+        .filter_map(|(e, l)| Some((known(e)?, (e.as_str(), l))))
         .collect();
 
     // OIDs are minted one per construct and one per link, in the order the
@@ -103,13 +107,14 @@ pub(crate) fn load_with(
     let db = &mut dict.instances;
     let o = Value::Oid;
     let mut instance_of: FxHashMap<NodeId, Oid> = FxHashMap::default();
+    let nodes_span = kgm_runtime::span!("intensional.load.nodes");
     for n in data.nodes() {
         let best = data
             .node_label_syms(n)
             .iter()
             .filter_map(|l| node_types.get(l))
-            .max_by_key(|ty| ty.depth);
-        let Some(ty) = best else {
+            .max_by_key(|(_, ty)| ty.depth);
+        let Some(&(label, ty)) = best else {
             stats.skipped_nodes += 1;
             continue;
         };
@@ -120,11 +125,15 @@ pub(crate) fn load_with(
         instance_of.insert(n, inode);
         map.instance_to_node.insert(inode, n);
         let props = |name: &str| data.node_prop(n, name);
-        stats.attributes += load_attributes(g, db, inode, "i_has_nattr", &ty.attrs, props)?;
+        let element = || format!("node {} ({label})", data.node_oid(n));
+        stats.attributes +=
+            load_attributes(g, db, inode, "i_has_nattr", &ty.attrs, element, props)?;
     }
+    drop(nodes_span);
 
+    let _edges_span = kgm_runtime::span!("intensional.load.edges");
     for e in data.edges() {
-        let Some(ty) = edge_types.get(&data.edge_label_sym(e)) else {
+        let Some(&(label, ty)) = edge_types.get(&data.edge_label_sym(e)) else {
             stats.skipped_edges += 1;
             continue;
         };
@@ -140,32 +149,46 @@ pub(crate) fn load_with(
         db.insert_ref("i_to", &[o(g.fresh_oid()), o(iedge), o(ti)])?;
         stats.edges += 1;
         let props = |name: &str| data.edge_prop(e, name);
-        stats.attributes += load_attributes(g, db, iedge, "i_has_eattr", &ty.attrs, props)?;
+        let element = || format!("edge {} ({label})", data.edge_oid(e));
+        stats.attributes +=
+            load_attributes(g, db, iedge, "i_has_eattr", &ty.attrs, element, props)?;
     }
     Ok((stats, map))
 }
 
 /// Write an `I_SM_Attribute`, its `link` row from `owner` and its `sm_ref`
 /// for every attribute of `attrs` the element has a value for; returns how
-/// many.
+/// many. An element without a value for a mandatory attribute is a
+/// `Constraint` error that names it by `element` (its data-graph OID and
+/// label): the input views join mandatory attributes without a default, so
+/// such an element would drop out of its label.
 fn load_attributes<'d>(
     g: &PropertyGraph,
     db: &mut FactDb,
     owner: Oid,
     link: &str,
     attrs: &[CatalogAttr],
+    element: impl Fn() -> String,
     value_of: impl Fn(&str) -> Option<&'d Value>,
 ) -> Result<usize> {
     let o = Value::Oid;
     let mut written = 0;
     for attr in attrs {
-        if let Some(value) = value_of(&attr.name) {
-            let ia = g.fresh_oid();
-            db.insert_ref("i_sm_attr", &[o(ia), value.clone()])?;
-            db.insert_ref(link, &[o(g.fresh_oid()), o(owner), o(ia)])?;
-            db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(ia), o(attr.oid)])?;
-            written += 1;
-        }
+        let Some(value) = value_of(&attr.name) else {
+            if attr.optional {
+                continue;
+            }
+            return Err(KgmError::Constraint(format!(
+                "{} has no value for the mandatory attribute `{}`",
+                element(),
+                attr.name
+            )));
+        };
+        let ia = g.fresh_oid();
+        db.insert_ref("i_sm_attr", &[o(ia), value.clone()])?;
+        db.insert_ref(link, &[o(g.fresh_oid()), o(owner), o(ia)])?;
+        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(ia), o(attr.oid)])?;
+        written += 1;
     }
     Ok(written)
 }
@@ -275,33 +298,41 @@ mod tests {
     }
 
     fn data() -> PropertyGraph {
+        data_without("")
+    }
+
+    /// The instance of [`data`] with the property `missing` left out
+    /// wherever it occurs.
+    fn data_without(missing: &str) -> PropertyGraph {
+        let props = |pairs: &[(&str, Value)]| -> Vec<(String, Value)> {
+            pairs
+                .iter()
+                .filter(|(k, _)| *k != missing)
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect()
+        };
         let mut d = PropertyGraph::new();
         let p = d
             .add_node(
                 ["PhysicalPerson", "Person"],
-                vec![
-                    ("fiscalCode".to_string(), Value::str("AAA")),
-                    ("name".to_string(), Value::str("Ada")),
-                    ("gender".to_string(), Value::str("female")),
-                ],
+                props(&[
+                    ("fiscalCode", Value::str("AAA")),
+                    ("name", Value::str("Ada")),
+                    ("gender", Value::str("female")),
+                ]),
             )
             .unwrap();
         let s = d
             .add_node(
                 ["Share"],
-                vec![
-                    ("shareId".to_string(), Value::str("S1")),
-                    ("percentage".to_string(), Value::Float(1.0)),
-                ],
+                props(&[
+                    ("shareId", Value::str("S1")),
+                    ("percentage", Value::Float(1.0)),
+                ]),
             )
             .unwrap();
-        d.add_edge(
-            p,
-            s,
-            "HOLDS",
-            vec![("right".to_string(), Value::str("ownership"))],
-        )
-        .unwrap();
+        d.add_edge(p, s, "HOLDS", props(&[("right", Value::str("ownership"))]))
+            .unwrap();
         d
     }
 
@@ -389,6 +420,35 @@ mod tests {
         let (stats, _) = load_instance(&mut dict, &schema, 1, 100, &d).unwrap();
         assert_eq!(stats.skipped_nodes, 1);
         assert_eq!(stats.nodes, 2);
+    }
+
+    /// The `Constraint` message of loading [`data`] without `missing`.
+    fn load_error_without(missing: &str) -> String {
+        let schema = schema();
+        let mut dict = Dictionary::new();
+        dict.encode(&schema, 1).unwrap();
+        match load_instance(&mut dict, &schema, 1, 100, &data_without(missing)) {
+            Err(KgmError::Constraint(msg)) => msg,
+            other => panic!("a missing `{missing}` must be a Constraint error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_node_without_a_mandatory_attribute_fails_the_load() {
+        // `gender` is PhysicalPerson's own attribute, `name` one it
+        // inherits from Person.
+        let msg = load_error_without("gender");
+        assert!(msg.contains("`gender`"), "{msg}");
+        assert!(msg.contains("node #1 (PhysicalPerson)"), "{msg}");
+        let msg = load_error_without("name");
+        assert!(msg.contains("`name`"), "{msg}");
+    }
+
+    #[test]
+    fn an_edge_without_a_mandatory_attribute_fails_the_load() {
+        let msg = load_error_without("right");
+        assert!(msg.contains("`right`"), "{msg}");
+        assert!(msg.contains("edge #3 (HOLDS)"), "{msg}");
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! 2. **input views** `V_I^Σ` are generated from a static analysis of `Σ`:
 //!    for every node/edge label in `Σ`'s bodies, Vadalog rules aggregate the
 //!    `I_SM_Node` / `I_SM_Edge` / `I_SM_Attribute` facts into the high-level
-//!    atoms `L(oid, a₁, …, aₖ)` (lines 5, Example 6.2) — optional attributes
-//!    default to the reserved *absent* null via stratified negation;
+//!    atoms `L(oid, a₁, …, aₖ)` (lines 5, Example 6.2). They read the
+//!    schema's modifiers: a mandatory attribute joins its value straight
+//!    into the label's rule, and the load rejects an element without one;
+//!    only an optional attribute defaults to the reserved *absent* null
+//!    via stratified negation;
 //! 3. `Σ` is compiled by **MTV** and evaluated together with the views
 //!    (lines 7–8);
 //! 4. **output views** `V_O^Σ` de-normalize head-label facts back into
@@ -26,7 +29,7 @@
 //! variant; [`MaterializationMode::SinglePass`] runs views and `Σ` in one
 //! fixpoint. Experiment E10 compares the two.
 
-use crate::dictionary::{Catalog, CatalogLabel, ConstructNames, Dictionary};
+use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
 use crate::instances::{load_with, InstanceMap};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Symbol, Value};
@@ -223,37 +226,73 @@ type Construct<'c> = (Kind, &'c str, &'c CatalogLabel);
 const SCHEMA_OID: i64 = 1;
 const INSTANCE_OID: i64 = 100;
 
+/// Add to `rb` the atoms that recognize an instance of `construct`, and
+/// return its key terms: `i_sm_node(I, inst), sm_ref(_, I, ⟨L⟩)` for a
+/// node label, and `i_sm_edge(IE, inst), sm_ref(_, IE, ⟨E⟩),
+/// i_from(_, IE, F), i_to(_, IE, T)` for an edge label.
+fn instance_atoms(
+    mut rb: RuleBuilder,
+    kind: Kind,
+    construct: &CatalogLabel,
+) -> (RuleBuilder, Vec<Term>) {
+    let k = rb.vars(kind.keys());
+    let inst = c(Value::Int(INSTANCE_OID));
+    let rb = match kind {
+        Kind::Node => {
+            let x = rb.fresh();
+            rb.body("i_sm_node", vec![k[0].clone(), inst])
+                .body("sm_ref", vec![x, k[0].clone(), oid(construct.oid)])
+        }
+        Kind::Edge => {
+            let (x0, x1, x2) = (rb.fresh(), rb.fresh(), rb.fresh());
+            rb.body("i_sm_edge", vec![k[0].clone(), inst])
+                .body("sm_ref", vec![x0, k[0].clone(), oid(construct.oid)])
+                .body("i_from", vec![x1, k[0].clone(), k[1].clone()])
+                .body("i_to", vec![x2, k[0].clone(), k[2].clone()])
+        }
+    };
+    (rb, k)
+}
+
+/// Add to `rb` the atoms that read the value `v` of attribute `attr` of the
+/// instance `i` through the attribute instance `a`:
+/// `link(_, I, A), sm_ref(_, A, ⟨a⟩), i_sm_attr(A, V)`.
+fn attr_atoms(
+    mut rb: RuleBuilder,
+    kind: Kind,
+    attr: &CatalogAttr,
+    i: Term,
+    a: Term,
+    v: Term,
+) -> RuleBuilder {
+    let (x1, x2) = (rb.fresh(), rb.fresh());
+    rb.body(kind.link(), vec![x1, i, a.clone()])
+        .body("sm_ref", vec![x2, a.clone(), oid(attr.oid)])
+        .body("i_sm_attr", vec![a, v])
+}
+
 /// Generate the input views `V_I^Σ` for the labels Σ's bodies read. They
 /// read the instance relations the quasi-inverse load writes
 /// ([`crate::instances`]).
+///
+/// A mandatory attribute joins its value straight into the label's rule:
+/// the load guarantees every instance has one. Only an optional attribute
+/// goes through a chain that defaults a missing value to the absent null,
+/// and only a label with one gets the `vi_is_L` relation that chain reads.
 fn input_views(labels: &[Construct<'_>]) -> Program {
     let mut prog = Program::default();
     for &(kind, label, construct) in labels {
         let keys = kind.keys();
         let e = kind.tag();
         let is_pred = format!("vi_is{e}_{label}");
-        // is_L(I) ← i_sm_node(I, inst), sm_ref(_, I, ⟨L⟩), and
-        // is_E(IE, F, T) ← i_sm_edge(IE, inst), sm_ref(_, IE, ⟨E⟩),
-        //                  i_from(_, IE, F), i_to(_, IE, T).
-        let mut rb = RuleBuilder::new();
-        let k = rb.vars(keys);
-        let inst = c(Value::Int(INSTANCE_OID));
-        let rb = match kind {
-            Kind::Node => {
-                let x = rb.fresh();
-                rb.body("i_sm_node", vec![k[0].clone(), inst])
-                    .body("sm_ref", vec![x, k[0].clone(), oid(construct.oid)])
-            }
-            Kind::Edge => {
-                let (x0, x1, x2) = (rb.fresh(), rb.fresh(), rb.fresh());
-                rb.body("i_sm_edge", vec![k[0].clone(), inst])
-                    .body("sm_ref", vec![x0, k[0].clone(), oid(construct.oid)])
-                    .body("i_from", vec![x1, k[0].clone(), k[1].clone()])
-                    .body("i_to", vec![x2, k[0].clone(), k[2].clone()])
-            }
-        };
-        prog.rules.push(rb.head(&is_pred, k).build());
-        for attr in &construct.attrs {
+        let has_optional = construct.attrs.iter().any(|a| a.optional);
+        if has_optional {
+            // is_L(I) ← i_sm_node(I, inst), sm_ref(_, I, ⟨L⟩), and likewise
+            // is_E(IE, F, T) for an edge label.
+            let (rb, k) = instance_atoms(RuleBuilder::new(), kind, construct);
+            prog.rules.push(rb.head(&is_pred, k).build());
+        }
+        for attr in construct.attrs.iter().filter(|a| a.optional) {
             let name = &attr.name;
             let avp = format!("vi_{e}avp_{label}_{name}");
             let has = format!("vi_{e}has_{label}_{name}");
@@ -264,12 +303,9 @@ fn input_views(labels: &[Construct<'_>]) -> Program {
             let (i, a, v) = (rb.v(keys[0]), rb.v("A"), rb.v("V"));
             let mut is_terms = vec![i.clone()];
             is_terms.extend(keys[1..].iter().map(|_| rb.fresh()));
-            let (x1, x2) = (rb.fresh(), rb.fresh());
+            let rb = rb.body(&is_pred, is_terms);
             prog.rules.push(
-                rb.body(&is_pred, is_terms)
-                    .body(kind.link(), vec![x1, i.clone(), a.clone()])
-                    .body("sm_ref", vec![x2, a.clone(), oid(attr.oid)])
-                    .body("i_sm_attr", vec![a, v.clone()])
+                attr_atoms(rb, kind, attr, i.clone(), a, v.clone())
                     .head(&avp, vec![i, v])
                     .build(),
             );
@@ -300,15 +336,26 @@ fn input_views(labels: &[Construct<'_>]) -> Program {
                     .build(),
             );
         }
-        // L(I, V1, …, Vk) ← is_L(I), av_a1(I, V1), …
-        let mut rb = RuleBuilder::new();
-        let k = rb.vars(keys);
+        // L(I, V1, …, Vk) ← is_L(I) or its body, then per attribute
+        // av_a(I, Vi) if it is optional, else
+        // i_has_nattr(_, I, Ai), sm_ref(_, Ai, ⟨a⟩), i_sm_attr(Ai, Vi).
+        let (mut rb, k) = if has_optional {
+            let mut rb = RuleBuilder::new();
+            let k = rb.vars(keys);
+            (rb.body(&is_pred, k.clone()), k)
+        } else {
+            instance_atoms(RuleBuilder::new(), kind, construct)
+        };
         let mut head = k.clone();
-        rb = rb.body(&is_pred, k.clone());
         for (idx, attr) in construct.attrs.iter().enumerate() {
             let v = rb.v(&format!("V{idx}"));
-            let av = format!("vi_{e}av_{label}_{}", attr.name);
-            rb = rb.body(&av, vec![k[0].clone(), v.clone()]);
+            rb = if attr.optional {
+                let av = format!("vi_{e}av_{label}_{}", attr.name);
+                rb.body(&av, vec![k[0].clone(), v.clone()])
+            } else {
+                let a = rb.v(&format!("A{idx}"));
+                attr_atoms(rb, kind, attr, k[0].clone(), a, v.clone())
+            };
             head.push(v);
         }
         prog.rules.push(rb.head(label, head).build());
@@ -439,9 +486,11 @@ pub fn materialize_with(
     // phase span and yields the elapsed ms kept in the stats, so the
     // harness report and the trace agree by construction.
     let (loaded, load_ms) = telemetry::time("intensional.load", String::new(), || {
+        let catalog_span = kgm_runtime::span!("intensional.load.catalog");
         let mut dict = Dictionary::new();
         dict.encode(schema, SCHEMA_OID)?;
         let catalog = dict.catalog(schema, SCHEMA_OID)?;
+        drop(catalog_span);
         let (_lstats, imap) = load_with(&mut dict, &catalog, INSTANCE_OID, data)?;
         Ok::<_, KgmError>((dict, catalog, imap))
     });
@@ -521,6 +570,7 @@ fn flush(
     stats: &mut MaterializationStats,
 ) -> Result<()> {
     let mut names = ConstructNames::new(dict);
+    let nodes_span = kgm_runtime::span!("intensional.flush.nodes");
     // vo_node(I, ⟨SM_Node⟩): resolve each identity to a data node once —
     // ground instance OIDs through the load map, labelled nulls and Skolems
     // to a node created on first sight.
@@ -562,6 +612,8 @@ fn flush(
             stats.new_attrs += 1;
         }
     }
+    drop(nodes_span);
+    let _edges_span = kgm_runtime::span!("intensional.flush.edges");
     // vo_edge(IE, F, T, ⟨SM_Edge⟩): create missing edges, dedup on
     // (label, endpoints).
     let mut edge_of: FxHashMap<Value, kgm_pgstore::EdgeId> = FxHashMap::default();
@@ -761,12 +813,14 @@ mod tests {
     fn view_programs_are_renderable() {
         let schema = company_schema();
         let (vi, vo) = view_programs(&schema, CONTROL).unwrap();
-        // V_I aggregates instance constructs into the Business/OWNS atoms.
-        assert!(vi.contains("vi_is_Business"), "{vi}");
-        assert!(vi.contains("i_sm_node"), "{vi}");
-        // Its rules read the instance relations the load writes.
+        // V_I aggregates instance constructs into the Business/OWNS atoms:
+        // Business's one attribute is mandatory, so its rule reads the
+        // instance relations the load writes directly.
         let reads_instances = |l: &str| {
-            l.contains("i_sm_node(") && l.contains("sm_ref(") && l.contains("-> vi_is_Business(")
+            l.contains("i_sm_node(")
+                && l.contains("sm_ref(")
+                && l.contains("i_sm_attr(")
+                && l.contains("-> Business(")
         };
         assert!(vi.lines().any(reads_instances), "{vi}");
         // V_O de-normalizes CONTROLS facts into instance-construct facts.
@@ -789,8 +843,64 @@ mod tests {
         let (vi, _, _) = views(&parse_metalog(CONTROL).unwrap(), &catalog);
         let mut db = std::mem::take(&mut dict.instances);
         Engine::new(vi).unwrap().run(&mut db).unwrap();
-        assert_eq!(db.len("vi_is_Business"), g.node_count());
-        assert_eq!(db.len("vi_ise_OWNS"), g.edge_count());
+        assert_eq!(db.len("Business"), g.node_count());
+        assert_eq!(db.len("OWNS"), g.edge_count());
+    }
+
+    #[test]
+    fn a_missing_mandatory_attribute_fails_materialize_before_any_edge() {
+        // An OWNS edge without its mandatory percentage: the load rejects
+        // it, so the data graph gets no CONTROLS edge in either mode.
+        let schema = company_schema();
+        for mode in [MaterializationMode::SinglePass, MaterializationMode::Staged] {
+            let mut g = ownership_graph();
+            let a = g.nodes_with_label("Business")[0];
+            let c = g.nodes_with_label("Business")[2];
+            g.add_edge(c, a, "OWNS", vec![]).unwrap();
+            let edges = g.edge_count();
+            match materialize(&mut g, &schema, CONTROL, mode) {
+                Err(KgmError::Constraint(msg)) => assert!(msg.contains("`percentage`"), "{msg}"),
+                other => panic!("{mode:?}: want a Constraint error, got {other:?}"),
+            }
+            assert_eq!(g.edge_count(), edges, "{mode:?}");
+            assert!(g.edges_with_label("CONTROLS").is_empty(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn materialize_times_the_load_and_the_flush_phase_by_phase() {
+        let collector = telemetry::Collector::install();
+        let mut g = ownership_graph();
+        materialize(
+            &mut g,
+            &company_schema(),
+            CONTROL,
+            MaterializationMode::SinglePass,
+        )
+        .unwrap();
+        let roots = collector.finish();
+        let root = roots
+            .iter()
+            .find(|r| r.name == "intensional.materialize")
+            .expect("materialize opens its root span");
+        let children = |parent: &str| -> Vec<&str> {
+            let span = root
+                .find(parent)
+                .unwrap_or_else(|| panic!("no {parent} span"));
+            span.children.iter().map(|c| c.name.as_str()).collect()
+        };
+        assert_eq!(
+            children("intensional.load"),
+            [
+                "intensional.load.catalog",
+                "intensional.load.nodes",
+                "intensional.load.edges"
+            ]
+        );
+        assert_eq!(
+            children("intensional.flush"),
+            ["intensional.flush.nodes", "intensional.flush.edges"]
+        );
     }
 
     #[test]

@@ -24,6 +24,8 @@
 #    legs and requires recording provenance to cost < 2x the plain chase,
 #    one update < 0.10x a full chase, and a query batch on 4 readers
 #    <= 1.10x the batch on 1 reader under a live writer.
+# 8. Staging smoke: E10's single-pass and staged Algorithm 2 runs must
+#    flush the same control pairs as the baseline algorithm.
 #
 # Usage: scripts/ci.sh [--skip-tests]
 #
@@ -261,6 +263,13 @@ fi
 cargo run --release --offline -q -p kgm-bench --bin paper-harness -- \
     validate-json "$report" BENCH_kgbench.json
 echo "ok: run report written and valid; BENCH_kgbench.json valid"
+
+echo "== staging smoke =="
+# E10 runs Algorithm 2 single-pass and staged over one seeded registry;
+# paper-harness exits non-zero unless both modes flush the same control
+# pairs, and those of the independent baseline algorithm.
+"$harness" e10 150 >/dev/null
+echo "ok: single-pass and staged materialization flush the baseline's control pairs"
 
 if [ "${KGM_SCALE_SMOKE:-0}" = "1" ]; then
     echo "== registry-scale smoke (KGM_SCALE_SMOKE=1) =="
