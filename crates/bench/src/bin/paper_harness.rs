@@ -11,7 +11,9 @@
 //! paper-harness e7 [n1,n2,..]  # §6 control pipeline sweep; exits 1
 //!                              # unless each complete row's control
 //!                              # pairs equal baseline_control's
-//! paper-harness e8 [nodes]     # MTV overhead comparison
+//! paper-harness e8 [nodes]     # MTV overhead comparison; exits 1
+//!                              # unless the direct program and the
+//!                              # pipeline find baseline_control's pairs
 //! paper-harness e9             # §5.1 strategy ablation
 //! paper-harness e10 [nodes]    # §6 staging ablation; exits 1 unless
 //!                              # both modes flush the same control pairs

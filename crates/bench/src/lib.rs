@@ -286,13 +286,7 @@ pub fn e7_control_pipeline(nodes: usize, mode: MaterializationMode) -> Result<E7
     })?;
     let edges = data.edge_count();
     let stats = materialize(&mut data, &schema, CONTROL_METALOG, mode)?;
-    let controls: FxHashSet<(u64, u64)> = data
-        .edges_with_label("CONTROLS")
-        .into_iter()
-        .map(|e| data.edge_endpoints(e))
-        .filter(|(f, t)| f != t)
-        .map(|(f, t)| (data.node_oid(f).payload(), data.node_oid(t).payload()))
-        .collect();
+    let controls = control_pairs(&data);
     // The baseline reads only the OWNS edges, which the flush leaves as
     // they were; running it afterwards keeps it out of the pipeline's peak.
     let agrees = stats
@@ -306,6 +300,17 @@ pub fn e7_control_pipeline(nodes: usize, mode: MaterializationMode) -> Result<E7
         controls,
         agrees,
     })
+}
+
+/// The non-reflexive `CONTROLS` edges of `data`, as `(controller,
+/// controlled)` node-OID payloads: the pairs [`baseline_control`] returns.
+fn control_pairs(data: &PropertyGraph) -> FxHashSet<(u64, u64)> {
+    data.edges_with_label("CONTROLS")
+        .into_iter()
+        .map(|e| data.edge_endpoints(e))
+        .filter(|(f, t)| f != t)
+        .map(|(f, t)| (data.node_oid(f).payload(), data.node_oid(t).payload()))
+        .collect()
 }
 
 /// Fail unless every complete E7 row flushed exactly the control pairs of
@@ -377,8 +382,8 @@ pub fn e7_report(rows: &[E7Row]) -> String {
 /// E8 — Examples 4.1–4.4: MTV translation overhead — the same control
 /// relation computed (a) by the Algorithm 2 MetaLog pipeline, (b) by the
 /// directly-written Vadalog program of Example 4.2, (c) by the native
-/// baseline algorithm. All three must agree; wall times expose the
-/// model-independence overhead.
+/// baseline algorithm. All three must find the same pairs; wall times
+/// expose the model-independence overhead.
 pub struct E8Result {
     /// Graph nodes.
     pub nodes: usize,
@@ -419,16 +424,21 @@ pub fn e8_mtv_overhead(nodes: usize) -> Result<E8Result> {
         )
     });
     pipeline_res?;
-    let pipeline_pairs = pipeline_data
-        .edges_with_label("CONTROLS")
-        .into_iter()
-        .filter(|&e| {
-            let (f, x) = pipeline_data.edge_endpoints(e);
-            f != x
-        })
-        .count();
+    let pipeline = control_pairs(&pipeline_data);
 
-    let agree = direct == baseline && pipeline_pairs == baseline.len();
+    let direct_path = "direct Vadalog (Ex. 4.2)";
+    let pipeline_path = "Algorithm 2 pipeline (Ex. 4.1)";
+    let differ: Vec<&str> = [(direct_path, &direct), (pipeline_path, &pipeline)]
+        .into_iter()
+        .filter(|(_, pairs)| **pairs != baseline)
+        .map(|(path, _)| path)
+        .collect();
+    if !differ.is_empty() {
+        return Err(KgmError::Internal(format!(
+            "E8: the control pairs differ from baseline_control's on the path {}",
+            differ.join(" and the path ")
+        )));
+    }
     let mut report = String::new();
     writeln!(
         report,
@@ -447,7 +457,7 @@ pub fn e8_mtv_overhead(nodes: usize) -> Result<E8Result> {
     writeln!(
         report,
         "{:<28} {:>12.1} {:>10}",
-        "direct Vadalog (Ex. 4.2)",
+        direct_path,
         t_direct,
         direct.len()
     )
@@ -455,10 +465,12 @@ pub fn e8_mtv_overhead(nodes: usize) -> Result<E8Result> {
     writeln!(
         report,
         "{:<28} {:>12.1} {:>10}",
-        "Algorithm 2 pipeline (Ex. 4.1)", t_pipeline, pipeline_pairs
+        pipeline_path,
+        t_pipeline,
+        pipeline.len()
     )
     .ok();
-    writeln!(report, "results agree: {agree}").ok();
+    writeln!(report, "results agree: true").ok();
     Ok(E8Result {
         nodes,
         times_ms: (t_pipeline, t_direct, t_baseline),

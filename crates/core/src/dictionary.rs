@@ -48,9 +48,9 @@ pub struct Dictionary {
     /// Instance OIDs are minted from its generator too, so schema- and
     /// instance-level OIDs never collide.
     pub graph: PropertyGraph,
-    /// The instance level: the rows of the eight `I_SM_*` relations
-    /// (`i_sm_node`, `i_sm_edge`, `i_sm_attr`, `sm_ref`, `i_has_nattr`,
-    /// `i_has_eattr`, `i_from`, `i_to`) of every loaded instance.
+    /// The instance level: the rows of the three `I_SM_*` relations
+    /// (`i_sm_node`, `i_sm_edge`, `i_sm_attr`) of every loaded instance,
+    /// one row per construct, with each of its links as a column.
     pub instances: FactDb,
 }
 
@@ -189,10 +189,14 @@ impl Dictionary {
             let chain = chain
                 .map(|l| nodes.get(l).ok_or_else(|| missing("SM_Node", l)))
                 .collect::<Result<Vec<_>>>()?;
+            // The label itself, then its descendants (a node the
+            // dictionary lacks fails its own chain).
+            let subtree = std::iter::once(n.name.as_str()).chain(schema.descendants(&n.name));
             let label = CatalogLabel {
                 oid: chain[0].0,
                 depth: chain.len() - 1,
                 attrs: chain.iter().flat_map(|(_, a)| a.iter().cloned()).collect(),
+                subtree: subtree.filter_map(|l| Some(nodes.get(l)?.0)).collect(),
             };
             catalog.nodes.insert(n.name.clone(), label);
         }
@@ -204,6 +208,7 @@ impl Dictionary {
                 oid,
                 depth: 0,
                 attrs,
+                subtree: vec![oid],
             };
             catalog.edges.insert(e.name.clone(), label);
         }
@@ -378,6 +383,11 @@ pub(crate) struct CatalogLabel {
     /// first: the attribute columns of the label's atom, as
     /// [`crate::intensional::pg_schema_of`] declares them.
     pub(crate) attrs: Vec<CatalogAttr>,
+    /// The construct OIDs of the label's subtree, its own first: an
+    /// instance of a descendant is an instance of the label too, but the
+    /// load gives it its most specific construct. An edge label's subtree
+    /// is the label itself.
+    pub(crate) subtree: Vec<Oid>,
 }
 
 /// An attribute of a label.

@@ -17,28 +17,35 @@
 //! attributes without a default.
 //!
 //! The quasi-inverse writes relations, not graph elements: every instance
-//! construct is a row in [`Dictionary::instances`], keyed by an OID minted
-//! from the dictionary graph's generator.
+//! construct is one row in [`Dictionary::instances`], keyed by an OID
+//! minted from the dictionary graph's generator. Every link of Figure 9 is
+//! functional (a construct references one schema construct, an edge has
+//! one source and one target, an attribute one owner), so each is a column
+//! on its functional side, the relational tactic of Section 5.3 (`RESIDES`
+//! and `BELONGS_TO` in Figure 8):
 //!
 //! | relation | row | meaning |
 //! |---|---|---|
-//! | `i_sm_node` | `(I, instanceOID)` | an `I_SM_Node` |
-//! | `i_sm_edge` | `(IE, instanceOID)` | an `I_SM_Edge` |
-//! | `i_sm_attr` | `(A, value)` | an `I_SM_Attribute` |
-//! | `sm_ref` | `(R, X, C)` | instance construct `X` references schema construct `C` |
-//! | `i_has_nattr` | `(R, I, A)` | node `I` has attribute `A` |
-//! | `i_has_eattr` | `(R, IE, A)` | edge `IE` has attribute `A` |
-//! | `i_from`, `i_to` | `(R, IE, I)` | edge `IE` leaves, enters node `I` |
+//! | `i_sm_node` | `(I, inst, SM)` | node `I` of instance `inst` is an `SM_Node` `SM` |
+//! | `i_sm_edge` | `(IE, inst, SM, F, T)` | edge `IE` of instance `inst` is an `SM_Edge` `SM` from node `F` to node `T` |
+//! | `i_sm_attr` | `(A, Owner, SM, V)` | attribute `A` of node or edge `Owner` is an `SM_Attribute` `SM` with value `V` |
 //!
-//! Construct rows are `(oid, property)` and link rows `(oid, from, to)`, the
-//! tuple shapes of the PG-to-relational mapping (Section 4, step (1)) that
-//! the generated input views `V_I` read.
+//! `inst` is the instance OID; `I`, `IE`, `A`, `F`, `T` and `Owner` are
+//! instance-construct OIDs, and `SM` a schema-construct OID. The generated
+//! input views `V_I` read these tuples with one atom per construct.
 
 use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, KgmError, Oid, Result, Symbol, Value};
 use kgm_pgstore::{NodeId, PropertyGraph};
 use kgm_vadalog::FactDb;
+
+/// `i_sm_node(I, inst, SM)`: an `I_SM_Node` (see the module table).
+pub(crate) const I_SM_NODE: &str = "i_sm_node";
+/// `i_sm_edge(IE, inst, SM, F, T)`: an `I_SM_Edge` (see the module table).
+pub(crate) const I_SM_EDGE: &str = "i_sm_edge";
+/// `i_sm_attr(A, Owner, SM, V)`: an `I_SM_Attribute` (see the module table).
+pub(crate) const I_SM_ATTR: &str = "i_sm_attr";
 
 /// Statistics of one instance load.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -101,8 +108,7 @@ pub(crate) fn load_with(
         .filter_map(|(e, l)| Some((known(e)?, (e.as_str(), l))))
         .collect();
 
-    // OIDs are minted one per construct and one per link, in the order the
-    // rows are written.
+    // OIDs are minted one per construct, in the order the rows are written.
     let g = &dict.graph;
     let db = &mut dict.instances;
     let o = Value::Oid;
@@ -119,15 +125,13 @@ pub(crate) fn load_with(
             continue;
         };
         let inode = g.fresh_oid();
-        db.insert_ref("i_sm_node", &[o(inode), iv.clone()])?;
-        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(inode), o(ty.oid)])?;
+        db.insert_ref(I_SM_NODE, &[o(inode), iv.clone(), o(ty.oid)])?;
         stats.nodes += 1;
         instance_of.insert(n, inode);
         map.instance_to_node.insert(inode, n);
         let props = |name: &str| data.node_prop(n, name);
         let element = || format!("node {} ({label})", data.node_oid(n));
-        stats.attributes +=
-            load_attributes(g, db, inode, "i_has_nattr", &ty.attrs, element, props)?;
+        stats.attributes += load_attributes(g, db, inode, &ty.attrs, element, props)?;
     }
     drop(nodes_span);
 
@@ -143,30 +147,25 @@ pub(crate) fn load_with(
             continue;
         };
         let iedge = g.fresh_oid();
-        db.insert_ref("i_sm_edge", &[o(iedge), iv.clone()])?;
-        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(iedge), o(ty.oid)])?;
-        db.insert_ref("i_from", &[o(g.fresh_oid()), o(iedge), o(fi)])?;
-        db.insert_ref("i_to", &[o(g.fresh_oid()), o(iedge), o(ti)])?;
+        db.insert_ref(I_SM_EDGE, &[o(iedge), iv.clone(), o(ty.oid), o(fi), o(ti)])?;
         stats.edges += 1;
         let props = |name: &str| data.edge_prop(e, name);
         let element = || format!("edge {} ({label})", data.edge_oid(e));
-        stats.attributes +=
-            load_attributes(g, db, iedge, "i_has_eattr", &ty.attrs, element, props)?;
+        stats.attributes += load_attributes(g, db, iedge, &ty.attrs, element, props)?;
     }
     Ok((stats, map))
 }
 
-/// Write an `I_SM_Attribute`, its `link` row from `owner` and its `sm_ref`
-/// for every attribute of `attrs` the element has a value for; returns how
-/// many. An element without a value for a mandatory attribute is a
-/// `Constraint` error that names it by `element` (its data-graph OID and
-/// label): the input views join mandatory attributes without a default, so
-/// such an element would drop out of its label.
+/// Write an `I_SM_Attribute` of `owner` for every attribute of `attrs` the
+/// element has a value for; returns how many. An element without a value
+/// for a mandatory attribute is a `Constraint` error that names it by
+/// `element` (its data-graph OID and label): the input views join mandatory
+/// attributes without a default, so such an element would drop out of its
+/// label.
 fn load_attributes<'d>(
     g: &PropertyGraph,
     db: &mut FactDb,
     owner: Oid,
-    link: &str,
     attrs: &[CatalogAttr],
     element: impl Fn() -> String,
     value_of: impl Fn(&str) -> Option<&'d Value>,
@@ -184,19 +183,11 @@ fn load_attributes<'d>(
                 attr.name
             )));
         };
-        let ia = g.fresh_oid();
-        db.insert_ref("i_sm_attr", &[o(ia), value.clone()])?;
-        db.insert_ref(link, &[o(g.fresh_oid()), o(owner), o(ia)])?;
-        db.insert_ref("sm_ref", &[o(g.fresh_oid()), o(ia), o(attr.oid)])?;
+        let row = [o(g.fresh_oid()), o(owner), o(attr.oid), value.clone()];
+        db.insert_ref(I_SM_ATTR, &row)?;
         written += 1;
     }
     Ok(written)
-}
-
-/// The `(from, to)` pairs of a link relation, in row order.
-fn links<'a>(db: &'a FactDb, relation: &'a str) -> impl Iterator<Item = (Oid, Oid)> + 'a {
-    db.facts_iter(relation)
-        .filter_map(|t| Some((t[1].as_oid()?, t[2].as_oid()?)))
 }
 
 /// Flush the instance constructs of `instance_oid` back into a fresh data
@@ -209,69 +200,47 @@ pub fn flush_instance(
 ) -> Result<PropertyGraph> {
     let db = &dict.instances;
     let iv = Value::Int(instance_oid);
-    let refs: FxHashMap<Oid, Oid> = links(db, "sm_ref").collect();
-    let values: FxHashMap<Oid, Value> = db
-        .facts_iter("i_sm_attr")
-        .filter_map(|mut t| Some((t[0].as_oid()?, t.pop()?)))
-        .collect();
-    let grouped = |relation: &str| {
-        let mut m: FxHashMap<Oid, Vec<Oid>> = FxHashMap::default();
-        for (owner, attr) in links(db, relation) {
-            m.entry(owner).or_default().push(attr);
-        }
-        m
-    };
-    let node_attrs = grouped("i_has_nattr");
-    let edge_attrs = grouped("i_has_eattr");
     let mut names = ConstructNames::new(dict);
-    let props_of = |attrs: Option<&Vec<Oid>>, names: &mut ConstructNames<'_>| {
-        attrs
-            .into_iter()
-            .flatten()
-            .filter_map(|ia| {
-                let name = names.get(*refs.get(ia)?)?.to_string();
-                Some((name, values.get(ia)?.clone()))
-            })
-            .collect::<Vec<(String, Value)>>()
-    };
+    // Each owner's properties, in row order.
+    let mut props: FxHashMap<Oid, Vec<(String, Value)>> = FxHashMap::default();
+    for row in db.facts_iter(I_SM_ATTR) {
+        let name = row[2].as_oid().and_then(|sm| names.get(sm));
+        let (Some(owner), Some(name)) = (row[1].as_oid(), name) else {
+            continue;
+        };
+        let prop = (name.to_string(), row[3].clone());
+        props.entry(owner).or_default().push(prop);
+    }
+    let mut props_of = |owner: Oid| props.remove(&owner).unwrap_or_default();
+    let rows_of = |relation| db.facts_iter(relation).filter(|row| row[1] == iv);
 
     let mut out = PropertyGraph::new();
     let mut out_node: FxHashMap<Oid, NodeId> = FxHashMap::default();
-    for row in db.facts_iter("i_sm_node") {
-        let Some(i) = row[0].as_oid().filter(|_| row[1] == iv) else {
+    for row in rows_of(I_SM_NODE) {
+        let (Some(i), Some(sm)) = (row[0].as_oid(), row[2].as_oid()) else {
             continue;
         };
-        let sm = refs
-            .get(&i)
-            .ok_or_else(|| KgmError::Schema("I_SM_Node without sm_ref".into()))?;
-        let node_props = props_of(node_attrs.get(&i), &mut names);
         // Multi-label strategy on flush: own type + ancestors.
         let labels = names
-            .node_labels(*sm, schema)
+            .node_labels(sm, schema)
             .ok_or_else(|| KgmError::Schema("SM_Node without type".into()))?;
-        out_node.insert(i, out.add_node(labels, node_props)?);
+        out_node.insert(i, out.add_node(labels, props_of(i))?);
     }
 
-    let from: FxHashMap<Oid, Oid> = links(db, "i_from").collect();
-    let to: FxHashMap<Oid, Oid> = links(db, "i_to").collect();
-    for row in db.facts_iter("i_sm_edge") {
-        let Some(ie) = row[0].as_oid().filter(|_| row[1] == iv) else {
+    for row in rows_of(I_SM_EDGE) {
+        let (Some(ie), Some(sm)) = (row[0].as_oid(), row[2].as_oid()) else {
             continue;
         };
-        let sm = refs
-            .get(&ie)
-            .ok_or_else(|| KgmError::Schema("I_SM_Edge without sm_ref".into()))?;
-        let endpoint = |ends: &FxHashMap<Oid, Oid>, relation: &str| -> Result<NodeId> {
-            ends.get(&ie)
-                .and_then(|n| out_node.get(n).copied())
-                .ok_or_else(|| KgmError::Schema(format!("I_SM_Edge without {relation}")))
+        let endpoint = |v: &Value| v.as_oid().and_then(|n| out_node.get(&n).copied());
+        let (Some(f), Some(t)) = (endpoint(&row[3]), endpoint(&row[4])) else {
+            return Err(KgmError::Schema(
+                "I_SM_Edge endpoint outside its instance".into(),
+            ));
         };
-        let (f, t) = (endpoint(&from, "i_from")?, endpoint(&to, "i_to")?);
-        let edge_props = props_of(edge_attrs.get(&ie), &mut names);
         let label = names
-            .get(*sm)
+            .get(sm)
             .ok_or_else(|| KgmError::Schema("SM_Edge without type".into()))?;
-        out.add_edge(f, t, label, edge_props)?;
+        out.add_edge(f, t, label, props_of(ie))?;
     }
     Ok(out)
 }
@@ -352,28 +321,31 @@ mod tests {
     #[test]
     fn load_creates_instance_constructs() {
         let (dict, _) = loaded();
-        let rows = |relation: &str| dict.instances.len(relation);
-        assert_eq!(rows("i_sm_node"), 2);
-        assert_eq!(rows("i_sm_edge"), 1);
-        assert_eq!(rows("i_sm_attr"), 6);
-        // One reference per construct: 2 nodes, 1 edge, 6 attributes.
-        assert_eq!(rows("sm_ref"), 9);
-        assert_eq!(rows("i_has_nattr"), 5);
-        assert_eq!(rows("i_has_eattr"), 1);
-        assert_eq!(rows("i_from"), 1);
-        assert_eq!(rows("i_to"), 1);
+        let db = &dict.instances;
+        // One row per construct: 2 nodes, 1 edge, 6 attributes, and no
+        // relation of links.
+        let mut relations = db.predicates();
+        relations.sort();
+        assert_eq!(relations, [I_SM_ATTR, I_SM_EDGE, I_SM_NODE]);
+        assert_eq!(db.len(I_SM_NODE), 2);
+        assert_eq!(db.len(I_SM_EDGE), 1);
+        assert_eq!(db.len(I_SM_ATTR), 6);
+        // The edge runs from the person to the share, and each attribute
+        // has one of the three constructs as its owner.
+        let nodes: Vec<Value> = db.facts_iter(I_SM_NODE).map(|t| t[0].clone()).collect();
+        let edge = &db.facts(I_SM_EDGE)[0];
+        assert_eq!(edge[3..], nodes[..]);
+        let owners: Vec<Value> = db.facts_iter(I_SM_ATTR).map(|t| t[1].clone()).collect();
+        let (p, s, e) = (&nodes[0], &nodes[1], &edge[0]);
+        assert_eq!(owners, [p, p, p, s, s, e].map(Value::clone));
     }
 
     #[test]
     fn most_specific_label_wins() {
         let (dict, _) = loaded();
         // The person instance must reference PhysicalPerson, not Person.
-        let inode = dict.instances.facts("i_sm_node")[0][0].clone();
-        let sm = dict
-            .instances
-            .facts_iter("sm_ref")
-            .find(|t| t[1] == inode)
-            .and_then(|t| t[2].as_oid())
+        let sm = dict.instances.facts(I_SM_NODE)[0][2]
+            .as_oid()
             .and_then(|oid| dict.graph.node_by_oid(oid))
             .unwrap();
         assert_eq!(
@@ -482,6 +454,6 @@ mod tests {
                 assert!(keys.insert(oid), "{relation} {t:?}: OID minted twice");
             }
         }
-        assert_eq!(keys.len(), 2 * 26, "26 rows per load");
+        assert_eq!(keys.len(), 2 * 9, "9 rows per load");
     }
 }

@@ -7,12 +7,15 @@
 //! 1. `D` is **loaded** into the instance-level super-constructs `I_SM_*`
 //!    of the dictionary via the quasi-inverse copy mapping
 //!    ([`crate::instances::load_instance`], line 4). The load writes the
-//!    eight instance relations (`i_sm_node`, `sm_ref`, …) straight into the
+//!    three instance relations (`i_sm_node`, `i_sm_edge`, `i_sm_attr`), one
+//!    row per construct with its links as columns, straight into the
 //!    dictionary's fact store, and that store becomes the chase's input;
 //! 2. **input views** `V_I^Σ` are generated from a static analysis of `Σ`:
 //!    for every node/edge label in `Σ`'s bodies, Vadalog rules aggregate the
 //!    `I_SM_Node` / `I_SM_Edge` / `I_SM_Attribute` facts into the high-level
-//!    atoms `L(oid, a₁, …, aₖ)` (lines 5, Example 6.2). They read the
+//!    atoms `L(oid, a₁, …, aₖ)` (lines 5, Example 6.2). A label's views
+//!    read the instances of its descendants too, as PG-Schema makes an
+//!    instance of a subtype an instance of its supertype. They read the
 //!    schema's modifiers: a mandatory attribute joins its value straight
 //!    into the label's rule, and the load rejects an element without one;
 //!    only an optional attribute defaults to the reserved *absent* null
@@ -30,7 +33,7 @@
 //! fixpoint. Experiment E10 compares the two.
 
 use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
-use crate::instances::{load_with, InstanceMap};
+use crate::instances::{load_with, InstanceMap, I_SM_ATTR, I_SM_EDGE, I_SM_NODE};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Symbol, Value};
 use kgm_metalog::{parse_metalog, translate, MetaProgram, PgSchema};
@@ -175,8 +178,7 @@ pub fn pg_schema_of(schema: &SuperSchema) -> PgSchema {
 }
 
 /// A node or an edge label. Their views differ only in the variables of an
-/// instance, the rule that recognizes one, the relation that links it to its
-/// attributes and the names of the predicates.
+/// instance, the relation that holds one and the names of the predicates.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Node,
@@ -201,11 +203,11 @@ impl Kind {
         }
     }
 
-    /// The relation linking an instance to its attribute instances.
-    fn link(self) -> &'static str {
+    /// The relation of its instances.
+    fn relation(self) -> &'static str {
         match self {
-            Kind::Node => "i_has_nattr",
-            Kind::Edge => "i_has_eattr",
+            Kind::Node => I_SM_NODE,
+            Kind::Edge => I_SM_EDGE,
         }
     }
 
@@ -226,49 +228,21 @@ type Construct<'c> = (Kind, &'c str, &'c CatalogLabel);
 const SCHEMA_OID: i64 = 1;
 const INSTANCE_OID: i64 = 100;
 
-/// Add to `rb` the atoms that recognize an instance of `construct`, and
-/// return its key terms: `i_sm_node(I, inst), sm_ref(_, I, ⟨L⟩)` for a
-/// node label, and `i_sm_edge(IE, inst), sm_ref(_, IE, ⟨E⟩),
-/// i_from(_, IE, F), i_to(_, IE, T)` for an edge label.
-fn instance_atoms(
-    mut rb: RuleBuilder,
-    kind: Kind,
-    construct: &CatalogLabel,
-) -> (RuleBuilder, Vec<Term>) {
+/// Add to `rb` the atom that recognizes an instance of the schema construct
+/// `sm`, and return its key terms: `i_sm_node(I, inst, ⟨sm⟩)` for a node
+/// label, and `i_sm_edge(IE, inst, ⟨sm⟩, F, T)` for an edge label.
+fn instance_atom(mut rb: RuleBuilder, kind: Kind, sm: Oid) -> (RuleBuilder, Vec<Term>) {
     let k = rb.vars(kind.keys());
-    let inst = c(Value::Int(INSTANCE_OID));
-    let rb = match kind {
-        Kind::Node => {
-            let x = rb.fresh();
-            rb.body("i_sm_node", vec![k[0].clone(), inst])
-                .body("sm_ref", vec![x, k[0].clone(), oid(construct.oid)])
-        }
-        Kind::Edge => {
-            let (x0, x1, x2) = (rb.fresh(), rb.fresh(), rb.fresh());
-            rb.body("i_sm_edge", vec![k[0].clone(), inst])
-                .body("sm_ref", vec![x0, k[0].clone(), oid(construct.oid)])
-                .body("i_from", vec![x1, k[0].clone(), k[1].clone()])
-                .body("i_to", vec![x2, k[0].clone(), k[2].clone()])
-        }
-    };
-    (rb, k)
+    let mut terms = vec![k[0].clone(), c(Value::Int(INSTANCE_OID)), oid(sm)];
+    terms.extend_from_slice(&k[1..]);
+    (rb.body(kind.relation(), terms), k)
 }
 
-/// Add to `rb` the atoms that read the value `v` of attribute `attr` of the
-/// instance `i` through the attribute instance `a`:
-/// `link(_, I, A), sm_ref(_, A, ⟨a⟩), i_sm_attr(A, V)`.
-fn attr_atoms(
-    mut rb: RuleBuilder,
-    kind: Kind,
-    attr: &CatalogAttr,
-    i: Term,
-    a: Term,
-    v: Term,
-) -> RuleBuilder {
-    let (x1, x2) = (rb.fresh(), rb.fresh());
-    rb.body(kind.link(), vec![x1, i, a.clone()])
-        .body("sm_ref", vec![x2, a.clone(), oid(attr.oid)])
-        .body("i_sm_attr", vec![a, v])
+/// Add to `rb` the atom that reads the value `v` of attribute `attr` of the
+/// instance `i`: `i_sm_attr(_, I, ⟨a⟩, V)`.
+fn attr_atom(mut rb: RuleBuilder, attr: &CatalogAttr, i: Term, v: Term) -> RuleBuilder {
+    let a = rb.fresh();
+    rb.body(I_SM_ATTR, vec![a, i, oid(attr.oid), v])
 }
 
 /// Generate the input views `V_I^Σ` for the labels Σ's bodies read. They
@@ -279,6 +253,12 @@ fn attr_atoms(
 /// the load guarantees every instance has one. Only an optional attribute
 /// goes through a chain that defaults a missing value to the absent null,
 /// and only a label with one gets the `vi_is_L` relation that chain reads.
+///
+/// The load gives an instance its most specific construct, so the rule
+/// that opens with the instance atom, `vi_is_L`'s or else the label's own,
+/// is emitted once per construct of the label's subtree. An inherited
+/// attribute's rows reference the ancestor's `SM_Attribute`, so the
+/// attribute atoms are the same for every construct.
 fn input_views(labels: &[Construct<'_>]) -> Program {
     let mut prog = Program::default();
     for &(kind, label, construct) in labels {
@@ -287,25 +267,26 @@ fn input_views(labels: &[Construct<'_>]) -> Program {
         let is_pred = format!("vi_is{e}_{label}");
         let has_optional = construct.attrs.iter().any(|a| a.optional);
         if has_optional {
-            // is_L(I) ← i_sm_node(I, inst), sm_ref(_, I, ⟨L⟩), and likewise
-            // is_E(IE, F, T) for an edge label.
-            let (rb, k) = instance_atoms(RuleBuilder::new(), kind, construct);
-            prog.rules.push(rb.head(&is_pred, k).build());
+            // is_L(I) ← i_sm_node(I, inst, ⟨C⟩) for each construct C of the
+            // subtree, and likewise is_E(IE, F, T) for an edge label.
+            for &sm in &construct.subtree {
+                let (rb, k) = instance_atom(RuleBuilder::new(), kind, sm);
+                prog.rules.push(rb.head(&is_pred, k).build());
+            }
         }
         for attr in construct.attrs.iter().filter(|a| a.optional) {
             let name = &attr.name;
             let avp = format!("vi_{e}avp_{label}_{name}");
             let has = format!("vi_{e}has_{label}_{name}");
             let av = format!("vi_{e}av_{label}_{name}");
-            // avp(I, V) ← is_L(I), i_has_nattr(_, I, A), sm_ref(_, A, ⟨a⟩),
-            //             i_sm_attr(A, V).
+            // avp(I, V) ← is_L(I), i_sm_attr(_, I, ⟨a⟩, V).
             let mut rb = RuleBuilder::new();
-            let (i, a, v) = (rb.v(keys[0]), rb.v("A"), rb.v("V"));
+            let (i, v) = (rb.v(keys[0]), rb.v("V"));
             let mut is_terms = vec![i.clone()];
             is_terms.extend(keys[1..].iter().map(|_| rb.fresh()));
             let rb = rb.body(&is_pred, is_terms);
             prog.rules.push(
-                attr_atoms(rb, kind, attr, i.clone(), a, v.clone())
+                attr_atom(rb, attr, i.clone(), v.clone())
                     .head(&avp, vec![i, v])
                     .build(),
             );
@@ -336,29 +317,31 @@ fn input_views(labels: &[Construct<'_>]) -> Program {
                     .build(),
             );
         }
-        // L(I, V1, …, Vk) ← is_L(I) or its body, then per attribute
-        // av_a(I, Vi) if it is optional, else
-        // i_has_nattr(_, I, Ai), sm_ref(_, Ai, ⟨a⟩), i_sm_attr(Ai, Vi).
-        let (mut rb, k) = if has_optional {
+        // L(I, V1, …, Vk) ← is_L(I), or else i_sm_node(I, inst, ⟨C⟩) once
+        // per construct C of the subtree; then per attribute av_a(I, Vi) if
+        // it is optional, else i_sm_attr(_, I, ⟨a⟩, Vi).
+        let opened = if has_optional {
             let mut rb = RuleBuilder::new();
             let k = rb.vars(keys);
-            (rb.body(&is_pred, k.clone()), k)
+            vec![(rb.body(&is_pred, k.clone()), k)]
         } else {
-            instance_atoms(RuleBuilder::new(), kind, construct)
+            let open = |&sm: &Oid| instance_atom(RuleBuilder::new(), kind, sm);
+            construct.subtree.iter().map(open).collect()
         };
-        let mut head = k.clone();
-        for (idx, attr) in construct.attrs.iter().enumerate() {
-            let v = rb.v(&format!("V{idx}"));
-            rb = if attr.optional {
-                let av = format!("vi_{e}av_{label}_{}", attr.name);
-                rb.body(&av, vec![k[0].clone(), v.clone()])
-            } else {
-                let a = rb.v(&format!("A{idx}"));
-                attr_atoms(rb, kind, attr, k[0].clone(), a, v.clone())
-            };
-            head.push(v);
+        for (mut rb, k) in opened {
+            let mut head = k.clone();
+            for (idx, attr) in construct.attrs.iter().enumerate() {
+                let v = rb.v(&format!("V{idx}"));
+                rb = if attr.optional {
+                    let av = format!("vi_{e}av_{label}_{}", attr.name);
+                    rb.body(&av, vec![k[0].clone(), v.clone()])
+                } else {
+                    attr_atom(rb, attr, k[0].clone(), v.clone())
+                };
+                head.push(v);
+            }
+            prog.rules.push(rb.head(label, head).build());
         }
-        prog.rules.push(rb.head(label, head).build());
     }
     prog
 }
@@ -817,10 +800,7 @@ mod tests {
         // Business's one attribute is mandatory, so its rule reads the
         // instance relations the load writes directly.
         let reads_instances = |l: &str| {
-            l.contains("i_sm_node(")
-                && l.contains("sm_ref(")
-                && l.contains("i_sm_attr(")
-                && l.contains("-> Business(")
+            l.contains("i_sm_node(") && l.contains("i_sm_attr(") && l.contains("-> Business(")
         };
         assert!(vi.lines().any(reads_instances), "{vi}");
         // V_O de-normalizes CONTROLS facts into instance-construct facts.
@@ -923,6 +903,34 @@ mod tests {
         let stats = materialize(&mut g, &schema, sigma, MaterializationMode::SinglePass).unwrap();
         assert_eq!(stats.new_edges, 1);
         assert_eq!(g.edges_with_label("SELF").len(), 1);
+    }
+
+    #[test]
+    fn a_parent_label_reads_its_descendants_instances() {
+        // The load gives the second node its most specific label,
+        // PhysicalPerson; Σ reads Person, as MTV's direct program does.
+        let schema = parse_gsl(
+            r#"
+            schema T {
+              node Person { id pid: string; }
+              node PhysicalPerson { gender: string; }
+              generalization Person -> PhysicalPerson;
+              intensional edge SELF: Person -> Person;
+            }
+            "#,
+        )
+        .unwrap();
+        let sigma = "(x: Person) -> (x)[e: SELF](x).";
+        for mode in [MaterializationMode::SinglePass, MaterializationMode::Staged] {
+            let mut g = PropertyGraph::new();
+            let prop = |k: &str, v: &str| (k.to_string(), Value::str(v));
+            g.add_node(["Person"], vec![prop("pid", "p")]).unwrap();
+            let pp = vec![prop("pid", "q"), prop("gender", "f")];
+            g.add_node(["PhysicalPerson", "Person"], pp).unwrap();
+            let stats = materialize(&mut g, &schema, sigma, mode).unwrap();
+            assert_eq!(stats.new_edges, 2, "{mode:?}");
+            assert_eq!(g.edges_with_label("SELF").len(), 2, "{mode:?}");
+        }
     }
 
     #[test]

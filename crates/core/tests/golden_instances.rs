@@ -1,8 +1,9 @@
-//! Golden rows of the dictionary's instance level: the eight relations the
+//! Golden rows of the dictionary's instance level: the three relations the
 //! quasi-inverse load of Algorithm 2 (line 4) produces for a seeded
-//! registry. The generated input views `V_I` read exactly these tuples, so
-//! a load that changed one row, one OID or one row's position would change
-//! what Σ sees.
+//! registry, one row per construct with its links as columns. The
+//! generated input views `V_I` read exactly these tuples, so a load that
+//! changed one row, one OID or one row's position would change what Σ
+//! sees.
 //!
 //! The golden holds every row of every relation, in order and with OIDs,
 //! for a 30-node registry, then the row count and an order-sensitive digest
@@ -21,16 +22,7 @@ use kgm_runtime::snapshot::assert_snapshot;
 use std::fmt::Write;
 
 /// The instance-level relations, in the order the golden lists them.
-const RELATIONS: [&str; 8] = [
-    "i_sm_node",
-    "i_sm_edge",
-    "i_sm_attr",
-    "sm_ref",
-    "i_has_nattr",
-    "i_has_eattr",
-    "i_from",
-    "i_to",
-];
+const RELATIONS: [&str; 3] = ["i_sm_node", "i_sm_edge", "i_sm_attr"];
 
 /// Load a seeded registry of `nodes` nodes and return each relation's rows.
 fn loaded_rows(nodes: usize) -> Vec<(&'static str, Vec<Vec<Value>>)> {

@@ -4,11 +4,14 @@
 //! as instance constructs. The chase runs exactly these rules, so a change
 //! to one rule, its order, a predicate name or a variable shows here.
 //!
-//! Two inputs:
+//! Three inputs:
 //! - `simple_ownership_schema` with `CONTROL_METALOG`, the program the
 //!   `pipeline_100k` benchmark workload runs;
 //! - a small schema whose node label has an optional and an inherited
-//!   attribute and whose edge label has a mandatory and an optional one.
+//!   attribute and whose edge label has a mandatory and an optional one;
+//! - the same schema with a Σ that reads `Person`, whose descendant
+//!   `Investor` gives it a second construct: `vi_is_Person` has one rule
+//!   per construct of the subtree.
 //!
 //! Re-bless after an intentional change with
 //! `KGM_BLESS=1 cargo test -p kgm-core --test golden_views`. CI runs
@@ -42,6 +45,11 @@ const MODIFIERS_SIGMA: &str = r#"
 (i: Investor)[: HOLDS](c: Company), n = count(<c>) -> (i: Investor; holdings: n).
 "#;
 
+/// Reads `Person`, whose instances include every `Investor`.
+const PARENT_SIGMA: &str = r#"
+(p: Person)[: HOLDS](c: Company) -> (p)[k: CONTROLS](c).
+"#;
+
 #[test]
 fn golden_view_programs() {
     let inputs = [
@@ -54,6 +62,11 @@ fn golden_view_programs() {
             "optional, inherited and intensional attributes",
             parse_gsl(MODIFIERS_GSL).unwrap(),
             MODIFIERS_SIGMA,
+        ),
+        (
+            "a label with a descendant",
+            parse_gsl(MODIFIERS_GSL).unwrap(),
+            PARENT_SIGMA,
         ),
     ];
     let mut out = String::new();
