@@ -17,6 +17,8 @@
 //! paper-harness e9             # §5.1 strategy ablation
 //! paper-harness e10 [nodes]    # §6 staging ablation; exits 1 unless
 //!                              # both modes flush the same control pairs
+//!                              # and the families baseline's pairs and
+//!                              # families
 //! ```
 //!
 //! Artefact files (DOT diagrams, DDL, RDF-S) are written under

@@ -17,7 +17,12 @@ use kgm_core::sst::{
 use kgm_core::sst_metalog::translate_to_pg_via_metalog;
 use kgm_core::SuperSchema;
 use kgm_finance::control::{baseline_control, control_vadalog, CONTROL_METALOG};
+use kgm_finance::families::{
+    baseline_families, baseline_related_pairs, materialized_families, related_pairs,
+    FAMILIES_METALOG,
+};
 use kgm_finance::generator::{generate_shareholding, ShareholdingConfig};
+use kgm_finance::registry::{generate_registry, RegistryConfig};
 use kgm_finance::schema::{company_kg_schema, simple_ownership_schema};
 use kgm_pgstore::algo::EdgeFilter;
 use kgm_pgstore::{GraphStats, PropertyGraph};
@@ -567,8 +572,11 @@ fn rel_mapping_input() -> Result<SuperSchema> {
 }
 
 /// E10 — the §6 staging optimization: single-pass vs staged view
-/// materialization. An error unless both modes flush the same control
-/// pairs, and those of [`baseline_control`].
+/// materialization, for the recursive control component and for the
+/// non-recursive families component (§3.3). An error unless both modes
+/// flush the same control pairs, and those of [`baseline_control`], and
+/// unless each mode flushes the related pairs and the families of the
+/// families baseline.
 pub fn e10_staging(nodes: usize) -> Result<String> {
     let single = e7_control_pipeline(nodes, MaterializationMode::SinglePass)?;
     let staged = e7_control_pipeline(nodes, MaterializationMode::Staged)?;
@@ -586,21 +594,66 @@ pub fn e10_staging(nodes: usize) -> Result<String> {
     writeln!(report, "E10 — §6 staging ablation at {nodes} nodes").ok();
     writeln!(
         report,
-        "{:<12} {:>12} {:>10}",
-        "mode", "reason ms", "controls"
+        "{:<10} {:<12} {:>12} {:>10} {:>8}",
+        "component", "mode", "reason ms", "derived", "pairs"
     )
     .ok();
-    for (mode, row) in [("single-pass", &single), ("staged", &staged)] {
+    let mut line = |component: &str, mode: &str, stats: &MaterializationStats, pairs: usize| {
         writeln!(
             report,
-            "{mode:<12} {:>12.1} {:>10}",
-            row.stats.reason_ms,
-            row.controls.len()
+            "{component:<10} {mode:<12} {:>12.1} {:>10} {pairs:>8}",
+            stats.reason_ms, stats.derived_facts
         )
         .ok();
+    };
+    for (mode, row) in [("single-pass", &single), ("staged", &staged)] {
+        line("control", mode, &row.stats, row.controls.len());
+    }
+    for (name, mode) in [
+        ("single-pass", MaterializationMode::SinglePass),
+        ("staged", MaterializationMode::Staged),
+    ] {
+        let (stats, pairs) = e10_families(nodes, mode)?;
+        line("families", name, &stats, pairs);
     }
     writeln!(report, "results agree: {agree}").ok();
     Ok(report)
+}
+
+/// [`FAMILIES_METALOG`] through Algorithm 2 in `mode`, over a registry
+/// whose persons, businesses, non-businesses, places and events number
+/// about `nodes` in the ratios of [`RegistryConfig::default`] (shares come
+/// on top). Returns the run's statistics and its related pairs; an error
+/// unless a complete run flushed the related pairs and the families of
+/// the baseline.
+fn e10_families(nodes: usize, mode: MaterializationMode) -> Result<(MaterializationStats, usize)> {
+    let d = RegistryConfig::default();
+    let total = d.persons + d.businesses + d.non_businesses + d.places + d.events;
+    let scale = |n: usize| (n * nodes).div_ceil(total);
+    let mut data = generate_registry(&RegistryConfig {
+        persons: scale(d.persons),
+        businesses: scale(d.businesses),
+        non_businesses: scale(d.non_businesses),
+        places: scale(d.places),
+        events: scale(d.events),
+        ..d
+    })?;
+    let stats = materialize(&mut data, &company_kg_schema()?, FAMILIES_METALOG, mode)?;
+    let related = related_pairs(&data);
+    if stats.termination.is_complete() {
+        let mut families: Vec<_> = materialized_families(&data)
+            .into_iter()
+            .flat_map(|(_, members, owns)| owns.into_iter().map(move |b| (members.clone(), b)))
+            .collect();
+        families.sort();
+        if related != baseline_related_pairs(&data) || families != baseline_families(&data) {
+            return Err(KgmError::Internal(format!(
+                "E10: the {mode:?} families run at {nodes} nodes differs from the \
+                 families baseline"
+            )));
+        }
+    }
+    Ok((stats, related.len()))
 }
 
 /// The seeded shareholding graph `paper-harness` runs its smokes, `explain`

@@ -397,8 +397,8 @@ pub(crate) struct CatalogAttr {
     /// The `SM_Attribute` OID its instances reference.
     pub(crate) oid: Oid,
     /// `isOpt || isIntensional`: an instance may lack a value. The load
-    /// rejects an instance that lacks a mandatory one, and only an
-    /// optional one gets the views' absent-null default.
+    /// rejects an instance that lacks a mandatory one, and writes the
+    /// absent null for a missing optional one.
     pub(crate) optional: bool,
 }
 

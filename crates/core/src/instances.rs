@@ -11,10 +11,11 @@
 //! For the PG model the copy phase is label/attribute renaming, so the
 //! quasi-inverse resolves each data node to its most specific `SM_Node`
 //! (the label with the longest ancestor chain among the node's labels) and
-//! records one attribute instance per schema-known property. An element
+//! records one attribute instance per schema-known attribute. An element
 //! without a value for a mandatory attribute (neither `opt` nor
-//! `intensional`) is a `Constraint` error: the input views join mandatory
-//! attributes without a default.
+//! `intensional`) is a `Constraint` error; a missing optional one is a row
+//! holding the reserved *absent* null ([`absent`], the one MTV's `@input`
+//! bindings write), as Section 5.3 stores a missing value as a NULL column.
 //!
 //! The quasi-inverse writes relations, not graph elements: every instance
 //! construct is one row in [`Dictionary::instances`], keyed by an OID
@@ -29,15 +30,18 @@
 //! | `i_sm_node` | `(I, inst, SM)` | node `I` of instance `inst` is an `SM_Node` `SM` |
 //! | `i_sm_edge` | `(IE, inst, SM, F, T)` | edge `IE` of instance `inst` is an `SM_Edge` `SM` from node `F` to node `T` |
 //! | `i_sm_attr` | `(A, Owner, SM, V)` | attribute `A` of node or edge `Owner` is an `SM_Attribute` `SM` with value `V` |
+//! | `i_sm_attr` | `(A, Owner, SM, absent)` | node or edge `Owner` has no value for the optional `SM_Attribute` `SM` |
 //!
 //! `inst` is the instance OID; `I`, `IE`, `A`, `F`, `T` and `Owner` are
 //! instance-construct OIDs, and `SM` a schema-construct OID. The generated
-//! input views `V_I` read these tuples with one atom per construct.
+//! input views `V_I` read these tuples with one atom per construct, and
+//! [`flush_instance`] leaves the absent rows out.
 
 use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
 use crate::supermodel::SuperSchema;
 use kgm_common::{FxHashMap, KgmError, Oid, Result, Symbol, Value};
 use kgm_pgstore::{NodeId, PropertyGraph};
+use kgm_vadalog::bindings::absent;
 use kgm_vadalog::FactDb;
 
 /// `i_sm_node(I, inst, SM)`: an `I_SM_Node` (see the module table).
@@ -54,7 +58,7 @@ pub struct LoadStats {
     pub nodes: usize,
     /// `I_SM_Edge`s created.
     pub edges: usize,
-    /// `I_SM_Attribute`s created.
+    /// `I_SM_Attribute`s created, absent ones included.
     pub attributes: usize,
     /// Data nodes skipped because no schema label matched.
     pub skipped_nodes: usize,
@@ -156,12 +160,11 @@ pub(crate) fn load_with(
     Ok((stats, map))
 }
 
-/// Write an `I_SM_Attribute` of `owner` for every attribute of `attrs` the
-/// element has a value for; returns how many. An element without a value
-/// for a mandatory attribute is a `Constraint` error that names it by
-/// `element` (its data-graph OID and label): the input views join mandatory
-/// attributes without a default, so such an element would drop out of its
-/// label.
+/// Write an `I_SM_Attribute` of `owner` for every attribute of `attrs`,
+/// holding [`absent`] where the element has no value for an optional one;
+/// returns how many. An element without a value for a mandatory attribute
+/// is a `Constraint` error that names it by `element` (its data-graph OID
+/// and label).
 fn load_attributes<'d>(
     g: &PropertyGraph,
     db: &mut FactDb,
@@ -173,17 +176,18 @@ fn load_attributes<'d>(
     let o = Value::Oid;
     let mut written = 0;
     for attr in attrs {
-        let Some(value) = value_of(&attr.name) else {
-            if attr.optional {
-                continue;
+        let value = match value_of(&attr.name) {
+            Some(value) => value.clone(),
+            None if attr.optional => absent(),
+            None => {
+                return Err(KgmError::Constraint(format!(
+                    "{} has no value for the mandatory attribute `{}`",
+                    element(),
+                    attr.name
+                )))
             }
-            return Err(KgmError::Constraint(format!(
-                "{} has no value for the mandatory attribute `{}`",
-                element(),
-                attr.name
-            )));
         };
-        let row = [o(g.fresh_oid()), o(owner), o(attr.oid), value.clone()];
+        let row = [o(g.fresh_oid()), o(owner), o(attr.oid), value];
         db.insert_ref(I_SM_ATTR, &row)?;
         written += 1;
     }
@@ -201,9 +205,9 @@ pub fn flush_instance(
     let db = &dict.instances;
     let iv = Value::Int(instance_oid);
     let mut names = ConstructNames::new(dict);
-    // Each owner's properties, in row order.
+    // Each owner's properties, in row order; an absent row is no property.
     let mut props: FxHashMap<Oid, Vec<(String, Value)>> = FxHashMap::default();
-    for row in db.facts_iter(I_SM_ATTR) {
+    for row in db.facts_iter(I_SM_ATTR).filter(|row| row[3] != absent()) {
         let name = row[2].as_oid().and_then(|sm| names.get(sm));
         let (Some(owner), Some(name)) = (row[1].as_oid(), name) else {
             continue;
@@ -421,6 +425,27 @@ mod tests {
         let msg = load_error_without("right");
         assert!(msg.contains("`right`"), "{msg}");
         assert!(msg.contains("edge #3 (HOLDS)"), "{msg}");
+    }
+
+    #[test]
+    fn a_missing_optional_attribute_is_an_absent_row() {
+        let schema = parse_gsl("schema T { node P { id k: string; opt nick: string; } }").unwrap();
+        let mut dict = Dictionary::new();
+        dict.encode(&schema, 1).unwrap();
+        let mut d = PropertyGraph::new();
+        d.add_node(["P"], vec![("k".to_string(), Value::str("x"))])
+            .unwrap();
+        let (stats, _) = load_instance(&mut dict, &schema, 1, 100, &d).unwrap();
+        assert_eq!(stats.attributes, 2);
+        let nick = &dict.instances.facts(I_SM_ATTR)[1];
+        assert_eq!(nick[3], absent());
+        let nick_oid = nick[2].as_oid().unwrap();
+        assert_eq!(ConstructNames::new(&dict).get(nick_oid), Some("nick"));
+        // The flush restores the node without the property.
+        let out = flush_instance(&dict, &schema, 100).unwrap();
+        let p = out.nodes_with_label("P")[0];
+        assert_eq!(out.node_prop(p, "k"), Some(&Value::str("x")));
+        assert_eq!(out.node_prop(p, "nick"), None);
     }
 
     #[test]

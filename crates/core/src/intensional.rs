@@ -15,11 +15,11 @@
 //!    `I_SM_Node` / `I_SM_Edge` / `I_SM_Attribute` facts into the high-level
 //!    atoms `L(oid, a₁, …, aₖ)` (lines 5, Example 6.2). A label's views
 //!    read the instances of its descendants too, as PG-Schema makes an
-//!    instance of a subtype an instance of its supertype. They read the
-//!    schema's modifiers: a mandatory attribute joins its value straight
-//!    into the label's rule, and the load rejects an element without one;
-//!    only an optional attribute defaults to the reserved *absent* null
-//!    via stratified negation;
+//!    instance of a subtype an instance of its supertype. The load rejects
+//!    an element without a mandatory attribute and writes the reserved
+//!    *absent* null for a missing optional one, so every attribute joins
+//!    its value straight into the label's atom: a label's view is one
+//!    conjunctive rule per construct of its subtree, without negation;
 //! 3. `Σ` is compiled by **MTV** and evaluated together with the views
 //!    (lines 7–8);
 //! 4. **output views** `V_O^Σ` de-normalize head-label facts back into
@@ -35,19 +35,12 @@
 use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
 use crate::instances::{load_with, InstanceMap, I_SM_ATTR, I_SM_EDGE, I_SM_NODE};
 use crate::supermodel::SuperSchema;
-use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Symbol, Value};
+use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, Result, Symbol, Value};
 use kgm_metalog::{parse_metalog, translate, MetaProgram, PgSchema};
 use kgm_pgstore::{NodeId, PropertyGraph};
 use kgm_runtime::telemetry;
-use kgm_vadalog::{
-    Atom, Engine, EngineConfig, FactDb, Program, Rule, RuleStep, Term, Termination, Var,
-};
+use kgm_vadalog::{Atom, Engine, EngineConfig, FactDb, Program, Rule, Term, Termination, Var};
 use std::collections::BTreeSet;
-
-/// The reserved "absent optional attribute" null.
-fn absent() -> Value {
-    Value::Oid(Oid::new(OidSpace::Null, 0))
-}
 
 fn c(value: Value) -> Term {
     Term::Const(value)
@@ -93,23 +86,14 @@ pub struct MaterializationStats {
 }
 
 /// Rule construction helper: named variables with per-rule indices.
+#[derive(Default)]
 struct RuleBuilder {
     names: Vec<String>,
     body: Vec<Atom>,
-    steps: Vec<RuleStep>,
     head: Vec<Atom>,
 }
 
 impl RuleBuilder {
-    fn new() -> Self {
-        RuleBuilder {
-            names: Vec::new(),
-            body: Vec::new(),
-            steps: Vec::new(),
-            head: Vec::new(),
-        }
-    }
-
     fn var(&mut self, name: &str) -> Var {
         if let Some(i) = self.names.iter().position(|n| n == name) {
             return Var(i as u16);
@@ -127,18 +111,11 @@ impl RuleBuilder {
     }
 
     fn fresh(&mut self) -> Term {
-        let n = format!("_anon{}", self.names.len());
-        self.names.push(n);
-        Term::Var(Var((self.names.len() - 1) as u16))
+        self.v(&format!("_anon{}", self.names.len()))
     }
 
     fn body(mut self, pred: &str, terms: Vec<Term>) -> Self {
         self.body.push(Atom::new(pred, terms));
-        self
-    }
-
-    fn negated(mut self, pred: &str, terms: Vec<Term>) -> Self {
-        self.steps.push(RuleStep::Negated(Atom::new(pred, terms)));
         self
     }
 
@@ -150,7 +127,7 @@ impl RuleBuilder {
     fn build(self) -> Rule {
         Rule {
             body: self.body,
-            steps: self.steps,
+            steps: Vec::new(),
             head: self.head,
             var_names: self.names,
         }
@@ -191,15 +168,6 @@ impl Kind {
         match self {
             Kind::Node => &["I"],
             Kind::Edge => &["IE", "F", "T"],
-        }
-    }
-
-    /// The infix of the `vi_*` predicates: `vi_is_L`, `vi_av_L_a`, … for a
-    /// node label, `vi_ise_L`, `vi_eav_L_a`, … for an edge label.
-    fn tag(self) -> &'static str {
-        match self {
-            Kind::Node => "",
-            Kind::Edge => "e",
         }
     }
 
@@ -247,97 +215,21 @@ fn attr_atom(mut rb: RuleBuilder, attr: &CatalogAttr, i: Term, v: Term) -> RuleB
 
 /// Generate the input views `V_I^Σ` for the labels Σ's bodies read. They
 /// read the instance relations the quasi-inverse load writes
-/// ([`crate::instances`]).
-///
-/// A mandatory attribute joins its value straight into the label's rule:
-/// the load guarantees every instance has one. Only an optional attribute
-/// goes through a chain that defaults a missing value to the absent null,
-/// and only a label with one gets the `vi_is_L` relation that chain reads.
-///
-/// The load gives an instance its most specific construct, so the rule
-/// that opens with the instance atom, `vi_is_L`'s or else the label's own,
-/// is emitted once per construct of the label's subtree. An inherited
-/// attribute's rows reference the ancestor's `SM_Attribute`, so the
-/// attribute atoms are the same for every construct.
+/// ([`crate::instances`]), where every attribute of an instance has a row:
+/// a missing optional one holds the absent null. So each label's view is
+/// one conjunctive rule per construct of its subtree (the load gives an
+/// instance its most specific construct): the instance atom, then one
+/// `i_sm_attr` atom per attribute. An inherited attribute's rows reference
+/// the ancestor's `SM_Attribute`, so the attribute atoms are the same for
+/// every construct.
 fn input_views(labels: &[Construct<'_>]) -> Program {
     let mut prog = Program::default();
     for &(kind, label, construct) in labels {
-        let keys = kind.keys();
-        let e = kind.tag();
-        let is_pred = format!("vi_is{e}_{label}");
-        let has_optional = construct.attrs.iter().any(|a| a.optional);
-        if has_optional {
-            // is_L(I) ← i_sm_node(I, inst, ⟨C⟩) for each construct C of the
-            // subtree, and likewise is_E(IE, F, T) for an edge label.
-            for &sm in &construct.subtree {
-                let (rb, k) = instance_atom(RuleBuilder::new(), kind, sm);
-                prog.rules.push(rb.head(&is_pred, k).build());
-            }
-        }
-        for attr in construct.attrs.iter().filter(|a| a.optional) {
-            let name = &attr.name;
-            let avp = format!("vi_{e}avp_{label}_{name}");
-            let has = format!("vi_{e}has_{label}_{name}");
-            let av = format!("vi_{e}av_{label}_{name}");
-            // avp(I, V) ← is_L(I), i_sm_attr(_, I, ⟨a⟩, V).
-            let mut rb = RuleBuilder::new();
-            let (i, v) = (rb.v(keys[0]), rb.v("V"));
-            let mut is_terms = vec![i.clone()];
-            is_terms.extend(keys[1..].iter().map(|_| rb.fresh()));
-            let rb = rb.body(&is_pred, is_terms);
-            prog.rules.push(
-                attr_atom(rb, attr, i.clone(), v.clone())
-                    .head(&avp, vec![i, v])
-                    .build(),
-            );
-            // av(I, V) ← avp(I, V);  has(I) ← avp(I, _);
-            // av(I, absent) ← is_L(I), not has(I).
-            // (Two separate rules: a shared rule would force `av` and `has`
-            // into one stratum and break stratification.)
-            let mut rb = RuleBuilder::new();
-            let (i, v) = (rb.v(keys[0]), rb.v("V"));
-            prog.rules.push(
-                rb.body(&avp, vec![i.clone(), v.clone()])
-                    .head(&av, vec![i, v])
-                    .build(),
-            );
-            let mut rb = RuleBuilder::new();
-            let (i, v) = (rb.v(keys[0]), rb.fresh());
-            prog.rules.push(
-                rb.body(&avp, vec![i.clone(), v])
-                    .head(&has, vec![i])
-                    .build(),
-            );
-            let mut rb = RuleBuilder::new();
-            let k = rb.vars(keys);
-            prog.rules.push(
-                rb.body(&is_pred, k.clone())
-                    .negated(&has, vec![k[0].clone()])
-                    .head(&av, vec![k[0].clone(), c(absent())])
-                    .build(),
-            );
-        }
-        // L(I, V1, …, Vk) ← is_L(I), or else i_sm_node(I, inst, ⟨C⟩) once
-        // per construct C of the subtree; then per attribute av_a(I, Vi) if
-        // it is optional, else i_sm_attr(_, I, ⟨a⟩, Vi).
-        let opened = if has_optional {
-            let mut rb = RuleBuilder::new();
-            let k = rb.vars(keys);
-            vec![(rb.body(&is_pred, k.clone()), k)]
-        } else {
-            let open = |&sm: &Oid| instance_atom(RuleBuilder::new(), kind, sm);
-            construct.subtree.iter().map(open).collect()
-        };
-        for (mut rb, k) in opened {
-            let mut head = k.clone();
+        for &sm in &construct.subtree {
+            let (mut rb, mut head) = instance_atom(RuleBuilder::default(), kind, sm);
             for (idx, attr) in construct.attrs.iter().enumerate() {
                 let v = rb.v(&format!("V{idx}"));
-                rb = if attr.optional {
-                    let av = format!("vi_{e}av_{label}_{}", attr.name);
-                    rb.body(&av, vec![k[0].clone(), v.clone()])
-                } else {
-                    attr_atom(rb, attr, k[0].clone(), v.clone())
-                };
+                rb = attr_atom(rb, attr, head[0].clone(), v.clone());
                 head.push(v);
             }
             prog.rules.push(rb.head(label, head).build());
@@ -353,7 +245,7 @@ fn output_views(labels: &[Construct<'_>]) -> Program {
     let mut prog = Program::default();
     for &(kind, label, construct) in labels {
         let (vo, vo_attr) = kind.outputs();
-        let mut rb = RuleBuilder::new();
+        let mut rb = RuleBuilder::default();
         let k = rb.vars(kind.keys());
         let mut instance = k.clone();
         instance.push(oid(construct.oid));
@@ -793,6 +685,22 @@ mod tests {
     }
 
     #[test]
+    fn rematerializing_a_written_only_label_copies_nothing() {
+        // Σ reads Business and OWNS and only writes CONTROLS, so the
+        // CONTROLS edges of the first run get no input view in the second.
+        let schema = company_schema();
+        let sigma = "(x: Business)[: OWNS; percentage: w](y: Business), w > 0.5 \
+                     -> (x)[c: CONTROLS](y).";
+        let mut g = ownership_graph();
+        let mode = MaterializationMode::SinglePass;
+        let first = materialize(&mut g, &schema, sigma, mode).unwrap();
+        assert_eq!(first.new_edges, 1);
+        let second = materialize(&mut g, &schema, sigma, mode).unwrap();
+        assert_eq!(second.new_edges, 0);
+        assert_eq!(second.derived_facts, first.derived_facts);
+    }
+
+    #[test]
     fn view_programs_are_renderable() {
         let schema = company_schema();
         let (vi, vo) = view_programs(&schema, CONTROL).unwrap();
@@ -903,6 +811,27 @@ mod tests {
         let stats = materialize(&mut g, &schema, sigma, MaterializationMode::SinglePass).unwrap();
         assert_eq!(stats.new_edges, 1);
         assert_eq!(g.edges_with_label("SELF").len(), 1);
+    }
+
+    #[test]
+    fn an_order_condition_on_a_missing_optional_attribute_does_not_hold() {
+        // The only OWNS edge has no `since`, so `y > 2` compares the absent
+        // null, and no order holds with it.
+        let schema = parse_gsl(
+            "schema T { node B { id name: string; } edge OWNS: B -> B { opt since: int; } \
+             intensional edge LINK: B -> B; }",
+        )
+        .unwrap();
+        let sigma = "(p: B)[: OWNS; since: y](c: B), y > 2 -> (p)[l: LINK](c).";
+        for mode in [MaterializationMode::SinglePass, MaterializationMode::Staged] {
+            let mut g = PropertyGraph::new();
+            let b = g
+                .add_node(["B"], vec![("name".to_string(), Value::str("b"))])
+                .unwrap();
+            g.add_edge(b, b, "OWNS", vec![]).unwrap();
+            let stats = materialize(&mut g, &schema, sigma, mode).unwrap();
+            assert_eq!(stats.new_edges, 0, "{mode:?}");
+        }
     }
 
     #[test]

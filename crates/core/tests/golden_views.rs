@@ -10,8 +10,8 @@
 //! - a small schema whose node label has an optional and an inherited
 //!   attribute and whose edge label has a mandatory and an optional one;
 //! - the same schema with a Σ that reads `Person`, whose descendant
-//!   `Investor` gives it a second construct: `vi_is_Person` has one rule
-//!   per construct of the subtree.
+//!   `Investor` gives it a second construct: `Person`'s rule is emitted
+//!   once per construct of the subtree.
 //!
 //! Re-bless after an intentional change with
 //! `KGM_BLESS=1 cargo test -p kgm-core --test golden_views`. CI runs

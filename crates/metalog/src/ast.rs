@@ -135,60 +135,34 @@ pub struct MetaProgram {
 }
 
 impl MetaProgram {
-    /// All node labels referenced anywhere, sorted.
+    /// The node labels the rule bodies read, sorted: a label that only
+    /// heads write is not among them.
     pub fn node_labels(&self) -> Vec<String> {
         let mut out = Vec::new();
-        let mut add_node = |n: &NodeAtom| {
-            if let Some(l) = &n.label {
-                out.push(l.clone());
-            }
-        };
-        for r in &self.rules {
-            for e in &r.body {
-                match e {
-                    MetaBodyElem::Path(p) => {
-                        add_node(&p.src);
-                        for (_, n) in &p.segments {
-                            add_node(n);
-                        }
-                    }
-                    MetaBodyElem::NegatedNode(n) => add_node(n),
-                    MetaBodyElem::Scalar(_) => {}
-                }
-            }
-            for p in &r.head {
-                add_node(&p.src);
-                for (_, n) in &p.segments {
-                    add_node(n);
-                }
-            }
+        for e in self.rules.iter().flat_map(|r| &r.body) {
+            let nodes: Vec<&NodeAtom> = match e {
+                MetaBodyElem::Path(p) => std::iter::once(&p.src)
+                    .chain(p.segments.iter().map(|(_, n)| n))
+                    .collect(),
+                MetaBodyElem::NegatedNode(n) => vec![n],
+                MetaBodyElem::Scalar(_) => Vec::new(),
+            };
+            out.extend(nodes.into_iter().filter_map(|n| n.label.clone()));
         }
         out.sort();
         out.dedup();
         out
     }
 
-    /// All edge labels referenced anywhere, sorted.
+    /// The edge labels the rule bodies read, sorted: a label that only
+    /// heads write is not among them.
     pub fn edge_labels(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for r in &self.rules {
-            for e in &r.body {
-                if let MetaBodyElem::Path(p) = e {
-                    for (regex, _) in &p.segments {
-                        for ea in regex.edge_atoms() {
-                            if let Some(l) = &ea.label {
-                                out.push(l.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            for p in &r.head {
+        for e in self.rules.iter().flat_map(|r| &r.body) {
+            if let MetaBodyElem::Path(p) = e {
                 for (regex, _) in &p.segments {
                     for ea in regex.edge_atoms() {
-                        if let Some(l) = &ea.label {
-                            out.push(l.clone());
-                        }
+                        out.extend(ea.label.clone());
                     }
                 }
             }

@@ -456,7 +456,7 @@ mod tests {
         let p =
             parse_metalog("(x: Business)[: OWNS](y: Business) -> (x)[c: CONTROLS](y).").unwrap();
         assert_eq!(p.node_labels(), vec!["Business"]);
-        assert_eq!(p.edge_labels(), vec!["CONTROLS", "OWNS"]);
+        assert_eq!(p.edge_labels(), vec!["OWNS"]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   engine's safety net.
 //! - **Stratified execution**: negation and *exact* aggregation read only
 //!   strictly lower strata; within a stratum, rules run to a semi-naive
-//!   fixpoint (delta-restricted re-evaluation).
+//!   fixpoint, whose delta pass over a body atom reads the atoms before it
+//!   in their old rows only, so each new match is found exactly once.
 //! - **Monotonic aggregation in recursion**: contributor-keyed accumulation
 //!   (Example 4.2's `sum(w, ⟨z⟩)`): each distinct contributor tuple is
 //!   counted once, updates re-fire the rule with the refined value.
@@ -816,6 +817,7 @@ impl Engine {
                         ri,
                         rule,
                         None,
+                        &[],
                         &null_gen,
                         &mut nulls,
                         &mut MonoTable::default(),
@@ -869,8 +871,8 @@ impl Engine {
                         .map(|&ri| (ri, passes(&self.program.rules[ri], db, first, &watermark)))
                         .collect();
                     for (ri, passes) in &plan {
-                        for pass in passes {
-                            let ai = pass.as_ref().map_or(0, |(ai, _)| *ai);
+                        for (delta, _) in passes {
+                            let ai = delta.as_ref().map_or(0, |(ai, _)| *ai);
                             for (pred, positions) in &self.meta[*ri].index_needs[ai] {
                                 db.ensure_index(pred, positions);
                             }
@@ -881,12 +883,13 @@ impl Engine {
                     let mut hit: Option<Termination> = None;
                     'rules: for (ri, passes) in plan {
                         let rule = &self.program.rules[ri];
-                        for pass in passes {
+                        for (delta, old) in passes {
                             let result = self.eval_rule(
                                 db,
                                 ri,
                                 rule,
-                                pass,
+                                delta,
+                                &old,
                                 &null_gen,
                                 &mut nulls,
                                 &mut mono,
@@ -917,14 +920,10 @@ impl Engine {
                     }
                     // Advance watermarks to the lengths *before* inserting the
                     // new facts, so the next iteration's deltas cover them.
-                    let mut preds: FxHashSet<&String> = FxHashSet::default();
                     for &ri in &rules {
                         for a in &self.program.rules[ri].body {
-                            preds.insert(&a.predicate);
+                            watermark.insert(a.predicate.clone(), db.rows_of(&a.predicate));
                         }
-                    }
-                    for p in preds {
-                        watermark.insert(p.clone(), db.rows_of(p));
                     }
                     let emitted = out.len();
                     let inserted = self.insert_out(db, out, prov_out)?;
@@ -1302,10 +1301,11 @@ impl Engine {
     ///
     /// `delta` restricts one body atom to a row range; `None` is a full
     /// pass, which is the delta pass over atom 0's complete range (with
-    /// nothing bound, `join_order` would pick atom 0 first anyway). That
-    /// outer scan range is split into shards: one when `threads == 1` or
-    /// the range is under `min_parallel_batch`, `split_range(range,
-    /// threads)` otherwise. Every shard runs the same per-match code
+    /// nothing bound, `join_order` would pick atom 0 first anyway), and
+    /// `old` the old-row counts of the atoms before the delta atom
+    /// ([`passes`]). That outer scan range is split into shards: one when
+    /// `threads == 1` or the range is under `min_parallel_batch`,
+    /// `split_range(range, threads)` otherwise. Every shard runs the same per-match code
     /// ([`Engine::eval_shard`]):
     ///
     /// - The **one shard** runs on the calling thread with the whole step
@@ -1335,6 +1335,7 @@ impl Engine {
         ri: usize,
         rule: &Rule,
         delta: Option<(usize, Range<usize>)>,
+        old: &[usize],
         null_gen: &OidGen,
         nulls: &mut NullTable,
         mono: &mut MonoTable,
@@ -1372,8 +1373,8 @@ impl Engine {
                 ..ShardOut::default()
             };
             let r = self.eval_shard(
-                db, ri, rule, &order, &shards[0], all_steps, true, null_gen, nulls, mono, &mut so,
-                governor,
+                db, ri, rule, &order, &shards[0], old, all_steps, true, null_gen, nulls, mono,
+                &mut so, governor,
             );
             *out = std::mem::take(&mut so.heads);
             *prov_out = std::mem::take(&mut so.head_prov);
@@ -1399,6 +1400,7 @@ impl Engine {
                         rule,
                         &order,
                         r,
+                        old,
                         pure_end,
                         emit,
                         null_gen,
@@ -1510,6 +1512,7 @@ impl Engine {
         rule: &Rule,
         order: &[usize],
         range: &Range<usize>,
+        old: &[usize],
         steps_end: usize,
         emit: bool,
         null_gen: &OidGen,
@@ -1528,6 +1531,7 @@ impl Engine {
             order,
             0,
             &delta,
+            old,
             &mut binding,
             &mut trail,
             governor,
@@ -1591,6 +1595,8 @@ impl Engine {
     /// matches. Starting the order at the delta atom is what makes the
     /// semi-naive evaluation actually incremental: all other atoms then
     /// join through bound variables instead of rescanning their relations.
+    /// Body atom `j` reads rows `0..old[j]` if `old` has that entry, else
+    /// all its rows.
     ///
     /// With provenance on, `trail` carries the [`FactId`] of each matched
     /// atom along the descent (join order — one id per `order[..pos]`
@@ -1604,6 +1610,7 @@ impl Engine {
         order: &[usize],
         pos: usize,
         delta: &Option<(usize, Range<usize>)>,
+        old: &[usize],
         binding: &mut Vec<Option<Value>>,
         trail: &mut Vec<FactId>,
         governor: &Governor,
@@ -1654,7 +1661,7 @@ impl Engine {
         }
         let range = match delta {
             Some((ai, r)) if *ai == idx => r.clone(),
-            _ => 0..rel.rows(),
+            _ => 0..old.get(idx).copied().unwrap_or_else(|| rel.rows()),
         };
         let candidates = rel.lookup(&positions, &key, &range, pool.classes());
         for ci in candidates {
@@ -1696,6 +1703,7 @@ impl Engine {
                     order,
                     pos + 1,
                     delta,
+                    old,
                     binding,
                     trail,
                     governor,
@@ -1938,14 +1946,20 @@ fn static_index_needs(rule: &Rule) -> Vec<Vec<(String, Vec<usize>)>> {
 
 /// One evaluation of a rule within a fixpoint iteration: a full pass
 /// (`None`, in atom 0's join order) or a delta pass over the rows one body
-/// atom gained (`Some((atom, rows))`, in that atom's join order).
-type Pass = Option<(usize, Range<usize>)>;
+/// atom gained (`Some((atom, rows))`, in that atom's join order), with the
+/// old-row counts of the body atoms before that atom.
+type Pass = (Option<(usize, Range<usize>)>, Vec<usize>);
 
 /// The passes one semi-naive iteration evaluates for `rule`: the first
 /// iteration of a from-scratch stratum runs one full pass; every other
-/// iteration runs one delta pass per body atom whose predicate grew past
-/// its watermark. The writer plans each iteration with this once, builds
-/// the indexes of exactly these passes, then evaluates them.
+/// iteration runs one delta pass per body atom `ai` whose predicate grew
+/// past its watermark, which reads the atoms before `ai` in their old rows
+/// (`0..watermark`) only and skips when one has none. A match whose new
+/// facts sit at the atoms in `S` is found once, in the pass of `min(S)`,
+/// the first pass that would find it if every other atom were read in
+/// full: the order of first derivations, and every output with it, is
+/// that of reading them in full. The writer plans each iteration with this
+/// once, builds the indexes of exactly these passes, then evaluates them.
 fn passes(
     rule: &Rule,
     db: &FactDb,
@@ -1953,17 +1967,21 @@ fn passes(
     watermark: &FxHashMap<String, usize>,
 ) -> Vec<Pass> {
     if first {
-        return vec![None];
+        return vec![(None, Vec::new())];
     }
-    rule.body
-        .iter()
-        .enumerate()
-        .filter_map(|(ai, atom)| {
-            let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
-            let cur = db.rows_of(&atom.predicate);
-            (cur > prev).then_some(Some((ai, prev..cur)))
-        })
-        .collect()
+    let (mut out, mut old) = (Vec::new(), Vec::new());
+    for (ai, atom) in rule.body.iter().enumerate() {
+        let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
+        let cur = db.rows_of(&atom.predicate);
+        if cur > prev {
+            out.push((Some((ai, prev..cur)), old.clone()));
+        }
+        if prev == 0 {
+            break; // every later pass reads this atom in its old rows only
+        }
+        old.push(prev);
+    }
+    out
 }
 
 pub(crate) fn initial_value(func: AggregateFunc) -> Value {
@@ -2554,6 +2572,7 @@ mod tests {
                     1,
                     &engine.program.rules[1],
                     Some((0, end..end)),
+                    &[],
                     &OidGen::new(OidSpace::Null),
                     &mut NullTable::default(),
                     &mut MonoTable::default(),
@@ -2574,6 +2593,27 @@ mod tests {
             ]);
         }
         assert_eq!(counters, vec![[1, 1, 0, 0]; 2]);
+    }
+
+    #[test]
+    fn a_match_over_two_new_facts_is_found_once() {
+        // `p` and `q` are new in the same iteration, so every match of the
+        // third rule has new facts at both body atoms: the delta pass over
+        // `p` finds it, and the one over `q` reads `p` in its old rows only.
+        let src = "a(X) -> p(X). b(X) -> q(X). p(X), q(X) -> r(X).";
+        let values: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int(i)]).collect();
+        let inputs = [("a", values.clone()), ("b", values)];
+        let (db, stats) = run_with_threads(src, &inputs, 1);
+        assert_eq!(db.len("r"), 100);
+        assert_eq!(stats.profile.rules[2].bindings_enumerated, 100);
+        assert_eq!(stats.duplicates_rejected, 0);
+        let (prov_db, _) = run_prov_with_threads(src, &inputs, 1);
+        let (par_db, _) = run_with_threads(src, &inputs, 4);
+        let (par_prov_db, _) = run_prov_with_threads(src, &inputs, 4);
+        for other in [&prov_db, &par_db, &par_prov_db] {
+            assert_eq!(db_fingerprint(other), db_fingerprint(&db));
+        }
+        assert_eq!(prov_fingerprint(&par_prov_db), prov_fingerprint(&prov_db));
     }
 
     #[test]

@@ -150,6 +150,12 @@ pub fn bin(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
         BinOp::Eq => Ok(Value::Bool(a == b)),
         BinOp::Ne => Ok(Value::Bool(a != b)),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            // A labelled null stands for an unknown value, such as an absent
+            // optional attribute: no order holds with it, as SQL's
+            // `NULL > 2` does not hold.
+            if a.is_labelled_null() || b.is_labelled_null() {
+                return Ok(Value::Bool(false));
+            }
             let ord = a.total_cmp(b);
             Ok(Value::Bool(match op {
                 BinOp::Lt => ord == Ordering::Less,
@@ -206,6 +212,7 @@ fn call(name: &str, args: &[Value]) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgm_common::{Oid, OidSpace};
 
     fn ctx() -> SkolemRegistry {
         SkolemRegistry::new()
@@ -343,6 +350,23 @@ mod tests {
             bin(BinOp::Ge, &Value::Float(2.0), &Value::Int(2)).unwrap(),
             Value::Bool(true)
         );
+    }
+
+    #[test]
+    fn no_order_holds_with_a_labelled_null() {
+        let (null, two) = (Value::Oid(Oid::new(OidSpace::Null, 0)), Value::Int(2));
+        for op in [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+            for (a, b) in [(&null, &two), (&two, &null), (&null, &null)] {
+                assert_eq!(
+                    bin(op, a, b).unwrap(),
+                    Value::Bool(false),
+                    "{op:?} {a:?} {b:?}"
+                );
+            }
+        }
+        // Equality keeps value identity.
+        assert_eq!(bin(BinOp::Eq, &null, &null).unwrap(), Value::Bool(true));
+        assert_eq!(bin(BinOp::Ne, &null, &two).unwrap(), Value::Bool(true));
     }
 
     #[test]
