@@ -34,6 +34,17 @@
 //! With class cells in the dedup path the columnar store rejects duplicates
 //! exactly like the row-oriented `FxHashSet<Vec<Value>>` it replaced, while
 //! exact cells in the columns preserve first-inserted tuples verbatim.
+//!
+//! Two more kinds of `u64` never name a stored value, so a caller that
+//! moves cells around (the chase binds them and buffers them in flat rows)
+//! can carry them in the same words:
+//!
+//! - a **pending cell** ([`pending_cell`]) names a slot in a side list of
+//!   values the caller keeps, for a value the pool has not interned (yet),
+//!   such as an assignment's result. The caller interns it before the cell
+//!   reaches a column.
+//! - [`NO_CELL`] is no cell at all: the chase marks an unbound variable
+//!   with it.
 
 use crate::error::{KgmError, Result};
 use crate::hash::fx_hash_one;
@@ -51,6 +62,33 @@ pub const MAX_POOL_VALUES: usize = SlotTable::MAX_IDS;
 const OID_BASE: u64 = 1 << 32;
 
 const _: () = assert!(MAX_POOL_VALUES as u64 <= OID_BASE);
+
+/// The first pending cell: OID cells end below it, since an OID's space tag
+/// is at most 2.
+const PENDING_BASE: u64 = OID_BASE + (3 << 62);
+
+/// A word that is no cell: neither a pool id, an OID cell nor a pending
+/// cell.
+pub const NO_CELL: u64 = u64::MAX;
+
+/// The pending cell naming slot `slot` of a caller's side list.
+///
+/// # Panics
+/// Panics if `slot` is too large to name (about 2^62 slots).
+#[inline]
+pub fn pending_cell(slot: usize) -> u64 {
+    let cell = PENDING_BASE + slot as u64;
+    assert!(cell < NO_CELL, "pending slot {slot} out of range");
+    cell
+}
+
+/// The side-list slot a pending cell names; `None` for every other word.
+#[inline]
+pub fn pending_slot(cell: u64) -> Option<usize> {
+    (PENDING_BASE..NO_CELL)
+        .contains(&cell)
+        .then(|| (cell - PENDING_BASE) as usize)
+}
 
 /// The cell holding `oid`.
 #[inline]
@@ -192,6 +230,18 @@ impl ValuePool {
         Classes(&self.class_of)
     }
 
+    /// Read-only probe: the **exact cell** [`ValuePool::intern`] would
+    /// return for `v`, if `v` is interned already, and always the cell of an
+    /// OID.
+    pub fn exact(&self, v: &Value) -> Option<u64> {
+        if let Value::Oid(o) = v {
+            return Some(oid_cell(*o));
+        }
+        self.exact_ids
+            .find(exact_hash(v), |id| same_exact(&self.vals[id as usize], v))
+            .map(u64::from)
+    }
+
     /// Read-only probe: the **class cell** of `v` if any equal value has
     /// ever been interned, and always the cell of an OID. Workers
     /// deduplicating against a frozen store and join probes use this — a
@@ -217,6 +267,18 @@ impl ValuePool {
             Some(o) => Value::Oid(o),
             None => self.vals[cell as usize].clone(),
         }
+    }
+
+    /// The pooled value of an exact cell, by reference; `None` for an OID
+    /// cell, whose value the pool does not hold. Folds over many cells read
+    /// their values through this instead of cloning each with
+    /// [`ValuePool::get`].
+    ///
+    /// # Panics
+    /// Panics if `cell` is a pool id this pool did not produce.
+    #[inline]
+    pub fn pooled(&self, cell: u64) -> Option<&Value> {
+        (cell < OID_BASE).then(|| &self.vals[cell as usize])
     }
 
     /// Approximate heap footprint of the pool itself: the value table, the
@@ -322,6 +384,41 @@ mod tests {
             assert!(cell != int && cell != float && cell >= MAX_POOL_VALUES as u64);
             assert_eq!(pool.classes().of(cell), cell);
         }
+    }
+
+    #[test]
+    fn exact_probes_without_interning() {
+        let mut pool = ValuePool::new();
+        let one = pool.intern(&Value::Int(1)).unwrap();
+        assert_eq!(pool.exact(&Value::Int(1)), Some(one));
+        assert_eq!(
+            pool.exact(&Value::Float(1.0)),
+            None,
+            "same class, other cell"
+        );
+        let oid = Value::Oid(Oid::ground(9));
+        assert_eq!(pool.exact(&oid), Some(pool.intern(&oid).unwrap()));
+        assert_eq!(pool.len(), 1, "exact must not intern");
+        assert_eq!(pool.pooled(one), Some(&Value::Int(1)));
+        assert_eq!(pool.pooled(pool.exact(&oid).unwrap()), None);
+    }
+
+    #[test]
+    fn pending_cells_and_no_cell_name_no_stored_value() {
+        for slot in [0, 1, 1 << 40] {
+            let cell = pending_cell(slot);
+            assert_eq!(pending_slot(cell), Some(slot));
+            assert!(cell > OID_BASE + Oid::new(OidSpace::Skolem, (1 << 62) - 1).raw());
+        }
+        let mut pool = ValuePool::new();
+        for v in [
+            Value::Int(1),
+            Value::Oid(Oid::new(OidSpace::Skolem, (1 << 62) - 1)),
+        ] {
+            assert_eq!(pending_slot(pool.intern(&v).unwrap()), None);
+        }
+        assert_eq!(pending_slot(NO_CELL), None);
+        assert_ne!(pending_cell(usize::MAX >> 3), NO_CELL);
     }
 
     #[test]

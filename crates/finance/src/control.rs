@@ -72,32 +72,23 @@ pub fn control_vadalog_threads(
 }
 
 /// Load the Example 4.2 EDB — `company/1` and `own/3` — from a shareholding
-/// graph into `db`.
+/// graph into `db`, streaming each row into the store.
 pub fn load_shareholding(g: &PropertyGraph, db: &mut FactDb) -> Result<()> {
-    let companies: Vec<Vec<Value>> = g
+    let companies = g
         .nodes_with_label("Business")
         .into_iter()
-        .map(|n| vec![Value::Oid(g.node_oid(n))])
-        .collect();
-    db.add_facts("company", companies)?;
-    let own: Vec<Vec<Value>> = g
-        .edges_with_label("OWNS")
-        .into_iter()
-        .filter_map(|e| {
-            let (f, t) = g.edge_endpoints(e);
-            // The Example 4.2 relation is between companies.
-            if !g.node_has_label(f, "Business") {
-                return None;
-            }
-            let w = g.edge_prop(e, "percentage")?.clone();
-            Some(vec![
-                Value::Oid(g.node_oid(f)),
-                Value::Oid(g.node_oid(t)),
-                w,
-            ])
-        })
-        .collect();
-    db.add_facts("own", own)?;
+        .map(|n| [Value::Oid(g.node_oid(n))]);
+    db.extend("company", companies)?;
+    let own = g.edges_with_label("OWNS").into_iter().filter_map(|e| {
+        let (f, t) = g.edge_endpoints(e);
+        // The Example 4.2 relation is between companies.
+        if !g.node_has_label(f, "Business") {
+            return None;
+        }
+        let w = g.edge_prop(e, "percentage")?.clone();
+        Some([Value::Oid(g.node_oid(f)), Value::Oid(g.node_oid(t)), w])
+    });
+    db.extend("own", own)?;
     Ok(())
 }
 

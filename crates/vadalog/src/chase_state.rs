@@ -140,17 +140,16 @@ fn next_id(n: usize, what: &str) -> Result<u32> {
     Ok(n as u32)
 }
 
-/// Set `out` to the exact cells of the values of `vars` in `binding`.
+/// Set `out` to the exact cells of the values `value_of` gives `vars`.
 fn key_cells(
     pool: &mut ValuePool,
     vars: &[Var],
-    binding: &[Option<Value>],
+    value_of: &dyn Fn(Var) -> Value,
     out: &mut Vec<u64>,
 ) -> Result<()> {
     out.clear();
-    for v in vars {
-        let val = binding[v.0 as usize].as_ref().expect("aggregate key bound");
-        out.push(pool.intern(val)?);
+    for &v in vars {
+        out.push(pool.intern(&value_of(v))?);
     }
     Ok(())
 }
@@ -197,8 +196,9 @@ impl KeyIds {
 
 impl MonoTable {
     /// Count one match of the aggregate rule `ri`, which adds `val` under
-    /// `func`. The match's group key is the values of `group` in `binding`
-    /// and its contributor key the values of `contributor`.
+    /// `func`. The match's group key is the values `value_of` gives the
+    /// variables of `group`, and its contributor key those of
+    /// `contributor`.
     ///
     /// A monotonic aggregate's match (`fire` set) fires when its
     /// contributor is new and moved the aggregate: the group's new value
@@ -218,12 +218,12 @@ impl MonoTable {
         func: AggregateFunc,
         group: &[Var],
         contributor: &[Var],
-        binding: &[Option<Value>],
+        value_of: &dyn Fn(Var) -> Value,
         val: &Value,
         fire: bool,
         parents: Option<&mut Vec<FactId>>,
     ) -> Result<Option<Value>> {
-        key_cells(&mut self.pool, group, binding, &mut self.probe)?;
+        key_cells(&mut self.pool, group, value_of, &mut self.probe)?;
         let class = self.pool.classes();
         let (g, new_group) =
             self.groups
@@ -231,7 +231,7 @@ impl MonoTable {
         if new_group {
             self.current.push(initial_value(func));
         }
-        key_cells(&mut self.pool, contributor, binding, &mut self.probe)?;
+        key_cells(&mut self.pool, contributor, value_of, &mut self.probe)?;
         let class = self.pool.classes();
         let (_, new) =
             self.contributors

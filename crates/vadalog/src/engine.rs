@@ -19,11 +19,14 @@
 //!   counted once, updates re-fire the rule with the refined value.
 
 use crate::analysis::{AggMode, ProgramAnalysis};
-use crate::ast::{AggregateFunc, Expr, Program, Rule, RuleStep, Term, Var};
+use crate::ast::{AggregateFunc, Atom, Expr, Program, Rule, RuleStep, Term, Var};
 use crate::bindings::SourceRegistry;
 use crate::chase_state::{ChaseState, MonoTable, NullTable};
 use crate::eval::{eval, EvalCtx};
-use kgm_common::{FxHashMap, FxHashSet, KgmError, OidGen, OidSpace, Result, SkolemRegistry, Value};
+use kgm_common::pool::{pending_cell, pending_slot, Classes, NO_CELL};
+use kgm_common::{
+    FxHashMap, FxHashSet, KgmError, OidGen, OidSpace, Result, SkolemRegistry, Value, ValuePool,
+};
 use kgm_runtime::sync::CancelToken;
 use kgm_runtime::telemetry;
 use std::ops::Range;
@@ -43,31 +46,192 @@ use std::time::{Duration, Instant};
 // so `engine::FactDb` remains the canonical path.
 
 pub use crate::factdb::FactDb;
-use crate::factdb::{fact_id, FactId};
+use crate::factdb::{fact_id, FactId, Relation};
 
-/// Provenance sidecar aligned 1:1 with an `out` batch: the rule id and the
-/// body-atom-order parent fact ids behind each emitted head tuple. Always
-/// empty when `EngineConfig::provenance` is off.
-type ProvOut = Vec<(u32, Box<[FactId]>)>;
+// ---------------------------------------------------------------------
+// Cells from column to store
+// ---------------------------------------------------------------------
+//
+// A rule evaluation moves `u64` cells (see `kgm_common::pool`), not
+// `Value`s: the join binds the exact cells it reads from the columns, and
+// a `Value` is made only where a condition, assignment, aggregate,
+// negation or null key reads one. A value a step computes that the pool
+// has never interned travels as a pending cell naming a slot in a side
+// list until the writer interns it on insert. Survivors, heads and
+// provenance parents are buffered in flat arrays: no tuple owns a heap
+// block between the join and the store.
+
+/// Emitted head tuples as flat cell rows, in emission order. Each row is a
+/// header word ([`head_header`]: the head predicate's slot in
+/// `Engine::head_preds` and the row's arity), then its cells, exact or
+/// pending. An iteration's `out` is one `Heads`; a spawned shard worker
+/// fills its own, which the writer appends.
+#[derive(Default)]
+struct Heads {
+    rows: Vec<u64>,
+    /// Number of rows.
+    len: usize,
+    /// The values the rows' pending cells name.
+    side: Vec<Value>,
+    /// With `EngineConfig::provenance` on, per row: its rule id and how
+    /// many fact ids of `parents` are its parents. Empty when off.
+    prov: Vec<(u32, u32)>,
+    /// The parent fact ids of every row, flat, in row order.
+    parents: Vec<FactId>,
+}
+
+/// The header word of a head row of `arity` cells for head slot `slot`.
+fn head_header(slot: u32, arity: usize) -> u64 {
+    (arity as u64) << 32 | u64::from(slot)
+}
+
+/// The head slot and arity a [`head_header`] word holds.
+fn split_header(word: u64) -> (usize, usize) {
+    (word as u32 as usize, (word >> 32) as usize)
+}
+
+impl Heads {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Append `other`'s rows, renumbering its pending cells past this side
+    /// list.
+    fn append(&mut self, other: Heads) {
+        if self.rows.is_empty() && self.side.is_empty() {
+            *self = other;
+            return;
+        }
+        let (start, off) = (self.rows.len(), self.side.len());
+        self.rows.extend_from_slice(&other.rows);
+        if !other.side.is_empty() {
+            let mut at = start;
+            while at < self.rows.len() {
+                let (_, arity) = split_header(self.rows[at]);
+                for cell in &mut self.rows[at + 1..=at + arity] {
+                    if let Some(slot) = pending_slot(*cell) {
+                        *cell = pending_cell(slot + off);
+                    }
+                }
+                at += 1 + arity;
+            }
+        }
+        self.len += other.len;
+        self.side.extend(other.side);
+        self.prov.extend_from_slice(&other.prov);
+        self.parents.extend_from_slice(&other.parents);
+    }
+}
+
+/// Where a match's cells get their values: the store's pool, and the
+/// values its pending cells name. Slots below `base.len()` are in `base`,
+/// the side list of the buffer the cells came from; later slots are in
+/// `locals`, the values this match's steps computed.
+struct Scope<'a> {
+    pool: &'a ValuePool,
+    base: &'a [Value],
+    locals: Vec<Value>,
+}
+
+impl<'a> Scope<'a> {
+    fn new(pool: &'a ValuePool, base: &'a [Value]) -> Self {
+        Scope {
+            pool,
+            base,
+            locals: Vec::new(),
+        }
+    }
+
+    /// The value of `cell`; `None` for [`NO_CELL`], an unbound variable.
+    fn value(&self, cell: u64) -> Option<Value> {
+        if cell == NO_CELL {
+            return None;
+        }
+        Some(match pending_slot(cell) {
+            Some(slot) => match slot.checked_sub(self.base.len()) {
+                Some(local) => self.locals[local].clone(),
+                None => self.base[slot].clone(),
+            },
+            None => self.pool.get(cell),
+        })
+    }
+
+    /// The cell of a value a step computed: an OID's own cell, else a
+    /// pending cell naming a new local slot. Most computed values never
+    /// reach a row (an aggregate's running sum is compared and dropped), so
+    /// none is looked up in the pool here; a row's writer interns it.
+    fn cell(&mut self, v: Value) -> u64 {
+        if let Value::Oid(_) = v {
+            return self.pool.exact(&v).expect("an OID is its own cell");
+        }
+        self.locals.push(v);
+        pending_cell(self.base.len() + self.locals.len() - 1)
+    }
+
+    /// `cell` as a cell of a buffer whose pending values are `side`: a
+    /// pending cell's value moves to a new slot at the end of `side`.
+    fn export(&self, cell: u64, side: &mut Vec<Value>) -> u64 {
+        if pending_slot(cell).is_none() {
+            return cell;
+        }
+        side.push(self.value(cell).expect("a pending cell has a value"));
+        pending_cell(side.len() - 1)
+    }
+}
 
 /// One shard's share of a rule evaluation ([`Engine::eval_rule`]), in
 /// enumeration order.
 #[derive(Default)]
 struct ShardOut {
     /// Head tuples the shard emitted itself.
-    heads: Vec<(String, Vec<Value>)>,
-    /// Provenance sidecar aligned with `heads`.
-    head_prov: ProvOut,
+    heads: Heads,
     /// Bindings that survived the shard's step prefix (prefix assigns
-    /// applied) and still need the writer's order-sensitive suffix.
-    survivors: Vec<Vec<Option<Value>>>,
-    /// Provenance: body-atom-order parent fact ids per survivor, aligned
-    /// with `survivors`. Empty when provenance is off.
-    trails: Vec<Box<[FactId]>>,
+    /// applied) and still need the writer's order-sensitive suffix: one
+    /// cell per rule variable each, [`NO_CELL`] where none is bound yet.
+    survivors: Vec<u64>,
+    /// The values the survivors' pending cells name.
+    side: Vec<Value>,
+    /// Provenance: the body-atom-order parent fact ids of each survivor,
+    /// one per body atom. Empty when provenance is off.
+    parents: Vec<FactId>,
     /// Matches that survived the shard's step prefix.
     survived: usize,
     /// Complete body matches enumerated (pre-filter).
     enumerated: usize,
+}
+
+/// One atom of a join order, as [`Engine::join`] reads it. Which of its
+/// positions form the index key, bind a variable or repeat one depends
+/// only on the atoms before it in the order, so [`join_plan`] fixes them
+/// once per rule evaluation.
+struct Level<'a> {
+    /// Body atom index.
+    index: usize,
+    atom: &'a Atom,
+    /// The atom's relation; `None` while its predicate has no facts.
+    rel: Option<&'a Relation>,
+    /// Index key positions, ascending, and where each key cell comes from.
+    positions: Vec<usize>,
+    key: Vec<KeyCell>,
+    /// `(position, variable)`: positions that bind a variable.
+    binds: Vec<(usize, usize)>,
+    /// `(position, variable)`: positions repeating a variable bound at an
+    /// earlier position of this atom.
+    checks: Vec<(usize, usize)>,
+}
+
+/// What [`Engine::join`] calls on a full match: the binding and the
+/// join-order trail of matched fact ids.
+type OnMatch<'a> = dyn FnMut(&mut [u64], &[FactId]) -> Result<()> + 'a;
+
+/// Where one class cell of a join index key comes from.
+#[derive(Clone, Copy)]
+enum KeyCell {
+    /// A constant's class cell; `None` when the pool holds no equal value,
+    /// so no stored tuple matches.
+    Const(Option<u64>),
+    /// The class of the variable's bound cell.
+    Var(usize),
 }
 
 // ---------------------------------------------------------------------
@@ -338,6 +502,8 @@ struct RuleMeta {
     /// so the parallel phase reads a frozen database and no index is built
     /// that nothing probes.
     index_needs: Vec<Vec<(String, Vec<usize>)>>,
+    /// Each head atom's slot in `Engine::head_preds`.
+    head_slots: Vec<u32>,
 }
 
 /// The resource governor: the one place a run's budgets and its cancel
@@ -493,6 +659,9 @@ pub struct Engine {
     config: EngineConfig,
     skolems: Arc<SkolemRegistry>,
     meta: Vec<RuleMeta>,
+    /// Every predicate a rule head names, once, in program order; head
+    /// rows name their predicate by its index here.
+    head_preds: Vec<String>,
     /// Process-unique identity, stamped into persisted [`ChaseState`].
     token: u64,
 }
@@ -513,6 +682,7 @@ impl Engine {
             )));
         }
         let mut meta = Vec::with_capacity(program.rules.len());
+        let mut head_preds: Vec<String> = Vec::new();
         for (ri, rule) in program.rules.iter().enumerate() {
             let stratum = rule
                 .head
@@ -589,6 +759,17 @@ impl Engine {
                     RuleStep::Negated(_) => false,
                 })
                 .unwrap_or(rule.steps.len());
+            let head_slots = rule
+                .head
+                .iter()
+                .map(|h| {
+                    let slot = head_preds.iter().position(|p| *p == h.predicate);
+                    slot.unwrap_or_else(|| {
+                        head_preds.push(h.predicate.clone());
+                        head_preds.len() - 1
+                    }) as u32
+                })
+                .collect();
             meta.push(RuleMeta {
                 stratum,
                 group_vars,
@@ -599,6 +780,7 @@ impl Engine {
                 contributors,
                 pure_steps,
                 index_needs: static_index_needs(rule),
+                head_slots,
             });
         }
         Ok(Engine {
@@ -607,6 +789,7 @@ impl Engine {
             config,
             skolems: Arc::new(SkolemRegistry::new()),
             meta,
+            head_preds,
             token: ENGINE_TOKENS.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -810,8 +993,7 @@ impl Engine {
                     for (pred, positions) in &meta.index_needs[0] {
                         db.ensure_index(pred, positions);
                     }
-                    let mut out: Vec<(String, Vec<Value>)> = Vec::new();
-                    let mut prov_out: ProvOut = Vec::new();
+                    let mut out = Heads::default();
                     let result = self.eval_rule(
                         db,
                         ri,
@@ -822,7 +1004,6 @@ impl Engine {
                         &mut nulls,
                         &mut MonoTable::default(),
                         &mut out,
-                        &mut prov_out,
                         &mut stats.profile,
                         &governor,
                     );
@@ -837,7 +1018,7 @@ impl Engine {
                         }
                     }
                     let emitted = out.len();
-                    let inserted = self.insert_out(db, out, prov_out)?;
+                    let inserted = self.insert_out(db, out)?;
                     sp.derived_facts += inserted;
                     sp.duplicates_rejected += emitted - inserted;
                 }
@@ -878,8 +1059,7 @@ impl Engine {
                             }
                         }
                     }
-                    let mut out: Vec<(String, Vec<Value>)> = Vec::new();
-                    let mut prov_out: ProvOut = Vec::new();
+                    let mut out = Heads::default();
                     let mut hit: Option<Termination> = None;
                     'rules: for (ri, passes) in plan {
                         let rule = &self.program.rules[ri];
@@ -894,7 +1074,6 @@ impl Engine {
                                 &mut nulls,
                                 &mut mono,
                                 &mut out,
-                                &mut prov_out,
                                 &mut stats.profile,
                                 &governor,
                             );
@@ -915,7 +1094,6 @@ impl Engine {
                         // previous insert batch — the prefix-consistency
                         // guarantee of graceful degradation.
                         drop(out);
-                        drop(prov_out);
                         stop_run!(t);
                     }
                     // Advance watermarks to the lengths *before* inserting the
@@ -926,7 +1104,7 @@ impl Engine {
                         }
                     }
                     let emitted = out.len();
-                    let inserted = self.insert_out(db, out, prov_out)?;
+                    let inserted = self.insert_out(db, out)?;
                     sp.derived_facts += inserted;
                     sp.duplicates_rejected += emitted - inserted;
                     // Post-insert check (the fact cap's historical timing): the
@@ -1250,43 +1428,60 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Insert a batch of emitted head tuples into `db`, in emission order,
+    /// Insert a batch of emitted head rows into `db`, in emission order,
     /// returning how many were new.
     ///
     /// One loop walks the batch in emission order and probe-and-inserts
-    /// each tuple on the calling thread, so the insertion order, and
+    /// each row on the calling thread, so the insertion order, and
     /// therefore every downstream delta range, null OID and counter, is
-    /// bit-identical at any `KGM_THREADS`.
+    /// bit-identical at any `KGM_THREADS`. A row's pending cells are
+    /// interned first, in row order, and its exact cells go to
+    /// [`FactDb::insert_cells`] under the predicate id its head slot
+    /// resolves to once per batch.
     ///
-    /// With `EngineConfig::provenance` on, `prov` is the sidecar aligned
-    /// 1:1 with `out`; the entry of each tuple that actually inserts
-    /// becomes its derivation edge (first derivation wins — duplicates
-    /// never touch the store), keyed by the [`FactId`] the insert returns.
-    /// Because the insertion order is bit-identical at any thread count,
-    /// so is the recorded edge set.
-    fn insert_out(
-        &self,
-        db: &mut FactDb,
-        out: Vec<(String, Vec<Value>)>,
-        prov: ProvOut,
-    ) -> Result<usize> {
+    /// With `EngineConfig::provenance` on, each row that actually inserts
+    /// records its `(rule, parents)` entry as its derivation edge (first
+    /// derivation wins — duplicates never touch the store), keyed by the
+    /// [`FactId`] the insert returns. Because the insertion order is
+    /// bit-identical at any thread count, so is the recorded edge set.
+    fn insert_out(&self, db: &mut FactDb, out: Heads) -> Result<usize> {
+        let Heads {
+            mut rows,
+            side,
+            prov,
+            parents,
+            ..
+        } = out;
         let record = self.config.provenance;
-        debug_assert!(
-            !record || prov.len() == out.len(),
-            "prov sidecar misaligned"
-        );
-        let mut inserted = 0usize;
-        for (i, (pred, tuple)) in out.into_iter().enumerate() {
+        let mut pred_ids: Vec<Option<u32>> = vec![None; self.head_preds.len()];
+        let (mut at, mut row, mut parent_at, mut inserted) = (0, 0, 0, 0);
+        while at < rows.len() {
+            let (slot, arity) = split_header(rows[at]);
+            let cells = &mut rows[at + 1..=at + arity];
+            at += 1 + arity;
+            let (rule, n) = if record { prov[row] } else { (0, 0) };
+            let row_parents = &parents[parent_at..parent_at + n as usize];
+            parent_at += n as usize;
+            row += 1;
+            let name = &self.head_preds[slot];
             if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
-                return Err(KgmError::Internal(format!("{msg} ({pred})")));
+                return Err(KgmError::Internal(format!("{msg} ({name})")));
             }
-            let Some(id) = db.insert_id(&pred, &tuple)? else {
+            let pred = match pred_ids[slot] {
+                Some(pred) => pred,
+                None => *pred_ids[slot].insert(db.relation_id(name, arity)?),
+            };
+            for cell in cells.iter_mut() {
+                if let Some(s) = pending_slot(*cell) {
+                    *cell = db.intern(&side[s])?;
+                }
+            }
+            let Some(id) = db.insert_cells(pred, cells)? else {
                 continue;
             };
             db.mark_derived(id);
             if record {
-                let (rule, parents) = &prov[i];
-                db.record_prov(id, *rule, parents);
+                db.record_prov(id, rule, row_parents);
             }
             inserted += 1;
         }
@@ -1297,7 +1492,7 @@ impl Engine {
     // Rule evaluation
     // -----------------------------------------------------------------
 
-    /// Evaluate one rule over `db`, appending emitted head tuples to `out`.
+    /// Evaluate one rule over `db`, appending emitted head rows to `out`.
     ///
     /// `delta` restricts one body atom to a row range; `None` is a full
     /// pass, which is the delta pass over atom 0's complete range (with
@@ -1339,8 +1534,7 @@ impl Engine {
         null_gen: &OidGen,
         nulls: &mut NullTable,
         mono: &mut MonoTable,
-        out: &mut Vec<(String, Vec<Value>)>,
-        prov_out: &mut ProvOut,
+        out: &mut Heads,
         profile: &mut ChaseProfile,
         governor: &Governor,
     ) -> Result<()> {
@@ -1351,7 +1545,7 @@ impl Engine {
             let rows = rule.body.first().map_or(0, |a| db.rows_of(&a.predicate));
             (0, 0..rows)
         });
-        let order = join_order(rule, atom);
+        let plan = join_plan(rule, &join_order(rule, atom), db);
         let threads = self.config.threads;
         let one_shard = threads <= 1 || range.len() < self.config.min_parallel_batch.max(1);
         let shards = if one_shard {
@@ -1361,6 +1555,7 @@ impl Engine {
         };
         let all_steps = rule.steps.len();
         let pure_end = self.meta[ri].pure_steps;
+        let emit = one_shard || (pure_end == all_steps && self.meta[ri].existentials.is_empty());
         let span = (!one_shard).then(|| {
             kgm_runtime::span_debug!("chase.shard_eval", "rule {ri}: {} shard(s)", shards.len())
         });
@@ -1369,18 +1564,15 @@ impl Engine {
             // buffer and back: never copied, no survivors buffered.
             let mut so = ShardOut {
                 heads: std::mem::take(out),
-                head_prov: std::mem::take(prov_out),
                 ..ShardOut::default()
             };
             let r = self.eval_shard(
-                db, ri, rule, &order, &shards[0], old, all_steps, true, null_gen, nulls, mono,
+                db, ri, rule, &plan, &shards[0], old, all_steps, true, null_gen, nulls, mono,
                 &mut so, governor,
             );
             *out = std::mem::take(&mut so.heads);
-            *prov_out = std::mem::take(&mut so.head_prov);
             vec![r.map(|()| so)]
         } else {
-            let emit = pure_end == all_steps && self.meta[ri].existentials.is_empty();
             kgm_runtime::par::par_map(&shards, shards.len(), |r| {
                 // A panicking worker must not abort the whole process via
                 // `map_shards`' join: catch it here and surface a structured
@@ -1398,7 +1590,7 @@ impl Engine {
                         db,
                         ri,
                         rule,
-                        &order,
+                        &plan,
                         r,
                         old,
                         pure_end,
@@ -1421,31 +1613,53 @@ impl Engine {
         };
         let mut enumerated = 0usize;
         let mut candidates = 0usize;
+        let stride = rule.var_names.len();
+        let parent_stride = if self.config.provenance {
+            rule.body.len()
+        } else {
+            0
+        };
+        let mut binding = vec![NO_CELL; stride];
+        let (mut parents, mut assigned) = (Vec::new(), Vec::new());
         for res in results {
             let so = res?;
             enumerated += so.enumerated;
             candidates += so.survived;
             // Shard-order concatenation of emitted heads *is* the one-shard
             // emission order.
-            out.extend(so.heads);
-            prov_out.extend(so.head_prov);
-            let mut trails = so.trails.into_iter();
-            for mut binding in so.survivors {
-                // Owned binding: no undo needed between survivors.
-                let mut parents: Vec<FactId> =
-                    trails.next().map(|t| t.into_vec()).unwrap_or_default();
+            out.append(so.heads);
+            if emit {
+                continue;
+            }
+            let mut scope = Scope::new(db.pool(), &so.side);
+            for i in 0..so.survived {
+                binding.copy_from_slice(&so.survivors[i * stride..][..stride]);
+                parents.clear();
+                parents.extend_from_slice(&so.parents[i * parent_stride..][..parent_stride]);
+                scope.locals.clear();
                 let keep = self.run_steps(
                     db,
                     ri,
                     rule,
                     pure_end..all_steps,
+                    &mut scope,
                     &mut binding,
-                    &mut Vec::new(),
+                    &mut assigned,
                     mono,
                     &mut parents,
                 )?;
+                assigned.clear();
                 if keep {
-                    self.emit_heads(ri, rule, &binding, null_gen, nulls, out, &parents, prov_out)?;
+                    self.emit_heads(
+                        ri,
+                        rule,
+                        &scope,
+                        &mut binding,
+                        null_gen,
+                        nulls,
+                        out,
+                        &parents,
+                    )?;
                 }
             }
         }
@@ -1453,31 +1667,45 @@ impl Engine {
             let agg = rule.aggregate().expect("exact aggregate rule");
             let after = self.meta[ri].agg_step.expect("exact aggregate rule") + 1;
             let group_vars = &self.meta[ri].group_vars;
+            let mut scope = Scope::new(db.pool(), &[]);
             for (key, value, contributors, parents) in mono.groups_in_order(group_vars.len()) {
-                let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+                binding.fill(NO_CELL);
+                scope.locals.clear();
                 for (v, val) in group_vars.iter().zip(key) {
-                    binding[v.0 as usize] = Some(val);
+                    binding[v.0 as usize] = scope.cell(val);
                 }
-                binding[agg.target.0 as usize] = Some(match agg.func {
+                let target = match agg.func {
                     AggregateFunc::Avg => crate::eval::bin(
                         crate::ast::BinOp::Div,
                         value,
                         &Value::Int(contributors as i64),
                     )?,
                     _ => value.clone(),
-                });
+                };
+                binding[agg.target.0 as usize] = scope.cell(target);
                 let keep = self.run_steps(
                     db,
                     ri,
                     rule,
                     after..all_steps,
+                    &mut scope,
                     &mut binding,
-                    &mut Vec::new(),
+                    &mut assigned,
                     &mut MonoTable::default(),
                     &mut Vec::new(),
                 )?;
+                assigned.clear();
                 if keep {
-                    self.emit_heads(ri, rule, &binding, null_gen, nulls, out, parents, prov_out)?;
+                    self.emit_heads(
+                        ri,
+                        rule,
+                        &scope,
+                        &mut binding,
+                        null_gen,
+                        nulls,
+                        out,
+                        parents,
+                    )?;
                 }
             }
         }
@@ -1501,16 +1729,17 @@ impl Engine {
     }
 
     /// One shard of [`Engine::eval_rule`]: join over `range` of the
-    /// outermost atom (`order[0]`), then run steps `0..steps_end` on every
-    /// match. A surviving match emits its heads into `so.heads` when `emit`
-    /// is set, and is otherwise buffered in `so.survivors` for the writer.
+    /// outermost atom (`plan[0]`), then run steps
+    /// `0..steps_end` on every match. A surviving match emits its heads
+    /// into `so.heads` when `emit` is set, and is otherwise appended to
+    /// `so.survivors` for the writer, its pending values to `so.side`.
     #[allow(clippy::too_many_arguments)]
     fn eval_shard(
         &self,
         db: &FactDb,
         ri: usize,
         rule: &Rule,
-        order: &[usize],
+        plan: &[Level],
         range: &Range<usize>,
         old: &[usize],
         steps_end: usize,
@@ -1522,15 +1751,14 @@ impl Engine {
         governor: &Governor,
     ) -> Result<()> {
         let prov = self.config.provenance;
-        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+        let mut binding = vec![NO_CELL; rule.var_names.len()];
         let mut trail: Vec<FactId> = Vec::new();
-        let delta = order.first().map(|&ai| (ai, range.clone()));
+        let mut scope = Scope::new(db.pool(), &[]);
+        let (mut parents, mut assigned) = (Vec::new(), Vec::new());
         self.join(
-            db,
-            rule,
-            order,
-            0,
-            &delta,
+            plan,
+            db.pool().classes(),
+            Some(range.clone()),
             old,
             &mut binding,
             &mut trail,
@@ -1539,21 +1767,22 @@ impl Engine {
                 so.enumerated += 1;
                 // Reorder the join-order trail to body-atom order: parent ids
                 // must not depend on which atom carried the delta.
-                let mut parents: Vec<FactId> = Vec::new();
+                parents.clear();
                 if prov {
-                    parents = vec![0; trail.len()];
-                    for (pos, &idx) in order.iter().enumerate() {
-                        parents[idx] = trail[pos];
+                    parents.resize(trail.len(), 0);
+                    for (level, &id) in plan.iter().zip(trail) {
+                        parents[level.index] = id;
                     }
                 }
                 // Variables assigned by steps are undone before returning so
                 // sibling matches start clean.
-                let mut assigned: Vec<Var> = Vec::new();
+                scope.locals.clear();
                 let keep = self.run_steps(
                     db,
                     ri,
                     rule,
                     0..steps_end,
+                    &mut scope,
                     binding,
                     &mut assigned,
                     mono,
@@ -1566,156 +1795,121 @@ impl Engine {
                             self.emit_heads(
                                 ri,
                                 rule,
+                                &scope,
                                 binding,
                                 null_gen,
                                 nulls,
                                 &mut so.heads,
                                 &parents,
-                                &mut so.head_prov,
                             )
                         } else {
-                            so.survivors.push(binding.clone());
-                            if prov {
-                                so.trails.push(parents.into_boxed_slice());
+                            for &cell in binding.iter() {
+                                so.survivors.push(scope.export(cell, &mut so.side));
                             }
+                            so.parents.extend_from_slice(&parents);
                             Ok(())
                         }
                     }
                     other => other.map(drop),
                 };
-                for v in assigned {
-                    binding[v.0 as usize] = None;
+                for v in assigned.drain(..) {
+                    binding[v.0 as usize] = NO_CELL;
                 }
                 result
             },
         )
     }
 
-    /// Join body atoms in `order[pos..]`, invoking `on_match` on full
-    /// matches. Starting the order at the delta atom is what makes the
-    /// semi-naive evaluation actually incremental: all other atoms then
-    /// join through bound variables instead of rescanning their relations.
-    /// Body atom `j` reads rows `0..old[j]` if `old` has that entry, else
-    /// all its rows.
+    /// Join the atoms of `plan` (a join order, [`join_plan`]), invoking
+    /// `on_match` on full matches. Starting the order at the delta atom is
+    /// what makes the semi-naive evaluation actually incremental: all other
+    /// atoms then join through bound variables instead of rescanning their
+    /// relations. The first atom reads `first`; any other body atom `j`
+    /// reads rows `0..old[j]` if `old` has that entry, else all its rows.
+    ///
+    /// `binding` holds one cell per rule variable, [`NO_CELL`] while
+    /// unbound; the join binds the exact cells it reads from the columns and
+    /// keys its index probes by their class cells.
     ///
     /// With provenance on, `trail` carries the [`FactId`] of each matched
-    /// atom along the descent (join order — one id per `order[..pos]`
-    /// entry), handed to `on_match` alongside the binding; it stays empty
+    /// atom along the descent (join order — one id per level entered),
+    /// handed to `on_match` alongside the binding; it stays empty
     /// otherwise.
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
-        db: &FactDb,
-        rule: &Rule,
-        order: &[usize],
-        pos: usize,
-        delta: &Option<(usize, Range<usize>)>,
+        plan: &[Level],
+        classes: Classes,
+        first: Option<Range<usize>>,
         old: &[usize],
-        binding: &mut Vec<Option<Value>>,
+        binding: &mut [u64],
         trail: &mut Vec<FactId>,
         governor: &Governor,
-        on_match: &mut dyn FnMut(&mut Vec<Option<Value>>, &[FactId]) -> Result<()>,
+        on_match: &mut OnMatch,
     ) -> Result<()> {
         if governor.interrupted() {
             // Unwind out of the binding loops with the sentinel; `run`
             // translates it into a graceful stop (or a proper strict error).
             return Err(interrupt_sentinel());
         }
-        if pos == order.len() {
+        let Some((level, rest)) = plan.split_first() else {
             return on_match(binding, trail);
-        }
-        let idx = order[pos];
-        let atom = &rule.body[idx];
-        let Some(rel) = db.rel(&atom.predicate) else {
+        };
+        let Some(rel) = level.rel else {
             return Ok(());
         };
-        if rel.arity != atom.terms.len() {
+        if rel.arity != level.atom.terms.len() {
             return Err(KgmError::Schema(format!(
                 "atom `{}` has arity {}, relation has {}",
-                atom.predicate,
-                atom.terms.len(),
+                level.atom.predicate,
+                level.atom.terms.len(),
                 rel.arity
             )));
         }
-        // Bound positions form the packed index key of class cells. A pooled
-        // value the pool never interned cannot appear in any stored tuple,
-        // so a lookup miss ends this branch of the join immediately; an OID
-        // always has its cell, and the index probe decides.
-        let pool = db.pool();
-        let mut positions: Vec<usize> = Vec::new();
-        let mut key: Vec<u64> = Vec::new();
-        for (i, t) in atom.terms.iter().enumerate() {
-            let bound = match t {
-                Term::Const(v) => Some(v),
-                Term::Var(v) => binding[v.0 as usize].as_ref(),
+        // Key positions hold class cells. A constant the pool never
+        // interned cannot appear in any stored tuple, so it ends this
+        // branch of the join immediately.
+        let mut small = [0u64; 8];
+        let mut large = Vec::new();
+        let key: &mut [u64] = match small.get_mut(..level.key.len()) {
+            Some(key) => key,
+            None => {
+                large.resize(level.key.len(), 0);
+                &mut large
+            }
+        };
+        for (k, part) in key.iter_mut().zip(&level.key) {
+            *k = match *part {
+                KeyCell::Const(Some(class)) => class,
+                KeyCell::Const(None) => return Ok(()),
+                KeyCell::Var(v) => classes.of(binding[v]),
             };
-            if let Some(val) = bound {
-                match pool.lookup(val) {
-                    Some(id) => {
-                        positions.push(i);
-                        key.push(id);
-                    }
-                    None => return Ok(()),
-                }
+        }
+        let range =
+            first.unwrap_or_else(|| 0..old.get(level.index).copied().unwrap_or_else(|| rel.rows()));
+        for ci in rel.lookup(&level.positions, key, &range, classes) {
+            let row = ci as usize;
+            // Key positions are already filtered by `lookup`; only variables
+            // repeated *within* this atom still need an equality check, on
+            // class cells so cross-numeric equality applies.
+            for &(i, v) in &level.binds {
+                binding[v] = rel.id_at(row, i);
+            }
+            let same =
+                |&(i, v): &(usize, usize)| classes.of(binding[v]) == classes.of(rel.id_at(row, i));
+            if !level.checks.iter().all(same) {
+                continue;
+            }
+            if self.config.provenance {
+                trail.push(fact_id(rel.pred_id, ci));
+            }
+            self.join(rest, classes, None, old, binding, trail, governor, on_match)?;
+            if self.config.provenance {
+                trail.pop();
             }
         }
-        let range = match delta {
-            Some((ai, r)) if *ai == idx => r.clone(),
-            _ => 0..old.get(idx).copied().unwrap_or_else(|| rel.rows()),
-        };
-        let candidates = rel.lookup(&positions, &key, &range, pool.classes());
-        for ci in candidates {
-            let row = ci as usize;
-            // Extend the binding with unbound variables. Positions in the
-            // key are already filtered by `lookup`; only variables repeated
-            // *within* this atom (bound a few positions ago) still need an
-            // equality check, on `Value`s so cross-numeric equality applies.
-            let mut assigned: Vec<Var> = Vec::new();
-            let mut ok = true;
-            let mut kpos = 0usize;
-            for (i, t) in atom.terms.iter().enumerate() {
-                let keyed = kpos < positions.len() && positions[kpos] == i;
-                if keyed {
-                    kpos += 1;
-                }
-                if let Term::Var(v) = t {
-                    match &binding[v.0 as usize] {
-                        Some(val) => {
-                            if !keyed && *val != pool.get(rel.id_at(row, i)) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            binding[v.0 as usize] = Some(pool.get(rel.id_at(row, i)));
-                            assigned.push(*v);
-                        }
-                    }
-                }
-            }
-            if ok {
-                if self.config.provenance {
-                    trail.push(fact_id(rel.pred_id, ci));
-                }
-                self.join(
-                    db,
-                    rule,
-                    order,
-                    pos + 1,
-                    delta,
-                    old,
-                    binding,
-                    trail,
-                    governor,
-                    on_match,
-                )?;
-                if self.config.provenance {
-                    trail.pop();
-                }
-            }
-            for v in assigned {
-                binding[v.0 as usize] = None;
-            }
+        for &(_, v) in &level.binds {
+            binding[v] = NO_CELL;
         }
         Ok(())
     }
@@ -1724,7 +1918,9 @@ impl Engine {
     /// variable it binds onto `assigned` (the caller undoes them when the
     /// binding is reused across matches). Returns `Ok(false)` when a
     /// condition, negation, or idempotent aggregate update filtered the
-    /// match out.
+    /// match out. Steps read their values through `scope`, and a value a
+    /// step computes is bound as an OID's cell or as a pending cell
+    /// ([`Scope::cell`]).
     ///
     /// `edge_parents` is the provenance in/out slot: callers initialize it
     /// with the match's own body-atom parent ids; a monotonic-aggregate
@@ -1738,7 +1934,8 @@ impl Engine {
         ri: usize,
         rule: &Rule,
         range: Range<usize>,
-        binding: &mut Vec<Option<Value>>,
+        scope: &mut Scope,
+        binding: &mut [u64],
         assigned: &mut Vec<Var>,
         mono: &mut MonoTable,
         edge_parents: &mut Vec<FactId>,
@@ -1746,122 +1943,169 @@ impl Engine {
         let ctx = EvalCtx {
             skolems: &self.skolems,
         };
-        {
-            for step in &rule.steps[range] {
-                match step {
-                    RuleStep::Condition(e) => match eval(e, binding, &ctx)? {
-                        Value::Bool(true) => {}
-                        Value::Bool(false) => return Ok(false),
-                        other => {
-                            return Err(KgmError::Type(format!(
-                                "condition evaluated to non-bool {other:?}"
-                            )))
-                        }
-                    },
-                    RuleStep::Assign(v, e) => {
-                        let val = eval(e, binding, &ctx)?;
-                        binding[v.0 as usize] = Some(val);
-                        assigned.push(*v);
+        for step in &rule.steps[range] {
+            let read = |v: Var| scope.value(binding[v.0 as usize]);
+            match step {
+                RuleStep::Condition(e) => match eval(e, &read, &ctx)? {
+                    Value::Bool(true) => {}
+                    Value::Bool(false) => return Ok(false),
+                    other => {
+                        return Err(KgmError::Type(format!(
+                            "condition evaluated to non-bool {other:?}"
+                        )))
                     }
-                    RuleStep::Negated(a) => {
-                        let tuple: Vec<Value> = a
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(v) => v.clone(),
-                                Term::Var(v) => {
-                                    binding[v.0 as usize].clone().expect("safety-checked bound")
-                                }
-                            })
-                            .collect();
-                        if db.contains(&a.predicate, &tuple) {
-                            return Ok(false);
-                        }
+                },
+                RuleStep::Assign(v, e) => {
+                    let val = eval(e, &read, &ctx)?;
+                    binding[v.0 as usize] = scope.cell(val);
+                    assigned.push(*v);
+                }
+                RuleStep::Negated(a) => {
+                    let tuple: Vec<Value> = a
+                        .terms
+                        .iter()
+                        .map(|t| match t {
+                            Term::Const(v) => v.clone(),
+                            Term::Var(v) => read(*v).expect("safety-checked bound"),
+                        })
+                        .collect();
+                    if db.contains(&a.predicate, &tuple) {
+                        return Ok(false);
                     }
-                    RuleStep::Aggregate(agg) => {
-                        let meta = &self.meta[ri];
-                        let (func, fire) = match meta.agg_mode {
-                            Some(AggMode::Monotonic(f)) => (f, true),
-                            _ => (agg.func, false),
-                        };
-                        let val = match &agg.arg {
-                            Some(e) => eval(e, binding, &ctx)?,
-                            None => Value::Int(1),
-                        };
-                        let prov = self.config.provenance.then_some(&mut *edge_parents);
-                        let Some(updated) = mono.contribute(
-                            ri,
-                            func,
-                            &meta.group_vars,
-                            &meta.contributors,
-                            binding,
-                            &val,
-                            fire,
-                            prov,
-                        )?
-                        else {
-                            // Already counted, the aggregate did not move, or
-                            // an exact aggregate's match, whose group
-                            // `eval_rule` emits after the pass.
-                            return Ok(false);
-                        };
-                        binding[agg.target.0 as usize] = Some(updated);
-                        assigned.push(agg.target);
-                    }
+                }
+                RuleStep::Aggregate(agg) => {
+                    let meta = &self.meta[ri];
+                    let (func, fire) = match meta.agg_mode {
+                        Some(AggMode::Monotonic(f)) => (f, true),
+                        _ => (agg.func, false),
+                    };
+                    let val = match &agg.arg {
+                        Some(e) => eval(e, &read, &ctx)?,
+                        None => Value::Int(1),
+                    };
+                    let prov = self.config.provenance.then_some(&mut *edge_parents);
+                    let Some(updated) = mono.contribute(
+                        ri,
+                        func,
+                        &meta.group_vars,
+                        &meta.contributors,
+                        &|v| read(v).expect("aggregate key bound"),
+                        &val,
+                        fire,
+                        prov,
+                    )?
+                    else {
+                        // Already counted, the aggregate did not move, or
+                        // an exact aggregate's match, whose group
+                        // `eval_rule` emits after the pass.
+                        return Ok(false);
+                    };
+                    binding[agg.target.0 as usize] = scope.cell(updated);
+                    assigned.push(agg.target);
                 }
             }
         }
         Ok(true)
     }
 
-    /// Emit the rule's head tuples for one surviving binding. With
-    /// provenance on, each emitted tuple gets a matching `(rule, parents)`
-    /// entry in `prov_out` (all heads of one firing share the parents).
+    /// Emit the rule's head rows for one surviving binding into `out`,
+    /// moving the values of pending cells to its side list. With
+    /// provenance on, each emitted row gets a matching `(rule, parents)`
+    /// entry (all heads of one firing share the parents).
     #[allow(clippy::too_many_arguments)]
     fn emit_heads(
         &self,
         ri: usize,
         rule: &Rule,
-        binding: &[Option<Value>],
+        scope: &Scope,
+        binding: &mut [u64],
         null_gen: &OidGen,
         nulls: &mut NullTable,
-        out: &mut Vec<(String, Vec<Value>)>,
+        out: &mut Heads,
         parents: &[FactId],
-        prov_out: &mut ProvOut,
     ) -> Result<()> {
         // Mint (or reuse) labelled nulls for the rule's existentials, keyed
-        // by the frontier values (Skolem chase).
+        // by the frontier values (Skolem chase), and bind them for the
+        // heads.
         let meta = &self.meta[ri];
-        let mut null_values: FxHashMap<Var, Value> = FxHashMap::default();
         if !meta.existentials.is_empty() {
             let frontier: Vec<Value> = meta
                 .frontier
                 .iter()
-                .map(|v| binding[v.0 as usize].clone().expect("frontier bound"))
+                .map(|v| scope.value(binding[v.0 as usize]).expect("frontier bound"))
                 .collect();
             for &v in &meta.existentials {
-                let oid = nulls.get_or_mint(ri, v, &frontier, null_gen);
-                null_values.insert(v, Value::Oid(oid));
+                let oid = Value::Oid(nulls.get_or_mint(ri, v, &frontier, null_gen));
+                binding[v.0 as usize] = scope.pool.exact(&oid).expect("an OID is its own cell");
             }
         }
-        for h in &rule.head {
-            let tuple: Vec<Value> = h
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(v) => v.clone(),
-                    Term::Var(v) => binding[v.0 as usize]
-                        .clone()
-                        .unwrap_or_else(|| null_values[v].clone()),
-                })
-                .collect();
-            out.push((h.predicate.clone(), tuple));
-            if self.config.provenance {
-                prov_out.push((ri as u32, parents.into()));
+        for (h, &slot) in rule.head.iter().zip(&meta.head_slots) {
+            out.rows.push(head_header(slot, h.terms.len()));
+            for t in &h.terms {
+                let cell = match t {
+                    Term::Const(v) => scope.pool.exact(v).unwrap_or_else(|| {
+                        out.side.push(v.clone());
+                        pending_cell(out.side.len() - 1)
+                    }),
+                    Term::Var(v) => scope.export(binding[v.0 as usize], &mut out.side),
+                };
+                out.rows.push(cell);
             }
+            out.len += 1;
+            if self.config.provenance {
+                out.prov.push((ri as u32, parents.len() as u32));
+                out.parents.extend_from_slice(parents);
+            }
+        }
+        for &v in &meta.existentials {
+            binding[v.0 as usize] = NO_CELL;
         }
         Ok(())
     }
+}
+
+/// The join plan of `order` over `rule`'s body: one [`Level`] per atom,
+/// with the relation it reads in `db` and the class cells of its
+/// constants. A key position is a constant or a variable an earlier atom
+/// bound — the key [`static_index_needs`] builds indexes for.
+fn join_plan<'a>(rule: &'a Rule, order: &[usize], db: &'a FactDb) -> Vec<Level<'a>> {
+    let mut bound = vec![false; rule.var_names.len()];
+    order
+        .iter()
+        .map(|&index| {
+            let atom = &rule.body[index];
+            let mut level = Level {
+                index,
+                atom,
+                rel: db.rel(&atom.predicate),
+                positions: Vec::new(),
+                key: Vec::new(),
+                binds: Vec::new(),
+                checks: Vec::new(),
+            };
+            for (i, t) in atom.terms.iter().enumerate() {
+                let part = match t {
+                    Term::Const(v) => KeyCell::Const(db.pool().lookup(v)),
+                    Term::Var(v) if bound[v.0 as usize] => KeyCell::Var(v.0 as usize),
+                    Term::Var(v) => {
+                        let v = v.0 as usize;
+                        if level.binds.iter().any(|&(_, w)| w == v) {
+                            level.checks.push((i, v));
+                        } else {
+                            level.binds.push((i, v));
+                        }
+                        continue;
+                    }
+                };
+                level.positions.push(i);
+                level.key.push(part);
+            }
+            for &(_, v) in &level.binds {
+                bound[v] = true;
+            }
+            level
+        })
+        .collect()
 }
 
 /// Choose the atom evaluation order: the outermost (delta) atom first, then
@@ -2565,7 +2809,7 @@ mod tests {
                 rules: vec![RuleProfile::default(); 2],
                 ..Default::default()
             };
-            let mut out = Vec::new();
+            let mut out = Heads::default();
             engine
                 .eval_rule(
                     &db,
@@ -2577,12 +2821,11 @@ mod tests {
                     &mut NullTable::default(),
                     &mut MonoTable::default(),
                     &mut out,
-                    &mut Vec::new(),
                     &mut profile,
                     &Governor::new(&engine.config, Instant::now()),
                 )
                 .unwrap();
-            assert!(out.is_empty(), "threads={threads}");
+            assert_eq!(out.len(), 0, "threads={threads}");
             assert_eq!(profile.shards_spawned, 0, "an empty range is one shard");
             let rp = &profile.rules[1];
             counters.push([

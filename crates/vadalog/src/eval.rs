@@ -12,12 +12,13 @@ pub struct EvalCtx<'a> {
     pub skolems: &'a SkolemRegistry,
 }
 
+/// A rule binding as expression evaluation reads it: the value of a
+/// variable, `None` while it is unbound.
+pub type Binding<'a> = dyn Fn(Var) -> Option<Value> + 'a;
+
 /// Read a bound variable.
-fn var(binding: &[Option<Value>], v: Var) -> Result<Value> {
-    binding
-        .get(v.0 as usize)
-        .and_then(Clone::clone)
-        .ok_or_else(|| KgmError::Internal(format!("unbound variable #{}", v.0)))
+fn var(binding: &Binding, v: Var) -> Result<Value> {
+    binding(v).ok_or_else(|| KgmError::Internal(format!("unbound variable #{}", v.0)))
 }
 
 fn numeric2(a: &Value, b: &Value, op: &str) -> Result<(f64, f64, bool)> {
@@ -50,7 +51,7 @@ fn checked_int(r: Option<i64>, op: &str) -> Result<Value> {
 const F64_EXACT_INT: u64 = 1 << 53;
 
 /// Evaluate `expr` under `binding`.
-pub fn eval(expr: &Expr, binding: &[Option<Value>], ctx: &EvalCtx) -> Result<Value> {
+pub fn eval(expr: &Expr, binding: &Binding, ctx: &EvalCtx) -> Result<Value> {
     match expr {
         Expr::Const(v) => Ok(v.clone()),
         Expr::Var(v) => var(binding, *v),
@@ -79,6 +80,16 @@ pub fn eval(expr: &Expr, binding: &[Option<Value>], ctx: &EvalCtx) -> Result<Val
             call(name, &values)
         }
     }
+}
+
+/// [`eval`] under a binding held as one value slot per variable, as the
+/// naive oracle holds it.
+pub fn eval_slots(expr: &Expr, binding: &[Option<Value>], ctx: &EvalCtx) -> Result<Value> {
+    eval(
+        expr,
+        &|v| binding.get(v.0 as usize).and_then(Clone::clone),
+        ctx,
+    )
 }
 
 /// Apply a binary operator.
@@ -220,7 +231,7 @@ mod tests {
 
     fn ev(e: &Expr, binding: &[Option<Value>]) -> Result<Value> {
         let reg = ctx();
-        eval(e, binding, &EvalCtx { skolems: &reg })
+        eval_slots(e, binding, &EvalCtx { skolems: &reg })
     }
 
     #[test]
@@ -374,8 +385,8 @@ mod tests {
         let reg = ctx();
         let c = EvalCtx { skolems: &reg };
         let e = Expr::Skolem("skN".into(), vec![Expr::Const(Value::Int(7))]);
-        let a = eval(&e, &[], &c).unwrap();
-        let b = eval(&e, &[], &c).unwrap();
+        let a = eval_slots(&e, &[], &c).unwrap();
+        let b = eval_slots(&e, &[], &c).unwrap();
         assert_eq!(a, b);
         assert!(matches!(a, Value::Oid(o) if o.space() == kgm_common::OidSpace::Skolem));
     }

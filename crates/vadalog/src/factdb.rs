@@ -614,16 +614,22 @@ impl Relation {
 /// The fact database the engine reads from and writes to.
 ///
 /// Values are packed into cells by a private [`ValuePool`]; all
-/// per-relation state is cells and row ids (see the module docs). The
-/// public API still speaks [`Value`]s: iteration materializes tuples on
-/// demand (a `Value` clone is at most an `Arc` bump), containment and
-/// insertion translate through the pool.
+/// per-relation state is cells and row ids (see the module docs), and the
+/// relations sit in a `Vec` indexed by predicate id. The public API still
+/// speaks [`Value`]s: iteration materializes tuples on demand (a `Value`
+/// clone is at most an `Arc` bump), containment and insertion translate
+/// through the pool, and [`FactDb::extend`] streams a loader's rows into
+/// one relation. The chase's writer inserts exact cells under a predicate
+/// id instead ([`FactDb::insert_cells`]).
 #[derive(Default)]
 pub struct FactDb {
     pool: ValuePool,
-    rels: FxHashMap<String, Relation>,
-    /// Predicate names in creation order; index = [`Relation::pred_id`].
+    /// Relations in creation order; index = [`Relation::pred_id`].
+    rels: Vec<Relation>,
+    /// Predicate names in creation order, aligned with `rels`.
     pred_names: Vec<String>,
+    /// Predicate name → index into `rels`.
+    ids: FxHashMap<String, u32>,
     /// Why-provenance edges, present only when the engine enabled them
     /// (`EngineConfig::provenance`); `None` keeps the hot path free of even
     /// a branch-per-parent cost.
@@ -666,40 +672,80 @@ impl FactDb {
     /// *duplicate* of a stored tuple is still `Ok(None)` at the row cap:
     /// capacity only gates growth.
     pub fn insert_id(&mut self, predicate: &str, tuple: &[Value]) -> Result<Option<FactId>> {
+        let pred = self.relation_id(predicate, tuple.len())?;
+        self.insert_values(pred, tuple)
+    }
+
+    /// The predicate id of `predicate`, creating its relation with `arity`
+    /// columns if it has none yet. Creation order numbers the relations,
+    /// and so the high half of every [`FactId`].
+    pub(crate) fn relation_id(&mut self, predicate: &str, arity: usize) -> Result<u32> {
         // Probe by `&str`: only a new relation allocates its name.
-        if !self.rels.contains_key(predicate) {
-            guard_pred_capacity(self.pred_names.len())?;
-            let pid = self.pred_names.len() as u32;
-            self.pred_names.push(predicate.to_string());
-            self.rels
-                .insert(predicate.to_string(), Relation::new(tuple.len(), pid));
+        if let Some(&pred) = self.ids.get(predicate) {
+            return Ok(pred);
         }
-        let rel = self.rels.get_mut(predicate).expect("created above");
-        if rel.arity != tuple.len() {
-            return Err(KgmError::Schema(format!(
-                "predicate `{predicate}` has arity {}, got tuple of length {}",
-                rel.arity,
-                tuple.len()
-            )));
-        }
-        self.scratch.clear();
+        guard_pred_capacity(self.rels.len())?;
+        let pred = self.rels.len() as u32;
+        self.rels.push(Relation::new(arity, pred));
+        self.pred_names.push(predicate.to_string());
+        self.ids.insert(predicate.to_string(), pred);
+        Ok(pred)
+    }
+
+    /// Insert `tuple` into relation `pred`, interning its values.
+    fn insert_values(&mut self, pred: u32, tuple: &[Value]) -> Result<Option<FactId>> {
+        self.check_arity(pred, tuple.len())?;
+        let mut cells = std::mem::take(&mut self.scratch);
+        cells.clear();
+        let interned = tuple.iter().try_for_each(|v| {
+            cells.push(self.pool.intern(v)?);
+            Ok(())
+        });
+        let inserted = interned.and_then(|()| self.insert_cells(pred, &cells));
+        self.scratch = cells;
+        inserted
+    }
+
+    /// Insert the row of **exact cells** `cells` into relation `pred` (a
+    /// [`FactDb::relation_id`]) and return its [`FactId`] if it was new.
+    /// The chase's writer inserts its head rows through this: their cells
+    /// were read from this store's columns or interned in its pool, so the
+    /// row is neither looked up by name nor interned again. Errors as
+    /// [`FactDb::insert_id`] does.
+    pub(crate) fn insert_cells(&mut self, pred: u32, cells: &[u64]) -> Result<Option<FactId>> {
+        self.check_arity(pred, cells.len())?;
+        let classes = self.pool.classes();
         self.scratch_class.clear();
-        for v in tuple {
-            let id = self.pool.intern(v)?;
-            self.scratch.push(id);
-            self.scratch_class.push(self.pool.class(id));
-        }
+        self.scratch_class
+            .extend(cells.iter().map(|&c| classes.of(c)));
         let h = hash_ids(self.scratch_class.iter().copied());
-        if rel
-            .find(h, &self.scratch_class, self.pool.classes())
-            .is_some()
-        {
+        let rel = &mut self.rels[pred as usize];
+        if rel.find(h, &self.scratch_class, classes).is_some() {
             return Ok(None);
         }
-        guard_row_capacity(predicate, rel.rows())?;
-        rel.append_row(h, &self.scratch);
+        guard_row_capacity(&self.pred_names[pred as usize], rel.rows())?;
+        rel.append_row(h, cells);
         self.total += 1;
-        Ok(Some(fact_id(rel.pred_id, (rel.rows() - 1) as u32)))
+        Ok(Some(fact_id(pred, (rel.rows() - 1) as u32)))
+    }
+
+    /// The schema error for a row of `len` values into relation `pred` of
+    /// another arity.
+    fn check_arity(&self, pred: u32, len: usize) -> Result<()> {
+        let arity = self.rels[pred as usize].arity;
+        if arity != len {
+            return Err(KgmError::Schema(format!(
+                "predicate `{}` has arity {arity}, got tuple of length {len}",
+                self.pred_names[pred as usize]
+            )));
+        }
+        Ok(())
+    }
+
+    /// Intern `v` in the store's pool and return its exact cell, for a
+    /// pending cell on its way into a row (see [`kgm_common::pool`]).
+    pub(crate) fn intern(&mut self, v: &Value) -> Result<u64> {
+        self.pool.intern(v)
     }
 
     /// Assert an input fact, as an update does: a new tuple is inserted as
@@ -710,10 +756,7 @@ impl FactDb {
         let Some(id) = self.find_id(predicate, tuple) else {
             return self.insert_ref(predicate, tuple);
         };
-        let rel = self
-            .rels
-            .get_mut(predicate)
-            .expect("find_id found the relation");
+        let rel = &mut self.rels[fact_pred(id) as usize];
         bit_clear(&mut rel.derived, fact_row(id) as usize);
         if let Some(p) = self.prov.as_mut() {
             p.remove(id);
@@ -723,11 +766,26 @@ impl FactDb {
 
     /// Bulk insert.
     pub fn add_facts(&mut self, predicate: &str, tuples: Vec<Vec<Value>>) -> Result<usize> {
-        let mut n = 0;
-        for t in tuples {
-            if self.insert(predicate, t)? {
-                n += 1;
-            }
+        self.extend(predicate, tuples)
+    }
+
+    /// Bulk append: insert each row `rows` yields into `predicate`, in
+    /// order, looking the relation up once. A loader streams its rows
+    /// through this (a row can be an array on the stack) instead of
+    /// collecting them first. Returns how many rows were new.
+    pub fn extend<R: AsRef<[Value]>>(
+        &mut self,
+        predicate: &str,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize> {
+        let (mut pred, mut n) = (None, 0);
+        for row in rows {
+            let row = row.as_ref();
+            let p = match pred {
+                Some(p) => p,
+                None => *pred.insert(self.relation_id(predicate, row.len())?),
+            };
+            n += usize::from(self.insert_values(p, row)?.is_some());
         }
         Ok(n)
     }
@@ -763,7 +821,7 @@ impl FactDb {
         predicate: &str,
         start: usize,
     ) -> impl Iterator<Item = Vec<Value>> + '_ {
-        let rel = self.rels.get(predicate);
+        let rel = self.rel(predicate);
         let rows = rel.map_or(0, Relation::rows);
         (start.min(rows)..rows)
             .filter(move |&row| !rel.is_some_and(|r| r.is_dead(row)))
@@ -787,8 +845,8 @@ impl FactDb {
             .iter()
             .enumerate()
             .map(|(pid, name)| {
-                let rel = &self.rels[name];
-                let copy = Relation {
+                let rel = self.rel(name).expect("a listed predicate");
+                Relation {
                     arity: rel.arity,
                     pred_id: pid as u32,
                     cols: rel.cols.clone(),
@@ -798,14 +856,19 @@ impl FactDb {
                     dead: rel.dead.clone(),
                     dead_rows: rel.dead_rows,
                     derived: Vec::new(),
-                };
-                (name.clone(), copy)
+                }
             })
+            .collect();
+        let ids = pred_names
+            .iter()
+            .enumerate()
+            .map(|(pid, name)| (name.clone(), pid as u32))
             .collect();
         FactDb {
             pool: self.pool.clone(),
             rels,
             pred_names,
+            ids,
             total: self.total,
             ..FactDb::default()
         }
@@ -813,7 +876,7 @@ impl FactDb {
 
     /// Number of live facts for `predicate`.
     pub fn len(&self, predicate: &str) -> usize {
-        self.rels.get(predicate).map(Relation::live).unwrap_or(0)
+        self.rel(predicate).map_or(0, Relation::live)
     }
 
     /// Number of *physical* rows of `predicate`, tombstoned ones included.
@@ -821,7 +884,7 @@ impl FactDb {
     /// row indexes, which [`FactDb::len`] no longer exposes once a database
     /// has seen deletions.
     pub(crate) fn rows_of(&self, predicate: &str) -> usize {
-        self.rels.get(predicate).map(Relation::rows).unwrap_or(0)
+        self.rel(predicate).map_or(0, Relation::rows)
     }
 
     /// True if the database holds no facts at all.
@@ -843,7 +906,7 @@ impl FactDb {
     /// allocation within small constant factors (pinned by a regression
     /// test against a counting allocator).
     pub fn approx_bytes(&self) -> usize {
-        let rels: usize = self.rels.values().map(Relation::approx_bytes).sum();
+        let rels: usize = self.rels.iter().map(Relation::approx_bytes).sum();
         let prov = self.prov.as_ref().map_or(0, ProvStore::approx_bytes);
         let state = self.chase_state.as_ref().map_or(0, |st| st.approx_bytes());
         rels + prov + state + self.pool.approx_bytes()
@@ -858,7 +921,7 @@ impl FactDb {
     /// The [`FactId`] of a stored fact, if present. Read-only, same probe
     /// as [`FactDb::contains`].
     pub fn find_id(&self, predicate: &str, tuple: &[Value]) -> Option<FactId> {
-        let rel = self.rels.get(predicate)?;
+        let rel = self.rel(predicate)?;
         if rel.arity != tuple.len() {
             return None;
         }
@@ -886,7 +949,7 @@ impl FactDb {
     /// just removed (e.g. to check which ones were re-derived).
     pub fn fact_values(&self, id: FactId) -> Option<(&str, Vec<Value>)> {
         let pred = self.pred_names.get(fact_pred(id) as usize)?;
-        let rel = self.rels.get(pred)?;
+        let rel = &self.rels[fact_pred(id) as usize];
         let row = fact_row(id) as usize;
         if row >= rel.rows() {
             return None;
@@ -906,10 +969,7 @@ impl FactDb {
     /// Returns `false` if the id names no live row (already dead, row out
     /// of range, unknown predicate) — tombstoning is idempotent.
     pub(crate) fn tombstone(&mut self, id: FactId) -> bool {
-        let Some(pred) = self.pred_names.get(fact_pred(id) as usize) else {
-            return false;
-        };
-        let Some(rel) = self.rels.get_mut(pred) else {
+        let Some(rel) = self.rels.get_mut(fact_pred(id) as usize) else {
             return false;
         };
         let row = fact_row(id) as usize;
@@ -927,10 +987,7 @@ impl FactDb {
     /// engine calls this on every successful rule-head insert; the marks
     /// let [`FactDb::tombstone_derived`] wipe exactly the derived portion.
     pub(crate) fn mark_derived(&mut self, id: FactId) {
-        let Some(pred) = self.pred_names.get(fact_pred(id) as usize) else {
-            return;
-        };
-        if let Some(rel) = self.rels.get_mut(pred) {
+        if let Some(rel) = self.rels.get_mut(fact_pred(id) as usize) {
             bit_set(&mut rel.derived, fact_row(id) as usize);
         }
     }
@@ -942,7 +999,7 @@ impl FactDb {
     /// have provenance edges, so every edge goes too.
     pub(crate) fn tombstone_derived(&mut self) -> usize {
         let mut n = 0;
-        for rel in self.rels.values_mut() {
+        for rel in &mut self.rels {
             for row in 0..rel.rows() {
                 if rel.is_derived_row(row) && rel.mark_dead(row) {
                     n += 1;
@@ -1017,7 +1074,7 @@ impl FactDb {
 
     /// All predicate names, sorted.
     pub fn predicates(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.rels.keys().cloned().collect();
+        let mut v = self.pred_names.clone();
         v.sort();
         v
     }
@@ -1025,14 +1082,16 @@ impl FactDb {
     /// Build (or catch up) the posting-list index of `predicate` over
     /// `positions`. A no-op for unknown predicates.
     pub(crate) fn ensure_index(&mut self, predicate: &str, positions: &[usize]) {
-        if let Some(rel) = self.rels.get_mut(predicate) {
-            rel.ensure_index(positions, self.pool.classes());
+        if let Some(&pred) = self.ids.get(predicate) {
+            self.rels[pred as usize].ensure_index(positions, self.pool.classes());
         }
     }
 
     /// The columnar relation of `predicate`, for the engine's join loop.
     pub(crate) fn rel(&self, predicate: &str) -> Option<&Relation> {
-        self.rels.get(predicate)
+        self.ids
+            .get(predicate)
+            .map(|&pred| &self.rels[pred as usize])
     }
 
     /// Predicate names in creation order: index = [`Relation::pred_id`].

@@ -36,7 +36,7 @@
 use crate::analysis::{AggMode, ProgramAnalysis};
 use crate::ast::{Aggregate, AggregateFunc, BinOp, Program, Rule, RuleStep, Term, Var};
 use crate::engine::FactDb;
-use crate::eval::{bin, eval, EvalCtx};
+use crate::eval::{bin, eval_slots, EvalCtx};
 use kgm_common::{
     FxHashMap, FxHashSet, KgmError, Oid, OidGen, OidSpace, Result, SkolemRegistry, Value,
 };
@@ -571,7 +571,7 @@ fn fire(
     let mut edge_parents: ProvParents = if prov { parents.to_vec() } else { Vec::new() };
     for step in &rule.steps {
         match step {
-            RuleStep::Condition(e) => match eval(e, binding, &ctx) {
+            RuleStep::Condition(e) => match eval_slots(e, binding, &ctx) {
                 Ok(Value::Bool(true)) => {}
                 Ok(Value::Bool(false)) => {
                     emit = false;
@@ -588,7 +588,7 @@ fn fire(
                     return Err(e);
                 }
             },
-            RuleStep::Assign(v, e) => match eval(e, binding, &ctx) {
+            RuleStep::Assign(v, e) => match eval_slots(e, binding, &ctx) {
                 Ok(val) => {
                     binding[v.0 as usize] = Some(val);
                     assigned.push(*v);
@@ -701,7 +701,7 @@ fn contribute(
         .map(|v| binding[v.0 as usize].clone().expect("bound"))
         .collect();
     let val = match &agg.arg {
-        Some(e) => eval(e, binding, ctx)?,
+        Some(e) => eval_slots(e, binding, ctx)?,
         None => Value::Int(1),
     };
     let state = mono.entry((ri, group)).or_insert_with(|| MonoState {
@@ -822,7 +822,7 @@ fn eval_exact_rule(
             let mut keep = true;
             for step in pre_steps {
                 match step {
-                    RuleStep::Condition(e) => match eval(e, binding, &ctx) {
+                    RuleStep::Condition(e) => match eval_slots(e, binding, &ctx) {
                         Ok(Value::Bool(true)) => {}
                         Ok(Value::Bool(false)) => {
                             keep = false;
@@ -839,7 +839,7 @@ fn eval_exact_rule(
                             return Err(e);
                         }
                     },
-                    RuleStep::Assign(v, e) => match eval(e, binding, &ctx) {
+                    RuleStep::Assign(v, e) => match eval_slots(e, binding, &ctx) {
                         Ok(val) => {
                             binding[v.0 as usize] = Some(val);
                             assigned.push(*v);
@@ -883,7 +883,7 @@ fn eval_exact_rule(
                         .collect()
                 };
                 let val = match &agg.arg {
-                    Some(e) => eval(e, binding, &ctx),
+                    Some(e) => eval_slots(e, binding, &ctx),
                     None => Ok(Value::Int(1)),
                 };
                 let val = match val {
@@ -935,7 +935,7 @@ fn eval_exact_rule(
         let mut keep = true;
         for step in &rule.steps[agg_step + 1..] {
             match step {
-                RuleStep::Condition(e) => match eval(e, &binding, &ctx)? {
+                RuleStep::Condition(e) => match eval_slots(e, &binding, &ctx)? {
                     Value::Bool(true) => {}
                     Value::Bool(false) => {
                         keep = false;
@@ -948,7 +948,7 @@ fn eval_exact_rule(
                     }
                 },
                 RuleStep::Assign(v, e) => {
-                    let val = eval(e, &binding, &ctx)?;
+                    let val = eval_slots(e, &binding, &ctx)?;
                     binding[v.0 as usize] = Some(val);
                 }
                 RuleStep::Negated(a) => {

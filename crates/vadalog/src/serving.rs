@@ -258,7 +258,7 @@ impl EpochSnapshot {
             let cells = rel.column(col).iter().enumerate();
             cells
                 .filter(|&(row, _)| !rel.is_dead(row))
-                .filter_map(|(_, &cell)| pool.get(cell).as_f64())
+                .filter_map(|(_, &cell)| pool.pooled(cell)?.as_f64())
         });
         match kind {
             AggKind::Sum => {

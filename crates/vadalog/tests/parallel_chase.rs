@@ -20,8 +20,9 @@ use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb, RunStats};
 
 /// Warded program templates the generator draws from. Each exercises a
 /// different slice of the parallel path: pure-join recursion, existential
-/// null minting, explicit Skolem terms, monotonic aggregation, and
-/// stratified negation (two strata, so stratum order is observable).
+/// null minting, explicit Skolem terms, monotonic aggregation, stratified
+/// negation (two strata, so stratum order is observable), and a worker
+/// computing a value no stored tuple holds.
 const TEMPLATES: &[&str] = &[
     // Transitive closure: pure joins, large deltas, heavy deduplication.
     "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
@@ -34,6 +35,11 @@ const TEMPLATES: &[&str] = &[
     // Two strata: negation forces `path` to close before `lonely` starts.
     "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z). \
      node(X), not path(X, X) -> lonely(X).",
+    // A worker's step computes `Float(y)`, which the store does not hold
+    // (every edge endpoint is an `Int`), so it reaches the writer as a
+    // pending value; `eq` keeps the `Float`, and the second rule joins it
+    // with the equal `Int` endpoints through its class.
+    "edge(X,Y), Z = Y * 1.0 -> eq(X, Z). eq(X, Z), edge(Z, W) -> hop(X, W).",
 ];
 
 /// One generated case: a template index and raw (unmodded) edge endpoints.
@@ -79,13 +85,15 @@ fn run_case(template: usize, edges: &[(usize, usize)], threads: usize) -> (FactD
 
 /// Everything observable about a [`FactDb`], insertion order included.
 /// Labelled nulls and Skolem OIDs print with their payloads, so any
-/// divergence in minting order shows up here.
-fn fingerprint(db: &FactDb) -> Vec<(String, String)> {
+/// divergence in minting order shows up here, and every value prints with
+/// its type, so an `Int` and an equal `Float` differ.
+fn fingerprint(db: &FactDb) -> Vec<(String, Vec<Vec<String>>)> {
     db.predicates()
         .into_iter()
         .map(|p| {
-            let rows = format!("{:?}", db.facts(&p));
-            (p, rows)
+            let rows = db.facts_iter(&p);
+            let rows = rows.map(|t| t.iter().map(Value::to_text).collect());
+            (p.clone(), rows.collect())
         })
         .collect()
 }

@@ -28,12 +28,11 @@
 #    flush the same control pairs as the baseline algorithm, and the
 #    related pairs and families of the families baseline; E8's Algorithm 2
 #    pipeline and direct Vadalog program must flush the control pairs too.
+# 9. Registry-scale smoke: a 100k-node registry chase must derive the same
+#    control relation, derived-fact count and null count at 1 and 8
+#    threads, and a max_bytes budget must stop a third run.
 #
 # Usage: scripts/ci.sh [--skip-tests]
-#
-# KGM_SCALE_SMOKE=1 additionally runs a 100k-node registry chase and
-# requires the 1-thread and 8-thread outputs to be identical and a
-# max_bytes budget to stop a third run (adds ~2s).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -277,19 +276,18 @@ echo "== staging smoke =="
 "$harness" e8 150 >/dev/null
 echo "ok: single-pass and staged materialization find the baselines' control pairs and families, and the direct program the control pairs"
 
-if [ "${KGM_SCALE_SMOKE:-0}" = "1" ]; then
-    echo "== registry-scale smoke (KGM_SCALE_SMOKE=1) =="
-    # 100k-node shareholding graph through the company-control chase at
-    # 1 vs 8 worker threads; paper-harness exits non-zero unless the two
-    # runs produce identical control relations (order-independent digest),
-    # derived-fact counts, and null counts, and unless a max_bytes budget
-    # halfway between the loaded and the chased store stops a third run
-    # with MemoryBudget and a strict subset of the control pairs. This
-    # guards the determinism of sharded evaluation and the memory governor
-    # at a scale the unit suites never reach.
-    "$harness" scale-smoke 100000
-    echo "ok: 100k-node chase output identical at 1 and 8 threads; max_bytes stops it"
-fi
+echo "== registry-scale smoke =="
+# 100k-node shareholding graph through the company-control chase at 1 vs
+# 8 worker threads; paper-harness exits non-zero unless the two runs
+# produce identical control relations (order-independent digest),
+# derived-fact counts, and null counts, and unless a max_bytes budget
+# halfway between the loaded and the chased store stops a third run with
+# MemoryBudget and a strict subset of the control pairs. This guards the
+# determinism of sharded evaluation, whose worker-to-writer hand-off
+# buffers the most at this scale, and the memory governor at a scale the
+# unit suites never reach.
+"$harness" scale-smoke 100000
+echo "ok: 100k-node chase output identical at 1 and 8 threads; max_bytes stops it"
 
 echo "== parallel chase determinism smoke =="
 # The sharded chase guarantees bit-identical output for any KGM_THREADS;
