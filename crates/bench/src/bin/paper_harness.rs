@@ -38,8 +38,8 @@
 //! KGM_LOG=span paper-harness … # print the live span tree to stderr
 //! paper-harness validate-json FILE…   # exit non-zero unless every FILE is
 //!                                     # valid JSON (CI smoke helper)
-//! paper-harness scale-smoke [nodes]   # registry-scale chase at 1 vs 8
-//!                                     # worker threads, then under a
+//! paper-harness scale-smoke [nodes]   # registry-scale chase at 1, 2 and
+//!                                     # 8 worker threads, then under a
 //!                                     # max_bytes budget; exit non-zero if
 //!                                     # the outputs diverge or the budget
 //!                                     # does not stop the chase (CI gate
@@ -229,9 +229,11 @@ fn sized_control_chase(
 
 /// `scale-smoke [nodes]` — the CI gate for deterministic sharded
 /// evaluation and the memory governor at registry scale: generate a
-/// shareholding graph once, run the company-control chase at 1 and 8
-/// worker threads, and require both runs to produce the same control
-/// relation (digest), derived-fact count, and null count. Then rerun the
+/// shareholding graph once, run the company-control chase at 1, 2 and 8
+/// worker threads, and require every run to produce the same control
+/// relation (digest), derived-fact count, and null count as the first. At
+/// 100k nodes the largest scan ranges fit one wave at 8 threads but span
+/// several at 2, so the two sharded runs cover both hand-offs. Then rerun the
 /// chase with `max_bytes` halfway between the loaded store's and the
 /// chased store's `approx_bytes`: it must stop with `MemoryBudget`,
 /// keeping a strict subset of the control pairs. Exits non-zero on any
@@ -242,7 +244,7 @@ fn run_scale_smoke(nodes: usize) -> Result<ExitCode> {
     println!("scale-smoke: {nodes} nodes, {} OWNS edges", g.edge_count());
     let mut runs: Vec<(usize, u64, usize, usize)> = Vec::new();
     let mut unbounded = None;
-    for t in [1usize, 8] {
+    for t in [1usize, 2, 8] {
         let t0 = std::time::Instant::now();
         let config = EngineConfig {
             threads: t,
@@ -273,7 +275,7 @@ fn run_scale_smoke(nodes: usize) -> Result<ExitCode> {
     }
     println!("scale-smoke: thread counts agree");
 
-    let (all, loaded, chased) = unbounded.expect("two unbounded runs");
+    let (all, loaded, chased) = unbounded.expect("three unbounded runs");
     let budget = loaded + chased.saturating_sub(loaded) / 2;
     let config = EngineConfig {
         max_bytes: Some(budget),

@@ -95,16 +95,14 @@ impl Heads {
         self.len
     }
 
-    /// Append `other`'s rows, renumbering its pending cells past this side
-    /// list.
+    /// Copy `other`'s rows to the end of these, renumbering its pending
+    /// cells past this side list. Never adopts `other`'s buffers: a shard
+    /// worker allocated them in its own malloc arena, where the writer's
+    /// later allocations could not reuse their pages once freed.
     fn append(&mut self, other: Heads) {
-        if self.rows.is_empty() && self.side.is_empty() {
-            *self = other;
-            return;
-        }
         let (start, off) = (self.rows.len(), self.side.len());
         self.rows.extend_from_slice(&other.rows);
-        if !other.side.is_empty() {
+        if off > 0 && !other.side.is_empty() {
             let mut at = start;
             while at < self.rows.len() {
                 let (_, arity) = split_header(self.rows[at]);
@@ -238,6 +236,12 @@ enum KeyCell {
 // Engine
 // ---------------------------------------------------------------------
 
+/// Rows of one shard of a wave, in units of `min_parallel_batch`: a spawned
+/// rule evaluation covers at most `threads × WAVE_BATCHES ×
+/// min_parallel_batch` rows of its scan range before the writer takes in
+/// what the shards found ([`Engine::eval_rule`]).
+const WAVE_BATCHES: usize = 64;
+
 /// Engine limits and policy.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -247,17 +251,21 @@ pub struct EngineConfig {
     pub max_facts: usize,
     /// Worker threads. Every rule evaluation splits the outermost join
     /// atom's scan range into shards and runs them through one path: `1`
-    /// keeps the whole range in one shard on the calling thread, larger
-    /// values spawn that many shard workers over ranges of at least
-    /// `min_parallel_batch` (and as many dedup partitions per insert
-    /// batch). Defaults to the `KGM_THREADS` environment variable (falling
-    /// back to the machine's parallelism). Any value produces bit-identical
-    /// output.
+    /// keeps the whole range in one shard on the calling thread; larger
+    /// values run a range of at least `min_parallel_batch` rows in waves of
+    /// at most `threads × 64 × min_parallel_batch` rows, each split over
+    /// that many spawned shard workers, and the single writer takes in one
+    /// wave's output, in shard order, before the next wave starts.
+    /// Defaults to the `KGM_THREADS` environment variable (falling back to
+    /// the machine's parallelism). Any value produces bit-identical output.
     pub threads: usize,
     /// Minimum scan-range size (tuples of the outermost join atom) before a
     /// rule evaluation is split into several shards; smaller ranges stay
     /// one shard on the calling thread because thread spawn would dominate.
-    /// Tests pin this to 1 to force spawned shards on tiny inputs.
+    /// It also sets the wave size: a spawned evaluation hands the writer at
+    /// most 64 × this many rows' worth of output per shard at a time (see
+    /// `threads`). Tests pin this to 1 to force spawned shards, and many
+    /// waves, on tiny inputs.
     pub min_parallel_batch: usize,
     /// Wall-clock budget for the whole run in milliseconds (`None` =
     /// unbounded). `0` stops at the first governor check — useful to prove
@@ -1498,22 +1506,27 @@ impl Engine {
     /// pass, which is the delta pass over atom 0's complete range (with
     /// nothing bound, `join_order` would pick atom 0 first anyway), and
     /// `old` the old-row counts of the atoms before the delta atom
-    /// ([`passes`]). That outer scan range is split into shards: one when
-    /// `threads == 1` or the range is under `min_parallel_batch`,
-    /// `split_range(range, threads)` otherwise. Every shard runs the same per-match code
-    /// ([`Engine::eval_shard`]):
+    /// ([`passes`]). That outer scan range is one shard when
+    /// `threads == 1` or the range is under `min_parallel_batch`. Otherwise
+    /// it runs in **waves** of at most `threads ×` [`WAVE_BATCHES`] `×
+    /// min_parallel_batch` rows, in range order, each split into `threads`
+    /// shards (`split_range(wave, threads)`). Every shard runs the same
+    /// per-match code ([`Engine::eval_shard`]):
     ///
     /// - The **one shard** runs on the calling thread with the whole step
     ///   list against the real null and aggregate tables, and emits
     ///   straight into `out`.
     /// - **Spawned workers** run only the pure step prefix
     ///   (`RuleMeta::pure_steps`) against the frozen database. The single
-    ///   writer then replays their surviving bindings **in shard order** —
-    ///   concatenated, exactly the one-shard enumeration order — through
-    ///   the order-sensitive suffix (monotonic aggregate updates, Skolem
-    ///   minting) and the head emission (labelled-null minting). A rule
-    ///   with no suffix and no existentials has nothing to replay, so its
-    ///   workers emit the heads themselves.
+    ///   writer then replays a wave's surviving bindings **in shard order**
+    ///   through the order-sensitive suffix (monotonic aggregate updates,
+    ///   Skolem minting) and the head emission (labelled-null minting)
+    ///   before the next wave starts. A rule with no suffix and no
+    ///   existentials has nothing to replay, so its workers emit the heads
+    ///   themselves, which the writer copies into `out` in shard order.
+    ///   Shards in shard order across waves are the range in order, so
+    ///   either way the writer sees exactly the one-shard enumeration
+    ///   order, and never holds more than one wave's hand-off.
     ///
     /// An exact aggregate's rule runs as one full pass with a fresh `mono`,
     /// which its matches only contribute to. After the pass, its groups are
@@ -1547,72 +1560,12 @@ impl Engine {
         });
         let plan = join_plan(rule, &join_order(rule, atom), db);
         let threads = self.config.threads;
-        let one_shard = threads <= 1 || range.len() < self.config.min_parallel_batch.max(1);
-        let shards = if one_shard {
-            vec![range]
-        } else {
-            kgm_runtime::par::split_range(range, threads)
-        };
+        let batch = self.config.min_parallel_batch.max(1);
+        let one_shard = threads <= 1 || range.len() < batch;
         let all_steps = rule.steps.len();
         let pure_end = self.meta[ri].pure_steps;
         let emit = one_shard || (pure_end == all_steps && self.meta[ri].existentials.is_empty());
-        let span = (!one_shard).then(|| {
-            kgm_runtime::span_debug!("chase.shard_eval", "rule {ri}: {} shard(s)", shards.len())
-        });
-        let results: Vec<Result<ShardOut>> = if one_shard {
-            // The shard emits straight into `out`, which moves into its head
-            // buffer and back: never copied, no survivors buffered.
-            let mut so = ShardOut {
-                heads: std::mem::take(out),
-                ..ShardOut::default()
-            };
-            let r = self.eval_shard(
-                db, ri, rule, &plan, &shards[0], old, all_steps, true, null_gen, nulls, mono,
-                &mut so, governor,
-            );
-            *out = std::mem::take(&mut so.heads);
-            vec![r.map(|()| so)]
-        } else {
-            kgm_runtime::par::par_map(&shards, shards.len(), |r| {
-                // A panicking worker must not abort the whole process via
-                // `map_shards`' join: catch it here and surface a structured
-                // error carrying the rule id instead. The chase state is
-                // safe to keep — workers only read the frozen database.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if kgm_runtime::fault::should_inject("chase.shard") {
-                        panic!("injected fault at chase.shard");
-                    }
-                    let mut so = ShardOut::default();
-                    // The pure prefix stops before any aggregate step, and
-                    // an emitting worker's rule mints no nulls: both tables
-                    // stay empty.
-                    self.eval_shard(
-                        db,
-                        ri,
-                        rule,
-                        &plan,
-                        r,
-                        old,
-                        pure_end,
-                        emit,
-                        null_gen,
-                        &mut NullTable::default(),
-                        &mut MonoTable::default(),
-                        &mut so,
-                        governor,
-                    )?;
-                    Ok(so)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(KgmError::Internal(format!(
-                        "chase shard worker panicked evaluating rule {ri}: {}",
-                        panic_message(&*payload)
-                    )))
-                })
-            })
-        };
-        let mut enumerated = 0usize;
-        let mut candidates = 0usize;
+        let (mut enumerated, mut candidates, mut shards_spawned) = (0usize, 0usize, 0usize);
         let stride = rule.var_names.len();
         let parent_stride = if self.config.provenance {
             rule.body.len()
@@ -1621,15 +1574,18 @@ impl Engine {
         };
         let mut binding = vec![NO_CELL; stride];
         let (mut parents, mut assigned) = (Vec::new(), Vec::new());
-        for res in results {
-            let so = res?;
+        // The writer's share of one shard, called in shard order: copy its
+        // heads, or replay its survivors through the rest of the steps.
+        let mut absorb = |so: ShardOut,
+                          out: &mut Heads,
+                          nulls: &mut NullTable,
+                          mono: &mut MonoTable|
+         -> Result<()> {
             enumerated += so.enumerated;
             candidates += so.survived;
-            // Shard-order concatenation of emitted heads *is* the one-shard
-            // emission order.
             out.append(so.heads);
             if emit {
-                continue;
+                return Ok(());
             }
             let mut scope = Scope::new(db.pool(), &so.side);
             for i in 0..so.survived {
@@ -1662,13 +1618,85 @@ impl Engine {
                     )?;
                 }
             }
+            Ok(())
+        };
+        if one_shard {
+            // The shard emits straight into `out`, which moves into its head
+            // buffer and back: never copied, no survivors buffered.
+            let mut so = ShardOut {
+                heads: std::mem::take(out),
+                ..ShardOut::default()
+            };
+            let r = self.eval_shard(
+                db, ri, rule, &plan, &range, old, all_steps, true, null_gen, nulls, mono, &mut so,
+                governor,
+            );
+            *out = std::mem::take(&mut so.heads);
+            r?;
+            absorb(so, out, nulls, mono)?;
+        } else {
+            let span =
+                kgm_runtime::span_debug!("chase.shard_eval", "rule {ri}: {} row(s)", range.len());
+            let wave_rows = threads.saturating_mul(WAVE_BATCHES).saturating_mul(batch);
+            for start in range.clone().step_by(wave_rows) {
+                let wave = start..range.end.min(start.saturating_add(wave_rows));
+                let shards = kgm_runtime::par::split_range(wave, threads);
+                shards_spawned += shards.len();
+                let results = kgm_runtime::par::par_map(&shards, shards.len(), |r| {
+                    // A panicking worker must not abort the whole process via
+                    // `map_shards`' join: catch it here and surface a
+                    // structured error carrying the rule id instead. The
+                    // chase state is safe to keep — workers only read the
+                    // frozen database.
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if kgm_runtime::fault::should_inject("chase.shard") {
+                            panic!("injected fault at chase.shard");
+                        }
+                        let mut so = ShardOut::default();
+                        // The pure prefix stops before any aggregate step,
+                        // and an emitting worker's rule mints no nulls: both
+                        // tables stay empty.
+                        self.eval_shard(
+                            db,
+                            ri,
+                            rule,
+                            &plan,
+                            r,
+                            old,
+                            pure_end,
+                            emit,
+                            null_gen,
+                            &mut NullTable::default(),
+                            &mut MonoTable::default(),
+                            &mut so,
+                            governor,
+                        )?;
+                        Ok(so)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        Err(KgmError::Internal(format!(
+                            "chase shard worker panicked evaluating rule {ri}: {}",
+                            panic_message(&*payload)
+                        )))
+                    })
+                });
+                for res in results {
+                    absorb(res?, out, nulls, mono)?;
+                }
+            }
+            profile.shards_spawned += shards_spawned;
+            profile.worker_candidates += candidates;
+            if span.is_active() {
+                telemetry::record("shards", shards_spawned as i64);
+                telemetry::record("candidates", candidates as i64);
+            }
         }
         if self.meta[ri].agg_mode == Some(AggMode::Exact) {
             let agg = rule.aggregate().expect("exact aggregate rule");
             let after = self.meta[ri].agg_step.expect("exact aggregate rule") + 1;
             let group_vars = &self.meta[ri].group_vars;
             let mut scope = Scope::new(db.pool(), &[]);
-            for (key, value, contributors, parents) in mono.groups_in_order(group_vars.len()) {
+            for (key, value, contributors, parents) in mono.groups_in_order(ri) {
                 binding.fill(NO_CELL);
                 scope.locals.clear();
                 for (v, val) in group_vars.iter().zip(key) {
@@ -1677,10 +1705,10 @@ impl Engine {
                 let target = match agg.func {
                     AggregateFunc::Avg => crate::eval::bin(
                         crate::ast::BinOp::Div,
-                        value,
+                        &value,
                         &Value::Int(contributors as i64),
                     )?,
-                    _ => value.clone(),
+                    _ => value,
                 };
                 binding[agg.target.0 as usize] = scope.cell(target);
                 let keep = self.run_steps(
@@ -1707,14 +1735,6 @@ impl Engine {
                         parents,
                     )?;
                 }
-            }
-        }
-        if let Some(span) = span {
-            profile.shards_spawned += shards.len();
-            profile.worker_candidates += candidates;
-            if span.is_active() {
-                telemetry::record("shards", shards.len() as i64);
-                telemetry::record("candidates", candidates as i64);
             }
         }
         let prof = &mut profile.rules[ri];
@@ -2028,16 +2048,11 @@ impl Engine {
         // by the frontier values (Skolem chase), and bind them for the
         // heads.
         let meta = &self.meta[ri];
-        if !meta.existentials.is_empty() {
-            let frontier: Vec<Value> = meta
-                .frontier
-                .iter()
-                .map(|v| scope.value(binding[v.0 as usize]).expect("frontier bound"))
-                .collect();
-            for &v in &meta.existentials {
-                let oid = Value::Oid(nulls.get_or_mint(ri, v, &frontier, null_gen));
-                binding[v.0 as usize] = scope.pool.exact(&oid).expect("an OID is its own cell");
-            }
+        for &v in &meta.existentials {
+            let cells: &[u64] = binding;
+            let frontier = |f: Var| scope.value(cells[f.0 as usize]).expect("frontier bound");
+            let oid = Value::Oid(nulls.get_or_mint(ri, v, &meta.frontier, &frontier, null_gen)?);
+            binding[v.0 as usize] = scope.pool.exact(&oid).expect("an OID is its own cell");
         }
         for (h, &slot) in rule.head.iter().zip(&meta.head_slots) {
             out.rows.push(head_header(slot, h.terms.len()));
@@ -2916,6 +2931,77 @@ mod tests {
         let facts = db.facts("n");
         assert_eq!(facts.len(), 2);
         assert!(matches!(facts[1][0], Value::Int(0)), "{facts:?}");
+    }
+
+    /// A spawned evaluation runs in waves of `threads × 64 ×
+    /// min_parallel_batch` rows, and the writer takes each wave in before
+    /// the next: at 2 threads and `min_parallel_batch: 1`, every 400-row
+    /// pass below runs as 4 waves of at most 128 rows. Stratum 0's first
+    /// iteration runs the existential rule (replayed by the writer) and the
+    /// doubling rule (emitted by the workers) over `n`, its next two the
+    /// recursive rule over each 400-row delta of `d`; stratum 1 runs the
+    /// exact aggregate over `p`. Facts in insertion order, their FactIds,
+    /// provenance edges and every counter equal the one-shard run's, except
+    /// the spawned-work counters: `shards_spawned` is waves × threads.
+    #[test]
+    fn waves_hand_off_in_one_shard_order() {
+        let src = "n(X) -> p(X, N). \
+                   n(X), Y = X * 2 -> d(Y). \
+                   d(Y), Y < 1000, Z = Y + 1000 -> d(Z). \
+                   p(X, N), S = sum(X, <N>) -> total(S).";
+        let n: Vec<Vec<Value>> = (0..400).map(|i| vec![Value::Int(i)]).collect();
+        let inputs = [("n", n)];
+        // Every fact with its FactId and provenance edge, in insertion order.
+        let image = |db: &FactDb| -> Vec<String> {
+            let mut lines = Vec::new();
+            for pred in db.predicates() {
+                for tuple in db.facts(&pred) {
+                    let id = db.find_id(&pred, &tuple).unwrap();
+                    let values: Vec<String> = tuple.iter().map(Value::to_text).collect();
+                    let edge = db.prov_edge(id);
+                    lines.push(format!("{id} {pred}({}) <- {edge:?}", values.join(", ")));
+                }
+            }
+            lines
+        };
+        let (db1, s1) = run_prov_with_threads(src, &inputs, 1);
+        let (db2, s2) = run_prov_with_threads(src, &inputs, 2);
+        assert_eq!(db1.len("d"), 800);
+        assert_eq!(db1.facts("total"), ints(&[&[79_800]]));
+        assert_eq!(image(&db1), image(&db2));
+        assert_eq!(shard_invariant_counters(&s1), shard_invariant_counters(&s2));
+        let prov = |s: &RunStats| (s.profile.prov_edges, s.profile.prov_parents);
+        assert_eq!(prov(&s1), prov(&s2));
+        assert_eq!(s1.profile.shards_spawned, 0);
+        let waves = 5 * 400usize.div_ceil(2 * WAVE_BATCHES);
+        assert_eq!(s2.profile.shards_spawned, waves * 2);
+    }
+
+    /// The null table keys frontiers by `Value` equality: `Int(1)` and
+    /// `Float(1.0)` reach one null, and an update that resumes the chase
+    /// reuses it rather than minting another.
+    #[test]
+    fn equal_frontiers_keep_one_null_across_a_resumed_update() {
+        let engine = update_engine("a(X, Y) -> b(X, N).", false);
+        let mut db = FactDb::new();
+        let a = |x: Value, y: i64| ("a".to_string(), vec![x, Value::Int(y)]);
+        let rows = [a(Value::Int(1), 1), a(Value::Float(1.0), 2)];
+        db.add_facts("a", rows.into_iter().map(|(_, t)| t).collect())
+            .unwrap();
+        let stats = engine.run(&mut db).unwrap();
+        assert_eq!(stats.nulls_created, 1);
+        let before = db.facts("b");
+        assert_eq!(before.len(), 1);
+        let update = Update {
+            inserts: vec![a(Value::Float(1.0), 3), a(Value::Int(4), 4)],
+            deletes: Vec::new(),
+        };
+        let stats = engine.apply_update(&mut db, update).unwrap();
+        assert_eq!(stats.profile.update_fallbacks, 0);
+        assert_eq!(stats.nulls_created, 1, "only a(4, 4) mints");
+        let after = db.facts("b");
+        assert_eq!((after.len(), &after[0]), (2, &before[0]));
+        assert_ne!(after[1][1], before[0][1]);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 #    related pairs and families of the families baseline; E8's Algorithm 2
 #    pipeline and direct Vadalog program must flush the control pairs too.
 # 9. Registry-scale smoke: a 100k-node registry chase must derive the same
-#    control relation, derived-fact count and null count at 1 and 8
-#    threads, and a max_bytes budget must stop a third run.
+#    control relation, derived-fact count and null count at 1, 2 and 8
+#    threads, and a max_bytes budget must stop a fourth run.
 #
 # Usage: scripts/ci.sh [--skip-tests]
 
@@ -277,17 +277,18 @@ echo "== staging smoke =="
 echo "ok: single-pass and staged materialization find the baselines' control pairs and families, and the direct program the control pairs"
 
 echo "== registry-scale smoke =="
-# 100k-node shareholding graph through the company-control chase at 1 vs
-# 8 worker threads; paper-harness exits non-zero unless the two runs
+# 100k-node shareholding graph through the company-control chase at 1, 2
+# and 8 worker threads; paper-harness exits non-zero unless the three runs
 # produce identical control relations (order-independent digest),
 # derived-fact counts, and null counts, and unless a max_bytes budget
-# halfway between the loaded and the chased store stops a third run with
+# halfway between the loaded and the chased store stops a fourth run with
 # MemoryBudget and a strict subset of the control pairs. This guards the
-# determinism of sharded evaluation, whose worker-to-writer hand-off
-# buffers the most at this scale, and the memory governor at a scale the
-# unit suites never reach.
+# determinism of sharded evaluation, which hands its output to the writer
+# in waves: at this scale the largest scan ranges fit one wave at 8
+# threads and span several at 2, the default on a 2-vCPU runner. It also
+# guards the memory governor at a scale the unit suites never reach.
 "$harness" scale-smoke 100000
-echo "ok: 100k-node chase output identical at 1 and 8 threads; max_bytes stops it"
+echo "ok: 100k-node chase output identical at 1, 2 and 8 threads; max_bytes stops it"
 
 echo "== parallel chase determinism smoke =="
 # The sharded chase guarantees bit-identical output for any KGM_THREADS;
