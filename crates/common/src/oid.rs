@@ -151,6 +151,20 @@ impl OidGen {
         Oid::new(self.space, payload)
     }
 
+    /// Mint `n` consecutive OIDs at once and return the first: the block's
+    /// payloads are the first one's plus `0..n`.
+    ///
+    /// # Panics
+    /// Panics if the block's last payload does not fit in 62 bits.
+    pub fn fresh_block(&self, n: u64) -> Oid {
+        let payload = self.next.fetch_add(n, Ordering::Relaxed);
+        assert!(
+            payload.saturating_add(n) <= PAYLOAD_MASK + 1,
+            "OID payload overflow"
+        );
+        Oid::new(self.space, payload)
+    }
+
     /// Number of OIDs minted so far.
     pub fn count(&self) -> u64 {
         self.next.load(Ordering::Relaxed) - 1
@@ -203,6 +217,11 @@ mod tests {
         assert!(a.payload() < b.payload());
         assert!(a.is_null());
         assert_eq!(g.count(), 2);
+        // A block takes the next payloads, and the counter moves past it.
+        let block = g.fresh_block(3);
+        assert_eq!((block.payload(), block.space()), (3, OidSpace::Null));
+        assert_eq!(g.fresh().payload(), 6);
+        assert_eq!(g.count(), 6);
     }
 
     #[test]

@@ -19,11 +19,17 @@
 //!
 //! The quasi-inverse writes relations, not graph elements: every instance
 //! construct is one row in [`Dictionary::instances`], keyed by an OID
-//! minted from the dictionary graph's generator. Every link of Figure 9 is
-//! functional (a construct references one schema construct, an edge has
-//! one source and one target, an attribute one owner), so each is a column
-//! on its functional side, the relational tactic of Section 5.3 (`RESIDES`
-//! and `BELONGS_TO` in Figure 8):
+//! minted from the dictionary graph's generator. The node OIDs are minted
+//! first, as one block with one OID per node slot of the data graph, so
+//! data node `n`'s instance OID is the block's first plus `n` (see
+//! [`InstanceMap`]); edge and attribute OIDs follow in row order. A row's
+//! key is a fresh OID, so no row can repeat: the load appends the rows
+//! through [`FactDb::extend_distinct`], without a dedup table.
+//!
+//! Every link of Figure 9 is functional (a construct references one
+//! schema construct, an edge has one source and one target, an attribute
+//! one owner), so each is a column on its functional side, the relational
+//! tactic of Section 5.3 (`RESIDES` and `BELONGS_TO` in Figure 8):
 //!
 //! | relation | row | meaning |
 //! |---|---|---|
@@ -67,10 +73,58 @@ pub struct LoadStats {
 }
 
 /// The correspondence between a loaded instance and the source data graph.
-#[derive(Debug, Default)]
+///
+/// The load mints the instance OIDs of the data graph's node slots as one
+/// consecutive block, so data node `n`'s `I_SM_Node` OID is the block's
+/// first plus `n`, and resolving an instance OID is a subtraction. A
+/// bitmap marks the nodes the load wrote: a node without a schema label,
+/// or a removed node's slot, has an OID in the block but no instance.
+#[derive(Debug)]
 pub struct InstanceMap {
-    /// `I_SM_Node` OID → data node.
-    pub instance_to_node: FxHashMap<Oid, NodeId>,
+    /// The instance OID of node slot 0.
+    base: Oid,
+    /// Bit `n` is set when data node `n` was loaded.
+    loaded: Vec<u64>,
+}
+
+impl InstanceMap {
+    /// A map whose node slots `0..slots` own the OIDs from `base` on, with
+    /// no node loaded yet.
+    fn new(base: Oid, slots: usize) -> Self {
+        InstanceMap {
+            base,
+            loaded: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    /// The instance OID of the node in slot `n`.
+    fn oid(&self, n: NodeId) -> Oid {
+        Oid::new(self.base.space(), self.base.payload() + u64::from(n.0))
+    }
+
+    /// Mark data node `n` as loaded.
+    fn mark(&mut self, n: NodeId) {
+        self.loaded[n.0 as usize >> 6] |= 1 << (n.0 & 63);
+    }
+
+    /// The instance OID of data node `n`, if it was loaded.
+    fn instance(&self, n: NodeId) -> Option<Oid> {
+        self.is_loaded(n.0 as u64).then(|| self.oid(n))
+    }
+
+    /// True if node slot `slot` (any value) holds a loaded node.
+    fn is_loaded(&self, slot: u64) -> bool {
+        let word = usize::try_from(slot >> 6).ok();
+        word.and_then(|w| self.loaded.get(w))
+            .is_some_and(|w| (w >> (slot & 63)) & 1 == 1)
+    }
+
+    /// The data node loaded as the `I_SM_Node` `oid`, if any.
+    pub fn node(&self, oid: Oid) -> Option<NodeId> {
+        let slot = oid.payload().checked_sub(self.base.payload())?;
+        let ours = oid.space() == self.base.space() && self.is_loaded(slot);
+        ours.then_some(NodeId(slot as u32))
+    }
 }
 
 /// Load a data graph (an instance of the PG schema generated from
@@ -95,7 +149,6 @@ pub(crate) fn load_with(
     data: &PropertyGraph,
 ) -> Result<(LoadStats, InstanceMap)> {
     let mut stats = LoadStats::default();
-    let mut map = InstanceMap::default();
     let iv = Value::Int(instance_oid);
 
     // The schema labels the data graph knows, with their names, keyed by
@@ -112,11 +165,16 @@ pub(crate) fn load_with(
         .filter_map(|(e, l)| Some((known(e)?, (e.as_str(), l))))
         .collect();
 
-    // OIDs are minted one per construct, in the order the rows are written.
+    // One OID per node slot as one block, then one per edge and attribute
+    // in the order the rows are written. Each relation is resolved once.
     let g = &dict.graph;
     let db = &mut dict.instances;
+    let node_rel = db.relation_id(I_SM_NODE, 3)?;
+    let attr_rel = db.relation_id(I_SM_ATTR, 4)?;
+    let edge_rel = db.relation_id(I_SM_EDGE, 5)?;
+    let slots = data.node_slots();
+    let mut map = InstanceMap::new(g.fresh_oids(slots as u64), slots);
     let o = Value::Oid;
-    let mut instance_of: FxHashMap<NodeId, Oid> = FxHashMap::default();
     let nodes_span = kgm_runtime::span!("intensional.load.nodes");
     for n in data.nodes() {
         let best = data
@@ -128,14 +186,13 @@ pub(crate) fn load_with(
             stats.skipped_nodes += 1;
             continue;
         };
-        let inode = g.fresh_oid();
-        db.insert_ref(I_SM_NODE, &[o(inode), iv.clone(), o(ty.oid)])?;
+        let inode = map.oid(n);
+        db.extend_distinct(node_rel, [[o(inode), iv.clone(), o(ty.oid)]])?;
         stats.nodes += 1;
-        instance_of.insert(n, inode);
-        map.instance_to_node.insert(inode, n);
+        map.mark(n);
         let props = |name: &str| data.node_prop(n, name);
         let element = || format!("node {} ({label})", data.node_oid(n));
-        stats.attributes += load_attributes(g, db, inode, &ty.attrs, element, props)?;
+        stats.attributes += load_attributes(g, db, attr_rel, inode, &ty.attrs, element, props)?;
     }
     drop(nodes_span);
 
@@ -146,28 +203,30 @@ pub(crate) fn load_with(
             continue;
         };
         let (f, t) = data.edge_endpoints(e);
-        let (Some(&fi), Some(&ti)) = (instance_of.get(&f), instance_of.get(&t)) else {
+        let (Some(fi), Some(ti)) = (map.instance(f), map.instance(t)) else {
             stats.skipped_edges += 1;
             continue;
         };
         let iedge = g.fresh_oid();
-        db.insert_ref(I_SM_EDGE, &[o(iedge), iv.clone(), o(ty.oid), o(fi), o(ti)])?;
+        let row = [o(iedge), iv.clone(), o(ty.oid), o(fi), o(ti)];
+        db.extend_distinct(edge_rel, [row])?;
         stats.edges += 1;
         let props = |name: &str| data.edge_prop(e, name);
         let element = || format!("edge {} ({label})", data.edge_oid(e));
-        stats.attributes += load_attributes(g, db, iedge, &ty.attrs, element, props)?;
+        stats.attributes += load_attributes(g, db, attr_rel, iedge, &ty.attrs, element, props)?;
     }
     Ok((stats, map))
 }
 
-/// Write an `I_SM_Attribute` of `owner` for every attribute of `attrs`,
-/// holding [`absent`] where the element has no value for an optional one;
-/// returns how many. An element without a value for a mandatory attribute
-/// is a `Constraint` error that names it by `element` (its data-graph OID
-/// and label).
+/// Write into the `i_sm_attr` relation `rel` an `I_SM_Attribute` of
+/// `owner` for every attribute of `attrs`, holding [`absent`] where the
+/// element has no value for an optional one; returns how many. An element
+/// without a value for a mandatory attribute is a `Constraint` error that
+/// names it by `element` (its data-graph OID and label).
 fn load_attributes<'d>(
     g: &PropertyGraph,
     db: &mut FactDb,
+    rel: u32,
     owner: Oid,
     attrs: &[CatalogAttr],
     element: impl Fn() -> String,
@@ -188,7 +247,7 @@ fn load_attributes<'d>(
             }
         };
         let row = [o(g.fresh_oid()), o(owner), o(attr.oid), value];
-        db.insert_ref(I_SM_ATTR, &row)?;
+        db.extend_distinct(rel, [row])?;
         written += 1;
     }
     Ok(written)

@@ -367,6 +367,7 @@ pub fn materialize_with(
         let catalog = dict.catalog(schema, SCHEMA_OID)?;
         drop(catalog_span);
         let (_lstats, imap) = load_with(&mut dict, &catalog, INSTANCE_OID, data)?;
+        telemetry::record_resident();
         Ok::<_, KgmError>((dict, catalog, imap))
     });
     let (mut dict, catalog, imap) = loaded?;
@@ -382,7 +383,7 @@ pub fn materialize_with(
         // The loaded instance relations are the chase's input.
         let instances = std::mem::take(&mut dict.instances);
 
-        let db = match mode {
+        let mut db = match mode {
             MaterializationMode::SinglePass => {
                 let mut program = vi;
                 program.extend(mtv.program);
@@ -421,6 +422,13 @@ pub fn materialize_with(
                 db
             }
         };
+        // The instance level is a staging area for the chase (§6): the
+        // flush reads only the output relations, so nothing else outlives
+        // the reasoning.
+        let (node, nattr) = Kind::Node.outputs();
+        let (edge, eattr) = Kind::Edge.outputs();
+        db.retain_relations(&[node, nattr, edge, eattr]);
+        telemetry::record_resident();
         Ok::<_, KgmError>(db)
     });
     let db = reasoned?;
@@ -428,7 +436,9 @@ pub fn materialize_with(
 
     // --- Flush (line 9).
     let (flushed, flush_ms) = telemetry::time("intensional.flush", String::new(), || {
-        flush(&db, &dict, schema, &imap, data, &mut stats)
+        let flushed = flush(&db, &dict, schema, &imap, data, &mut stats);
+        telemetry::record_resident();
+        flushed
     });
     flushed?;
     stats.flush_ms = flush_ms;
@@ -454,9 +464,7 @@ fn flush(
         let sm_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_node without SM oid".into()))?;
-        let loaded = t[0]
-            .as_oid()
-            .and_then(|oid| imap.instance_to_node.get(&oid).copied());
+        let loaded = t[0].as_oid().and_then(|oid| imap.node(oid));
         if let Some(n) = loaded.or_else(|| node_of.get(&t[0]).copied()) {
             node_of.insert(t[0].clone(), n);
             continue;
@@ -501,7 +509,7 @@ fn flush(
     // created by vo_node.
     let resolve_endpoint = |v: &Value| -> Option<NodeId> {
         v.as_oid()
-            .and_then(|oid| imap.instance_to_node.get(&oid).copied())
+            .and_then(|oid| imap.node(oid))
             .or_else(|| node_of.get(v).copied())
     };
     for t in db.facts_iter("vo_edge") {
@@ -789,6 +797,33 @@ mod tests {
             children("intensional.flush"),
             ["intensional.flush.nodes", "intensional.flush.edges"]
         );
+    }
+
+    #[test]
+    fn materialize_records_the_resident_set_as_each_phase_closes() {
+        let collector = telemetry::Collector::install();
+        let mut g = ownership_graph();
+        let mode = MaterializationMode::Staged;
+        materialize(&mut g, &company_schema(), CONTROL, mode).unwrap();
+        let roots = collector.finish();
+        let root = roots
+            .iter()
+            .find(|r| r.name == "intensional.materialize")
+            .expect("materialize opens its root span");
+        let proc_status = telemetry::resident_kib().is_some();
+        for phase in [
+            "intensional.load",
+            "intensional.reason",
+            "intensional.flush",
+        ] {
+            let span = root
+                .find(phase)
+                .unwrap_or_else(|| panic!("no {phase} span"));
+            for key in ["vm_hwm_kib", "vm_rss_kib"] {
+                let got = span.counter(key);
+                assert_eq!(got.is_some_and(|kib| kib > 0), proc_status, "{phase} {key}");
+            }
+        }
     }
 
     #[test]

@@ -603,6 +603,18 @@ impl PropertyGraph {
         self.oid_gen.fresh()
     }
 
+    /// Mint `n` consecutive OIDs from this graph's generator, as
+    /// [`PropertyGraph::fresh_oid`] mints one, and return the first.
+    pub fn fresh_oids(&self, n: u64) -> Oid {
+        self.oid_gen.fresh_block(n)
+    }
+
+    /// Number of node ids handed out, removed nodes included: every
+    /// [`NodeId`] of this graph is below it.
+    pub fn node_slots(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Resolve an OID back to its node.
     pub fn node_by_oid(&self, oid: Oid) -> Option<NodeId> {
         let i = self.nodes.binary_search_by_key(&oid, |n| n.oid).ok()?;
@@ -996,6 +1008,8 @@ mod tests {
         AddNodeLabel(usize, usize),
         AddUnique(usize, usize),
         FreshOid,
+        /// Mint a block of this many OIDs.
+        FreshOids(u64),
     }
 
     fn gen_graph_ops(rng: &mut Rng) -> Vec<Op> {
@@ -1046,7 +1060,8 @@ mod tests {
                     rng.gen_range(0..NODE_LABELS.len()),
                     rng.gen_range(0..KEYS.len()),
                 ),
-                _ => Op::FreshOid,
+                96..=97 => Op::FreshOid,
+                _ => Op::FreshOids(rng.gen_range(0u64..4)),
             })
             .collect()
     }
@@ -1283,6 +1298,11 @@ mod tests {
                     self.mint();
                     Outcome::Ok(None)
                 }
+                Op::FreshOids(n) => {
+                    let first = self.minted + 1;
+                    self.minted += n;
+                    Outcome::Ok(Some(first as u32))
+                }
             }
         }
     }
@@ -1322,6 +1342,7 @@ mod tests {
                 g.fresh_oid();
                 Outcome::Ok(None)
             }
+            Op::FreshOids(n) => Outcome::Ok(Some(g.fresh_oids(*n).payload() as u32)),
         }
     }
 
@@ -1337,6 +1358,7 @@ mod tests {
             .map(|i| EdgeId(i as u32))
             .collect();
         prop_assert_eq!(g.node_count(), live_nodes.len());
+        prop_assert_eq!(g.node_slots(), m.nodes.len());
         prop_assert_eq!(g.edge_count(), live_edges.len());
         prop_assert_eq!(g.nodes().collect::<Vec<_>>(), live_nodes);
         prop_assert_eq!(g.edges().collect::<Vec<_>>(), live_edges);

@@ -344,6 +344,31 @@ pub fn record(key: &str, value: i64) {
     });
 }
 
+/// The process's peak and current resident set in KiB: `VmHWM` and
+/// `VmRSS` of `/proc/self/status`. `None` where that file, or either line,
+/// is missing.
+pub fn resident_kib() -> Option<(i64, i64)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = |key: &str| -> Option<i64> {
+        let line = status.lines().find_map(|l| l.strip_prefix(key))?;
+        line.trim().strip_suffix("kB")?.trim().parse().ok()
+    };
+    Some((field("VmHWM:")?, field("VmRSS:")?))
+}
+
+/// Record the process's `vm_hwm_kib` and `vm_rss_kib` ([`resident_kib`])
+/// on the innermost open span, as a phase closes. Reads nothing when no
+/// span is open, and records nothing where the figures are missing.
+pub fn record_resident() {
+    if STATE.with(|s| s.borrow().stack.is_empty()) {
+        return;
+    }
+    if let Some((hwm, rss)) = resident_kib() {
+        record("vm_hwm_kib", hwm);
+        record("vm_rss_kib", rss);
+    }
+}
+
 /// Append a fully-measured leaf child to the innermost open span — for
 /// metrics whose time is accumulated across many disjoint slices (per-rule
 /// chase totals) rather than scoped by one guard.
@@ -746,6 +771,24 @@ mod tests {
         assert_eq!(root.span_count(), 3);
         assert!(root.find("inner").is_some());
         assert!(root.find("absent").is_none());
+    }
+
+    #[test]
+    fn the_resident_set_is_recorded_on_the_open_span() {
+        record_resident(); // no span is open: nothing to record on
+        let c = Collector::install();
+        {
+            let _phase = kgm_runtime::span!("phase");
+            record_resident();
+        }
+        let phase = &c.finish()[0];
+        let (hwm, rss) = (phase.counter("vm_hwm_kib"), phase.counter("vm_rss_kib"));
+        if resident_kib().is_some() {
+            let (hwm, rss) = (hwm.expect("VmHWM"), rss.expect("VmRSS"));
+            assert!(hwm >= rss && rss > 0, "{hwm} {rss}");
+        } else {
+            assert!(phase.counters.is_empty(), "{:?}", phase.counters);
+        }
     }
 
     #[test]

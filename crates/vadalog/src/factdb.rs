@@ -12,7 +12,14 @@
 //! - **Tuple dedup**: a [`SlotTable`] from the class-cell tuple hash to the
 //!   row, whose equality test reads the row back from the columns, so no
 //!   tuple and no hash is stored a second time. It replaces the
-//!   `FxHashSet<Vec<Value>>` that used to store every tuple twice.
+//!   `FxHashSet<Vec<Value>>` that used to store every tuple twice. Like a
+//!   join index it records how far it reaches: rows a loader appends
+//!   through [`FactDb::extend_distinct`], whose contract is that they
+//!   cannot repeat, are not hashed at all until a dedup insert into the
+//!   same relation catches the table up, and [`FactDb::contains`] /
+//!   [`FactDb::find_id`] scan the rows it does not reach yet. Algorithm 2's
+//!   instance relations, keyed by freshly minted OIDs and never probed,
+//!   so never build a dedup table.
 //! - **Join indexes**: per key-position set, the ascending rows of every
 //!   distinct key, built incrementally by the single writer via
 //!   [`Relation::ensure_index`] for the join orders an iteration evaluates,
@@ -437,6 +444,9 @@ pub(crate) struct Relation {
     rows: usize,
     /// Dedup index: class-cell tuple hash → row, compared on the columns.
     table: SlotTable,
+    /// Rows `0..deduped` are reflected in `table`; the tail, appended by
+    /// [`FactDb::extend_distinct`], is not.
+    deduped: usize,
     indexes: FxHashMap<Vec<usize>, Index>,
     /// Tombstone bitmap (lazily sized): dead rows stay physically present
     /// but are invisible to probes, lookups, iteration and live counts.
@@ -456,6 +466,7 @@ impl Relation {
             cols: (0..arity).map(|_| Vec::new()).collect(),
             rows: 0,
             table: SlotTable::default(),
+            deduped: 0,
             indexes: FxHashMap::default(),
             dead: Vec::new(),
             dead_rows: 0,
@@ -507,29 +518,76 @@ impl Relation {
         &self.cols[col]
     }
 
+    /// True if `row` is live and holds the packed **class-cell** `key`.
+    #[inline]
+    fn holds(&self, row: usize, key: &[u64], class: Classes) -> bool {
+        self.cols
+            .iter()
+            .zip(key)
+            .all(|(c, &k)| class.of(c[row]) == k)
+            && !self.is_dead(row)
+    }
+
     /// Row index of a *live* tuple given its packed **class-cell** key and
-    /// that key's hash, if present. A dead row matching the key does not
-    /// end the probe — a live re-insert of the same tuple may sit in a
-    /// later slot.
+    /// that key's hash, if the dedup table reaches it. A dead row matching
+    /// the key does not end the probe — a live re-insert of the same tuple
+    /// may sit in a later slot.
+    #[inline]
+    fn find_deduped(&self, h: u64, key: &[u64], class: Classes) -> Option<u32> {
+        self.table.find(h, |r| self.holds(r as usize, key, class))
+    }
+
+    /// [`Relation::find_deduped`], then a scan of the rows the dedup table
+    /// does not reach yet, so a read-only probe is exact at any time.
     fn find(&self, h: u64, key: &[u64], class: Classes) -> Option<u32> {
-        self.table.find(h, |r| {
-            let row = r as usize;
-            self.cols
-                .iter()
-                .zip(key)
-                .all(|(c, &k)| class.of(c[row]) == k)
-                && !self.is_dead(row)
+        self.find_deduped(h, key, class).or_else(|| {
+            (self.deduped..self.rows)
+                .find(|&row| self.holds(row, key, class))
+                .map(|row| row as u32)
         })
     }
 
+    /// Bring the dedup table up to every row, as a dedup insert needs it.
+    /// One compare while it already is.
+    #[inline]
+    fn dedup_all(&mut self, class: Classes) {
+        if self.deduped < self.rows {
+            self.dedup_tail(class);
+        }
+    }
+
+    /// Fold rows `deduped..rows` into the dedup table. A dead row never
+    /// matches a probe, so it is left out.
+    #[cold]
+    fn dedup_tail(&mut self, class: Classes) {
+        for row in self.deduped..self.rows {
+            if self.is_dead(row) {
+                continue;
+            }
+            let h = hash_ids(self.cols.iter().map(|c| class.of(c[row])));
+            let dead = &self.dead;
+            self.table
+                .insert_keeping(h, row as u32, |r| !bit_get(dead, r as usize));
+        }
+        self.deduped = self.rows;
+    }
+
     /// Append a row known (by the caller) to be absent and under the row
-    /// cap; `h` is its class-cell tuple hash. Tombstoned rows drop out of
-    /// the dedup table when this insert grows it.
+    /// cap, into a dedup table that reaches every row; `h` is its
+    /// class-cell tuple hash. Tombstoned rows drop out of the dedup table
+    /// when this insert grows it.
     fn append_row(&mut self, h: u64, ids: &[u64]) {
-        debug_assert!(self.rows < MAX_ROWS_PER_RELATION);
         let dead = &self.dead;
         self.table
             .insert_keeping(h, self.rows as u32, |r| !bit_get(dead, r as usize));
+        self.push(ids);
+        self.deduped = self.rows;
+    }
+
+    /// Append the cells of a row under the row cap, without touching the
+    /// dedup table.
+    fn push(&mut self, ids: &[u64]) {
+        debug_assert!(self.rows < MAX_ROWS_PER_RELATION);
         self.rows += 1;
         for (c, &id) in self.cols.iter_mut().zip(ids) {
             c.push(id);
@@ -619,8 +677,9 @@ impl Relation {
 /// speaks [`Value`]s: iteration materializes tuples on demand (a `Value`
 /// clone is at most an `Arc` bump), containment and insertion translate
 /// through the pool, and [`FactDb::extend`] streams a loader's rows into
-/// one relation. The chase's writer inserts exact cells under a predicate
-/// id instead ([`FactDb::insert_cells`]).
+/// one relation ([`FactDb::extend_distinct`] when they cannot repeat). The
+/// chase's writer inserts exact cells under a predicate id instead
+/// ([`FactDb::insert_cells`]).
 #[derive(Default)]
 pub struct FactDb {
     pool: ValuePool,
@@ -679,7 +738,7 @@ impl FactDb {
     /// The predicate id of `predicate`, creating its relation with `arity`
     /// columns if it has none yet. Creation order numbers the relations,
     /// and so the high half of every [`FactId`].
-    pub(crate) fn relation_id(&mut self, predicate: &str, arity: usize) -> Result<u32> {
+    pub fn relation_id(&mut self, predicate: &str, arity: usize) -> Result<u32> {
         // Probe by `&str`: only a new relation allocates its name.
         if let Some(&pred) = self.ids.get(predicate) {
             return Ok(pred);
@@ -695,15 +754,25 @@ impl FactDb {
     /// Insert `tuple` into relation `pred`, interning its values.
     fn insert_values(&mut self, pred: u32, tuple: &[Value]) -> Result<Option<FactId>> {
         self.check_arity(pred, tuple.len())?;
+        self.with_cells(tuple, |db, cells| db.insert_cells(pred, cells))
+    }
+
+    /// Run `f` on the exact cells of `tuple`, interned in the pool into a
+    /// reused scratch row.
+    fn with_cells<T>(
+        &mut self,
+        tuple: &[Value],
+        f: impl FnOnce(&mut Self, &[u64]) -> Result<T>,
+    ) -> Result<T> {
         let mut cells = std::mem::take(&mut self.scratch);
         cells.clear();
         let interned = tuple.iter().try_for_each(|v| {
             cells.push(self.pool.intern(v)?);
             Ok(())
         });
-        let inserted = interned.and_then(|()| self.insert_cells(pred, &cells));
+        let out = interned.and_then(|()| f(self, &cells));
         self.scratch = cells;
-        inserted
+        out
     }
 
     /// Insert the row of **exact cells** `cells` into relation `pred` (a
@@ -720,7 +789,8 @@ impl FactDb {
             .extend(cells.iter().map(|&c| classes.of(c)));
         let h = hash_ids(self.scratch_class.iter().copied());
         let rel = &mut self.rels[pred as usize];
-        if rel.find(h, &self.scratch_class, classes).is_some() {
+        rel.dedup_all(classes);
+        if rel.find_deduped(h, &self.scratch_class, classes).is_some() {
             return Ok(None);
         }
         guard_row_capacity(&self.pred_names[pred as usize], rel.rows())?;
@@ -762,6 +832,39 @@ impl FactDb {
             p.remove(id);
         }
         Ok(false)
+    }
+
+    /// Bulk append of rows the caller knows to be distinct, from each
+    /// other and from every live tuple of relation `pred` (a
+    /// [`FactDb::relation_id`]): a loader's rows keyed by a freshly minted
+    /// OID, say. This is the dedup-free sibling of [`FactDb::extend`]: a
+    /// row pays no dedup hash, probe or slot, and its relation's dedup
+    /// table catches up at the relation's next dedup insert. A row that
+    /// repeats a live tuple breaks the contract: the store then holds the
+    /// tuple twice. Returns how many rows were appended; errors as
+    /// [`FactDb::insert_id`] does.
+    ///
+    /// # Panics
+    /// Panics if `pred` names no relation of this store.
+    pub fn extend_distinct<R: AsRef<[Value]>>(
+        &mut self,
+        pred: u32,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize> {
+        let mut n = 0;
+        for row in rows {
+            let row = row.as_ref();
+            self.check_arity(pred, row.len())?;
+            self.with_cells(row, |db, cells| {
+                let rel = &mut db.rels[pred as usize];
+                guard_row_capacity(&db.pred_names[pred as usize], rel.rows())?;
+                rel.push(cells);
+                db.total += 1;
+                Ok(())
+            })?;
+            n += 1;
+        }
+        Ok(n)
     }
 
     /// Bulk insert.
@@ -834,11 +937,11 @@ impl FactDb {
     }
 
     /// A read-only copy of this store for one serving epoch: columns, dedup
-    /// tables, tombstone bitmaps, predicate names and the value pool. The
-    /// copy numbers its predicates in name order, so its name list is
-    /// sorted. Join indexes, provenance and the chase's resume state stay
-    /// behind; reads need none of them. Later inserts, tombstones and index
-    /// builds here never reach the copy.
+    /// tables (caught up to every row), tombstone bitmaps, predicate names
+    /// and the value pool. The copy numbers its predicates in name order,
+    /// so its name list is sorted. Join indexes, provenance and the chase's
+    /// resume state stay behind; reads need none of them. Later inserts,
+    /// tombstones and index builds here never reach the copy.
     pub(crate) fn frozen(&self) -> FactDb {
         let pred_names = self.predicates();
         let rels = pred_names
@@ -846,17 +949,20 @@ impl FactDb {
             .enumerate()
             .map(|(pid, name)| {
                 let rel = self.rel(name).expect("a listed predicate");
-                Relation {
+                let mut copy = Relation {
                     arity: rel.arity,
                     pred_id: pid as u32,
                     cols: rel.cols.clone(),
                     rows: rel.rows,
                     table: rel.table.clone(),
+                    deduped: rel.deduped,
                     indexes: FxHashMap::default(),
                     dead: rel.dead.clone(),
                     dead_rows: rel.dead_rows,
                     derived: Vec::new(),
-                }
+                };
+                copy.dedup_all(self.pool.classes());
+                copy
             })
             .collect();
         let ids = pred_names
@@ -1011,6 +1117,23 @@ impl FactDb {
         }
         self.total -= n;
         n
+    }
+
+    /// Keep only the relations named in `keep`, with their rows and
+    /// [`FactId`]s, and the value pool. Every other relation frees its
+    /// columns, dedup table, join indexes and bitmaps and reads as empty
+    /// (its name and predicate id stay), and the chase's resume state and
+    /// provenance go: a store whose chase is over and whose reader needs
+    /// only some relations, such as Algorithm 2's flush, holds no more.
+    pub fn retain_relations(&mut self, keep: &[&str]) {
+        for (rel, name) in self.rels.iter_mut().zip(&self.pred_names) {
+            if !keep.contains(&name.as_str()) {
+                self.total -= rel.live();
+                *rel = Relation::new(rel.arity, rel.pred_id);
+            }
+        }
+        self.chase_state = None;
+        self.prov = None;
     }
 
     /// Store the engine's resume state (overwriting any previous state).
@@ -1484,11 +1607,62 @@ mod tests {
         assert!(grown < 4_000_000, "columnar accounting exploded: {grown}");
     }
 
+    #[test]
+    fn retain_relations_keeps_rows_and_ids_and_frees_the_rest() {
+        let program = crate::parser::parse_program(
+            "e(1, 2). e(2, 3). e(3, 1).\n\
+             e(X, Y) -> t(X, Y).\n\
+             t(X, Y), e(Y, Z) -> t(X, Z).\n\
+             t(X, Y) -> out(X, N).",
+        )
+        .unwrap();
+        let config = crate::EngineConfig {
+            provenance: true,
+            ..crate::EngineConfig::default()
+        };
+        let mut db = FactDb::new();
+        crate::Engine::with_config(program, config)
+            .unwrap()
+            .run(&mut db)
+            .unwrap();
+        assert!(db.chase_state.is_some() && db.prov_edges() > 0);
+        let out = db.facts("out");
+        let ids: Vec<Option<FactId>> = out.iter().map(|t| db.find_id("out", t)).collect();
+        let (total, bytes) = (db.total_facts(), db.approx_bytes());
+        assert!(db.len("t") > 0 && total > out.len());
+
+        db.retain_relations(&["out"]);
+        // The kept relation keeps its rows and their ids.
+        assert_eq!(db.facts("out"), out);
+        let kept: Vec<Option<FactId>> = out.iter().map(|t| db.find_id("out", t)).collect();
+        assert_eq!(kept, ids);
+        // The others read as empty and hold nothing.
+        for pred in ["e", "t"] {
+            assert_eq!(db.len(pred), 0, "{pred}");
+            assert_eq!(db.facts_iter(pred).count(), 0, "{pred}");
+            let rel = db.rel(pred).unwrap();
+            assert_eq!(rel.approx_bytes(), Relation::new(2, 0).approx_bytes());
+        }
+        assert!(!db.contains("e", &[Value::Int(1), Value::Int(2)]));
+        assert_eq!(db.total_facts(), out.len());
+        assert!(
+            db.approx_bytes() < bytes,
+            "{bytes} -> {}",
+            db.approx_bytes()
+        );
+        // The resume state and provenance are gone.
+        assert!(db.chase_state.is_none());
+        assert!(!db.provenance_enabled());
+    }
+
     /// One step of the index model check.
     #[derive(Debug, Clone)]
     enum Op {
         /// Insert a tuple, one value per column.
         Insert(Vec<Val>),
+        /// Append a tuple through [`FactDb::extend_distinct`], when no live
+        /// tuple equals it.
+        Append(Vec<Val>),
         /// Build or catch up the index over these positions.
         Ensure(Vec<usize>),
         /// Tombstone physical row `n % rows`.
@@ -1521,6 +1695,8 @@ mod tests {
     /// Both index layouts occur: an index over every position stays unique
     /// (dedup keeps its keys distinct) until a tombstoned tuple comes back,
     /// and one over fewer positions converts on its first repeated key.
+    /// Appends leave the dedup table behind the rows, so later inserts,
+    /// tombstones and probes meet a table that lags.
     fn gen_ops(rng: &mut Rng) -> (usize, Vec<Op>) {
         let arity = rng.gen_range(1usize..4);
         let domain = rng.gen_range(2i64..40);
@@ -1543,7 +1719,8 @@ mod tests {
         let positions = |rng: &mut Rng| (0..arity).filter(|_| rng.gen_bool(0.5)).collect();
         let ops = (0..steps)
             .map(|_| match rng.gen_range(0u32..100) {
-                0..=54 => Op::Insert((0..arity).map(|_| draw(rng)).collect()),
+                0..=41 => Op::Insert((0..arity).map(|_| draw(rng)).collect()),
+                42..=54 => Op::Append((0..arity).map(|_| draw(rng)).collect()),
                 55..=64 => Op::Ensure(positions(rng)),
                 65..=71 => Op::Tombstone(rng.gen_range(0usize..1_000)),
                 _ => {
@@ -1573,8 +1750,9 @@ mod tests {
     }
 
     /// Runs `ops` against a store and a row-list model; every insert must
-    /// agree on novelty, and every lookup must return the ascending live
-    /// model rows in range whose values equal the key.
+    /// agree on novelty, every lookup must return the ascending live model
+    /// rows in range whose values equal the key, and at the end the store
+    /// and a frozen copy of it must find every live tuple at its row.
     fn index_matches_scan(ops: &[Op]) -> std::result::Result<Seen, CaseError> {
         let mut db = FactDb::new();
         let mut model: Vec<(Vec<Value>, bool)> = Vec::new();
@@ -1592,6 +1770,14 @@ mod tests {
                     let got = db.insert_id("r", &tuple).unwrap();
                     prop_assert_eq!(got, novel.then(|| fact_id(0, model.len() as u32)));
                     if novel {
+                        model.push((tuple, true));
+                    }
+                }
+                Op::Append(t) => {
+                    let tuple: Vec<Value> = t.iter().copied().map(value).collect();
+                    if !model.iter().any(|(row, live)| *live && *row == tuple) {
+                        let pred = db.relation_id("r", tuple.len()).unwrap();
+                        prop_assert_eq!(db.extend_distinct(pred, [&tuple]).unwrap(), 1);
                         model.push((tuple, true));
                     }
                 }
@@ -1628,9 +1814,16 @@ mod tests {
                 }
             }
         }
+        let live = model.iter().filter(|(_, live)| *live).count();
+        prop_assert_eq!(db.total_facts(), live);
+        let frozen = db.frozen();
+        if let Some(rel) = frozen.rel("r") {
+            prop_assert_eq!(rel.deduped, rel.rows);
+        }
         for (r, (tuple, live)) in model.iter().enumerate() {
             if *live {
                 prop_assert_eq!(db.find_id("r", tuple), Some(fact_id(0, r as u32)));
+                prop_assert_eq!(frozen.find_id("r", tuple), Some(fact_id(0, r as u32)));
             }
         }
         let indexes: Vec<&Index> = db

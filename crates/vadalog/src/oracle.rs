@@ -995,11 +995,35 @@ fn eval_exact_rule(
 /// before not-yet-assigned ones (compared by their colour, then by their
 /// first-occurrence pattern *within* the fact — `p(ν1, ν1)` and
 /// `p(ν2, ν3)` get different keys regardless of payloads).
+/// A ground term borrows its key from the fact's [`Labelled`] entry.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum CanonKey {
-    Ground(String),
+enum CanonKey<'a> {
+    Ground(&'a str),
     Assigned(u8, usize),
     Local(u8, usize, usize),
+}
+
+/// A fact that holds invented values, with what its key never changes in
+/// while the labelling runs: the predicate, and the ground key of each
+/// ground term (`None` at an invented value), each computed once.
+struct Labelled {
+    pred: String,
+    tuple: Vec<Value>,
+    ground: Vec<Option<String>>,
+}
+
+impl Labelled {
+    fn new(pred: String, tuple: Vec<Value>) -> Self {
+        let ground = tuple
+            .iter()
+            .map(|v| is_invented(v).is_none().then(|| ground_key(v)))
+            .collect();
+        Labelled {
+            pred,
+            tuple,
+            ground,
+        }
+    }
 }
 
 fn space_rank(space: OidSpace) -> u8 {
@@ -1031,17 +1055,19 @@ fn ground_key(v: &Value) -> String {
 
 /// The key of one fact: its predicate, then its terms, where an unassigned
 /// invented value is keyed by its colour and its first position among the
-/// fact's unassigned values.
-fn fact_key(
-    pred: &str,
-    tuple: &[Value],
+/// fact's unassigned values. The predicate and the ground terms borrow
+/// their keys from `fact`.
+fn fact_key<'a>(
+    fact: &'a Labelled,
     assigned: &FxHashMap<Oid, usize>,
     colour: &FxHashMap<Oid, usize>,
-) -> (String, Vec<CanonKey>) {
+) -> (&'a str, Vec<CanonKey<'a>>) {
     let mut local: FxHashMap<Oid, usize> = FxHashMap::default();
-    let keys = tuple
+    let keys = fact
+        .tuple
         .iter()
-        .map(|v| match is_invented(v) {
+        .zip(&fact.ground)
+        .map(|(v, ground)| match is_invented(v) {
             Some((oid, rank)) => match assigned.get(&oid) {
                 Some(&id) => CanonKey::Assigned(rank, id),
                 None => {
@@ -1050,10 +1076,10 @@ fn fact_key(
                     CanonKey::Local(rank, colour.get(&oid).copied().unwrap_or(0), first)
                 }
             },
-            None => CanonKey::Ground(ground_key(v)),
+            None => CanonKey::Ground(ground.as_deref().expect("a ground term's key")),
         })
         .collect();
-    (pred.to_string(), keys)
+    (&fact.pred, keys)
 }
 
 /// Colour refinement over the invented values of `facts`. Every value
@@ -1062,17 +1088,17 @@ fn fact_key(
 /// among the fact's invented values, and renumbers the distinct keys in
 /// sorted order. Rounds stop when no colour class splits. Nothing here reads
 /// input order or payloads, so isomorphic fact sets get the same colours.
-fn colours(facts: &[(String, Vec<Value>)]) -> FxHashMap<Oid, usize> {
+fn colours(facts: &[Labelled]) -> FxHashMap<Oid, usize> {
     let unassigned = FxHashMap::default();
     let mut colour: FxHashMap<Oid, usize> = FxHashMap::default();
     let mut classes = 1;
     loop {
-        type Occurrence = ((String, Vec<CanonKey>), usize);
+        type Occurrence<'a> = ((&'a str, Vec<CanonKey<'a>>), usize);
         let mut seen: FxHashMap<Oid, Vec<Occurrence>> = FxHashMap::default();
-        for (pred, tuple) in facts {
-            let key = fact_key(pred, tuple, &unassigned, &colour);
+        for fact in facts {
+            let key = fact_key(fact, &unassigned, &colour);
             let mut local: Vec<Oid> = Vec::new();
-            for (oid, _) in tuple.iter().filter_map(is_invented) {
+            for (oid, _) in fact.tuple.iter().filter_map(is_invented) {
                 if !local.contains(&oid) {
                     seen.entry(oid)
                         .or_default()
@@ -1145,13 +1171,17 @@ pub fn canonical_facts_rows(db: &RowDb) -> Vec<String> {
 fn canonical_lines(facts: Vec<(String, Vec<Value>)>) -> Vec<String> {
     let mut lines: Vec<String> = Vec::with_capacity(facts.len());
     // A fact without invented values takes no part in the labelling.
-    let (mut facts, ground): (Vec<_>, Vec<_>) = facts
+    let (facts, ground): (Vec<_>, Vec<_>) = facts
         .into_iter()
         .partition(|(_, t)| t.iter().any(|v| is_invented(v).is_some()));
     for (pred, tuple) in ground {
         let rendered: Vec<String> = tuple.iter().map(ground_key).collect();
         lines.push(format!("{pred}({})", rendered.join(", ")));
     }
+    let mut facts: Vec<Labelled> = facts
+        .into_iter()
+        .map(|(pred, tuple)| Labelled::new(pred, tuple))
+        .collect();
     let colour = colours(&facts);
     let mut assigned: FxHashMap<Oid, usize> = FxHashMap::default();
     let mut next: [usize; 3] = [0; 3];
@@ -1162,13 +1192,15 @@ fn canonical_lines(facts: Vec<(String, Vec<Value>)>) -> Vec<String> {
         let (idx, _) = facts
             .iter()
             .enumerate()
-            .map(|(i, (p, t))| (i, fact_key(p, t, &assigned, &colour)))
+            .map(|(i, fact)| (i, fact_key(fact, &assigned, &colour)))
             .min_by(|a, b| a.1.cmp(&b.1))
             .expect("nonempty");
-        let (pred, tuple) = facts.swap_remove(idx);
-        let rendered: Vec<String> = tuple
+        let fact = facts.swap_remove(idx);
+        let rendered: Vec<String> = fact
+            .tuple
             .iter()
-            .map(|v| match is_invented(v) {
+            .zip(fact.ground)
+            .map(|(v, ground)| match is_invented(v) {
                 Some((oid, rank)) => {
                     let id = *assigned.entry(oid).or_insert_with(|| {
                         let id = next[rank as usize];
@@ -1178,10 +1210,10 @@ fn canonical_lines(facts: Vec<(String, Vec<Value>)>) -> Vec<String> {
                     let sigil = if rank == 1 { "ν" } else { "σ" };
                     format!("{sigil}{id}")
                 }
-                None => ground_key(v),
+                None => ground.expect("a ground term's key"),
             })
             .collect();
-        lines.push(format!("{pred}({})", rendered.join(", ")));
+        lines.push(format!("{}({})", fact.pred, rendered.join(", ")));
     }
     lines.sort();
     lines

@@ -6,7 +6,8 @@
 #    workspace (all deps must be kgm-* path crates).
 # 2. Build + test fully offline — proves an empty cargo registry suffices.
 # 3. Observability smoke: a profiled harness run must produce a valid JSON
-#    run report, and the committed reference run BENCH_kgbench.json must be
+#    run report whose `intensional.flush` span carries `vm_hwm_kib`, and
+#    the committed reference run BENCH_kgbench.json must be
 #    valid JSON. The script ends by checking that `git status --porcelain`
 #    reads exactly as it did when the script started: the smokes write
 #    only under target/, and none of them regenerates BENCH_kgbench.json
@@ -263,7 +264,15 @@ if [ ! -f "$report" ]; then
 fi
 cargo run --release --offline -q -p kgm-bench --bin paper-harness -- \
     validate-json "$report" BENCH_kgbench.json
-echo "ok: run report written and valid; BENCH_kgbench.json valid"
+# Each Algorithm 2 phase records the process's peak resident set as it
+# closes, so the report tells which phase set the peak. Both greps read
+# their input to EOF, so pipefail sees no SIGPIPE.
+if ! grep -o '"name": "intensional.flush"[^[]*' "$report" |
+    grep '"vm_hwm_kib": [0-9]' >/dev/null; then
+    echo "ERROR: $report carries no vm_hwm_kib on intensional.flush" >&2
+    exit 1
+fi
+echo "ok: run report written and valid, with the flush's vm_hwm_kib; BENCH_kgbench.json valid"
 
 echo "== staging smoke =="
 # E10 runs Algorithm 2 single-pass and staged over one seeded registry;
