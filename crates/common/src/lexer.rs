@@ -1,23 +1,33 @@
-//! The lexical grammar Vadalog and MetaLog share.
+//! The lexical grammar of every text language in the workspace: Vadalog,
+//! MetaLog, GSL, the Cypher fragment of `@input` annotations and the
+//! serving queries.
 //!
 //! MTV pastes MetaLog scalar text (conditions, assignments, aggregates)
-//! verbatim into the Vadalog it generates and parses the result, so the two
-//! languages must agree on every token; one lexer makes that hold by
-//! construction. It decodes characters: identifiers may start with any
-//! Unicode letter, string literals keep their characters, and any other
-//! character outside the token set is a line-numbered error.
+//! verbatim into the Vadalog it generates and parses the result, and it
+//! writes Cypher patterns and string constants into that Vadalog, so the
+//! languages must agree on every token and every escape; one lexer and one
+//! string encoder ([`quote`]) make that hold by construction. The lexer
+//! decodes characters: identifiers may start with any Unicode letter,
+//! string literals keep their characters, and any other character outside
+//! the token set is a line-numbered error.
 //!
-//! The token set is the union of what the two grammars use, with no mode;
-//! each parser rejects the punctuation it has no rule for:
+//! The token set is the union of what the grammars use, with no mode; each
+//! parser rejects the punctuation it has no rule for:
 //!
-//! - punctuation `( ) [ ] , . ; : = < > + - * / | ! @` and
-//!   `-> == != <= >= && ||`;
+//! - punctuation `( ) [ ] { } , . ; : = < > + - * / | ! @ ~` and
+//!   `-> == != <= >= && || ..`;
 //! - `%` and `#` comments, to end of line;
 //! - double-quoted strings with the escapes `\n`, `\t`, `\"` and `\\`;
-//! - integers and floats (`digits[.digits]`; a sign is the parser's `-`);
+//! - integers and finite floats (`digits[.digits][e[+-]digits]`, so that a
+//!   float reads back as Rust's `{:?}` writes it, exponent included; a sign
+//!   is the parser's `-`);
 //! - identifiers: a Unicode letter or `_`, then letters, digits or `_`.
+//!
+//! One language reads `#` otherwise: a serving point query spells a ground
+//! OID `#payload`, which the serving layer reads itself where the lexer
+//! would skip a comment.
 
-use kgm_common::{KgmError, Result};
+use crate::{KgmError, Result};
 
 /// A token.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +49,9 @@ pub struct Spanned {
 }
 
 /// Every punctuation token, two-character ones first so `->` wins over `-`.
-const PUNCT: [&str; 25] = [
-    "->", "==", "!=", "<=", ">=", "&&", "||", "(", ")", "[", "]", ",", ".", ";", ":", "=", "<",
-    ">", "+", "-", "*", "/", "|", "!", "@",
+const PUNCT: [&str; 29] = [
+    "->", "==", "!=", "<=", ">=", "&&", "||", "..", "(", ")", "[", "]", "{", "}", ",", ".", ";",
+    ":", "=", "<", ">", "+", "-", "*", "/", "|", "!", "@", "~",
 ];
 
 /// Split `src` into tokens. Errors are [`KgmError::Parse`] in language
@@ -74,10 +84,15 @@ pub fn lex(lang: &'static str, src: &str) -> Result<Vec<Spanned>> {
             c if c.is_ascii_digit() => {
                 let int = digits(rest);
                 let frac = rest[int..].strip_prefix('.').map_or(0, digits);
-                let text = &rest[..if frac > 0 { int + 1 + frac } else { int }];
+                let mantissa = if frac > 0 { int + 1 + frac } else { int };
+                let text = &rest[..mantissa + exponent(&rest[mantissa..])];
                 pos += text.len();
-                let tok = if frac > 0 {
-                    text.parse().map(Tok::Float).ok()
+                let tok = if text.len() > int {
+                    // An exponent past f64's range is an error, not infinity.
+                    text.parse()
+                        .ok()
+                        .filter(|f: &f64| f.is_finite())
+                        .map(Tok::Float)
                 } else {
                     text.parse().map(Tok::Int).ok()
                 };
@@ -114,6 +129,19 @@ fn digits(s: &str) -> usize {
     s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len())
 }
 
+/// Byte length of the exponent (`e`, an optional sign, digits) that starts
+/// `s`, or 0 when none does.
+fn exponent(s: &str) -> usize {
+    let Some(e) = s.strip_prefix('e') else {
+        return 0;
+    };
+    let sign = usize::from(e.starts_with(['+', '-']));
+    match digits(&e[sign..]) {
+        0 => 0,
+        n => 1 + sign + n,
+    }
+}
+
 /// Decode the string literal that starts `rest` (at its opening quote),
 /// returning its value and its length in bytes.
 fn string(rest: &str) -> std::result::Result<(String, usize), String> {
@@ -135,6 +163,24 @@ fn string(rest: &str) -> std::result::Result<(String, usize), String> {
         }
     }
     Err("unterminated string".into())
+}
+
+/// The string literal that [`lex`] decodes to `s`: `s` in double quotes,
+/// with `\\`, `"`, newline and tab escaped.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// A parser's position in a token stream, with the helpers every grammar
@@ -189,6 +235,30 @@ impl Cursor {
             Ok(())
         } else {
             Err(self.error(format!("expected `{p}`, found {:?}", self.peek())))
+        }
+    }
+
+    /// Consume the keyword `w` (an identifier token) if it comes next.
+    pub fn eat_word(&mut self, w: &str) -> bool {
+        let hit = matches!(self.peek(), Some(Tok::Ident(s)) if s == w);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consume the keyword `w`, or fail.
+    pub fn expect_word(&mut self, w: &str) -> Result<()> {
+        if self.eat_word(w) {
+            Ok(())
+        } else {
+            Err(self.error(format!("expected `{w}`, found {:?}", self.peek())))
+        }
+    }
+
+    /// Fail unless every token has been consumed.
+    pub fn end(&self) -> Result<()> {
+        match self.peek() {
+            None => Ok(()),
+            Some(t) => Err(self.error(format!("expected end of input, found {t:?}"))),
         }
     }
 
@@ -267,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn punctuation_is_the_union_of_both_grammars() {
+    fn punctuation_is_the_union_of_every_grammar() {
         let all: Vec<Tok> = PUNCT.iter().map(|p| Tok::Punct(p)).collect();
         assert_eq!(toks(&PUNCT.join(" ")), all);
         assert_eq!(
@@ -283,6 +353,63 @@ mod tests {
                 Tok::Float(2.5),
             ]
         );
+        // A GSL cardinality: `..` after an integer is not its fraction.
+        assert_eq!(
+            toks("[0..N]"),
+            vec![
+                Tok::Punct("["),
+                Tok::Int(0),
+                Tok::Punct(".."),
+                Tok::Ident("N".into()),
+                Tok::Punct("]"),
+            ]
+        );
+    }
+
+    #[test]
+    fn floats_read_back_as_rust_writes_them() {
+        for f in [7.407370117889618e-5, 1e20, 1.5e300, 2.5, 0.1 + 0.2] {
+            assert_eq!(toks(&format!("{f:?}")), vec![Tok::Float(f)], "{f:?}");
+        }
+        assert_eq!(toks("2e+3"), vec![Tok::Float(2000.0)]);
+        assert_eq!(
+            toks("1else 2e-x"),
+            vec![
+                Tok::Int(1),
+                Tok::Ident("else".into()),
+                Tok::Int(2),
+                Tok::Ident("e".into()),
+                Tok::Punct("-"),
+                Tok::Ident("x".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn quote_is_the_inverse_of_string_decoding() {
+        for s in [
+            "",
+            "plain",
+            "a\nb",
+            "say \"hi\"",
+            "back\\slash",
+            "tab\tend",
+            "città «€» 🦀",
+        ] {
+            assert_eq!(toks(&quote(s)), vec![Tok::Str(s.into())], "{s:?}");
+        }
+        assert_eq!(quote("a\"b\\\n\t"), r#""a\"b\\\n\t""#);
+    }
+
+    #[test]
+    fn keywords_are_identifier_tokens() {
+        let mut c = Cursor::new("Test", "schema S").unwrap();
+        assert!(!c.eat_word("node") && c.eat_word("schema"));
+        let err = c.expect_word("node").unwrap_err().to_string();
+        assert!(err.contains("expected `node`"), "{err}");
+        assert!(c.end().is_err());
+        assert_eq!(c.ident().unwrap(), "S");
+        assert!(c.end().is_ok());
     }
 
     #[test]
@@ -292,6 +419,7 @@ mod tests {
             ("\n\n\"x", 3),
             ("\"\\é\"", 1),
             ("a\n99999999999999999999", 2),
+            ("\n\n\n1e400", 4),
         ] {
             let err = lex("Test", src).unwrap_err().to_string();
             assert!(err.contains(&format!("line {line}:")), "{src:?}: {err}");

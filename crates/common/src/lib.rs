@@ -3,8 +3,8 @@
 //! Shared foundations for the KGModel workspace: object identifiers, typed
 //! values, deterministic (linker) Skolem functors, a fast non-cryptographic
 //! hasher, a string interner, the value pool with its open-addressing id
-//! tables, and the segment arena that packs many growable lists into one
-//! allocation.
+//! tables, the segment arena that packs many growable lists into one
+//! allocation, and the one lexer of every text language ([`lexer`]).
 //!
 //! Every construct in the KGModel representation stack — meta-constructs,
 //! super-constructs, model constructs, and their instances — is identified by
@@ -18,6 +18,7 @@ pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod interner;
+pub mod lexer;
 pub mod oid;
 pub mod pool;
 pub mod segments;

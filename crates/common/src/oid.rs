@@ -35,6 +35,9 @@ const PAYLOAD_MASK: u64 = (1 << SPACE_SHIFT) - 1;
 pub struct Oid(u64);
 
 impl Oid {
+    /// The largest payload an OID holds.
+    pub const MAX_PAYLOAD: u64 = PAYLOAD_MASK;
+
     /// Construct an OID from a space tag and payload.
     ///
     /// # Panics

@@ -23,376 +23,165 @@
 use crate::supermodel::{
     Cardinality, Modifier, SmAttribute, SmEdge, SmGeneralization, SmNode, SuperSchema,
 };
-use kgm_common::{KgmError, Result, ValueType};
+use kgm_common::lexer::{quote, Cursor, Tok};
+use kgm_common::{Result, ValueType};
 
-struct Lexer {
-    pos: usize,
-    line: u32,
+/// Parse and validate a GSL schema. Its tokens are those of
+/// [`kgm_common::lexer`].
+pub fn parse_gsl(src: &str) -> Result<SuperSchema> {
+    let mut c = Cursor::new("GSL", src)?;
+    c.expect_word("schema")?;
+    let mut schema = SuperSchema::new(c.ident()?);
+    c.expect("{")?;
+    while !c.eat("}") {
+        let intensional = c.eat_word("intensional");
+        if c.eat_word("node") {
+            let name = c.ident()?;
+            let attributes = attributes(&mut c)?;
+            schema.add_node(SmNode {
+                name,
+                is_intensional: intensional,
+                attributes,
+            });
+        } else if c.eat_word("edge") {
+            schema.add_edge(edge(&mut c, intensional)?);
+        } else if !intensional && c.eat_word("generalization") {
+            schema.add_generalization(generalization(&mut c)?);
+        } else {
+            return Err(c.error(format!(
+                "expected `node`, `edge` or `generalization`, found {:?}",
+                c.peek()
+            )));
+        }
+    }
+    c.end()?;
+    schema.validate()?;
+    Ok(schema)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Str(String),
-    Punct(char),
-    Arrow,
-    Range, // ..
+/// A node's or an edge's attributes: `{ attribute; … }` (`;` separators
+/// are optional before `}`), or `;` for none.
+fn attributes(c: &mut Cursor) -> Result<Vec<SmAttribute>> {
+    let mut attributes = Vec::new();
+    if !c.eat("{") {
+        c.expect(";")?;
+        return Ok(attributes);
+    }
+    while !c.eat("}") {
+        attributes.push(attribute(c)?);
+        while c.eat(";") {}
+    }
+    Ok(attributes)
 }
 
-impl Lexer {
-    fn tokens(src: &str) -> Result<Vec<(Tok, u32)>> {
-        let mut lx = Lexer { pos: 0, line: 1 };
-        let mut out = Vec::new();
-        let bytes = src.as_bytes();
-        while let Some(c) = src[lx.pos..].chars().next() {
-            match c {
-                '\n' => {
-                    lx.line += 1;
-                    lx.pos += 1;
-                }
-                c if c.is_whitespace() => lx.pos += c.len_utf8(),
-                '%' | '#' => {
-                    while lx.pos < bytes.len() && bytes[lx.pos] != b'\n' {
-                        lx.pos += 1;
-                    }
-                }
-                '"' => {
-                    lx.pos += 1;
-                    let start = lx.pos;
-                    while lx.pos < bytes.len() && bytes[lx.pos] != b'"' {
-                        if bytes[lx.pos] == b'\n' {
-                            return Err(KgmError::parse(
-                                "GSL",
-                                format!("line {}: unterminated string", lx.line),
-                            ));
-                        }
-                        lx.pos += 1;
-                    }
-                    if lx.pos >= bytes.len() {
-                        return Err(KgmError::parse(
-                            "GSL",
-                            format!("line {}: unterminated string", lx.line),
-                        ));
-                    }
-                    out.push((Tok::Str(src[start..lx.pos].to_string()), lx.line));
-                    lx.pos += 1;
-                }
-                c if c.is_alphanumeric() || c == '_' => {
-                    let rest = &src[lx.pos..];
-                    let len = rest
-                        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                        .unwrap_or(rest.len());
-                    out.push((Tok::Ident(rest[..len].to_string()), lx.line));
-                    lx.pos += len;
-                }
-                '-' if bytes.get(lx.pos + 1) == Some(&b'>') => {
-                    out.push((Tok::Arrow, lx.line));
-                    lx.pos += 2;
-                }
-                '.' if bytes.get(lx.pos + 1) == Some(&b'.') => {
-                    out.push((Tok::Range, lx.line));
-                    lx.pos += 2;
-                }
-                '{' | '}' | '(' | ')' | '[' | ']' | ':' | ';' | ',' => {
-                    out.push((Tok::Punct(c), lx.line));
-                    lx.pos += 1;
-                }
-                _ => {
-                    return Err(KgmError::parse(
-                        "GSL",
-                        format!("line {}: unexpected `{c}`", lx.line),
-                    ))
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-struct Parser {
-    toks: Vec<(Tok, u32)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn error(&self, msg: impl Into<String>) -> KgmError {
-        let line = self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0);
-        KgmError::parse("GSL", format!("line {line}: {}", msg.into()))
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.peek().cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Tok::Punct(c)) {
-            self.pos += 1;
-            true
+fn attribute(c: &mut Cursor) -> Result<SmAttribute> {
+    let (mut is_id, mut is_opt, mut is_intensional) = (false, false, false);
+    loop {
+        if c.eat_word("id") {
+            is_id = true;
+        } else if c.eat_word("opt") {
+            is_opt = true;
+        } else if c.eat_word("intensional") {
+            is_intensional = true;
         } else {
-            false
-        }
-    }
-
-    fn expect_punct(&mut self, c: char) -> Result<()> {
-        if self.eat_punct(c) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{c}`, found {:?}", self.peek())))
-        }
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
-        if self.eat_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{kw}`, found {:?}", self.peek())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.next() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(self.error(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn schema(&mut self) -> Result<SuperSchema> {
-        self.expect_kw("schema")?;
-        let name = self.ident()?;
-        self.expect_punct('{')?;
-        let mut schema = SuperSchema::new(name);
-        loop {
-            if self.eat_punct('}') {
-                break;
-            }
-            let intensional = self.eat_kw("intensional");
-            if self.eat_kw("node") {
-                let node = self.node(intensional)?;
-                schema.add_node(node);
-            } else if self.eat_kw("edge") {
-                let edge = self.edge(intensional)?;
-                schema.add_edge(edge);
-            } else if !intensional && self.eat_kw("generalization") {
-                let g = self.generalization()?;
-                schema.add_generalization(g);
-            } else {
-                return Err(self.error(format!(
-                    "expected `node`, `edge` or `generalization`, found {:?}",
-                    self.peek()
-                )));
-            }
-        }
-        if self.peek().is_some() {
-            return Err(self.error("trailing input after schema"));
-        }
-        schema.validate()?;
-        Ok(schema)
-    }
-
-    fn node(&mut self, is_intensional: bool) -> Result<SmNode> {
-        let name = self.ident()?;
-        let mut attributes = Vec::new();
-        if self.eat_punct('{') {
-            loop {
-                if self.eat_punct('}') {
-                    break;
-                }
-                attributes.push(self.attribute()?);
-                // `;` separators are optional before `}`.
-                while self.eat_punct(';') {}
-            }
-        } else {
-            // Nodes without a body still need a terminator.
-            self.expect_punct(';')?;
-        }
-        Ok(SmNode {
-            name,
-            is_intensional,
-            attributes,
-        })
-    }
-
-    fn attribute(&mut self) -> Result<SmAttribute> {
-        let mut is_id = false;
-        let mut is_opt = false;
-        let mut is_intensional = false;
-        loop {
-            if self.eat_kw("id") {
-                is_id = true;
-            } else if self.eat_kw("opt") {
-                is_opt = true;
-            } else if self.eat_kw("intensional") {
-                is_intensional = true;
-            } else {
-                break;
-            }
-        }
-        let name = self.ident()?;
-        self.expect_punct(':')?;
-        let ty_name = self.ident()?;
-        let ty = ValueType::parse(&ty_name)
-            .ok_or_else(|| self.error(format!("unknown type `{ty_name}`")))?;
-        let mut modifiers = Vec::new();
-        loop {
-            if self.eat_kw("unique") {
-                modifiers.push(Modifier::Unique);
-            } else if self.eat_kw("enum") {
-                self.expect_punct('(')?;
-                let mut values = Vec::new();
-                loop {
-                    match self.next() {
-                        Some(Tok::Str(s)) => values.push(s),
-                        other => {
-                            return Err(
-                                self.error(format!("expected string in enum, found {other:?}"))
-                            )
-                        }
-                    }
-                    if self.eat_punct(',') {
-                        continue;
-                    }
-                    break;
-                }
-                self.expect_punct(')')?;
-                modifiers.push(Modifier::Enum(values));
-            } else {
-                break;
-            }
-        }
-        Ok(SmAttribute {
-            name,
-            ty,
-            is_opt,
-            is_id,
-            is_intensional,
-            modifiers,
-        })
-    }
-
-    fn cardinality(&mut self) -> Result<Cardinality> {
-        // "[" ("0"|"1") ".." ("1"|"N") "]"
-        self.expect_punct('[')?;
-        let min = self.ident()?;
-        if self.peek() != Some(&Tok::Range) {
-            return Err(self.error("expected `..` in cardinality"));
-        }
-        self.pos += 1;
-        let max = self.ident()?;
-        self.expect_punct(']')?;
-        let is_opt = match min.as_str() {
-            "0" => true,
-            "1" => false,
-            other => return Err(self.error(format!("cardinality min must be 0 or 1, got {other}"))),
-        };
-        let is_fun = match max.as_str() {
-            "1" => true,
-            "N" | "n" => false,
-            other => return Err(self.error(format!("cardinality max must be 1 or N, got {other}"))),
-        };
-        Ok(Cardinality { is_opt, is_fun })
-    }
-
-    fn edge(&mut self, is_intensional: bool) -> Result<SmEdge> {
-        let name = self.ident()?;
-        self.expect_punct(':')?;
-        let from = self.ident()?;
-        let from_card = if self.peek() == Some(&Tok::Punct('[')) {
-            self.cardinality()?
-        } else {
-            Cardinality::many()
-        };
-        if self.next() != Some(Tok::Arrow) {
-            return Err(self.error("expected `->` in edge declaration"));
-        }
-        let to_card = if self.peek() == Some(&Tok::Punct('[')) {
-            self.cardinality()?
-        } else {
-            Cardinality::many()
-        };
-        let to = self.ident()?;
-        let mut attributes = Vec::new();
-        if self.eat_punct('{') {
-            loop {
-                if self.eat_punct('}') {
-                    break;
-                }
-                attributes.push(self.attribute()?);
-                while self.eat_punct(';') {}
-            }
-        } else {
-            self.expect_punct(';')?;
-        }
-        Ok(SmEdge {
-            name,
-            from,
-            to,
-            is_intensional,
-            from_card,
-            to_card,
-            attributes,
-        })
-    }
-
-    fn generalization(&mut self) -> Result<SmGeneralization> {
-        let mut is_total = false;
-        let mut is_disjoint = false;
-        loop {
-            if self.eat_kw("total") {
-                is_total = true;
-            } else if self.eat_kw("disjoint") {
-                is_disjoint = true;
-            } else {
-                break;
-            }
-        }
-        let parent = self.ident()?;
-        if self.next() != Some(Tok::Arrow) {
-            return Err(self.error("expected `->` in generalization"));
-        }
-        let mut children = Vec::new();
-        loop {
-            children.push(self.ident()?);
-            if self.eat_punct(',') {
-                continue;
-            }
             break;
         }
-        self.expect_punct(';')?;
-        Ok(SmGeneralization {
-            parent,
-            children,
-            is_total,
-            is_disjoint,
-        })
     }
+    let name = c.ident()?;
+    c.expect(":")?;
+    let ty_name = c.ident()?;
+    let ty =
+        ValueType::parse(&ty_name).ok_or_else(|| c.error(format!("unknown type `{ty_name}`")))?;
+    let mut modifiers = Vec::new();
+    loop {
+        if c.eat_word("unique") {
+            modifiers.push(Modifier::Unique);
+        } else if c.eat_word("enum") {
+            c.expect("(")?;
+            let mut values = vec![c.string()?];
+            while c.eat(",") {
+                values.push(c.string()?);
+            }
+            c.expect(")")?;
+            modifiers.push(Modifier::Enum(values));
+        } else {
+            break;
+        }
+    }
+    Ok(SmAttribute {
+        name,
+        ty,
+        is_opt,
+        is_id,
+        is_intensional,
+        modifiers,
+    })
 }
 
-/// Parse and validate a GSL schema.
-pub fn parse_gsl(src: &str) -> Result<SuperSchema> {
-    let toks = Lexer::tokens(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    p.schema()
+/// An optional `[min..max]`, where min is 0 or 1 and max is 1 or N; absent
+/// means `[0..N]`.
+fn cardinality(c: &mut Cursor) -> Result<Cardinality> {
+    if !c.eat("[") {
+        return Ok(Cardinality::many());
+    }
+    let is_opt = match c.next() {
+        Some(Tok::Int(0)) => true,
+        Some(Tok::Int(1)) => false,
+        other => return Err(c.error(format!("cardinality min must be 0 or 1, got {other:?}"))),
+    };
+    c.expect("..")?;
+    let is_fun = match c.next() {
+        Some(Tok::Int(1)) => true,
+        Some(Tok::Ident(n)) if n == "N" || n == "n" => false,
+        other => return Err(c.error(format!("cardinality max must be 1 or N, got {other:?}"))),
+    };
+    c.expect("]")?;
+    Ok(Cardinality { is_opt, is_fun })
+}
+
+fn edge(c: &mut Cursor, is_intensional: bool) -> Result<SmEdge> {
+    let name = c.ident()?;
+    c.expect(":")?;
+    let from = c.ident()?;
+    let from_card = cardinality(c)?;
+    c.expect("->")?;
+    let to_card = cardinality(c)?;
+    let to = c.ident()?;
+    Ok(SmEdge {
+        name,
+        from,
+        to,
+        is_intensional,
+        from_card,
+        to_card,
+        attributes: attributes(c)?,
+    })
+}
+
+fn generalization(c: &mut Cursor) -> Result<SmGeneralization> {
+    let (mut is_total, mut is_disjoint) = (false, false);
+    loop {
+        if c.eat_word("total") {
+            is_total = true;
+        } else if c.eat_word("disjoint") {
+            is_disjoint = true;
+        } else {
+            break;
+        }
+    }
+    let parent = c.ident()?;
+    c.expect("->")?;
+    let mut children = vec![c.ident()?];
+    while c.eat(",") {
+        children.push(c.ident()?);
+    }
+    c.expect(";")?;
+    Ok(SmGeneralization {
+        parent,
+        children,
+        is_total,
+        is_disjoint,
+    })
 }
 
 /// Emit a super-schema back as GSL source. `parse_gsl(&to_gsl(s)) == s`
@@ -417,7 +206,7 @@ pub fn to_gsl(schema: &SuperSchema) -> String {
             match m {
                 Modifier::Unique => line.push_str(" unique"),
                 Modifier::Enum(values) => {
-                    let vs: Vec<String> = values.iter().map(|v| format!("\"{v}\"")).collect();
+                    let vs: Vec<String> = values.iter().map(|v| quote(v)).collect();
                     line.push_str(&format!(" enum({})", vs.join(", ")));
                 }
             }

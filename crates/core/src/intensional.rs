@@ -35,7 +35,7 @@
 use crate::dictionary::{Catalog, CatalogAttr, CatalogLabel, ConstructNames, Dictionary};
 use crate::instances::{load_with, InstanceMap, I_SM_ATTR, I_SM_EDGE, I_SM_NODE};
 use crate::supermodel::SuperSchema;
-use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, Result, Symbol, Value};
+use kgm_common::{FxHashMap, KgmError, Oid, Result, Value};
 use kgm_metalog::{parse_metalog, translate, MetaProgram, PgSchema};
 use kgm_pgstore::{NodeId, PropertyGraph};
 use kgm_runtime::telemetry;
@@ -456,17 +456,19 @@ fn flush(
 ) -> Result<()> {
     let mut names = ConstructNames::new(dict);
     let nodes_span = kgm_runtime::span!("intensional.flush.nodes");
-    // vo_node(I, ⟨SM_Node⟩): resolve each identity to a data node once —
-    // ground instance OIDs through the load map, labelled nulls and Skolems
-    // to a node created on first sight.
-    let mut node_of: FxHashMap<Value, NodeId> = FxHashMap::default();
+    // vo_node(I, ⟨SM_Node⟩): a loaded instance resolves through the load
+    // map; a labelled null or a Skolem value gets a node on first sight.
+    let mut created: FxHashMap<Value, NodeId> = FxHashMap::default();
+    let node_of = |created: &FxHashMap<Value, NodeId>, v: &Value| -> Option<NodeId> {
+        v.as_oid()
+            .and_then(|oid| imap.node(oid))
+            .or_else(|| created.get(v).copied())
+    };
     for t in db.facts_iter("vo_node") {
         let sm_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_node without SM oid".into()))?;
-        let loaded = t[0].as_oid().and_then(|oid| imap.node(oid));
-        if let Some(n) = loaded.or_else(|| node_of.get(&t[0]).copied()) {
-            node_of.insert(t[0].clone(), n);
+        if node_of(&created, &t[0]).is_some() {
             continue;
         }
         let labels = names
@@ -474,14 +476,14 @@ fn flush(
             .ok_or_else(|| KgmError::NotFound(format!("SM_Node oid {sm_oid:?}")))?;
         let n = data.add_node(labels, vec![])?;
         stats.new_nodes += 1;
-        node_of.insert(t[0].clone(), n);
+        created.insert(t[0].clone(), n);
     }
     // vo_nattr(I, ⟨SM_Attribute⟩, V): set known, non-null values.
     for t in db.facts_iter("vo_nattr") {
         if t[2].is_labelled_null() {
             continue; // unknown / absent value
         }
-        let Some(&n) = node_of.get(&t[0]) else {
+        let Some(n) = node_of(&created, &t[0]) else {
             continue;
         };
         let attr_oid = t[1]
@@ -497,21 +499,11 @@ fn flush(
     }
     drop(nodes_span);
     let _edges_span = kgm_runtime::span!("intensional.flush.edges");
-    // vo_edge(IE, F, T, ⟨SM_Edge⟩): create missing edges, dedup on
-    // (label, endpoints).
+    // vo_edge(IE, F, T, ⟨SM_Edge⟩): add each edge whose endpoints resolve
+    // and that the data graph lacks (by label and endpoints). Only
+    // vo_eattr reads which edge an identity became.
     let mut edge_of: FxHashMap<Value, kgm_pgstore::EdgeId> = FxHashMap::default();
-    let mut existing: FxHashSet<(Symbol, NodeId, NodeId)> = FxHashSet::default();
-    for e in data.edges() {
-        let (f, t) = data.edge_endpoints(e);
-        existing.insert((data.edge_label_sym(e), f, t));
-    }
-    // Endpoints must be resolvable: either loaded instance nodes or nodes
-    // created by vo_node.
-    let resolve_endpoint = |v: &Value| -> Option<NodeId> {
-        v.as_oid()
-            .and_then(|oid| imap.node(oid))
-            .or_else(|| node_of.get(v).copied())
-    };
+    let edge_attrs = db.len("vo_eattr") > 0;
     for t in db.facts_iter("vo_edge") {
         let sm_oid = t[3]
             .as_oid()
@@ -519,14 +511,16 @@ fn flush(
         let label = names
             .get(sm_oid)
             .ok_or_else(|| KgmError::NotFound("SM_Edge".into()))?;
-        let (Some(f), Some(tt)) = (resolve_endpoint(&t[1]), resolve_endpoint(&t[2])) else {
+        let (Some(f), Some(tt)) = (node_of(&created, &t[1]), node_of(&created, &t[2])) else {
             continue;
         };
-        if !existing.insert((data.sym(label), f, tt)) {
+        if data.has_edge(f, data.sym(label), tt) {
             continue;
         }
         let e = data.add_edge(f, tt, label, vec![])?;
-        edge_of.insert(t[0].clone(), e);
+        if edge_attrs {
+            edge_of.insert(t[0].clone(), e);
+        }
         stats.new_edges += 1;
     }
     for t in db.facts_iter("vo_eattr") {

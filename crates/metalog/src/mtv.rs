@@ -23,9 +23,10 @@
 
 use crate::ast::{EdgeAtom, MetaBodyElem, MetaProgram, MetaRule, NodeAtom, PathPattern, PathRegex};
 use crate::schema::PgSchema;
+use kgm_common::lexer::quote;
 use kgm_common::{FxHashMap, FxHashSet, KgmError, Result, Value};
 use kgm_runtime::telemetry;
-use kgm_vadalog::{parse_program, Program};
+use kgm_vadalog::{parse_program, printer, Program};
 
 use crate::ast::TermLike;
 
@@ -59,25 +60,12 @@ impl<'a> Gen<'a> {
     }
 }
 
-fn literal(v: &Value) -> Result<String> {
-    Ok(match v {
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => format!("{f:?}"),
-        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-        Value::Date(d) => d.to_string(),
-        Value::Oid(_) => {
-            return Err(KgmError::Translation(
-                "OID constants cannot appear in MetaLog source".to_string(),
-            ))
-        }
-    })
-}
-
 fn term_text(t: &TermLike) -> Result<String> {
     match t {
         TermLike::Var(v) => Ok(v.clone()),
-        TermLike::Const(c) => literal(c),
+        TermLike::Const(c) => printer::literal(c).map_err(|_| {
+            KgmError::Translation("OID constants cannot appear in MetaLog source".to_string())
+        }),
     }
 }
 
@@ -590,8 +578,10 @@ pub fn translate(meta: &MetaProgram, schema: &PgSchema, graph: &str) -> Result<M
     for l in sorted_nodes {
         let props = gen.schema.node_props(l)?.join(",");
         annotations.push(format!(
-            "@input({l}, nodes, \"{}\", \"{l}\", \"{props}\").",
-            gen.graph
+            "@input({l}, nodes, {}, {}, {}).",
+            quote(gen.graph),
+            quote(l),
+            quote(&props)
         ));
     }
     let mut sorted_edges: Vec<&String> = body_edge_labels.iter().collect();
@@ -599,8 +589,10 @@ pub fn translate(meta: &MetaProgram, schema: &PgSchema, graph: &str) -> Result<M
     for l in sorted_edges {
         let props = gen.schema.edge_props(l)?.join(",");
         annotations.push(format!(
-            "@input({l}, edges, \"{}\", \"{l}\", \"{props}\").",
-            gen.graph
+            "@input({l}, edges, {}, {}, {}).",
+            quote(gen.graph),
+            quote(l),
+            quote(&props)
         ));
     }
     let mut sorted_heads: Vec<&String> = head_labels.iter().collect();

@@ -16,14 +16,14 @@
 //! `-` is the postfix inverse, `.` concatenation, `|` alternation, `*` the
 //! Kleene star. Scalar body elements (conditions, assignments, aggregates)
 //! are kept as verbatim text and re-emitted into the generated Vadalog; the
-//! tokens are those of [`kgm_vadalog::lexer`], so that text lexes the same
+//! tokens are those of [`kgm_common::lexer`], so that text lexes the same
 //! in both languages.
 
 use crate::ast::{
     EdgeAtom, MetaBodyElem, MetaProgram, MetaRule, NodeAtom, PathPattern, PathRegex, TermLike,
 };
+use kgm_common::lexer::{Cursor, Tok};
 use kgm_common::{Result, Value};
-use kgm_vadalog::lexer::{Cursor, Tok};
 use std::ops::{Deref, DerefMut};
 
 /// The grammar, over the token helpers of [`Cursor`]; `src` is kept for
@@ -87,10 +87,7 @@ impl Parser<'_> {
 
     #[allow(clippy::collapsible_match)]
     fn body_elem(&mut self) -> Result<MetaBodyElem> {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == "not")
-            && matches!(self.peek_at(1), Some(Tok::Punct("(")))
-        {
-            self.pos += 1;
+        if matches!(self.peek_at(1), Some(Tok::Punct("("))) && self.eat_word("not") {
             let n = self.node_atom()?;
             return Ok(MetaBodyElem::NegatedNode(n));
         }

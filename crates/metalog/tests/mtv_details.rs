@@ -166,3 +166,30 @@ fn unicode_labels_and_string_constants_survive_translation() {
         other => panic!("expected one equality condition, got {other:?}"),
     }
 }
+
+#[test]
+fn string_constants_with_escapes_translate_and_chase_to_their_decoded_value() {
+    let mut catalog = PgSchema::new();
+    catalog.declare_node("A", ["p"]).declare_edge("TAG", ["t"]);
+    for (lit, value) in [
+        (r#""a\nb""#, "a\nb"),
+        (r#""tab\there""#, "tab\there"),
+        (r#""say \"hi\"""#, "say \"hi\""),
+        (r#""back\\slash""#, "back\\slash"),
+    ] {
+        let meta =
+            parse_metalog(&format!("(x: A; p: {lit}) -> (x)[e: TAG; t: {lit}](x).")).unwrap();
+        let out = translate(&meta, &catalog, "g").unwrap_or_else(|e| panic!("{lit}: {e}"));
+        assert_eq!(parse_program(&out.vadalog_source).unwrap(), out.program);
+        let engine = Engine::new(out.program).unwrap();
+        let rows = vec![
+            vec![Value::Int(1), Value::str(value)],
+            vec![Value::Int(2), Value::str("other")],
+        ];
+        let (db, _) = engine.run_with_facts(&[("A", rows)]).unwrap();
+        let tags = db.facts("TAG");
+        assert_eq!(tags.len(), 1, "{lit}: {tags:?}");
+        assert_eq!(tags[0][1], Value::Int(1), "{lit}");
+        assert_eq!(tags[0][3], Value::str(value), "{lit}");
+    }
+}

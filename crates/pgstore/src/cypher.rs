@@ -13,7 +13,8 @@
 
 use crate::graph::{Direction, PropertyGraph};
 use crate::pattern::{EdgePattern, NodePattern};
-use kgm_common::{KgmError, Result, Value};
+use kgm_common::lexer::{Cursor, Tok};
+use kgm_common::{Result, Value};
 
 /// A parsed `@input` query.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,142 +43,52 @@ pub enum CypherQuery {
     },
 }
 
-struct Scanner<'a> {
-    text: &'a str,
-    pos: usize,
+/// A variable and an optional label: `var? (:Label)?`.
+fn var_label(c: &mut Cursor) -> Result<(String, Option<String>)> {
+    let var = match c.peek() {
+        Some(Tok::Ident(_)) => c.ident()?,
+        _ => String::new(),
+    };
+    let label = if c.eat(":") { Some(c.ident()?) } else { None };
+    Ok((var, label))
 }
 
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Scanner { text, pos: 0 }
-    }
+/// `(var? (:Label)?)`
+fn node_pattern(c: &mut Cursor) -> Result<(String, Option<String>)> {
+    c.expect("(")?;
+    let node = var_label(c)?;
+    c.expect(")")?;
+    Ok(node)
+}
 
-    fn skip_ws(&mut self) {
-        let rest = &self.text[self.pos..];
-        self.pos += rest.len() - rest.trim_start().len();
+/// `return v, …` or `return (v, …)`, in either case of the keyword, with
+/// every variable one of `vars`.
+fn return_list(c: &mut Cursor, vars: &[&str]) -> Result<Vec<String>> {
+    if !(c.eat_word("return") || c.eat_word("RETURN")) {
+        return Err(c.error(format!("expected `return`, found {:?}", c.peek())));
     }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        self.skip_ws();
-        if self.text[self.pos..].starts_with(tok) {
-            self.pos += tok.len();
-            true
-        } else {
-            false
-        }
+    let parens = c.eat("(");
+    let mut out = vec![c.ident()?];
+    while c.eat(",") {
+        out.push(c.ident()?);
     }
-
-    fn expect(&mut self, tok: &str) -> Result<()> {
-        if self.eat(tok) {
-            Ok(())
-        } else {
-            Err(KgmError::parse(
-                "Cypher",
-                format!("expected `{tok}` at byte {} in {:?}", self.pos, self.text),
-            ))
-        }
+    if parens {
+        c.expect(")")?;
     }
-
-    fn ident(&mut self) -> Result<String> {
-        self.skip_ws();
-        let start = self.pos;
-        for (i, c) in self.text[start..].char_indices() {
-            if c.is_alphanumeric() || c == '_' {
-                self.pos = start + i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            Err(KgmError::parse(
-                "Cypher",
-                format!("expected identifier at byte {start} in {:?}", self.text),
-            ))
-        } else {
-            Ok(self.text[start..self.pos].to_string())
-        }
-    }
-
-    /// `(var? (:Label)?)`
-    fn node_pattern(&mut self) -> Result<(String, Option<String>)> {
-        self.expect("(")?;
-        self.skip_ws();
-        let var = if self.text[self.pos..].starts_with(|c: char| c.is_alphanumeric() || c == '_') {
-            self.ident()?
-        } else {
-            String::new()
-        };
-        let label = if self.eat(":") {
-            Some(self.ident()?)
-        } else {
-            None
-        };
-        self.expect(")")?;
-        Ok((var, label))
-    }
-
-    /// `[var? : Label]`
-    fn edge_body(&mut self) -> Result<(String, Option<String>)> {
-        self.expect("[")?;
-        self.skip_ws();
-        let var = if self.text[self.pos..].starts_with(|c: char| c.is_alphanumeric() || c == '_') {
-            self.ident()?
-        } else {
-            String::new()
-        };
-        let label = if self.eat(":") {
-            Some(self.ident()?)
-        } else {
-            None
-        };
-        self.expect("]")?;
-        Ok((var, label))
-    }
-
-    fn return_list(&mut self) -> Result<Vec<String>> {
-        self.skip_ws();
-        // lowercase/uppercase RETURN
-        if !(self.eat("return") || self.eat("RETURN")) {
-            return Err(KgmError::parse(
-                "Cypher",
-                format!("expected `return` in {:?}", self.text),
-            ));
-        }
-        let mut out = Vec::new();
-        if self.eat("(") {
-            loop {
-                out.push(self.ident()?);
-                if !self.eat(",") {
-                    break;
-                }
-            }
-            self.expect(")")?;
-        } else {
-            out.push(self.ident()?);
-            while self.eat(",") {
-                out.push(self.ident()?);
-            }
-        }
-        Ok(out)
+    c.end()?;
+    match out.iter().find(|r| !vars.contains(&r.as_str())) {
+        Some(r) => Err(c.error(format!("unknown return variable `{r}`"))),
+        None => Ok(out),
     }
 }
 
-/// Parse an `@input`-style Cypher fragment.
+/// Parse an `@input`-style Cypher fragment. Its tokens are those of
+/// [`kgm_common::lexer`].
 pub fn parse(text: &str) -> Result<CypherQuery> {
-    let mut s = Scanner::new(text);
-    let src = s.node_pattern()?;
-    s.skip_ws();
-    let rest = &s.text[s.pos..];
-    if rest.starts_with("return") || rest.starts_with("RETURN") {
-        let returns = s.return_list()?;
-        for r in &returns {
-            if *r != src.0 {
-                return Err(KgmError::parse(
-                    "Cypher",
-                    format!("unknown return variable `{r}`"),
-                ));
-            }
-        }
+    let mut c = Cursor::new("Cypher", text)?;
+    let src = node_pattern(&mut c)?;
+    if matches!(c.peek(), Some(Tok::Ident(_))) {
+        let returns = return_list(&mut c, &[&src.0])?;
         return Ok(CypherQuery::NodeScan {
             var: src.0,
             label: src.1,
@@ -185,32 +96,14 @@ pub fn parse(text: &str) -> Result<CypherQuery> {
         });
     }
     // Edge chain: `-[..]->` or `<-[..]-`.
-    let inverted = if s.eat("-") {
-        false
-    } else if s.eat("<-") {
-        true
-    } else {
-        return Err(KgmError::parse(
-            "Cypher",
-            format!("expected edge pattern in {:?}", text),
-        ));
-    };
-    let edge = s.edge_body()?;
-    if inverted {
-        s.expect("-")?;
-    } else {
-        s.expect("->")?;
-    }
-    let dst = s.node_pattern()?;
-    let returns = s.return_list()?;
-    for r in &returns {
-        if *r != src.0 && *r != edge.0 && *r != dst.0 {
-            return Err(KgmError::parse(
-                "Cypher",
-                format!("unknown return variable `{r}`"),
-            ));
-        }
-    }
+    let inverted = c.eat("<");
+    c.expect("-")?;
+    c.expect("[")?;
+    let edge = var_label(&mut c)?;
+    c.expect("]")?;
+    c.expect(if inverted { "-" } else { "->" })?;
+    let dst = node_pattern(&mut c)?;
+    let returns = return_list(&mut c, &[&src.0, &edge.0, &dst.0])?;
     Ok(CypherQuery::TripleScan {
         src,
         edge,

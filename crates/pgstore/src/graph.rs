@@ -757,6 +757,14 @@ impl PropertyGraph {
         out.iter().chain(inc).map(|&e| EdgeId(e))
     }
 
+    /// True if a live edge `from -[label]-> to` exists.
+    pub fn has_edge(&self, from: NodeId, label: Symbol, to: NodeId) -> bool {
+        self.adjacent(from, Direction::Outgoing).any(|e| {
+            let edge = &self.edges[e.0 as usize];
+            edge.label == label && edge.to == to && self.is_live_edge(e)
+        })
+    }
+
     /// Live incident edges in `dir`.
     pub fn incident_edges(&self, id: NodeId, dir: Direction) -> Vec<EdgeId> {
         self.adjacent(id, dir)

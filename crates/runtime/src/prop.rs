@@ -333,7 +333,7 @@ mod tests {
             )
         })
         .unwrap_err();
-        let msg = format!("{}", panic_message(&err));
+        let msg = panic_message(&err).to_string();
         assert!(msg.contains("FAILED"), "{msg}");
         assert!(msg.contains("KGM_PROP_SEED="), "{msg}");
         // The repro line pins the failing case index via KGM_PROP_CASES so

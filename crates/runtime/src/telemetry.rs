@@ -258,10 +258,12 @@ struct ThreadState {
 }
 
 thread_local! {
-    static STATE: RefCell<ThreadState> = RefCell::new(ThreadState {
-        stack: Vec::new(),
-        capture: None,
-    });
+    static STATE: RefCell<ThreadState> = const {
+        RefCell::new(ThreadState {
+            stack: Vec::new(),
+            capture: None,
+        })
+    };
 }
 
 fn listening() -> bool {

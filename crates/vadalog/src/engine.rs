@@ -2276,6 +2276,7 @@ pub(crate) fn combine(func: AggregateFunc, acc: &Value, v: &Value) -> Result<Val
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ProvParents;
     use crate::parser::parse_program;
 
     fn run(src: &str, inputs: &[(&str, Vec<Vec<Value>>)]) -> FactDb {
@@ -3052,7 +3053,7 @@ mod tests {
     /// Value-level image of every provenance edge: `(fact, rule, parent
     /// facts)` for each derived fact, in insertion order per predicate —
     /// id-free, so it compares across independently built databases.
-    fn prov_fingerprint(db: &FactDb) -> Vec<(String, Vec<Value>, u32, Vec<(String, Vec<Value>)>)> {
+    fn prov_fingerprint(db: &FactDb) -> Vec<(String, Vec<Value>, u32, ProvParents)> {
         let mut out = Vec::new();
         for pred in db.predicates() {
             for tuple in db.facts(&pred) {

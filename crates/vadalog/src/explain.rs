@@ -127,7 +127,7 @@ fn node_label(tree: &DerivationTree, program: &Program) -> String {
             let rule = program
                 .rules
                 .get(ri)
-                .map(|r| rule_to_source(r))
+                .map(rule_to_source)
                 .unwrap_or_else(|| "<unknown rule>".to_string());
             if tree.shared {
                 format!("{fact}  [shared: derived above via rule {ri}]")

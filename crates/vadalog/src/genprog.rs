@@ -32,6 +32,7 @@
 use crate::ast::{Program, Term};
 use crate::engine::Engine;
 use crate::parser::parse_program;
+use kgm_common::lexer::quote;
 use kgm_common::Value;
 use kgm_runtime::rng::Rng;
 
@@ -193,20 +194,10 @@ impl Vars {
 const STR_POOL: [&str; 8] = ["a", "b", "c", "d e", "f\"g", "h\\i", "nl\nnl", "tab\tx"];
 const FLOAT_POOL: [f64; 6] = [0.0, -0.0, 0.5, 1.5, 2.25, 3.0];
 
-/// Render a string constant as a source literal with the lexer's escapes.
-fn str_lit(s: &str) -> String {
-    let escaped = s
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\t', "\\t");
-    format!("\"{escaped}\"")
-}
-
 fn const_lit(rng: &mut Rng, ty: Ty, cfg: &GenConfig) -> String {
     match ty {
         Ty::Int => rng.gen_range(-2..cfg.int_domain).to_string(),
-        Ty::Str => str_lit(rng.choose(&STR_POOL).unwrap()),
+        Ty::Str => quote(rng.choose(&STR_POOL).unwrap()),
         Ty::Float => format!("{:?}", rng.choose(&FLOAT_POOL).unwrap()),
         Ty::Anon => unreachable!("anon columns never take constants"),
     }
@@ -327,7 +318,7 @@ impl GenState<'_> {
                 };
                 parts.push(cond);
             } else if let Some(s) = vars.pick_bound(self.rng, Ty::Str) {
-                parts.push(format!("{s} != {}", str_lit("zz")));
+                parts.push(format!("{s} != {}", quote("zz")));
             }
         }
         // Optional arithmetic assignment (no division; modulo by positive
@@ -656,7 +647,7 @@ impl GenState<'_> {
         }
         parts.push(format!(
             "{k} = skolem({}, {})",
-            str_lit(&functor),
+            quote(&functor),
             sk_args.join(", ")
         ));
         let name = self.fresh_pred("s");

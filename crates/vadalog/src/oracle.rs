@@ -173,15 +173,25 @@ struct MonoState {
     parents: ProvParents,
 }
 
+/// A fact as plain values: its predicate and its tuple.
+pub type Fact = (String, Vec<Value>);
+
 /// Parent facts of one derivation, as plain `(predicate, tuple)` values —
 /// the oracle's storage-independent analogue of the engine's dense fact
 /// ids.
-pub type ProvParents = Vec<(String, Vec<Value>)>;
+pub type ProvParents = Vec<Fact>;
+
+/// The rule index and parents of each derived fact, in derivation order.
+type ProvOut = Vec<(usize, ProvParents)>;
 
 /// Why-provenance recorded by [`naive_chase_prov`]: for each *derived*
 /// fact, the rule index and parent facts of the firing that first inserted
 /// it. EDB facts (inputs and program facts) have no entry.
 pub type OracleProvEdges = FxHashMap<(String, Vec<Value>), (usize, ProvParents)>;
+
+/// What [`enumerate`] calls on each complete match: the binding and the
+/// body-match trail.
+type OnMatch<'a> = dyn FnMut(&mut [Option<Value>], &[Fact]) -> Result<()> + 'a;
 
 /// The body-match trail threaded through [`enumerate`]: when `on`, the
 /// matched tuple of every body atom bound so far, in written atom order.
@@ -393,7 +403,7 @@ fn naive_chase_impl(
             }
             iterations += 1;
             let mut out: Vec<(String, Vec<Value>)> = Vec::new();
-            let mut prov_out: Vec<(usize, ProvParents)> = Vec::new();
+            let mut prov_out: ProvOut = Vec::new();
             for &ri in &rules {
                 let rule = &program.rules[ri];
                 let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
@@ -484,9 +494,9 @@ fn enumerate(
     db: &RowDb,
     rule: &Rule,
     ai: usize,
-    binding: &mut Vec<Option<Value>>,
+    binding: &mut [Option<Value>],
     trail: &mut Trail,
-    on_match: &mut dyn FnMut(&mut Vec<Option<Value>>, &[(String, Vec<Value>)]) -> Result<()>,
+    on_match: &mut OnMatch,
 ) -> Result<()> {
     if ai == rule.body.len() {
         return on_match(binding, &trail.items);
@@ -552,15 +562,15 @@ fn fire(
     ri: usize,
     rule: &Rule,
     meta: &OracleMeta,
-    binding: &mut Vec<Option<Value>>,
-    parents: &[(String, Vec<Value>)],
+    binding: &mut [Option<Value>],
+    parents: &[Fact],
     skolems: &SkolemRegistry,
     null_gen: &OidGen,
     nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
     mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
     out: &mut Vec<(String, Vec<Value>)>,
     prov: bool,
-    prov_out: &mut Vec<(usize, ProvParents)>,
+    prov_out: &mut ProvOut,
 ) -> Result<()> {
     let ctx = EvalCtx { skolems };
     let mut assigned: Vec<Var> = Vec::new();
@@ -744,7 +754,7 @@ fn emit_heads(
     out: &mut Vec<(String, Vec<Value>)>,
     prov: bool,
     edge_parents: &[(String, Vec<Value>)],
-    prov_out: &mut Vec<(usize, ProvParents)>,
+    prov_out: &mut ProvOut,
 ) {
     let mut null_values: FxHashMap<Var, Value> = FxHashMap::default();
     if !meta.existentials.is_empty() {
@@ -792,7 +802,7 @@ fn eval_exact_rule(
     null_gen: &OidGen,
     nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
     prov: bool,
-) -> Result<(Vec<(String, Vec<Value>)>, Vec<(usize, ProvParents)>)> {
+) -> Result<(Vec<Fact>, ProvOut)> {
     let agg_step = meta.agg_step.expect("exact agg rule");
     let agg = rule.aggregate().expect("exact agg rule").clone();
     let ctx = EvalCtx { skolems };
@@ -915,7 +925,7 @@ fn eval_exact_rule(
     )?;
 
     let mut out = Vec::new();
-    let mut prov_out: Vec<(usize, ProvParents)> = Vec::new();
+    let mut prov_out: ProvOut = Vec::new();
     for gk in group_order {
         let group = &groups[&gk];
         let mut acc = initial_value(agg.func);

@@ -19,11 +19,11 @@
 //! anonymous variable (fresh at each occurrence). Head variables not bound
 //! in the body are existential. `skolem("skN", X, ...)` applies a linker
 //! Skolem functor. Comments run from `%` or `#` to end of line; the tokens
-//! are those of [`crate::lexer`], which MetaLog shares.
+//! are those of [`kgm_common::lexer`], which every text language shares.
 
 use crate::ast::{Aggregate, AggregateFunc, Atom, BinOp, Expr, Program, Rule, RuleStep, Term, Var};
 use crate::bindings::{InputBinding, InputSource, OutputBinding};
-use crate::lexer::{Cursor, Tok};
+use kgm_common::lexer::{Cursor, Tok};
 use kgm_common::{FxHashMap, Result, Value};
 use std::ops::{Deref, DerefMut};
 
@@ -199,10 +199,7 @@ impl Parser {
         steps: &mut Vec<RuleStep>,
     ) -> Result<()> {
         // `not atom`
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == "not")
-            && matches!(self.peek_at(1), Some(Tok::Ident(_)))
-        {
-            self.pos += 1;
+        if matches!(self.peek_at(1), Some(Tok::Ident(_))) && self.eat_word("not") {
             let a = self.atom(ctx)?;
             steps.push(RuleStep::Negated(a));
             return Ok(());

@@ -9,37 +9,35 @@
 
 use crate::ast::{Aggregate, AggregateFunc, Atom, BinOp, Expr, Program, Rule, RuleStep, Term};
 use crate::bindings::InputSource;
-use kgm_common::Value;
+use kgm_common::lexer::quote;
+use kgm_common::{Oid, Value};
 use std::fmt::Write;
 
-/// Escape a string for a double-quoted Vadalog literal. Mirrors the escape
-/// sequences the lexer understands (`\\`, `\"`, `\n`, `\t`); without the
-/// last two, a string containing a newline would print as a literal line
-/// break and fail to reparse.
-fn escape_str(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\t', "\\t")
-}
-
-fn literal(v: &Value, parseable: &mut bool) -> String {
-    match v {
+/// The source literal of a constant, or the OID it holds: an OID has no
+/// literal syntax. MTV writes MetaLog constants with it too.
+pub fn literal(v: &Value) -> Result<String, Oid> {
+    Ok(match v {
         Value::Bool(b) => b.to_string(),
         Value::Int(i) => i.to_string(),
         Value::Float(f) => format!("{f:?}"),
-        Value::Str(s) => format!("\"{}\"", escape_str(s)),
+        Value::Str(s) => quote(s),
         Value::Date(d) => d.to_string(),
-        Value::Oid(o) => {
-            *parseable = false;
-            format!("⟨oid:{o:?}⟩")
-        }
-    }
+        Value::Oid(o) => return Err(*o),
+    })
+}
+
+/// A constant's literal, or an `⟨oid:…⟩` placeholder that clears
+/// `parseable`.
+fn constant(v: &Value, parseable: &mut bool) -> String {
+    literal(v).unwrap_or_else(|o| {
+        *parseable = false;
+        format!("⟨oid:{o:?}⟩")
+    })
 }
 
 fn term(t: &Term, rule: &Rule, parseable: &mut bool) -> String {
     match t {
-        Term::Const(v) => literal(v, parseable),
+        Term::Const(v) => constant(v, parseable),
         Term::Var(v) => rule.var_name(*v).to_string(),
     }
 }
@@ -69,7 +67,7 @@ fn binop(op: BinOp) -> &'static str {
 
 fn expr(e: &Expr, rule: &Rule, parseable: &mut bool) -> String {
     match e {
-        Expr::Const(v) => literal(v, parseable),
+        Expr::Const(v) => constant(v, parseable),
         Expr::Var(v) => rule.var_name(*v).to_string(),
         Expr::Bin(op, a, b) => format!(
             "({} {} {})",
@@ -79,7 +77,7 @@ fn expr(e: &Expr, rule: &Rule, parseable: &mut bool) -> String {
         ),
         Expr::Not(a) => format!("!({})", expr(a, rule, parseable)),
         Expr::Skolem(name, args) => {
-            let mut parts = vec![format!("\"{}\"", escape_str(name))];
+            let mut parts = vec![quote(name)];
             parts.extend(args.iter().map(|a| expr(a, rule, parseable)));
             format!("skolem({})", parts.join(", "))
         }
@@ -174,31 +172,31 @@ pub fn to_source(program: &Program) -> (String, bool) {
         writeln!(out, "{}", rule_source(r, &mut parseable)).ok();
     }
     for b in &program.inputs {
+        let p = &b.predicate;
         let line = match &b.source {
-            InputSource::Facts => format!("@input({}, facts).", b.predicate),
+            InputSource::Facts => format!("@input({p}, facts)."),
             InputSource::PgNodes {
                 graph,
                 label,
                 props,
             } => format!(
-                "@input({}, nodes, \"{graph}\", \"{label}\", \"{}\").",
-                b.predicate,
-                props.join(",")
+                "@input({p}, nodes, {}, {}, {}).",
+                quote(graph),
+                quote(label),
+                quote(&props.join(","))
             ),
             InputSource::PgEdges {
                 graph,
                 label,
                 props,
             } => format!(
-                "@input({}, edges, \"{graph}\", \"{label}\", \"{}\").",
-                b.predicate,
-                props.join(",")
+                "@input({p}, edges, {}, {}, {}).",
+                quote(graph),
+                quote(label),
+                quote(&props.join(","))
             ),
             InputSource::RelTable { catalog, table } => {
-                format!(
-                    "@input({}, table, \"{catalog}\", \"{table}\").",
-                    b.predicate
-                )
+                format!("@input({p}, table, {}, {}).", quote(catalog), quote(table))
             }
         };
         writeln!(out, "{line}").ok();

@@ -39,6 +39,7 @@
 //! prefix-consistent partial materialization for the full fixpoint.
 
 use crate::engine::{FactDb, Termination};
+use kgm_common::lexer::{Cursor, Tok};
 use kgm_common::{FxHashMap, KgmError, Oid, OidSpace, Result, Value};
 use kgm_pgstore::cypher::{self, CypherQuery};
 use kgm_pgstore::graph::PropertyGraph;
@@ -400,156 +401,108 @@ fn parse_err(msg: impl Into<String>) -> KgmError {
 }
 
 impl Plan {
+    /// Parse a query: a verb, then its arguments in the tokens of
+    /// [`kgm_common::lexer`].
     fn parse(text: &str) -> Result<Plan> {
         let text = text.trim();
         let (verb, rest) = text
             .split_once(char::is_whitespace)
-            .map(|(v, r)| (v, r.trim()))
             .ok_or_else(|| parse_err(format!("query `{text}` has no arguments")))?;
-        match verb {
-            "point" => {
-                let open = rest
-                    .find('(')
-                    .ok_or_else(|| parse_err(format!("point query `{rest}` lacks `(`")))?;
-                let close = rest
-                    .rfind(')')
-                    .filter(|&c| c > open)
-                    .ok_or_else(|| parse_err(format!("point query `{rest}` lacks `)`")))?;
-                let pred = predicate(rest[..open].trim())?;
-                let trailing = rest[close + 1..].trim();
-                if !trailing.is_empty() {
-                    return Err(parse_err(format!("text `{trailing}` after a point query")));
-                }
-                let inner = rest[open + 1..close].trim();
-                let tuple = if inner.is_empty() {
-                    Vec::new()
-                } else {
-                    // Split on the commas outside double-quoted strings.
-                    let mut quoted = false;
-                    inner
-                        .split(|c| {
-                            quoted ^= c == '"';
-                            c == ',' && !quoted
-                        })
-                        .map(|t| parse_value(t.trim()))
-                        .collect::<Result<Vec<Value>>>()?
-                };
-                Ok(Plan::Point(pred, tuple))
-            }
-            "rel" => Ok(Plan::Rel(predicate(rest)?)),
-            "count" => Ok(Plan::Count(predicate(rest)?)),
+        let mut c = match verb {
+            "point" => return point(rest),
+            "cypher" => return Ok(Plan::Cypher(cypher::parse(rest)?)),
+            _ => Cursor::new("serving", rest)?,
+        };
+        let plan = match verb {
+            "rel" => Plan::Rel(c.ident()?),
+            "count" => Plan::Count(c.ident()?),
             "sum" | "min" | "max" => {
-                let (pred, col) = rest
-                    .split_once(char::is_whitespace)
-                    .ok_or_else(|| parse_err(format!("{verb} query `{rest}` lacks a column")))?;
-                let col: usize = col
-                    .trim()
-                    .parse()
-                    .map_err(|_| parse_err(format!("{verb} column `{col}` is not a number")))?;
+                let pred = c.ident()?;
+                let col = match c.next() {
+                    Some(Tok::Int(i)) => usize::try_from(i).ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| c.error(format!("`{verb}` query lacks a column number")))?;
                 let kind = match verb {
                     "sum" => AggKind::Sum,
                     "min" => AggKind::Min,
                     _ => AggKind::Max,
                 };
-                Ok(Plan::Agg(kind, predicate(pred)?, col))
+                Plan::Agg(kind, pred, col)
             }
-            "path" => Ok(Plan::Path(parse_path(rest)?)),
-            "cypher" => Ok(Plan::Cypher(cypher::parse(rest)?)),
-            other => Err(parse_err(format!(
-                "unknown query verb `{other}` (expected point/rel/count/sum/min/max/path/cypher)"
-            ))),
-        }
+            "path" => Plan::Path(path_alt(&mut c)?),
+            other => {
+                let verbs = "point/rel/count/sum/min/max/path/cypher";
+                return Err(parse_err(format!(
+                    "unknown query verb `{other}` (expected {verbs})"
+                )));
+            }
+        };
+        c.end()?;
+        Ok(plan)
     }
 }
 
-/// A predicate name: one identifier, as the Vadalog lexer reads them (a
-/// letter or `_`, then letters, digits or `_`).
-fn predicate(text: &str) -> Result<String> {
-    let mut chars = text.chars();
-    let first = chars.next().is_some_and(|c| c.is_alphabetic() || c == '_');
-    if first && chars.all(|c| c.is_alphanumeric() || c == '_') {
-        Ok(text.to_string())
-    } else {
-        Err(parse_err(format!("`{text}` is not a predicate name")))
-    }
-}
-
-/// Literal values in `point` queries: ints, floats, quoted strings, ground
-/// OIDs (`#42`), booleans. Labelled nulls are unaddressable by design —
-/// their payloads depend on mint order, which is not part of the serving
-/// contract.
-fn parse_value(t: &str) -> Result<Value> {
-    if t == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if t == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Some(p) = t.strip_prefix('#') {
-        let payload: u64 = p
-            .parse()
-            .map_err(|_| parse_err(format!("`{t}` is not a ground oid")))?;
-        return Ok(Value::Oid(Oid::new(OidSpace::Ground, payload)));
-    }
-    if t.len() >= 2 && t.starts_with('"') && t.ends_with('"') {
-        return Ok(Value::str(&t[1..t.len() - 1]));
-    }
-    if t.contains('.') {
-        if let Ok(f) = t.parse::<f64>() {
-            return Ok(Value::Float(f));
+/// `point p(v, …)`. A value is a literal token (a number, a string, `true`
+/// or `false`) or a ground OID `#payload`. Labelled nulls are unaddressable
+/// by design — their payloads depend on mint order, which is not part of
+/// the serving contract. The lexer reads `#` as a comment to end of line, so
+/// where a value starts with one, the payload is read here and a fresh
+/// cursor resumes after it.
+fn point(mut text: &str) -> Result<Plan> {
+    let mut c = Cursor::new("serving", text)?;
+    let pred = c.ident()?;
+    c.expect("(")?;
+    let mut tuple = Vec::new();
+    if !c.eat(")") {
+        loop {
+            let after = c.pos.checked_sub(1).map_or(0, |i| c.toks[i].end);
+            let next = c.toks.get(c.pos).map_or(text.len(), |t| t.start);
+            if let Some(oid) = text[after..next].trim_start().strip_prefix('#') {
+                let len = oid
+                    .find(|ch: char| !ch.is_ascii_digit())
+                    .unwrap_or(oid.len());
+                let payload = oid[..len]
+                    .parse()
+                    .ok()
+                    .filter(|&p| p <= Oid::MAX_PAYLOAD)
+                    .ok_or_else(|| c.error(format!("`#{}` is not a ground oid", &oid[..len])))?;
+                tuple.push(Value::Oid(Oid::new(OidSpace::Ground, payload)));
+                text = &oid[len..];
+                c = Cursor::new("serving", text)?;
+            } else {
+                tuple.push(value(&mut c)?);
+            }
+            if c.eat(")") {
+                break;
+            }
+            c.expect(",")?;
         }
     }
-    t.parse::<i64>()
-        .map(Value::Int)
-        .map_err(|_| parse_err(format!("`{t}` is not a value literal")))
+    c.end()?;
+    Ok(Plan::Point(pred, tuple))
+}
+
+/// A literal value: a number (negated by a leading `-`), a string, `true`
+/// or `false`.
+fn value(c: &mut Cursor) -> Result<Value> {
+    let negate = c.eat("-");
+    match (c.next(), negate) {
+        (Some(Tok::Int(i)), _) => Ok(Value::Int(if negate { -i } else { i })),
+        (Some(Tok::Float(f)), _) => Ok(Value::Float(if negate { -f } else { f })),
+        (Some(Tok::Str(s)), false) => Ok(Value::str(s)),
+        (Some(Tok::Ident(b)), false) if b == "true" || b == "false" => Ok(Value::Bool(b == "true")),
+        (other, _) => Err(c.error(format!("expected a value, found {other:?}"))),
+    }
 }
 
 /// Regular path grammar over predicate names (Section 4's `ρ | ρ⁻ | R·R |
 /// R "|" R | (R)*` with ASCII spellings): `|` alternation, `/` sequence,
 /// postfix `*`, prefix `~` inverse, parentheses.
-fn parse_path(text: &str) -> Result<PathPattern> {
-    let tokens = path_tokens(text)?;
-    let mut pos = 0usize;
-    let p = path_alt(&tokens, &mut pos)?;
-    if pos != tokens.len() {
-        return Err(parse_err(format!(
-            "trailing tokens in path query `{text}` at {:?}",
-            &tokens[pos..]
-        )));
-    }
-    Ok(p)
-}
-
-fn path_tokens(text: &str) -> Result<Vec<String>> {
-    let mut out = Vec::new();
-    let mut ident = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() || c == '_' {
-            ident.push(c);
-            continue;
-        }
-        if !ident.is_empty() {
-            out.push(std::mem::take(&mut ident));
-        }
-        match c {
-            '|' | '/' | '*' | '~' | '(' | ')' => out.push(c.to_string()),
-            c if c.is_whitespace() => {}
-            other => {
-                return Err(parse_err(format!("unexpected `{other}` in path query")));
-            }
-        }
-    }
-    if !ident.is_empty() {
-        out.push(ident);
-    }
-    Ok(out)
-}
-
-fn path_alt(tokens: &[String], pos: &mut usize) -> Result<PathPattern> {
-    let mut parts = vec![path_seq(tokens, pos)?];
-    while tokens.get(*pos).is_some_and(|t| t == "|") {
-        *pos += 1;
-        parts.push(path_seq(tokens, pos)?);
+fn path_alt(c: &mut Cursor) -> Result<PathPattern> {
+    let mut parts = vec![path_seq(c)?];
+    while c.eat("|") {
+        parts.push(path_seq(c)?);
     }
     Ok(if parts.len() == 1 {
         parts.pop().expect("one part")
@@ -558,11 +511,10 @@ fn path_alt(tokens: &[String], pos: &mut usize) -> Result<PathPattern> {
     })
 }
 
-fn path_seq(tokens: &[String], pos: &mut usize) -> Result<PathPattern> {
-    let mut parts = vec![path_star(tokens, pos)?];
-    while tokens.get(*pos).is_some_and(|t| t == "/") {
-        *pos += 1;
-        parts.push(path_star(tokens, pos)?);
+fn path_seq(c: &mut Cursor) -> Result<PathPattern> {
+    let mut parts = vec![path_star(c)?];
+    while c.eat("/") {
+        parts.push(path_star(c)?);
     }
     Ok(if parts.len() == 1 {
         parts.pop().expect("one part")
@@ -571,38 +523,23 @@ fn path_seq(tokens: &[String], pos: &mut usize) -> Result<PathPattern> {
     })
 }
 
-fn path_star(tokens: &[String], pos: &mut usize) -> Result<PathPattern> {
-    let mut p = path_atom(tokens, pos)?;
-    while tokens.get(*pos).is_some_and(|t| t == "*") {
-        *pos += 1;
+fn path_star(c: &mut Cursor) -> Result<PathPattern> {
+    let mut p = path_atom(c)?;
+    while c.eat("*") {
         p = p.star();
     }
     Ok(p)
 }
 
-fn path_atom(tokens: &[String], pos: &mut usize) -> Result<PathPattern> {
-    match tokens.get(*pos).map(String::as_str) {
-        Some("(") => {
-            *pos += 1;
-            let p = path_alt(tokens, pos)?;
-            if tokens.get(*pos).is_some_and(|t| t == ")") {
-                *pos += 1;
-                Ok(p)
-            } else {
-                Err(parse_err("unclosed `(` in path query"))
-            }
-        }
-        Some("~") => {
-            *pos += 1;
-            Ok(path_atom(tokens, pos)?.inverse())
-        }
-        Some(ident) if ident.chars().all(|c| c.is_alphanumeric() || c == '_') => {
-            *pos += 1;
-            Ok(PathPattern::Edge(EdgePattern::label(ident)))
-        }
-        other => Err(parse_err(format!(
-            "expected predicate or `(` in path query, got {other:?}"
-        ))),
+fn path_atom(c: &mut Cursor) -> Result<PathPattern> {
+    if c.eat("(") {
+        let p = path_alt(c)?;
+        c.expect(")")?;
+        Ok(p)
+    } else if c.eat("~") {
+        Ok(path_atom(c)?.inverse())
+    } else {
+        Ok(PathPattern::Edge(EdgePattern::label(c.ident()?)))
     }
 }
 
@@ -838,6 +775,38 @@ mod tests {
     }
 
     #[test]
+    fn point_queries_decode_string_escapes_and_read_ground_oids() {
+        let mut db = FactDb::new();
+        db.add_facts("b", vec![vec![Value::str("say \"hi\", ok")]])
+            .unwrap();
+        let row = vec![
+            Value::Oid(Oid::new(OidSpace::Ground, 7)),
+            Value::str("a\nb\\"),
+            Value::Int(-2),
+            Value::Float(7.4e-5),
+            Value::Bool(true),
+        ];
+        db.add_facts("c", vec![row.clone()]).unwrap();
+        let layer = ServingLayer::new();
+        layer.publish(&db, Termination::Complete);
+        let pin = layer.pin();
+        let r = pin.query(r#"point b("say \"hi\", ok")"#).unwrap();
+        assert_eq!(r.rows, vec![vec![Value::str("say \"hi\", ok")]]);
+        assert!(pin.query(r#"point b("say "hi", ok")"#).is_err());
+        for text in [
+            r#"point c(#7, "a\nb\\", -2, 7.4e-5, true)"#,
+            r#"point c( #7 ,"a\nb\\",-2,0.000074,true )"#,
+        ] {
+            assert_eq!(pin.query(text).unwrap().rows, vec![row.clone()], "{text}");
+        }
+        assert!(pin
+            .query(r#"point c(#8, "a\nb\\", -2, 7.4e-5, true)"#)
+            .unwrap()
+            .rows
+            .is_empty());
+    }
+
+    #[test]
     fn aggregates_and_rel_scans() {
         let (_, db) = tc_db();
         let layer = ServingLayer::new();
@@ -957,6 +926,9 @@ mod tests {
         assert!(pin.query("sum p notacol").is_err());
         assert!(pin.query("path (edge").is_err());
         assert!(pin.query("point p(@bad)").is_err());
+        // Payloads past an OID's 62 bits, and a `#` without one.
+        assert!(pin.query("point p(#4611686018427387904)").is_err());
+        assert!(pin.query("point p(# 1)").is_err());
         assert!(pin.query("rel").is_err());
         // Text after a point query's `)`, a predicate of two words, and a
         // column at or past a known predicate's arity.
@@ -988,12 +960,13 @@ mod tests {
 
     #[test]
     fn path_grammar_precedence_and_parens() {
+        let path = |text: &str| match Plan::parse(&format!("path {text}")).unwrap() {
+            Plan::Path(p) => p,
+            other => panic!("{other:?}"),
+        };
         // a/b|c parses as (a/b)|c; ~ binds tighter than *.
-        let p = parse_path("a/b|c").unwrap();
-        assert!(matches!(p, PathPattern::Alt(ref v) if v.len() == 2));
-        let p = parse_path("~a*").unwrap();
-        assert!(matches!(p, PathPattern::Star(_)));
-        let p = parse_path("(a|b)/c").unwrap();
-        assert!(matches!(p, PathPattern::Seq(ref v) if v.len() == 2));
+        assert!(matches!(path("a/b|c"), PathPattern::Alt(ref v) if v.len() == 2));
+        assert!(matches!(path("~a*"), PathPattern::Star(_)));
+        assert!(matches!(path("(a|b)/c"), PathPattern::Seq(ref v) if v.len() == 2));
     }
 }

@@ -85,7 +85,7 @@ fn oracle_engine_and_parallel_chase_agree() {
         &Config::with_cases(256),
         |rng: &mut Rng| gen_case(rng, &GenConfig::default()),
         shrink_case,
-        |case| differential(case),
+        differential,
     );
 }
 
@@ -106,6 +106,6 @@ fn differential_holds_at_larger_program_sizes() {
         &Config::with_cases(64),
         |rng: &mut Rng| gen_case(rng, &cfg),
         shrink_case,
-        |case| differential(case),
+        differential,
     );
 }

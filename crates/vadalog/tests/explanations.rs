@@ -257,6 +257,6 @@ fn derivation_trees_are_sound_and_grounded() {
         &Config::with_cases(96),
         |rng: &mut Rng| gen_case(rng, &GenConfig::default()),
         shrink_case,
-        |case| explanations_property(case),
+        explanations_property,
     );
 }

@@ -17,6 +17,7 @@
 //!    reason) into every query response, and a later complete epoch must
 //!    clear it, while old pins keep the truncated marker.
 
+use kgm_common::lexer::quote;
 use kgm_common::{OidSpace, Value};
 use kgm_runtime::prop::{check, CaseError, CaseResult, Config};
 use kgm_runtime::rng::Rng;
@@ -174,7 +175,7 @@ fn literal(v: &Value) -> Option<String> {
         Value::Int(i) => Some(i.to_string()),
         Value::Float(f) => Some(format!("{f:?}")),
         Value::Bool(b) => Some(b.to_string()),
-        Value::Str(s) if !s.contains('"') => Some(format!("\"{s}\"")),
+        Value::Str(s) => Some(quote(s)),
         Value::Oid(o) if o.space() == OidSpace::Ground => Some(format!("#{}", o.payload())),
         _ => None,
     }

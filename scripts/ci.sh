@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI for the hermetic workspace.
 #
-# 0. Format: `cargo fmt --all --check` must report nothing.
+# 0. Format: `cargo fmt --all --check` must report nothing, and
+#    `cargo clippy --workspace --all-targets` must warn about nothing.
 # 1. Guard: no workspace manifest may depend on anything outside the
 #    workspace (all deps must be kgm-* path crates).
 # 2. Build + test fully offline — proves an empty cargo registry suffices.
@@ -45,6 +46,10 @@ tree_at_start=$(git status --porcelain)
 echo "== format check =="
 cargo fmt --all --check
 echo "ok: the workspace is formatted"
+
+echo "== clippy =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "ok: clippy reports nothing"
 
 echo "== dependency guard =="
 fail=0

@@ -1,5 +1,6 @@
 //! No text entry point panics: every parser and importer returns `Ok` or
-//! `Err` on any input.
+//! `Err` on any input. And every string reads back as itself through each
+//! writer of a string literal and the parser that reads it.
 //!
 //! Each property takes an input that ships with the repository (the
 //! company-control programs, the Figure 4 GSL schema, the serving query
@@ -14,18 +15,24 @@
 //! cases per property, counterexamples shrunk and reported with the seed.
 
 use kgm_runtime::fault::FaultConfig;
-use kgm_runtime::prop::{check, CaseResult, Config};
+use kgm_runtime::prop::{check, CaseError, CaseResult, Config};
+use kgm_runtime::prop_assert_eq;
 use kgm_runtime::rng::Rng;
+use kgmodel::common::lexer::{lex, quote, Tok};
 use kgmodel::common::Value;
 use kgmodel::core::models::csvmodel::{export_instance, import_instance, CsvExport};
 use kgmodel::core::models::PgModelSchema;
-use kgmodel::core::parse_gsl;
 use kgmodel::core::sst::{translate_to_pg, PgGeneralizationStrategy};
+use kgmodel::core::supermodel::Modifier;
+use kgmodel::core::{parse_gsl, to_gsl};
 use kgmodel::finance::control::{CONTROL_METALOG, CONTROL_VADALOG};
 use kgmodel::finance::{company_kg_gsl, generate_registry, RegistryConfig};
 use kgmodel::metalog::{parse_metalog, translate, PgSchema};
 use kgmodel::pgstore::{csv, cypher, PropertyGraph};
-use kgmodel::vadalog::{parse_program, Engine, EpochSnapshot, FactDb, ServingLayer, Termination};
+use kgmodel::vadalog::{
+    parse_program, to_source, Atom, Engine, EpochSnapshot, FactDb, Program, ServingLayer, Term,
+    Termination,
+};
 use std::sync::Arc;
 
 /// What a mutation may insert.
@@ -309,4 +316,48 @@ fn vadalog_rules_over_unicode_predicates_parse() {
 fn cypher_skips_multibyte_whitespace_by_whole_characters() {
     assert!(cypher::parse("\u{a0}").is_err());
     assert!(cypher::parse("(n:A)\u{3000}return\u{a0}n").is_ok());
+}
+
+/// What a round-tripped string is made of: multi-byte letters and marks,
+/// the characters a string literal escapes, escape spellings, and other
+/// punctuation of the grammars.
+const STRING_PARTS: &[&str] = &[
+    "a", "Z", "_", "0", " ", "é", "città", "日本", "🦀", "\u{301}", "\u{a0}", "\"", "\\", "\n",
+    "\t", "\\n", "\\\"", "%", "#", ",", ")", "->", "..",
+];
+
+#[test]
+fn strings_round_trip_through_every_writer_and_reader() {
+    let gsl = parse_gsl("schema T { node A { id k: string enum(\"x\"); } }").unwrap();
+    let err = |e: kgmodel::common::KgmError| CaseError::fail(e.to_string());
+    check(
+        "strings_round_trip_through_every_writer_and_reader",
+        &Config::default(),
+        |rng: &mut Rng| -> String {
+            let len = rng.gen_range(0usize..12);
+            (0..len)
+                .map(|_| *rng.choose(STRING_PARTS).expect("parts are non-empty"))
+                .collect()
+        },
+        |s: &String| shrink_text(s),
+        |s: &String| -> CaseResult {
+            // `quote`, then the lexer.
+            let toks = lex("Test", &quote(s)).map_err(err)?;
+            let toks: Vec<Tok> = toks.into_iter().map(|t| t.tok).collect();
+            prop_assert_eq!(toks, vec![Tok::Str(s.clone())]);
+            // The Vadalog printer, then the parser.
+            let program = Program {
+                facts: vec![Atom::new("p", vec![Term::Const(Value::str(s))])],
+                ..Program::default()
+            };
+            let (text, parseable) = to_source(&program);
+            prop_assert_eq!(parseable, true);
+            prop_assert_eq!(parse_program(&text).map_err(err)?, program);
+            // `to_gsl`, then the GSL parser, as an enum value.
+            let mut schema = gsl.clone();
+            schema.nodes[0].attributes[0].modifiers = vec![Modifier::Enum(vec![s.clone()])];
+            prop_assert_eq!(parse_gsl(&to_gsl(&schema)).map_err(err)?, schema);
+            Ok(())
+        },
+    );
 }
